@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
@@ -149,12 +151,39 @@ class ConfigError(Exception):
     pass
 
 
+@lru_cache(maxsize=1)
+def _validator():
+    # CONFIG_SCHEMA is a constant checked against its meta-schema by the test
+    # suite; checking it on every run would cost each process ~50 ms
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def validate_config(cfg: dict) -> None:
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # same error selection as jsonschema.validate, without rebuilding the
+    # validator on every call
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    kvec = cfg.get("opalg", {}).get("kvec")
+    if kvec is not None and not any(kvec):
+        raise ConfigError("config invalid at opalg/kvec: wavevector must be nonzero")
+
+
+def _reject_non_finite(token: str):
+    raise ConfigError(f"non-finite number {token} is not allowed")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        _reject_non_finite(token)
+    return value
+
+
+def _json_loads(text: str):
+    """json.loads that refuses NaN, Infinity and overflowing literals."""
+    return json.loads(text, parse_constant=_reject_non_finite, parse_float=_finite_float)
 
 
 def load_config(path) -> dict:
@@ -162,16 +191,18 @@ def load_config(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text())
+        cfg = _json_loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{p}: {exc}") from None
     validate_config(cfg)
     return cfg
 
 
 def _parse_value(raw: str):
     try:
-        return json.loads(raw)
+        return _json_loads(raw)
     except json.JSONDecodeError:
         return raw
 

@@ -6,17 +6,22 @@ vanishing at infinity, equivalently
     h^T(x) = (kappa / 4 pi) int d^3y E(y) / |x - y|.
 
 Two backends evaluate the same discrete quadrature of that integral on the
-lattice (midpoint rule, singular self cell replaced by the analytic cell
+lattice (midpoint rule, singular self cell replaced by the closed-form cell
 average of 1/r):
 
-* `solve_hT_direct` sums the kernel in position space, chunk by chunk.  It is
-  deliberately slow code with no FFT anywhere, kept as the oracle.
+* `solve_hT_direct` sums the kernel in position space with no FFT anywhere,
+  kept as the oracle.  Every source-target displacement is an integer offset
+  times h, so 1/r is tabulated once over the offsets 0..N-1 per axis; each
+  target column then gathers its slab of that table, contracts it with the
+  source weights in one matrix product and sums the Toeplitz diagonal along
+  the third axis.  The sum is exact: every source node meets every target.
 * `solve_hT_spectral` performs the identical free-space convolution by
   zero-padded grid doubling (Hockney): the 1/r kernel is tabulated on the
   doubled box with the cell-averaged value at the origin (which also renders
-  its k = 0 Fourier mode finite), transformed, multiplied and transformed
-  back.  Periodic images never contaminate the result because every source to
-  target displacement of the original box is covered by the doubled box.
+  its k = 0 Fourier mode finite), transformed once per grid, multiplied and
+  transformed back.  Periodic images never contaminate the result because
+  every source to target displacement of the original box is covered by the
+  doubled box.
 
 Continuum fidelity is checked elsewhere against closed forms (point far
 field, mutual Gaussian energies) and the discrete Laplacian residual.
@@ -29,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf
 
 from .grids import GridSpec
@@ -52,26 +56,13 @@ class ScalarFieldX:
             raise ValueError("field entries must be finite")
 
 
-@lru_cache(maxsize=1)
-def _unit_cube_inv_r_average() -> float:
-    """Average of 1/|r| over the unit cube centred at the origin.
-
-    Uses 1/r = (2/sqrt(pi)) int_0^inf exp(-u^2 r^2) du, which factorises the
-    cube integral into erf's:  integral = 2 pi int_0^inf erf(u/2)^3 / u^3 du.
-    """
-
-    def integrand(u):
-        if u < 1e-8:
-            return math.pi ** -1.5
-        return (erf(u / 2.0) / u) ** 3
-
-    val, _ = quad(integrand, 0.0, np.inf, limit=200)
-    return 2.0 * math.pi * val
+# Average of 1/|r| over the unit cube centred at the origin, in closed form.
+_UNIT_CUBE_INV_R_AVERAGE = 3.0 * math.log(2.0 + math.sqrt(3.0)) - math.pi / 2.0
 
 
 def cell_averaged_inv_r(h: float) -> float:
     """Cell average of 1/r for a cubic cell of side h centred on the node."""
-    return _unit_cube_inv_r_average() / h
+    return _UNIT_CUBE_INV_R_AVERAGE / h
 
 
 def _as_grid_values(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> np.ndarray:
@@ -95,14 +86,21 @@ def _coulomb_kernel(grid: GridSpec) -> np.ndarray:
     return k
 
 
+@lru_cache(maxsize=1)
+def _coulomb_kernel_hat(grid: GridSpec) -> np.ndarray:
+    """Transform of the doubled-box kernel; a run solves on one grid."""
+    k_hat = np.fft.rfftn(_coulomb_kernel(grid))
+    k_hat.flags.writeable = False
+    return k_hat
+
+
 def solve_hT_spectral(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> ScalarFieldX:
     """Free-space solve by zero-padded FFT convolution (see module docstring)."""
     vals = _as_grid_values(e, grid, consts)
     n2 = 2 * grid.n
     padded = np.zeros((n2,) * 3)
     padded[: grid.n, : grid.n, : grid.n] = vals
-    kernel = _coulomb_kernel(grid)
-    conv = np.fft.irfftn(np.fft.rfftn(padded) * np.fft.rfftn(kernel),
+    conv = np.fft.irfftn(np.fft.rfftn(padded) * _coulomb_kernel_hat(grid),
                          s=(n2,) * 3, axes=(0, 1, 2))
     out = conv[: grid.n, : grid.n, : grid.n] * (consts.kappa / (4.0 * math.pi)) * grid.cell_volume
     return ScalarFieldX(grid=grid, values=out)
@@ -113,38 +111,44 @@ def solve_hT_direct(
     grid: GridSpec,
     consts: PhysicalConstants,
     stride: int = 1,
-    chunk: int = 256,
 ) -> ScalarFieldX:
-    """Position-space quadrature oracle.
+    """Position-space quadrature oracle: no FFT, every source node summed
+    into every target node.
+
+    K[p, q, r] = 1 / (h sqrt(p^2 + q^2 + r^2)) is tabulated over the integer
+    offsets 0..N-1 (its own table, independent of the spectral kernel), with
+    the cell average of 1/r at the origin.  For the target column (x_a, y_b)
+    the slab K[|x_a - jx|, |y_b - jy|, :] is contracted over (jx, jy) with
+    the source weights, A[jz, r] = sum W[jx, jy, jz] K[.., .., r], and the
+    field at z_c is the diagonal sum over jz of A[jz, |z_c - jz|].
 
     With stride > 1 the field is evaluated on the coarser sub-lattice only
-    (every stride-th node per axis), which keeps the O(N^6) cost in check;
-    the returned field then lives on GridSpec(n // stride, box).
+    (every stride-th node per axis); the returned field then lives on
+    GridSpec(n // stride, box).
     """
     if grid.n > DIRECT_N_LIMIT:
         raise ValueError(f"direct solver guarded to N <= {DIRECT_N_LIMIT}")
     if grid.n % stride:
         raise ValueError("stride must divide N")
-    vals = _as_grid_values(e, grid, consts)
-    ax = grid.axes()
-    src = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    weights = vals.reshape(-1) * grid.cell_volume
-    tax = ax[::stride]
-    targets = np.stack(np.meshgrid(tax, tax, tax, indexing="ij"), axis=-1).reshape(-1, 3)
-    self_kernel = cell_averaged_inv_r(grid.h)
-    out = np.empty(len(targets))
-    for start in range(0, len(targets), chunk):
-        t = targets[start : start + chunk]
-        diff = t[:, None, :] - src[None, :, :]
-        r = np.sqrt((diff**2).sum(axis=-1))
-        inv = np.empty_like(r)
-        zero = r == 0.0
-        inv[~zero] = 1.0 / r[~zero]
-        inv[zero] = self_kernel
-        out[start : start + chunk] = inv @ weights
+    n = grid.n
+    weights = (_as_grid_values(e, grid, consts) * grid.cell_volume).reshape(n * n, n)
+    offsets = np.arange(n)
+    r2 = offsets[:, None, None] ** 2 + offsets[None, :, None] ** 2 + offsets[None, None, :] ** 2
+    with np.errstate(divide="ignore"):
+        table = 1.0 / (grid.h * np.sqrt(r2))
+    table[0, 0, 0] = cell_averaged_inv_r(grid.h)
+
+    targets = offsets[::stride]
+    dist = np.abs(targets[:, None] - offsets[None, :])  # |target - source| per axis
+    out = np.empty((len(targets),) * 3)
+    for a, dx in enumerate(dist):
+        slab_x = table[dx]
+        for b, dy in enumerate(dist):
+            contracted = weights.T @ slab_x[:, dy].reshape(n * n, n)
+            out[a, b] = contracted[offsets, dist].sum(axis=1)
     out *= consts.kappa / (4.0 * math.pi)
     ngrid = GridSpec(grid.n // stride, grid.box) if stride > 1 else grid
-    return ScalarFieldX(grid=ngrid, values=out.reshape((grid.n // stride,) * 3))
+    return ScalarFieldX(grid=ngrid, values=out)
 
 
 def _pair_is_analytic(e: EnergyDensity) -> bool:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -37,6 +38,7 @@ def test_schema_command(capsys):
     assert main(["schema"]) == 0
     schema = json.loads(capsys.readouterr().out)
     assert schema == CONFIG_SCHEMA
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_malformed_config_exit_code(tmp_path, capsys):
@@ -50,6 +52,27 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"scenario": "phase-compare", "seed": -1}))
     assert main(["run", str(invalid)]) == 1
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_rejected_at_load(tmp_path, capsys, literal):
+    cfg = json.dumps(get_preset("gie-2x2")).replace('"time": 0.2', f'"time": {literal}')
+    path = tmp_path / "nonfinite.json"
+    path.write_text(cfg)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert main(["run", "preset:gie-2x2", "--set", f"time={literal}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"non-finite number {literal}") == 2
+    assert not out.exists()  # refused before any compute
+
+
+def test_zero_wavevector_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "preset:zassenhaus-t3", "--set", "opalg.kvec=[0,0,0]",
+                 "--out", str(out)]) == 1
+    assert "opalg/kvec: wavevector must be nonzero" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_override_paths():

@@ -1,9 +1,16 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from gravphase.grids import GridSpec
 from gravphase.poisson import (
+    _coulomb_kernel_hat,
     cell_averaged_inv_r,
     coulomb_pair_analytic,
     laplacian_residual,
@@ -20,6 +27,7 @@ from gravphase.sources import (
 )
 
 CONSTS = PhysicalConstants.natural()
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 KAPPA = CONSTS.kappa
 
 
@@ -44,6 +52,48 @@ def test_cell_average_constant_against_brute_force():
     brute = float((1.0 / np.sqrt(x**2 + y**2 + z**2)).mean())
     assert abs(cell_averaged_inv_r(1.0) - brute) < 2e-5 * brute
     assert abs(cell_averaged_inv_r(0.5) - 2.0 * cell_averaged_inv_r(1.0)) < 1e-12
+
+
+def test_cell_average_closed_form_without_scipy_quadrature():
+    closed = 3.0 * math.log(2.0 + math.sqrt(3.0)) - math.pi / 2.0
+    for h in (1.0, 0.25, 4.0):  # powers of two scale exactly
+        assert cell_averaged_inv_r(h) * h == closed
+    # the constant no longer needs scipy's quadrature, whose import was most
+    # of the cold start of every process
+    probe = "import sys, gravphase.poisson; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
+
+
+def _direct_pair_loop(e, grid, stride):
+    """The oracle as first written: float displacements and one sqrt per
+    source-target pair."""
+    ax = grid.axes()
+    src = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    weights = sample_on_grid(e, grid, CONSTS).values.reshape(-1) * grid.cell_volume
+    tax = ax[::stride]
+    targets = np.stack(np.meshgrid(tax, tax, tax, indexing="ij"), axis=-1).reshape(-1, 3)
+    out = np.empty(len(targets))
+    for i, t in enumerate(targets):
+        total = 0.0
+        for s, w in zip(src, weights):
+            r = math.sqrt(((t - s) ** 2).sum())
+            total += w * (1.0 / r if r > 0.0 else cell_averaged_inv_r(grid.h))
+        out[i] = total
+    m = grid.n // stride
+    return out.reshape((m,) * 3) * KAPPA / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_direct_matches_pair_loop(stride):
+    grid = GridSpec(8, 3.0)
+    rng = np.random.default_rng(20 + stride)
+    e = grid_density(rng.uniform(0.0, 1.0, (8, 8, 8)), grid.box)
+    got = solve_hT_direct(e, grid, CONSTS, stride=stride).values
+    ref = _direct_pair_loop(e, grid, stride)
+    assert got.shape == ref.shape == (8 // stride,) * 3
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_zero_density_zero_field():
@@ -91,6 +141,18 @@ def test_direct_stride_subsampling():
     np.testing.assert_allclose(strided.values, full.values[::2, ::2, ::2], rtol=1e-12)
     with pytest.raises(ValueError):
         solve_hT_direct(e, GridSpec(64, 8.0), CONSTS)
+
+
+def test_cached_kernel_never_serves_another_grid():
+    grids = [GridSpec(16, 8.0), GridSpec(16, 4.0), GridSpec(16, 8.0)]
+    e = gaussian_density(1.0, (2.0, 2.0, 2.0), 0.4)  # fits both boxes
+    fresh = {}
+    for grid in grids[:2]:
+        _coulomb_kernel_hat.cache_clear()
+        fresh[grid] = solve_hT_spectral(e, grid, CONSTS).values
+    _coulomb_kernel_hat.cache_clear()
+    for grid in grids:
+        np.testing.assert_array_equal(solve_hT_spectral(e, grid, CONSTS).values, fresh[grid])
 
 
 def test_laplacian_residual_small():
