@@ -15,7 +15,14 @@ from .sources import (
     source_overlap,
     total_mass,
 )
-from .poisson import ScalarFieldX, mutual_coulomb, solve_hT_direct, solve_hT_spectral
+from .poisson import (
+    PairIntegrals,
+    ScalarFieldX,
+    mutual_coulomb,
+    pair_integrals,
+    solve_hT_direct,
+    solve_hT_spectral,
+)
 from .phases import (
     PhaseMatrix,
     PhaseReport,
@@ -23,10 +30,6 @@ from .phases import (
     compare_models,
     negativity,
     newton_phase,
-    nonlocal_phase,
-    phase_matrix_general,
-    self_energy,
-    sn_phase,
     theta_AB,
 )
 from .overlaps import (

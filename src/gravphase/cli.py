@@ -5,25 +5,13 @@
     gravphase schema
 
 Exit codes: 0 success, 1 configuration error, 2 numerical guard violation,
-3 I/O error.  The environment variable GRAVPHASE_THREADS caps the BLAS/FFT
-thread pools (it must be set before the numeric libraries load, which is why
-this module imports them lazily)."""
+3 I/O error."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-
-def _configure_threads() -> None:
-    n = os.environ.get("GRAVPHASE_THREADS")
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, n)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_threads()
     args = _build_parser().parse_args(argv)
 
     from .config import (ConfigError, CONFIG_SCHEMA, apply_overrides,

@@ -168,6 +168,17 @@ def validate_config(cfg: dict) -> None:
     kvec = cfg.get("opalg", {}).get("kvec")
     if kvec is not None and not any(kvec):
         raise ConfigError("config invalid at opalg/kvec: wavevector must be nonzero")
+    # all-zero amplitudes cannot be normalised into a state
+    sources = {f"sources/{k}": v for k, v in cfg.get("sources", {}).items()}
+    if "poisson" in cfg:
+        sources["poisson/profile"] = cfg["poisson"]["profile"]
+    amplitudes = {f"{path}/branches": [b["amplitude"] for b in block["branches"]]
+                  for path, block in sources.items() if "branches" in block}
+    amplitudes.update({f"negativity/{k}": v for k, v in cfg.get("negativity", {}).items()
+                       if k.startswith("amplitudes")})
+    for path, amps in amplitudes.items():
+        if not any(any(a) if isinstance(a, list) else a for a in amps):
+            raise ConfigError(f"config invalid at {path}: amplitudes are all zero")
 
 
 def _reject_non_finite(token: str):

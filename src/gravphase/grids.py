@@ -30,11 +30,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.h**3
 
-    @property
-    def mode_weight(self) -> float:
-        # d^3k/(2pi)^3 per lattice mode: (2pi/L)^3 / (2pi)^3
-        return 1.0 / self.box**3
-
     def axes(self) -> np.ndarray:
         return np.arange(self.n) * self.h
 
@@ -55,8 +50,3 @@ class GridSpec:
         mask[0, 0, 0] = False
         return mask
 
-
-def neg_k_view(values: np.ndarray) -> np.ndarray:
-    """Reindex an FFT-layout array from k to -k along the first three axes."""
-    out = values[::-1, ::-1, ::-1]
-    return np.roll(out, 1, axis=(0, 1, 2))

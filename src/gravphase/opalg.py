@@ -16,8 +16,7 @@ of H_G cancel and the longitudinal momenta are dropped.
 
 The time evolution factorises (nested commutators ordered by power of t) as
 
-    U(t) = e^{-it H_free/hbar} e^{-it H_G/hbar} e^{-it H_I/hbar}
-           e^{(t^2/2 hbar^2) [H_G, H_I]}
+    U(t) = e^{-it H_G/hbar} e^{-it H_I/hbar} e^{(t^2/2 hbar^2) [H_G, H_I]}
            e^{(i t^3/6 hbar^3) ([H_G,[H_G,H_I]] + 2 [H_I,[H_G,H_I]])} + O(t^4).
 
 Per probe branch b with coupling coefficient C_m(b) = w tau_m(b) the factors
@@ -259,14 +258,14 @@ def nested_commutators(h_g: np.ndarray, h_i: np.ndarray, depth: int = 3) -> dict
     return out
 
 
-def zassenhaus_product(h_g: np.ndarray, h_i: np.ndarray, h_free: np.ndarray,
-                       t: float, hbar: float, order: int = 3) -> np.ndarray:
+def zassenhaus_product(h_g: np.ndarray, h_i: np.ndarray, t: float, hbar: float,
+                       order: int = 3) -> np.ndarray:
     """Ordered product of exponentials; order 3 keeps the t^3 factor, order 2
     stops after the single-commutator factor."""
     if order not in (2, 3):
         raise ValueError("order must be 2 or 3")
     nest = nested_commutators(h_g, h_i, depth=order)
-    u = expm(-1j * t * h_free / hbar) @ expm(-1j * t * h_g / hbar) @ expm(-1j * t * h_i / hbar)
+    u = expm(-1j * t * h_g / hbar) @ expm(-1j * t * h_i / hbar)
     u = u @ expm((t**2 / (2.0 * hbar**2)) * nest["GI"])
     if order == 3:
         u = u @ expm((1j * t**3 / (6.0 * hbar**3)) * (nest["GGI"] + 2.0 * nest["IGI"]))
@@ -412,9 +411,8 @@ def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
     guards against truncation abuse rather than roundoff)."""
     h_g = build_HG(system, probe_dim=probe.probe_dim)
     h_i = build_HI(system, probe, hT_shift)
-    h_free = np.zeros_like(h_g)
     u_exact = exact_propagator(h_g + h_i, t, system.consts.hbar)
-    u_z = zassenhaus_product(h_g, h_i, h_free, t, system.consts.hbar, order=order)
+    u_z = zassenhaus_product(h_g, h_i, t, system.consts.hbar, order=order)
     for u in (u_exact, u_z):
         if _unitarity_defect(u) > 1e-10:
             raise ValueError("propagator lost unitarity beyond 1e-10")

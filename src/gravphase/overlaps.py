@@ -37,21 +37,16 @@ SHIFT_CANCEL_TOL = 1e-14
 @dataclass(frozen=True)
 class ModeGaussianState:
     """Per-mode Gaussian data of the field state in the momentum
-    representation: vacuum width parameter kappa/(hbar |k|) per TT mode and
-    the trace-sector displacement phase coefficient h^T_E(k) / (2 hbar)."""
+    representation: the trace-sector displacement phase coefficient
+    h^T_E(k) / (2 hbar).  The TT vacuum Gaussians are identical in bra and
+    ket, so they normalise to one and are not stored."""
 
     grid: GridSpec
     shift: np.ndarray          # (n, n, n) complex, k = 0 entry zeroed
-    vacuum_width: np.ndarray   # (n, n, n) float, k = 0 entry zeroed
-    reg_width: float | None = None
 
     def __post_init__(self):
         if self.shift.shape != (self.grid.n,) * 3:
             raise ValueError("shift array does not match grid")
-        if self.reg_width is not None and self.reg_width <= 0.0:
-            raise ValueError("regularisation width must be positive")
-        if np.any(self.vacuum_width < 0.0):
-            raise ValueError("vacuum widths must be non-negative")
 
 
 def field_fourier_amplitudes(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> np.ndarray:
@@ -78,10 +73,7 @@ def build_field_state(e: EnergyDensity, consts: PhysicalConstants, grid: GridSpe
     shift = hk / (2.0 * consts.hbar)
     mask = grid.nonzero_mode_mask()
     shift[~mask] = 0.0
-    width = np.zeros((grid.n,) * 3)
-    kmag = grid.k_magnitude()
-    width[mask] = consts.kappa / (consts.hbar * kmag[mask])
-    return ModeGaussianState(grid=grid, shift=shift, vacuum_width=width)
+    return ModeGaussianState(grid=grid, shift=shift)
 
 
 def exact_joint_overlap(

@@ -8,6 +8,10 @@ on point-like profiles the prefactor is kappa c^4 / (4 pi) = 4 G, i.e. four
 times the Newton value G m_A m_B t / (hbar d); model comparisons therefore
 normalise the overall constant away and compare shapes only.  The ratio is
 reported, never hidden.
+
+Every model matrix except Newton's, and the self-energies, is a fixed linear
+map of one set of Coulomb pair integrals, which `compare_models` computes
+once per source pair.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec
-from .poisson import mutual_coulomb
+from .poisson import mutual_coulomb, pair_integrals
 from .sources import (
     EnergyDensity,
     LocalizedSourceSpec,
@@ -94,6 +98,13 @@ class PhaseReport:
     vacuum_note: str
 
 
+def _nonlocal_coupling(time: float, consts: PhysicalConstants) -> float:
+    """G t / (hbar c^4), the nonlocal model's phase per unit pair integral.
+    The density phase is -4 times it (kappa / 4 pi = 4 G / c^4); a factor
+    of -4 is exact in floating point, so the two stay in exact ratio."""
+    return consts.G * time / (consts.hbar * consts.c**4)
+
+
 def theta_AB(
     e_a: EnergyDensity,
     e_b: EnergyDensity,
@@ -115,22 +126,7 @@ def theta_AB(
         return 0.0, 0.0
     val, err = mutual_coulomb(e_a, e_b, consts, backend=backend, grid=grid,
                               mc_samples=mc_samples, seed=seed)
-    pref = -consts.kappa * time / (4.0 * math.pi * consts.hbar)
-    return pref * val, abs(pref) * err
-
-
-def self_energy(
-    e_s: EnergyDensity,
-    consts: PhysicalConstants,
-    backend: str = "auto",
-    grid: GridSpec | None = None,
-    mc_samples: int = 1_000_000,
-    seed: int = 0,
-):
-    """Gravitational self-energy -(kappa / 8 pi) int E(x) E(y) / |x-y|."""
-    val, err = mutual_coulomb(e_s, e_s, consts, backend=backend, grid=grid,
-                              mc_samples=mc_samples, seed=seed)
-    pref = -consts.kappa / (8.0 * math.pi)
+    pref = -4.0 * _nonlocal_coupling(time, consts)
     return pref * val, abs(pref) * err
 
 
@@ -146,110 +142,6 @@ def newton_phase(spec_a: LocalizedSourceSpec, spec_b: LocalizedSourceSpec,
     return PhaseMatrix(model="newton", theta=1j * theta)
 
 
-def nonlocal_phase(
-    e_a: EnergyDensity,
-    e_b: EnergyDensity,
-    time: float,
-    consts: PhysicalConstants,
-    backend: str = "auto",
-    grid: GridSpec | None = None,
-    mc_samples: int = 1_000_000,
-    seed: int = 0,
-):
-    """Phase of the ad-hoc nonlocal density-density coupling
-
-        V = -(G / c^4) int E_A(x) E_B(y) / |x-y|,
-
-    the trace of the stress tensor being energy-density dominated for static
-    sources.  Same integral kernel as theta_AB; the prefactor ratio
-    theta_AB / nonlocal is exactly -4.
-    """
-    if time == 0.0:
-        return 0.0, 0.0
-    val, err = mutual_coulomb(e_a, e_b, consts, backend=backend, grid=grid,
-                              mc_samples=mc_samples, seed=seed)
-    pref = consts.G * time / (consts.hbar * consts.c**4)
-    return pref * val, abs(pref) * err
-
-
-def _branch_data(source):
-    """(densities, |amplitude|^2 weights) of a localized spec or a state."""
-    if isinstance(source, LocalizedSourceSpec):
-        dens = [source.branch_density(i) for i in range(source.n_branches)]
-        weights = np.abs(source.amplitudes) ** 2
-    else:
-        dens = list(source.densities)
-        weights = np.abs(source.amplitudes) ** 2
-    return dens, weights
-
-
-def _mean_field_u(this, other, time: float, consts: PhysicalConstants,
-                  backend, grid, mc_samples, seed) -> np.ndarray:
-    """Per-branch phase of one particle in the mean field of the other's full
-    state: u_i = (G t / hbar c^4) sum_j |d_j|^2 * pair(E_i, E_j)."""
-    dens_this, _ = _branch_data(this)
-    dens_other, weights = _branch_data(other)
-    out = np.zeros(len(dens_this))
-    for i, e_i in enumerate(dens_this):
-        acc = 0.0
-        for j, e_j in enumerate(dens_other):
-            val, _ = mutual_coulomb(e_i, e_j, consts, backend=backend, grid=grid,
-                                    mc_samples=mc_samples, seed=seed + 7919 * (i + 13 * j))
-            acc += weights[j] * val
-        out[i] = consts.G * time * acc / (consts.hbar * consts.c**4)
-    return out
-
-
-def sn_phase(
-    source_a: LocalizedSourceSpec | QuantumSourceState,
-    source_b: LocalizedSourceSpec | QuantumSourceState,
-    time: float,
-    consts: PhysicalConstants,
-    backend: str = "auto",
-    grid: GridSpec | None = None,
-    mc_samples: int = 1_000_000,
-    seed: int = 0,
-) -> PhaseMatrix:
-    """Mean-field (self-gravity) phase matrix.  Each particle evolves in the
-    averaged field of the other's full state, so the matrix is separable by
-    construction, theta_ij = u_i + v_j, and can never entangle the pair.
-    Both cross couplings contribute, hence the factor 2 for identical
-    single-branch sources.  Accepts localized branch specs or quantum source
-    states (branch densities standing in for the wavefunction moduli)."""
-    u = _mean_field_u(source_a, source_b, time, consts, backend, grid, mc_samples, seed)
-    v = _mean_field_u(source_b, source_a, time, consts, backend, grid, mc_samples, seed + 1)
-    theta = u[:, None] + v[None, :]
-    return PhaseMatrix(model="schroedinger-newton", theta=1j * theta)
-
-
-def phase_matrix_general(
-    psi_a: QuantumSourceState,
-    psi_b: QuantumSourceState,
-    time: float,
-    consts: PhysicalConstants,
-    backend: str = "auto",
-    grid: GridSpec | None = None,
-    mc_samples: int = 1_000_000,
-    seed: int = 0,
-) -> PhaseMatrix:
-    """Full density-pair phase matrix over eigenbasis pairs,
-    theta_ij = theta_AB(E_i, E_j, t).  Self-energies are excluded: they are
-    subtracted per source together with the vacuum reference and do not enter
-    the eigenpair cross terms."""
-    na, nb = psi_a.n_components, psi_b.n_components
-    theta = np.zeros((na, nb))
-    err = np.zeros((na, nb))
-    for i in range(na):
-        for j in range(nb):
-            th, e = theta_AB(psi_a.densities[i], psi_b.densities[j], time, consts,
-                             backend=backend, grid=grid, mc_samples=mc_samples,
-                             seed=seed + 104729 * (i + 31 * j))
-            theta[i, j] = th
-            err[i, j] = e
-    return PhaseMatrix(model="general", theta=1j * theta,
-                       stderr=err if err.any() else None)
-
-
 def negativity(amps_a, amps_b, matrix: PhaseMatrix) -> float:
     """Entanglement negativity of the branch state
     sum_ij c_i d_j exp(theta_ij) |i>|j> (theta complex: damping + i phase).
@@ -263,7 +155,7 @@ def negativity(amps_a, amps_b, matrix: PhaseMatrix) -> float:
     amps_b = np.asarray(amps_b, dtype=complex)
     coeff = amps_a[:, None] * amps_b[None, :] * np.exp(matrix.theta)
     norm = np.linalg.norm(coeff)
-    if norm < 1e-300:
+    if not norm >= 1e-300:  # also catches NaN
         raise ValueError("state is not normalisable (all coefficients zero)")
     v = (coeff / norm).reshape(-1)
     na, nb = coeff.shape
@@ -327,40 +219,46 @@ def compare_models(request: PhaseRequest) -> PhaseReport:
               mc_samples=request.mc_samples, seed=request.seed)
 
     matrices = {}
-    negativities = {}
-    deviations = {}
-    fitted_deviations = {}
     skipped = {}
 
-    general = phase_matrix_general(psi_a, psi_b, request.time, request.consts, **kw)
+    # every model matrix and the self-energies are fixed linear maps of the
+    # same pair integrals, computed once
+    consts, t = request.consts, request.time
+    pairs = pair_integrals(psi_a.densities, psi_b.densities, consts, **kw)
+    pref_nonlocal = _nonlocal_coupling(t, consts)
+    pref_general = -4.0 * pref_nonlocal
+    stderr = abs(pref_general) * pairs.stderr
+    general = PhaseMatrix(model="general", theta=1j * (pref_general * pairs.cross),
+                          stderr=stderr if stderr.any() else None)
     matrices["general"] = general
-    negativities["general"] = negativity(psi_a.amplitudes, psi_b.amplitudes, general)
 
     if a_loc and b_loc:
-        newt = newton_phase(request.source_a, request.source_b, request.time, request.consts)
-        matrices["newton"] = newt
-        negativities["newton"] = negativity(psi_a.amplitudes, psi_b.amplitudes, newt)
+        matrices["newton"] = newton_phase(request.source_a, request.source_b, t, consts)
     else:
         skipped["newton"] = "needs localized branch specs (center-based potential)"
 
-    sn = sn_phase(request.source_a, request.source_b, request.time, request.consts, **kw)
-    matrices["schroedinger-newton"] = sn
-    negativities["schroedinger-newton"] = negativity(psi_a.amplitudes, psi_b.amplitudes, sn)
+    # mean field: each particle evolves in the averaged field of the other's
+    # full state, u_i = pref sum_j |d_j|^2 P_ij and v_j = pref sum_i |c_i|^2 P_ij,
+    # so theta_ij = u_i + v_j is separable and never entangles.  Both cross
+    # couplings contribute, hence the point-limit ratio -2.
+    u = pref_nonlocal * (pairs.cross * np.abs(psi_b.amplitudes) ** 2).sum(axis=1)
+    v = pref_nonlocal * (np.abs(psi_a.amplitudes[:, None]) ** 2 * pairs.cross).sum(axis=0)
+    matrices["schroedinger-newton"] = PhaseMatrix(model="schroedinger-newton",
+                                                  theta=1j * (u[:, None] + v[None, :]))
 
-    nl = np.zeros_like(general.phases)
-    for i in range(psi_a.n_components):
-        for j in range(psi_b.n_components):
-            nl[i, j], _ = nonlocal_phase(psi_a.densities[i], psi_b.densities[j],
-                                         request.time, request.consts, **kw)
+    # ad-hoc nonlocal coupling V = -(G / c^4) int E_A E_B / |x-y|: the trace of
+    # the stress tensor is energy-density dominated for static sources
+    nl = pref_nonlocal * pairs.cross
     matrices["nonlocal"] = PhaseMatrix(model="nonlocal", theta=1j * nl)
-    negativities["nonlocal"] = negativity(psi_a.amplitudes, psi_b.amplitudes, matrices["nonlocal"])
 
-    for name, pm in matrices.items():
-        if name == "general":
-            continue
-        deviations[name] = _point_normalized_deviation(
-            general.phases, pm.phases, POINT_LIMIT_RATIOS[name])
-        fitted_deviations[name] = _fitted_deviation(general.phases, pm.phases)
+    negativities = {name: negativity(psi_a.amplitudes, psi_b.amplitudes, pm)
+                    for name, pm in matrices.items()}
+
+    models = {name: pm.phases for name, pm in matrices.items() if name != "general"}
+    deviations = {name: _point_normalized_deviation(general.phases, th, POINT_LIMIT_RATIOS[name])
+                  for name, th in models.items()}
+    fitted_deviations = {name: _fitted_deviation(general.phases, th)
+                         for name, th in models.items()}
 
     # pairwise max phase deviation between models, all matrices brought to
     # the general convention by their point-limit ratios first
@@ -374,13 +272,9 @@ def compare_models(request: PhaseRequest) -> PhaseReport:
             dev = np.abs(normalized[m1] - normalized[m2]).max() / ref if ref else 0.0
             pairwise_deviations[f"{m1}|{m2}"] = float(dev)
 
-    self_energies = {}
-    for name, psi in (("A", psi_a), ("B", psi_b)):
-        vals = []
-        for dens in psi.densities:
-            es, _ = self_energy(dens, request.consts, **kw)
-            vals.append(es)
-        self_energies[name] = vals
+    pref_self = -consts.kappa / (8.0 * math.pi)
+    self_energies = {"A": (pref_self * pairs.self_a).tolist(),
+                     "B": (pref_self * pairs.self_b).tolist()}
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_nl = np.where(nl != 0.0, general.phases / nl, np.nan)
@@ -395,11 +289,11 @@ def compare_models(request: PhaseRequest) -> PhaseReport:
         m_a, m_b = request.source_a.mass, request.source_b.mass
         pt_a = point_density(m_a, request.source_a.centers[0], sigma_reg=min(request.sigma_ladder) / 4.0)
         pt_b = point_density(m_b, request.source_b.centers[0], sigma_reg=min(request.sigma_ladder) / 4.0)
-        th_pt, _ = theta_AB(pt_a, pt_b, request.time, request.consts, **kw)
+        th_pt, _ = theta_AB(pt_a, pt_b, t, consts, **kw)
         for sigma in request.sigma_ladder:
             ea = gaussian_density(m_a, request.source_a.centers[0], sigma)
             eb = gaussian_density(m_b, request.source_b.centers[0], sigma)
-            th, err = theta_AB(ea, eb, request.time, request.consts, **kw)
+            th, err = theta_AB(ea, eb, t, consts, **kw)
             convergence.append({
                 "sigma": float(sigma),
                 "sigma_over_d": float(sigma / d),

@@ -25,6 +25,11 @@ average of 1/r):
 
 Continuum fidelity is checked elsewhere against closed forms (point far
 field, mutual Gaussian energies) and the discrete Laplacian residual.
+
+Coulomb pair integrals int E_A E_B / |x - y| come in closed form, by grid
+quadrature against the spectral potential, or by 6-D Monte Carlo, one pair
+at a time (`mutual_coulomb`) or for two whole density families at once
+(`pair_integrals`, which computes each integral once).
 """
 
 from __future__ import annotations
@@ -225,13 +230,20 @@ def coulomb_pair_mc(
     return scale * mean, scale * math.sqrt(var / samples)
 
 
+def _coulomb_potential(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> np.ndarray:
+    """int E(y) / |x - y| on the grid nodes: the spectral h^T without kappa / 4 pi."""
+    return solve_hT_spectral(e, grid, consts).values * (4.0 * math.pi / consts.kappa)
+
+
+def _contract(values: np.ndarray, potential: np.ndarray, grid: GridSpec) -> float:
+    return float((values * potential).sum() * grid.cell_volume)
+
+
 def coulomb_pair_grid(e_a: EnergyDensity, e_b: EnergyDensity, consts: PhysicalConstants,
                       grid: GridSpec) -> float:
     """Grid quadrature: contract E_A with the solved potential of E_B."""
     va = _as_grid_values(e_a, grid, consts)
-    h_b = solve_hT_spectral(e_b, grid, consts)
-    pot = h_b.values * (4.0 * math.pi / consts.kappa)
-    return float((va * pot).sum() * grid.cell_volume)
+    return _contract(va, _coulomb_potential(e_b, grid, consts), grid)
 
 
 def mutual_coulomb(
@@ -261,6 +273,69 @@ def mutual_coulomb(
             raise ValueError("grid backend needs a GridSpec")
         return coulomb_pair_grid(e_a, e_b, consts, grid), 0.0
     raise ValueError(f"unknown backend {backend!r}")
+
+
+@dataclass(frozen=True)
+class PairIntegrals:
+    """Coulomb pair integrals of two density families A and B:
+    cross[i, j] = int E_A,i(x) E_B,j(y) / |x - y| with its Monte-Carlo
+    standard error (zero on the deterministic backends), and the self
+    integral int E(x) E(y) / |x - y| of every density of A and of B."""
+
+    cross: np.ndarray
+    stderr: np.ndarray
+    self_a: np.ndarray
+    self_b: np.ndarray
+
+
+def pair_integrals(
+    dens_a,
+    dens_b,
+    consts: PhysicalConstants,
+    backend: str = "auto",
+    grid: GridSpec | None = None,
+    mc_samples: int = 1_000_000,
+    seed: int = 0,
+) -> PairIntegrals:
+    """Every pair integral between and within two density families, each
+    computed once.
+
+    "auto" takes the closed form when every density is analytic and the grid
+    otherwise, so that all integrals share one quadrature.  The grid backend
+    solves one potential per density, holding one at a time; "mc" draws
+    independent samples per integral, seeded seed + k with k counting the
+    cross block row by row, then the self integrals of A and of B.
+    """
+    dens_a, dens_b = list(dens_a), list(dens_b)
+    n_a, n_b = len(dens_a), len(dens_b)
+    if backend == "auto":
+        analytic = all(_pair_is_analytic(e) for e in dens_a + dens_b)
+        backend = "analytic" if analytic else "grid"
+    if backend == "grid":
+        if grid is None:
+            raise ValueError("grid backend needs a GridSpec")
+        # one potential live at a time keeps the peak memory that of one
+        # solve; only A's sampled densities are held throughout
+        va, self_a, self_b = [], np.empty(n_a), np.empty(n_b)
+        cross = np.empty((n_a, n_b))
+        for i, e in enumerate(dens_a):
+            va.append(_as_grid_values(e, grid, consts))
+            self_a[i] = _contract(va[i], _coulomb_potential(e, grid, consts), grid)
+        for j, e in enumerate(dens_b):
+            pot = _coulomb_potential(e, grid, consts)
+            self_b[j] = _contract(_as_grid_values(e, grid, consts), pot, grid)
+            cross[:, j] = [_contract(v, pot, grid) for v in va]
+        return PairIntegrals(cross, np.zeros((n_a, n_b)), self_a, self_b)
+
+    pairs = ([(x, y) for x in dens_a for y in dens_b]
+             + [(e, e) for e in dens_a] + [(e, e) for e in dens_b])
+    vals, errs = np.array([
+        mutual_coulomb(x, y, consts, backend=backend, grid=grid,
+                       mc_samples=mc_samples, seed=seed + k)
+        for k, (x, y) in enumerate(pairs)]).T
+    m = n_a * n_b
+    return PairIntegrals(vals[:m].reshape(n_a, n_b), errs[:m].reshape(n_a, n_b),
+                         vals[m:m + n_a], vals[m + n_a:])
 
 
 def laplacian_residual(field: ScalarFieldX, e: EnergyDensity, consts: PhysicalConstants,

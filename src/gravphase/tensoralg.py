@@ -8,11 +8,7 @@ per-mode work parallelises trivially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .grids import GridSpec, neg_k_view
 
 # component order for the 6-vector representation
 SYM6_INDICES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -24,17 +20,6 @@ def sym6_from_matrix(t: np.ndarray) -> np.ndarray:
     """Pack (..., 3, 3) symmetric matrices into (..., 6) component vectors."""
     t = np.asarray(t)
     return np.stack([t[..., i, j] for i, j in SYM6_INDICES], axis=-1)
-
-
-def matrix_from_sym6(c: np.ndarray) -> np.ndarray:
-    """Unpack (..., 6) component vectors into (..., 3, 3) symmetric matrices."""
-    c = np.asarray(c)
-    out = np.zeros(c.shape[:-1] + (3, 3), dtype=c.dtype)
-    for a, (i, j) in enumerate(SYM6_INDICES):
-        out[..., i, j] = c[..., a]
-        if i != j:
-            out[..., j, i] = c[..., a]
-    return out
 
 
 def _unit_k(k: np.ndarray) -> np.ndarray:
@@ -74,52 +59,3 @@ def decompose(t: np.ndarray, k: np.ndarray):
     tt = tt_project(t, k)
     longitudinal = t - tt - 0.5 * p * trace_part[..., None, None]
     return longitudinal, trace_part, tt
-
-
-@dataclass(frozen=True)
-class SymTensorFieldK:
-    """Symmetric tensor field over the FFT wavevector lattice.
-
-    `values` holds the six components (SYM6 order) per mode, shape
-    (n, n, n, 6) complex.  `real_field` marks fields that are Fourier
-    transforms of real position-space data, i.e. F(-k) = conj(F(k)).
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-    real_field: bool = False
-
-    def __post_init__(self):
-        expected = (self.grid.n,) * 3 + (6,)
-        if self.values.shape != expected:
-            raise ValueError(f"field shape {self.values.shape} != {expected}")
-
-    def reality_defect(self) -> float:
-        """Max relative deviation of F(-k) from conj(F(k))."""
-        flipped = neg_k_view(self.values)
-        scale = np.abs(self.values).max()
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(flipped - np.conj(self.values)).max() / scale)
-
-    def check_reality(self, tol: float = 1e-12) -> None:
-        if self.real_field and self.reality_defect() > tol:
-            raise ValueError("reality flag set but F(-k) != conj(F(k))")
-
-
-def contract(a: SymTensorFieldK, b: SymTensorFieldK, weight) -> complex:
-    """Mode-sum approximation of int d^3k/(2pi)^3 w(|k|) A_ij(k) B^ij(-k).
-
-    `weight` is a callable on |k| arrays.  The k = 0 mode is excluded (the
-    projector-dependent integrands handled here are undefined there; the
-    zero-mode policy for potentials lives in the Poisson solver).
-    """
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    kmag = a.grid.k_magnitude()
-    mask = a.grid.nonzero_mode_mask()
-    w = np.zeros_like(kmag)
-    w[mask] = np.asarray(weight(kmag[mask]))
-    b_neg = neg_k_view(b.values)
-    pair = (a.values * b_neg * SYM6_CONTRACTION_WEIGHTS).sum(axis=-1)
-    return complex((w * pair).sum() * a.grid.mode_weight)

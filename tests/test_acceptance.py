@@ -281,14 +281,13 @@ def test_criterion_6_zassenhaus_order_certification():
     consts, system, probe, hT = _verification_arena()
     hg = build_HG(system, probe_dim=2)
     hi = build_HI(system, probe, hT)
-    hfree = np.zeros_like(hg)
     proj = low_level_projector(system, 2, 8)
     ts = np.geomspace(0.02, 0.2, 10)
     d3, d2 = [], []
     for t in ts:
         uex = exact_propagator(hg + hi, t, consts.hbar)
-        d3.append(np.linalg.norm((uex - zassenhaus_product(hg, hi, hfree, t, consts.hbar, 3)) @ proj, 2))
-        d2.append(np.linalg.norm((uex - zassenhaus_product(hg, hi, hfree, t, consts.hbar, 2)) @ proj, 2))
+        d3.append(np.linalg.norm((uex - zassenhaus_product(hg, hi, t, consts.hbar, 3)) @ proj, 2))
+        d2.append(np.linalg.norm((uex - zassenhaus_product(hg, hi, t, consts.hbar, 2)) @ proj, 2))
     slope3 = float(np.polyfit(np.log(ts), np.log(d3), 1)[0])
     slope2 = float(np.polyfit(np.log(ts), np.log(d2), 1)[0])
     elapsed = time.monotonic() - t0

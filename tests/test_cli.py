@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -73,6 +76,37 @@ def test_zero_wavevector_is_a_config_error(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "opalg/kvec: wavevector must be nonzero" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _zero_branch_amplitudes():
+    cfg = get_preset("gie-2x2")
+    for branch in cfg["sources"]["a"]["branches"]:
+        branch["amplitude"] = [0.0, 0.0]
+    return cfg
+
+
+def _zero_negativity_amplitudes():
+    return {"scenario": "negativity", "seed": 1, "negativity": {
+        "amplitudes_a": [1.0, 1.0], "amplitudes_b": [0.0, [0.0, 0.0]],
+        "phases": [[0.0, 0.0], [0.0, 0.0]]}}
+
+
+@pytest.mark.parametrize("make_cfg, where", [
+    (_zero_branch_amplitudes, "sources/a/branches"),
+    (_zero_negativity_amplitudes, "negativity/amplitudes_b"),
+])
+def test_all_zero_amplitudes_are_a_config_error(tmp_path, make_cfg, where):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(make_cfg()))
+    # normalising a zero vector would warn; the warning is made an error
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gravphase.cli", "run",
+         str(path), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 1, proc.stderr
+    assert f"config invalid at {where}: amplitudes are all zero" in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_override_paths():

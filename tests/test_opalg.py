@@ -144,11 +144,10 @@ def test_zassenhaus_identity_at_t0_and_commuting_collapse():
     probe = c_number_probe_stress(sys1, [np.zeros((3, 3)), np.diag([0.2, 0.2, 0.0])])
     hg = build_HG(sys1, probe_dim=2)
     hi = build_HI(sys1, probe, [0.9])  # trace-only coupling: pure probe operator
-    hfree = np.zeros_like(hg)
-    u0 = zassenhaus_product(hg, hi, hfree, 0.0, 1.0)
+    u0 = zassenhaus_product(hg, hi, 0.0, 1.0)
     np.testing.assert_allclose(u0, np.eye(80), atol=1e-14)
     t = 0.3
-    uz = zassenhaus_product(hg, hi, hfree, t, 1.0)
+    uz = zassenhaus_product(hg, hi, t, 1.0)
     direct = expm(-1j * t * (hg + hi))
     assert np.abs(uz - direct).max() < 1e-12
 
@@ -158,14 +157,13 @@ def test_zassenhaus_defect_slopes():
     probe = tt_probe(sys1, 0.3)
     hg = build_HG(sys1, probe_dim=2)
     hi = build_HI(sys1, probe, [0.0])
-    hfree = np.zeros_like(hg)
     proj = low_level_projector(sys1, 2, 8)
     ts = np.geomspace(0.03, 0.3, 8)
     d3, d2 = [], []
     for t in ts:
         uex = exact_propagator(hg + hi, t, 1.0)
-        d3.append(np.linalg.norm((uex - zassenhaus_product(hg, hi, hfree, t, 1.0, order=3)) @ proj, 2))
-        d2.append(np.linalg.norm((uex - zassenhaus_product(hg, hi, hfree, t, 1.0, order=2)) @ proj, 2))
+        d3.append(np.linalg.norm((uex - zassenhaus_product(hg, hi, t, 1.0, order=3)) @ proj, 2))
+        d2.append(np.linalg.norm((uex - zassenhaus_product(hg, hi, t, 1.0, order=2)) @ proj, 2))
     s3 = np.polyfit(np.log(ts), np.log(d3), 1)[0]
     s2 = np.polyfit(np.log(ts), np.log(d2), 1)[0]
     assert 3.9 <= s3 <= 4.3

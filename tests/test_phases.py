@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from gravphase import poisson
 from gravphase.grids import GridSpec
 from gravphase.phases import (
     PhaseMatrix,
@@ -9,12 +10,9 @@ from gravphase.phases import (
     compare_models,
     negativity,
     newton_phase,
-    nonlocal_phase,
-    phase_matrix_general,
-    self_energy,
-    sn_phase,
     theta_AB,
 )
+from gravphase.poisson import pair_integrals
 from gravphase.sources import (
     LocalizedSourceSpec,
     PhysicalConstants,
@@ -40,6 +38,14 @@ def gie_specs(x0=0.0, dx=0.4, d=1.0, width=0.05, mass=1.0):
     b = LocalizedSourceSpec(mass=mass, amplitudes=[S2, S2],
                             centers=[[x0 + d, 0, 0], [x0 + d + dx, 0, 0]], widths=[width, width])
     return a, b
+
+
+def single(e):
+    return QuantumSourceState(amplitudes=[1.0], densities=[e], indices=(0,))
+
+
+def models(a, b, t, **kw):
+    return compare_models(PhaseRequest(source_a=a, source_b=b, time=t, consts=CONSTS, **kw))
 
 
 def test_theta_trivial_zeroes():
@@ -89,16 +95,22 @@ def test_theta_symmetry_and_screening():
 
 
 def test_self_energy():
+    pref = -CONSTS.kappa / (8.0 * np.pi)
     zero = gaussian_density(0.0, (0, 0, 0), 0.1)
-    assert self_energy(zero, CONSTS)[0] == 0.0
     e = gaussian_density(1.0, (0, 0, 0), 0.3)
     e2 = gaussian_density(2.0, (0, 0, 0), 0.3)
-    s1, _ = self_energy(e, CONSTS)
-    s2, _ = self_energy(e2, CONSTS)
+    pairs = pair_integrals([zero, e], [e2], CONSTS)
+    assert pairs.self_a[0] == 0.0
+    s1, s2 = pairs.self_a[1], pairs.self_b[0]
     assert abs(s2 - 4.0 * s1) < 1e-12 * abs(s2)
+    # a Gaussian's self integral in closed form: m^2 c^4 / (sqrt(pi) sigma)
+    assert abs(s1 - 1.0 / (np.sqrt(np.pi) * 0.3)) < 1e-12 * s1
+    rep = models(single(zero), single(e), 1.0)
+    assert rep.self_energies["A"] == [0.0]
+    assert rep.self_energies["B"] == [pref * s1]
     # 6-D Monte-Carlo oracle
-    smc, err = self_energy(e, CONSTS, backend="mc", mc_samples=2_000_000, seed=7)
-    assert abs(smc - s1) < max(4.0 * err, 0.02 * abs(s1))
+    smc = pair_integrals([e], [], CONSTS, backend="mc", mc_samples=2_000_000, seed=7).self_a[0]
+    assert abs(smc - s1) < 0.02 * abs(s1)
 
 
 def test_newton_phase_values():
@@ -135,11 +147,11 @@ def test_newton_coincident_centers_error():
 def test_nonlocal_reduction_and_ratio():
     zero = gaussian_density(0.0, (1, 0, 0), 0.1)
     e = gaussian_density(1.0, (0, 0, 0), 0.1)
-    assert nonlocal_phase(e, zero, 1.0, CONSTS)[0] == 0.0
+    assert models(single(e), single(zero), 1.0).matrices["nonlocal"].phases[0, 0] == 0.0
     t, d = 0.4, 1.5
     a = point_density(1.0, (0, 0, 0), sigma_reg=0.02)
     b = point_density(1.0, (d, 0, 0), sigma_reg=0.02)
-    nl, _ = nonlocal_phase(a, b, t, CONSTS)
+    nl = models(single(a), single(b), t).matrices["nonlocal"].phases[0, 0]
     assert abs(nl - CONSTS.G * t / (CONSTS.hbar * d)) < 0.02 * nl
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -148,21 +160,22 @@ def test_nonlocal_reduction_and_ratio():
         ea = gaussian_density(rng.uniform(0.5, 2), (0, 0, 0), sig)
         eb = gaussian_density(rng.uniform(0.5, 2), (dd, 0, 0), sig)
         th, _ = theta_AB(ea, eb, t, CONSTS)
-        nl, _ = nonlocal_phase(ea, eb, t, CONSTS)
+        nl = models(single(ea), single(eb), t).matrices["nonlocal"].phases[0, 0]
         assert abs(nl / th + 0.25) < 1e-6
 
 
 def test_sn_phase_point_limit_and_separability():
     t, d = 0.7, 2.0
     a, b = pair_spec(d=d, width=0.02)
-    pm = sn_phase(a, b, t, CONSTS)
+    pm = models(a, b, t).matrices["schroedinger-newton"]
     expected = 2.0 * CONSTS.G * t / (CONSTS.hbar * d)
     assert abs(pm.phases[0, 0] - expected) < 0.02 * expected
     a2, b2 = gie_specs(width=0.2)
-    pm2 = sn_phase(a2, b2, t, CONSTS)
-    assert negativity(a2.amplitudes, b2.amplitudes, pm2) == 0.0
+    rep = models(a2, b2, t)
+    assert rep.negativities["schroedinger-newton"] == 0.0
+    assert negativity(a2.amplitudes, b2.amplitudes, rep.matrices["schroedinger-newton"]) == 0.0
     # separable structure: theta_ij - theta_i0 - theta_0j + theta_00 = 0
-    th = pm2.phases
+    th = rep.matrices["schroedinger-newton"].phases
     mix = th[1, 1] - th[1, 0] - th[0, 1] + th[0, 0]
     assert abs(mix) < 1e-12 * np.abs(th).max()
 
@@ -170,7 +183,7 @@ def test_sn_phase_point_limit_and_separability():
 def test_sn_differs_from_full_phase_on_wide_gaussians():
     t, d, sigma = 1.0, 1.0, 0.5
     a, b = pair_spec(d=d, width=sigma)
-    pm = sn_phase(a, b, t, CONSTS)
+    pm = models(a, b, t).matrices["schroedinger-newton"]
     th, _ = theta_AB(a.branch_density(0), b.branch_density(0), t, CONSTS)
     # quadrature error here is ~0: analytic backend; difference is structural
     assert abs(pm.phases[0, 0] - th) > 0.5 * abs(th)
@@ -181,14 +194,12 @@ def test_phase_matrix_general_structure():
     a, b = gie_specs()
     psi_a = QuantumSourceState.from_localized(a)
     psi_b = QuantumSourceState.from_localized(b)
-    pm = phase_matrix_general(psi_a, psi_b, t, CONSTS)
+    pm = models(psi_a, psi_b, t).matrices["general"]
     assert pm.theta.shape == (2, 2)
-    single_a = QuantumSourceState(amplitudes=[1.0], densities=[a.branch_density(0)], indices=(0,))
-    single_b = QuantumSourceState(amplitudes=[1.0], densities=[b.branch_density(0)], indices=(0,))
-    one = phase_matrix_general(single_a, single_b, t, CONSTS)
+    one = models(single(a.branch_density(0)), single(b.branch_density(0)), t).matrices["general"]
     th, _ = theta_AB(a.branch_density(0), b.branch_density(0), t, CONSTS)
     assert abs(one.phases[0, 0] - th) < 1e-14 * abs(th)
-    swapped = phase_matrix_general(psi_b, psi_a, t, CONSTS)
+    swapped = models(psi_b, psi_a, t).matrices["general"]
     np.testing.assert_allclose(swapped.phases, pm.phases.T, rtol=1e-12)
     # narrow limit: equals the Newton matrix up to the constant -4
     newt = newton_phase(a, b, t, CONSTS)
@@ -234,6 +245,8 @@ def test_negativity_bounds_and_errors():
         assert abs(v - oracle) < 1e-12
     with pytest.raises(ValueError, match="normalisable"):
         negativity([0.0], [0.0], PhaseMatrix(model="x", theta=np.zeros((1, 1), dtype=complex)))
+    with pytest.raises(ValueError, match="normalisable"):
+        negativity([np.nan], [1.0], PhaseMatrix(model="x", theta=np.zeros((1, 1), dtype=complex)))
 
 
 def test_compare_models_gie_and_wide():
@@ -296,9 +309,9 @@ def test_phase_invariant_under_unit_rescaling():
 def test_sn_phase_accepts_quantum_states():
     t = 0.3
     a, b = gie_specs(width=0.2)
-    from_spec = sn_phase(a, b, t, CONSTS)
-    from_state = sn_phase(QuantumSourceState.from_localized(a),
-                          QuantumSourceState.from_localized(b), t, CONSTS)
+    from_spec = models(a, b, t).matrices["schroedinger-newton"]
+    from_state = models(QuantumSourceState.from_localized(a),
+                        QuantumSourceState.from_localized(b), t).matrices["schroedinger-newton"]
     np.testing.assert_allclose(from_state.phases, from_spec.phases, rtol=1e-12)
 
 
@@ -310,3 +323,36 @@ def test_pairwise_deviations_reported():
     assert rep.pairwise_deviations["general|nonlocal"] < 1e-12
     assert rep.pairwise_deviations["general|schroedinger-newton"] > 0.1
     assert "general|newton" in rep.pairwise_deviations
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(poisson, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(poisson, name, counted)
+    return calls
+
+
+def test_compare_models_computes_each_pair_integral_once(monkeypatch):
+    a, b = (LocalizedSourceSpec(mass=1.0, amplitudes=[S2, S2], widths=[0.3, 0.3],
+                                centers=[[x, 2.0, 2.0], [x + 0.4, 2.0, 2.0]]) for x in (1.0, 2.6))
+    solves = _counting(monkeypatch, "solve_hT_spectral")
+    models(a, b, 0.3, backend="grid", grid=GridSpec(16, 4.0))
+    assert len(solves) == 4  # one potential per density
+    draws = _counting(monkeypatch, "coulomb_pair_mc")
+    models(a, b, 0.3, backend="mc", mc_samples=1000)
+    assert len(draws) == 8  # 2x2 cross integrals and 2 + 2 self integrals
+
+
+def test_mc_models_share_one_sample_set():
+    # every t: the density and nonlocal prefactors are in exact ratio -4
+    a, b = gie_specs(width=0.3)
+    for t in (0.3, 0.17):
+        rep = models(a, b, t, backend="mc", mc_samples=20_000, seed=4)
+        assert rep.prefactor_ratios["general_over_nonlocal"] == -4.0
+        assert rep.pairwise_deviations["general|nonlocal"] == 0.0
+        assert rep.matrices["general"].stderr.min() > 0.0

@@ -15,6 +15,7 @@ from gravphase.poisson import (
     coulomb_pair_analytic,
     laplacian_residual,
     mutual_coulomb,
+    pair_integrals,
     solve_hT_direct,
     solve_hT_spectral,
 )
@@ -231,3 +232,27 @@ def test_mc_oracle_narrow_gaussians_approach_point_pair():
     assert abs(val - point) < max(3.0 * err, 1e-4 * point)
     exact = coulomb_pair_analytic(a, b, CONSTS)
     assert abs(val - exact) < 4.0 * err
+
+
+def test_pair_integrals_match_the_single_pair_backends():
+    grid = GridSpec(16, 8.0)
+    dens_a = [gaussian_density(1.0, (3.0, 4.0, 4.0), 0.6), smooth_density(grid, seed=11)]
+    dens_b = [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5)]
+    pairs = pair_integrals(dens_a, dens_b, CONSTS, grid=grid)  # auto: one non-analytic -> grid
+    for i, e in enumerate(dens_a):
+        assert pairs.cross[i, 0] == mutual_coulomb(e, dens_b[0], CONSTS, backend="grid", grid=grid)[0]
+        assert pairs.self_a[i] == mutual_coulomb(e, e, CONSTS, backend="grid", grid=grid)[0]
+    assert pairs.self_b[0] == mutual_coulomb(dens_b[0], dens_b[0], CONSTS, backend="grid", grid=grid)[0]
+    assert not pairs.stderr.any()
+
+    # mc: seed + k, k counting the cross block row by row, then the self integrals
+    gauss = [gaussian_density(1.0, (0.3 * k, 0.0, 0.0), 0.2 + 0.1 * k) for k in range(3)]
+    mc = pair_integrals(gauss[:2], gauss[2:], CONSTS, backend="mc", mc_samples=500, seed=3)
+    order = [(gauss[0], gauss[2]), (gauss[1], gauss[2]), (gauss[0], gauss[0]),
+             (gauss[1], gauss[1]), (gauss[2], gauss[2])]
+    got = [mc.cross[0, 0], mc.cross[1, 0], *mc.self_a, *mc.self_b]
+    for k, ((x, y), value) in enumerate(zip(order, got)):
+        assert value == mutual_coulomb(x, y, CONSTS, backend="mc", mc_samples=500, seed=3 + k)[0]
+    assert np.all(mc.stderr > 0.0)
+    with pytest.raises(ValueError, match="GridSpec"):
+        pair_integrals([dens_a[1]], [], CONSTS)

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from gravphase.grids import GridSpec
 from gravphase.tensoralg import (
     SYM6_CONTRACTION_WEIGHTS,
-    SymTensorFieldK,
-    contract,
     decompose,
-    matrix_from_sym6,
     sym6_from_matrix,
     transverse_projector,
     tt_project,
@@ -98,63 +94,13 @@ def test_decompose_recomposition_and_orthogonality():
 
 
 def test_sym6_roundtrip():
+    # (xx, yy, zz, xy, xz, yz), each independent component read once
+    t = np.array([[1.0, 4.0, 5.0], [4.0, 2.0, 6.0], [5.0, 6.0, 3.0]])
+    np.testing.assert_array_equal(sym6_from_matrix(t), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     rng = np.random.default_rng(3)
-    t = random_sym(rng, 10)
-    np.testing.assert_allclose(matrix_from_sym6(sym6_from_matrix(t)), t, atol=0)
-
-
-def _one_mode_field(grid, idx, comps):
-    vals = np.zeros((grid.n,) * 3 + (6,), dtype=complex)
-    vals[idx] = comps
-    neg = tuple((-i) % grid.n for i in idx)
-    vals[neg] = np.conj(comps)
-    return SymTensorFieldK(grid=grid, values=vals, real_field=True)
-
-
-def test_contract_zero_fields():
-    grid = GridSpec(4, 2.0)
-    z = SymTensorFieldK(grid, np.zeros((4, 4, 4, 6), dtype=complex), real_field=True)
-    assert contract(z, z, lambda k: np.ones_like(k)) == 0.0
-
-
-def test_contract_single_mode_hand_value():
-    grid = GridSpec(4, 2.0)
-    a6 = np.array([0.5, -0.25, 0.0, 1.0, 0.0, 2.0]) + 1j * np.array([0.1, 0, 0, -0.3, 0, 0])
-    b6 = np.array([1.0, 0.5, -1.0, 0.0, 0.25, 0.5]) + 1j * np.array([0, 0.2, 0, 0, -0.1, 0])
-    idx = (1, 0, 0)
-    a = _one_mode_field(grid, idx, a6)
-    b = _one_mode_field(grid, idx, b6)
-    kmag = 2 * np.pi / 2.0  # first mode of a box of side 2
-
-    def weight(k):
-        return k**2
-
-    # two summands, k0 and -k0; B(-k0) = conj(b6) by construction
-    term = (SYM6_CONTRACTION_WEIGHTS * a6 * np.conj(b6)).sum()
-    expected = weight(kmag) * (term + np.conj(term)) * grid.mode_weight
-    got = contract(a, b, weight)
-    np.testing.assert_allclose(got, expected, rtol=1e-13)
-
-
-def test_contract_reality_and_conjugate_symmetry():
-    rng = np.random.default_rng(4)
-    grid = GridSpec(8, 3.0)
-    pos_a = rng.normal(size=(8, 8, 8, 6))
-    pos_b = rng.normal(size=(8, 8, 8, 6))
-    # build reality-respecting spectra by transforming real data
-    fa = np.fft.fftn(pos_a, axes=(0, 1, 2))
-    fb = np.fft.fftn(pos_b, axes=(0, 1, 2))
-    a = SymTensorFieldK(grid, fa, real_field=True)
-    b = SymTensorFieldK(grid, fb, real_field=True)
-    a.check_reality()
-    value = contract(a, b, lambda k: 1.0 / k)
-    assert abs(value.imag) < 1e-10 * max(abs(value), 1.0)
-    swapped = contract(b, a, lambda k: 1.0 / k)
-    np.testing.assert_allclose(swapped, np.conj(value), rtol=1e-12)
-
-
-def test_contract_grid_mismatch():
-    a = SymTensorFieldK(GridSpec(4, 2.0), np.zeros((4, 4, 4, 6), dtype=complex))
-    b = SymTensorFieldK(GridSpec(8, 2.0), np.zeros((8, 8, 8, 6), dtype=complex))
-    with pytest.raises(ValueError):
-        contract(a, b, lambda k: k)
+    a, b = random_sym(rng, 10), random_sym(rng, 10)
+    a6, b6 = sym6_from_matrix(a), sym6_from_matrix(b)
+    assert a6.shape == (10, 6)
+    # the weights turn the packed product into the full contraction A_ij B^ij
+    np.testing.assert_allclose((SYM6_CONTRACTION_WEIGHTS * a6 * b6).sum(axis=-1),
+                               np.einsum("nij,nij->n", a, b), rtol=1e-13)
