@@ -42,6 +42,7 @@ from .opalg import (
     ModeSpec,
     ProbeStressTensor,
     PropagatorComparison,
+    PropagatorSweep,
     ThetaPrediction,
     TruncatedModeSystem,
     build_HG,
@@ -54,6 +55,7 @@ from .opalg import (
     make_single_mode_system,
     nested_commutators,
     predict_theta,
+    propagator_sweep,
     zassenhaus_product,
 )
 

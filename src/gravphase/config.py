@@ -24,12 +24,14 @@ SCENARIOS = ("phase-compare", "poisson", "overlap-sweep", "opalg-verify", "negat
 _NUM = {"type": "number"}
 _VEC3 = {"type": "array", "items": _NUM, "minItems": 3, "maxItems": 3}
 _NUMLIST = {"type": "array", "items": _NUM, "minItems": 1}
+_MATRIX = {"type": "array", "items": _NUMLIST, "minItems": 1}
+# a real number or a [re, im] pair
+_AMPLITUDE = {"oneOf": [_NUM, {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}]}
 
 _BRANCH = {
     "type": "object",
     "properties": {
-        "amplitude": {"oneOf": [_NUM, {"type": "array", "items": _NUM,
-                                       "minItems": 2, "maxItems": 2}]},
+        "amplitude": _AMPLITUDE,
         "center": _VEC3,
         "width": _NUM,
     },
@@ -133,10 +135,10 @@ CONFIG_SCHEMA = {
         "negativity": {
             "type": "object",
             "properties": {
-                "amplitudes_a": {"type": "array", "minItems": 1},
-                "amplitudes_b": {"type": "array", "minItems": 1},
-                "phases": {"type": "array"},
-                "dampings": {"type": "array"},
+                "amplitudes_a": {"type": "array", "items": _AMPLITUDE, "minItems": 1},
+                "amplitudes_b": {"type": "array", "items": _AMPLITUDE, "minItems": 1},
+                "phases": _MATRIX,
+                "dampings": _MATRIX,
             },
             "required": ["amplitudes_a", "amplitudes_b", "phases"],
             "additionalProperties": False,

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .sources import PhysicalConstants
 from .tensoralg import SYM6_CONTRACTION_WEIGHTS, sym6_from_matrix, transverse_projector
@@ -258,24 +257,63 @@ def nested_commutators(h_g: np.ndarray, h_i: np.ndarray, depth: int = 3) -> dict
     return out
 
 
+@dataclass(frozen=True)
+class HermitianSpectrum:
+    """Eigendecomposition H = V diag(lambda) V^dagger of a Hermitian generator."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def propagator(self, s: float) -> np.ndarray:
+        """exp(-i s H) = V diag(e^{-i s lambda}) V^dagger, unitary by construction."""
+        return (self.vectors * np.exp(-1j * s * self.values)) @ self.vectors.conj().T
+
+
+def _hermitian_spectrum(h: np.ndarray) -> HermitianSpectrum:
+    # eigh reads one triangle, so a commutator that is Hermitian only up to
+    # rounding is exponentiated as its Hermitian part
+    values, vectors = np.linalg.eigh(h)
+    return HermitianSpectrum(values=values, vectors=vectors)
+
+
+def _exact_spectrum(h_total: np.ndarray) -> HermitianSpectrum:
+    if h_total.shape[0] > EXACT_DIM_LIMIT:
+        raise ValueError(f"dense exponential guarded to dimension {EXACT_DIM_LIMIT}")
+    return _hermitian_spectrum(h_total)
+
+
+def _zassenhaus_spectra(h_g: np.ndarray, h_i: np.ndarray,
+                        order: int) -> tuple[HermitianSpectrum, ...]:
+    """Spectra of the Hermitian generators of the Zassenhaus factors: H_G, H_I,
+    i[H_G,H_I] and, at order 3, [H_G,[H_G,H_I]] + 2 [H_I,[H_G,H_I]]."""
+    if order not in (2, 3):
+        raise ValueError("order must be 2 or 3")
+    nest = nested_commutators(h_g, h_i, depth=1 if order == 2 else 3)
+    generators = [h_g, h_i, 1j * nest["GI"]]
+    if order == 3:
+        generators.append(nest["GGI"] + 2.0 * nest["IGI"])
+    return tuple(_hermitian_spectrum(g) for g in generators)
+
+
+def _zassenhaus_at(spectra, t: float, hbar: float) -> np.ndarray:
+    """Product of the factors at time t: exp(-i s_k G_k) with s = t/hbar,
+    t/hbar, t^2/2hbar^2 and -t^3/6hbar^3 for the generators G_k above."""
+    scales = (t / hbar, t / hbar, t**2 / (2.0 * hbar**2), -(t**3) / (6.0 * hbar**3))
+    u = spectra[0].propagator(scales[0])
+    for spectrum, s in zip(spectra[1:], scales[1:]):
+        u = u @ spectrum.propagator(s)
+    return u
+
+
 def zassenhaus_product(h_g: np.ndarray, h_i: np.ndarray, t: float, hbar: float,
                        order: int = 3) -> np.ndarray:
     """Ordered product of exponentials; order 3 keeps the t^3 factor, order 2
     stops after the single-commutator factor."""
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
-    nest = nested_commutators(h_g, h_i, depth=order)
-    u = expm(-1j * t * h_g / hbar) @ expm(-1j * t * h_i / hbar)
-    u = u @ expm((t**2 / (2.0 * hbar**2)) * nest["GI"])
-    if order == 3:
-        u = u @ expm((1j * t**3 / (6.0 * hbar**3)) * (nest["GGI"] + 2.0 * nest["IGI"]))
-    return u
+    return _zassenhaus_at(_zassenhaus_spectra(h_g, h_i, order), t, hbar)
 
 
 def exact_propagator(h_total: np.ndarray, t: float, hbar: float) -> np.ndarray:
-    if h_total.shape[0] > EXACT_DIM_LIMIT:
-        raise ValueError(f"dense exponential guarded to dimension {EXACT_DIM_LIMIT}")
-    return expm(-1j * t * h_total / hbar)
+    return _exact_spectrum(h_total).propagator(t / hbar)
 
 
 def _simultaneous_branch_basis(matrices, tol: float = 1e-10) -> np.ndarray:
@@ -400,30 +438,59 @@ def _unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
-def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
-                        hT_shift, t: float, order: int = 3,
-                        n_low: int = 8,
-                        branch_pair: tuple[int, int] = (0, 1)) -> PropagatorComparison:
+@dataclass(frozen=True)
+class PropagatorSweep:
+    """What every time of a sweep shares, built once: the spectra of
+    H_G + H_I and of the Zassenhaus generators, and the low-level projector."""
+
+    system: TruncatedModeSystem
+    probe: ProbeStressTensor
+    hT_shift: np.ndarray
+    exact: HermitianSpectrum
+    factors: tuple[HermitianSpectrum, ...]
+    projector: np.ndarray
+    branch_pair: tuple[int, int]
+
+
+def propagator_sweep(system: TruncatedModeSystem, probe: ProbeStressTensor,
+                     hT_shift, n_low: int = 8,
+                     branch_pair: tuple[int, int] = (0, 1)) -> PropagatorSweep:
+    """Build H_G and H_I once and diagonalise the five generators that the
+    exact propagator and the order-2 and order-3 products need."""
+    h_g = build_HG(system, probe_dim=probe.probe_dim)
+    h_i = build_HI(system, probe, hT_shift)
+    return PropagatorSweep(system=system, probe=probe,
+                           hT_shift=np.asarray(hT_shift, dtype=float),
+                           exact=_exact_spectrum(h_g + h_i),
+                           factors=_zassenhaus_spectra(h_g, h_i, 3),
+                           projector=low_level_projector(system, probe.probe_dim, n_low),
+                           branch_pair=branch_pair)
+
+
+def compare_propagators(sweep: PropagatorSweep, t: float,
+                        order: int = 3) -> PropagatorComparison:
     """Evolve exactly and through the ordered-exponential factorisation,
     measure their deviation on the low-lying subspace and extract the
     branch-pair interference data.  Both propagators are checked unitary to
-    1e-10 (the factors are exponentials of anti-Hermitian matrices, so this
-    guards against truncation abuse rather than roundoff)."""
-    h_g = build_HG(system, probe_dim=probe.probe_dim)
-    h_i = build_HI(system, probe, hT_shift)
-    u_exact = exact_propagator(h_g + h_i, t, system.consts.hbar)
-    u_z = zassenhaus_product(h_g, h_i, t, system.consts.hbar, order=order)
+    1e-10 (they are unitary by construction, so this guards against a
+    corrupted decomposition rather than roundoff)."""
+    if order not in (2, 3):
+        raise ValueError("order must be 2 or 3")
+    system, probe = sweep.system, sweep.probe
+    hbar = system.consts.hbar
+    u_exact = sweep.exact.propagator(t / hbar)
+    u_z = _zassenhaus_at(sweep.factors[: order + 1], t, hbar)
     for u in (u_exact, u_z):
         if _unitarity_defect(u) > 1e-10:
             raise ValueError("propagator lost unitarity beyond 1e-10")
-    proj = low_level_projector(system, probe.probe_dim, n_low)
-    defect = float(np.linalg.norm((u_exact - u_z) @ proj, 2))
-    dphase, dmag = extract_relative_phase(u_exact, system, probe.probe_dim, branch_pair)
-    pred = predict_theta(system, probe, hT_shift, t)
+    defect = float(np.linalg.norm((u_exact - u_z) @ sweep.projector, 2))
+    dphase, dmag = extract_relative_phase(u_exact, system, probe.probe_dim,
+                                          sweep.branch_pair)
+    pred = predict_theta(system, probe, sweep.hT_shift, t)
     return PropagatorComparison(time=t, u_exact=u_exact, u_zassenhaus=u_z,
                                 defect=defect, dphase_exact=dphase,
                                 ddamping_exact=dmag, prediction=pred,
-                                branch_pair=branch_pair)
+                                branch_pair=sweep.branch_pair)
 
 
 def extract_relative_phase(u: np.ndarray, system: TruncatedModeSystem,

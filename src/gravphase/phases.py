@@ -39,7 +39,7 @@ from .sources import (
 POINT_LIMIT_PREFACTOR_RATIO = -4.0
 POINT_LIMIT_RATIOS = {"newton": -4.0, "nonlocal": -4.0, "schroedinger-newton": -2.0}
 
-EIGENVALUE_FLOOR = 1e-12  # relative floor below which PT eigenvalues count as zero
+EIGENVALUE_FLOOR = 1e-12  # relative floor below which Schmidt coefficients count as zero
 
 
 @dataclass(frozen=True)
@@ -146,24 +146,24 @@ def negativity(amps_a, amps_b, matrix: PhaseMatrix) -> float:
     """Entanglement negativity of the branch state
     sum_ij c_i d_j exp(theta_ij) |i>|j> (theta complex: damping + i phase).
 
-    Builds the normalised pure-state density matrix, partially transposes the
-    second factor and sums the magnitudes of negative eigenvalues.
-    Eigenvalues within EIGENVALUE_FLOOR of zero (relative) are treated as
-    zero so that separable inputs report exactly 0.
+    For a pure state with Schmidt coefficients s (the singular values of the
+    normalised coefficient matrix) the negativity is ((sum s)^2 - 1) / 2
+    (Vidal & Werner, PRA 65, 032314); it is evaluated as
+    ((sum s)^2 - sum s^2) / (2 sum s^2), which is the same number but keeps
+    the rounding of the normalisation out of it.  Coefficients below
+    EIGENVALUE_FLOOR * max(s) are treated as zero so that separable inputs
+    report exactly 0.
     """
     amps_a = np.asarray(amps_a, dtype=complex)
     amps_b = np.asarray(amps_b, dtype=complex)
     coeff = amps_a[:, None] * amps_b[None, :] * np.exp(matrix.theta)
     norm = np.linalg.norm(coeff)
-    if not norm >= 1e-300:  # also catches NaN
-        raise ValueError("state is not normalisable (all coefficients zero)")
-    v = (coeff / norm).reshape(-1)
-    na, nb = coeff.shape
-    rho = np.outer(v, v.conj()).reshape(na, nb, na, nb)
-    rho_pt = rho.transpose(0, 3, 2, 1).reshape(na * nb, na * nb)
-    evals = np.linalg.eigvalsh(rho_pt)
-    floor = EIGENVALUE_FLOOR * max(np.abs(evals).max(), 1e-300)
-    return float(-evals[evals < -floor].sum()) + 0.0
+    if not 1e-300 <= norm < np.inf:  # also catches NaN
+        raise ValueError("state is not normalisable (coefficients all zero or not finite)")
+    s = np.linalg.svd(coeff / norm, compute_uv=False)
+    s = s[s > EIGENVALUE_FLOOR * s[0]]
+    sq = float((s * s).sum())
+    return (float(s.sum()) ** 2 - sq) / (2.0 * sq)
 
 
 def _as_state(source) -> QuantumSourceState:

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
 from .grids import GridSpec
 from .sources import EnergyDensity, PhysicalConstants, sample_on_grid
@@ -189,7 +188,7 @@ def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity, consts: Physic
     m2c4 = e_a.mass * e_b.mass * consts.c**4
     if d == 0.0:
         return m2c4 * math.sqrt(2.0 / math.pi) / s
-    return m2c4 * erf(d / (math.sqrt(2.0) * s)) / d
+    return m2c4 * math.erf(d / (math.sqrt(2.0) * s)) / d
 
 
 def _sample_profile_points(e: EnergyDensity, n: int, rng: np.random.Generator,

@@ -19,6 +19,7 @@ from .opalg import (
     make_single_mode_system,
     polarization_tensors,
     predict_theta,
+    propagator_sweep,
 )
 from .overlaps import exact_joint_overlap, semiclassical_overlap
 from .phases import PhaseRequest, compare_models, newton_phase, theta_AB
@@ -304,11 +305,12 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     n_low = block.get("n_low", 8)
 
     ts = np.geomspace(block["t_start"], block["t_stop"], block.get("t_points", 10))
+    sweep = propagator_sweep(system, probe, hT, n_low=n_low)
     rows = []
     defects3, defects2, resid, damp = [], [], [], []
     for t in ts:
-        comp3 = compare_propagators(system, probe, hT, t, order=3, n_low=n_low)
-        comp2 = compare_propagators(system, probe, hT, t, order=2, n_low=n_low)
+        comp3 = compare_propagators(sweep, t, order=3)
+        comp2 = compare_propagators(sweep, t, order=2)
         defects3.append(comp3.defect)
         defects2.append(comp2.defect)
         pred = comp3.prediction
@@ -360,6 +362,12 @@ def run_negativity(cfg: dict, outdir: Path) -> dict:
     block = _require(cfg, "negativity")
     amps_a = np.array([_amplitude(a) for a in block["amplitudes_a"]])
     amps_b = np.array([_amplitude(a) for a in block["amplitudes_b"]])
+    shape = (len(amps_a), len(amps_b))
+    for key in ("phases", "dampings"):
+        rows = block.get(key)
+        if rows is not None and (len(rows) != shape[0] or any(len(r) != shape[1] for r in rows)):
+            raise ConfigError(f"config invalid at negativity/{key}: expected a "
+                              f"{shape[0]} x {shape[1]} matrix (amplitudes_a x amplitudes_b)")
     phases = np.asarray(block["phases"], dtype=float)
     dampings = np.asarray(block.get("dampings", np.zeros_like(phases)), dtype=float)
     pm = PhaseMatrix(model="explicit", theta=dampings + 1j * phases)

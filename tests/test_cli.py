@@ -149,6 +149,28 @@ def test_negativity_scenario_matches_direct_computation(tmp_path):
     assert abs(report["result"]["negativity"] - 0.5) < 1e-12
 
 
+def _negativity_cfg(**block):
+    base = {"amplitudes_a": [1.0, 1.0], "amplitudes_b": [1.0, 1.0],
+            "phases": [[0.0, 0.0], [0.0, 0.0]]}
+    return {"scenario": "negativity", "seed": 1, "negativity": {**base, **block}}
+
+
+@pytest.mark.parametrize("block, where", [
+    ({"amplitudes_a": [{"re": 1}, 1.0]}, "negativity/amplitudes_a/0"),
+    ({"amplitudes_b": [1.0, [1.0, 0.0, 2.0]]}, "negativity/amplitudes_b/1"),
+    ({"phases": [["0.5", 0.0], [0.0, 0.0]]}, "negativity/phases/0/0"),
+    ({"amplitudes_b": [1.0], "phases": [[0.0]]}, "negativity/phases"),
+    ({"phases": [[0.0, 0.0], [0.0]]}, "negativity/phases"),
+    ({"dampings": [[0.0, 0.0]]}, "negativity/dampings"),
+])
+def test_malformed_negativity_block_is_a_config_error(tmp_path, capsys, block, where):
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(_negativity_cfg(**block)))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"config invalid at {where}:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "tables").exists()
+
+
 def test_poisson_scenario_writes_grid_files(tmp_path):
     cfg = {
         "scenario": "poisson",
@@ -221,3 +243,52 @@ def test_si_units_scenario_matches_natural_computation(tmp_path):
     assert abs(phase - expected) < 1e-12 * abs(expected)
     report = json.loads((out / "report.json").read_text())
     assert "internal units" in report["result"]["units"]["lengths_masses_times"]
+
+
+def _phase_compare(backend):
+    def make():
+        gaussian = {"type": "gaussian", "mass": 1.0, "sigma": 0.5}
+        return {"scenario": "phase-compare", "seed": 3, "time": 0.2, "backend": backend,
+                "mc_samples": 2000, "grid": {"n": 16, "box": 6.0},
+                "sources": {"a": {**gaussian, "center": [2.5, 3.0, 3.0]},
+                            "b": {**gaussian, "center": [3.5, 3.0, 3.0]}}}
+    return make
+
+
+def _small_poisson():
+    return {"scenario": "poisson", "seed": 2, "grid": {"n": 16, "box": 8.0},
+            "poisson": {"profile": {"type": "gaussian", "mass": 1.0,
+                                    "center": [4.0, 4.0, 4.0], "sigma": 1.2},
+                        "stride": 2}}
+
+
+def _small_overlap_sweep():
+    cfg = get_preset("semiclassical-overlap")
+    cfg["overlap"].update(grid_sizes=[8], w_halvings=1, epsilon_scales=[0.0, 1.0],
+                          state_pairs=2)
+    return cfg
+
+
+def _small_negativity():
+    return {"scenario": "negativity", "seed": 1, "negativity": {
+        "amplitudes_a": [1.0, [0.0, 1.0]], "amplitudes_b": [1.0, 1.0],
+        "phases": [[3.0, 0.0], [0.0, 0.0]]}}
+
+
+@pytest.mark.parametrize("make_cfg", [
+    _phase_compare("analytic"), _phase_compare("grid"), _phase_compare("mc"),
+    _small_poisson, _small_overlap_sweep, lambda: get_preset("zassenhaus-t3"),
+    _small_negativity,
+], ids=["phase-compare-analytic", "phase-compare-grid", "phase-compare-mc", "poisson",
+        "overlap-sweep", "opalg-verify", "negativity"])
+def test_scenarios_run_without_scipy(tmp_path, make_cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make_cfg()))
+    probe = ("import sys; from gravphase.cli import main; "
+             f"code = main(['run', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

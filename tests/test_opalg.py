@@ -10,6 +10,7 @@ from gravphase.opalg import (
     build_HI,
     c_number_probe_stress,
     commutator,
+    compare_propagators,
     exact_propagator,
     extract_relative_phase,
     low_level_projector,
@@ -17,9 +18,12 @@ from gravphase.opalg import (
     nested_commutators,
     polarization_tensors,
     predict_theta,
+    propagator_sweep,
     zassenhaus_product,
 )
 from gravphase.sources import PhysicalConstants
+
+from test_acceptance import _verification_arena
 
 # kappa = 2.7 exactly, c = hbar = 1
 CONSTS = PhysicalConstants(G=2.7 / (16 * np.pi), c=1.0, hbar=1.0)
@@ -286,15 +290,59 @@ def test_damping_t2_scaling():
 
 
 def test_compare_propagators_record():
-    from gravphase.opalg import compare_propagators
-
     sys1 = single_system()
     probe = tt_probe(sys1, 0.2)
-    comp = compare_propagators(sys1, probe, [0.0], 0.1, order=3)
+    sweep = propagator_sweep(sys1, probe, [0.0])
+    comp = compare_propagators(sweep, 0.1, order=3)
     assert comp.defect >= 0.0
     for u in (comp.u_exact, comp.u_zassenhaus):
         assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() < 1e-10
     assert abs(comp.dphase_exact - comp.dphase_predicted) < 1e-6
     assert abs(comp.ddamping_exact - comp.ddamping_predicted) < 1e-5
-    weaker = compare_propagators(sys1, probe, [0.0], 0.1, order=2)
+    weaker = compare_propagators(sweep, 0.1, order=2)
     assert weaker.defect > comp.defect
+    with pytest.raises(ValueError, match="order"):
+        compare_propagators(sweep, 0.1, order=4)
+
+
+def zassenhaus_t3_arena():
+    """The 80 x 80 system of the zassenhaus-t3 preset, with H_G and H_I."""
+    _, system, probe, hT = _verification_arena()
+    return system, probe, hT, build_HG(system, probe_dim=2), build_HI(system, probe, hT)
+
+
+def test_spectral_propagators_match_expm():
+    # scipy's Pade expm is the test-side oracle for the eigendecompositions
+    system, _, _, hg, hi = zassenhaus_t3_arena()
+    hbar = system.consts.hbar
+    nest = nested_commutators(hg, hi)
+    for t in (0.02, 0.07, 0.2, 1.5):
+        u = exact_propagator(hg + hi, t, hbar)
+        assert np.abs(u - expm(-1j * t * (hg + hi) / hbar)).max() <= 1e-13
+        factors = [expm(-1j * t * hg / hbar), expm(-1j * t * hi / hbar),
+                   expm((t**2 / (2 * hbar**2)) * nest["GI"]),
+                   expm((1j * t**3 / (6 * hbar**3)) * (nest["GGI"] + 2 * nest["IGI"]))]
+        for order in (2, 3):
+            want = np.linalg.multi_dot(factors[: order + 1])
+            got = zassenhaus_product(hg, hi, t, hbar, order=order)
+            assert np.abs(got - want).max() <= 1e-13
+
+
+def test_sweep_is_bit_identical_to_single_time_calls():
+    system, probe, hT, hg, hi = zassenhaus_t3_arena()
+    hbar = system.consts.hbar
+    proj = low_level_projector(system, 2, 8)
+    sweep = propagator_sweep(system, probe, hT, n_low=8)
+    for t in np.geomspace(0.02, 0.2, 4):
+        for order in (3, 2):
+            comp = compare_propagators(sweep, t, order=order)
+            u_exact = exact_propagator(hg + hi, t, hbar)
+            u_z = zassenhaus_product(hg, hi, t, hbar, order=order)
+            assert np.array_equal(comp.u_exact, u_exact)
+            assert np.array_equal(comp.u_zassenhaus, u_z)
+            assert comp.defect == float(np.linalg.norm((u_exact - u_z) @ proj, 2))
+            assert (comp.dphase_exact, comp.ddamping_exact) == extract_relative_phase(
+                u_exact, system, 2, (0, 1))
+            single = compare_propagators(propagator_sweep(system, probe, hT), t, order=order)
+            assert np.array_equal(single.u_zassenhaus, comp.u_zassenhaus)
+            assert single.defect == comp.defect

@@ -249,6 +249,34 @@ def test_negativity_bounds_and_errors():
         negativity([np.nan], [1.0], PhaseMatrix(model="x", theta=np.zeros((1, 1), dtype=complex)))
 
 
+def _negativity_partial_transpose(coeff):
+    """Oracle: sum of the negative eigenvalues of the partially transposed
+    (n_a n_b)^2 density matrix of the normalised pure state."""
+    na, nb = coeff.shape
+    v = coeff.reshape(-1) / np.linalg.norm(coeff)
+    rho = np.outer(v, v.conj()).reshape(na, nb, na, nb)
+    evals = np.linalg.eigvalsh(rho.transpose(0, 3, 2, 1).reshape(na * nb, na * nb))
+    return float(-evals[evals < 0].sum())
+
+
+def test_negativity_from_schmidt_coefficients():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        na, nb = rng.integers(1, 6, size=2)
+        amps_a = rng.normal(size=na) + 1j * rng.normal(size=na)
+        amps_b = rng.normal(size=nb) + 1j * rng.normal(size=nb)
+        theta = rng.normal(scale=0.3, size=(na, nb)) + 1j * rng.uniform(-np.pi, np.pi, (na, nb))
+        coeff = amps_a[:, None] * amps_b[None, :] * np.exp(theta)
+        value = negativity(amps_a, amps_b, PhaseMatrix(model="x", theta=theta))
+        assert abs(value - _negativity_partial_transpose(coeff)) <= 1e-13
+    bell = np.array([[0.0, -1000.0], [-1000.0, 0.0]], dtype=complex)  # exp underflows to 0
+    assert negativity([1.0, 1.0], [1.0, 1.0], PhaseMatrix(model="x", theta=bell)) == 0.5
+    product = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(1, 4))
+    value = negativity([1.0, 2.0, 0.5], [1.0, 1j, -1.0, 0.3],
+                       PhaseMatrix(model="x", theta=product))
+    assert value == 0.0
+
+
 def test_compare_models_gie_and_wide():
     t = 0.2
     a, b = gie_specs()

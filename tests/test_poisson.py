@@ -45,6 +45,20 @@ def smooth_density(grid, seed=1, n_blobs=2):
     return grid_density(total, grid.box)
 
 
+def test_analytic_pair_matches_scipy_erf_closed_form():
+    # the closed form is evaluated with math.erf; scipy's erf is the oracle
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        sa, sb = rng.uniform(0.01, 2.0, size=2)
+        ea = gaussian_density(rng.uniform(0.1, 3.0), rng.uniform(-2, 2, size=3), sa)
+        eb = gaussian_density(rng.uniform(0.1, 3.0), rng.uniform(-2, 2, size=3), sb)
+        d = float(np.linalg.norm(np.subtract(ea.center, eb.center)))
+        s = math.sqrt(sa**2 + sb**2)
+        want = ea.mass * eb.mass * erf(d / (math.sqrt(2.0) * s)) / d
+        got = coulomb_pair_analytic(ea, eb, CONSTS)
+        assert abs(got - want) <= 5e-16 * abs(want)
+
+
 def test_cell_average_constant_against_brute_force():
     # midpoint refinement oracle for the average of 1/r over the unit cube
     n = 200
