@@ -28,6 +28,8 @@ from .sources import (
     EnergyDensity,
     PhysicalConstants,
     QuantumSourceState,
+    effective_sigma,
+    point_density,
     sample_on_grid,
 )
 
@@ -156,8 +158,9 @@ def semiclassical_overlap(
     eps = np.asarray(epsilon, dtype=float)
     if np.any(x < 0.0) or np.any(x + eps > grid.box) or np.any(x > grid.box):
         raise ValueError("displacement leaves the box")
-    sigma = sigma_reg if sigma_reg is not None else 2.0 * grid.h
-    hk = analytic_point_amplitudes(mass, sigma, grid, consts)
+    if sigma_reg is None:  # the width any unregularised point source gets on this grid
+        sigma_reg = effective_sigma(point_density(0.0), grid)
+    hk = analytic_point_amplitudes(mass, sigma_reg, grid, consts)
     kvec = grid.k_lattice()
     # |1 - e^{-i k.eps}|^2 = 2 (1 - cos k.eps)
     keps = kvec @ eps

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grids import GridSpec
-from .sources import EnergyDensity, PhysicalConstants, sample_on_grid
+from .sources import EnergyDensity, PhysicalConstants, effective_sigma, sample_on_grid
 
 DIRECT_N_LIMIT = 48
 
@@ -159,17 +159,6 @@ def _pair_is_analytic(e: EnergyDensity) -> bool:
     return e.analytic
 
 
-def _pair_width(e: EnergyDensity, grid: GridSpec | None) -> float:
-    if e.kind == "gaussian":
-        return float(e.sigma)
-    if e.sigma:
-        return float(e.sigma)
-    if grid is not None:
-        return 2.0 * grid.h
-    raise ValueError("point profile needs an explicit regularisation width "
-                     "when no grid is given")
-
-
 def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity, consts: PhysicalConstants,
                           grid: GridSpec | None = None) -> float:
     """Closed form of int E_A(x) E_B(y) / |x-y| for Gaussian/point profiles.
@@ -181,8 +170,8 @@ def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity, consts: Physic
     """
     if not (_pair_is_analytic(e_a) and _pair_is_analytic(e_b)):
         raise ValueError("analytic backend needs point or gaussian profiles")
-    sa = _pair_width(e_a, grid)
-    sb = _pair_width(e_b, grid)
+    sa = effective_sigma(e_a, grid)
+    sb = effective_sigma(e_b, grid)
     s = math.sqrt(sa**2 + sb**2)
     d = float(np.linalg.norm(np.subtract(e_a.center, e_b.center)))
     m2c4 = e_a.mass * e_b.mass * consts.c**4
@@ -193,7 +182,7 @@ def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity, consts: Physic
 
 def _sample_profile_points(e: EnergyDensity, n: int, rng: np.random.Generator,
                            grid: GridSpec | None) -> np.ndarray:
-    sigma = _pair_width(e, grid)
+    sigma = effective_sigma(e, grid)
     return rng.normal(loc=e.center, scale=sigma, size=(n, 3))
 
 

@@ -18,7 +18,6 @@ from .opalg import (
     compare_propagators,
     make_single_mode_system,
     polarization_tensors,
-    predict_theta,
     propagator_sweep,
 )
 from .overlaps import exact_joint_overlap, semiclassical_overlap
@@ -306,27 +305,23 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
 
     ts = np.geomspace(block["t_start"], block["t_stop"], block.get("t_points", 10))
     sweep = propagator_sweep(system, probe, hT, n_low=n_low)
-    rows = []
-    defects3, defects2, resid, damp = [], [], [], []
-    for t in ts:
-        comp3 = compare_propagators(sweep, t, order=3)
-        comp2 = compare_propagators(sweep, t, order=2)
-        defects3.append(comp3.defect)
-        defects2.append(comp2.defect)
-        pred = comp3.prediction
-        resid.append(comp3.dphase_exact - float(pred.phase0[1] - pred.phase0[0]))
-        damp.append(abs(comp3.ddamping_exact))
-        rows.append((t, comp3.defect, comp2.defect, comp3.dphase_exact,
-                     comp3.dphase_predicted, comp3.ddamping_exact,
-                     comp3.ddamping_predicted))
+    comps = [compare_propagators(sweep, t) for t in ts]
+    defects3 = [c.defect_order3 for c in comps]
+    defects2 = [c.defect_order2 for c in comps]
+    resid = [c.dphase_exact - float(c.prediction.phase0[1] - c.prediction.phase0[0])
+             for c in comps]
+    damp = [abs(c.ddamping_exact) for c in comps]
     write_csv(outdir / "tables" / "zassenhaus.csv",
               ["t", "defect_order3", "defect_order2", "dphase_exact",
-               "dphase_predicted", "ddamping_exact", "ddamping_predicted"], rows)
+               "dphase_predicted", "ddamping_exact", "ddamping_predicted"],
+              [(c.time, c.defect_order3, c.defect_order2, c.dphase_exact,
+                c.dphase_predicted, c.ddamping_exact, c.ddamping_predicted)
+               for c in comps])
 
     slope3 = _fit_slope(ts, defects3)
     slope2 = _fit_slope(ts, defects2)
     slope_resid = _fit_slope(ts, np.abs(resid))
-    pred0 = predict_theta(system, probe, hT, float(ts[0]))
+    pred0 = comps[0].prediction
     t3_pred = float(pred0.phase_t3[1] - pred0.phase_t3[0])
     t3_rel_err = abs(resid[0] - t3_pred) / abs(t3_pred) if t3_pred else float("nan")
     slope_damp = _fit_slope(ts, damp)
@@ -391,9 +386,8 @@ _RUNNERS = {
 
 def run_scenario(cfg: dict, outdir) -> dict:
     outdir = Path(outdir)
+    result = _RUNNERS[cfg["scenario"]](cfg, outdir)  # raises before writing anything
     outdir.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[cfg["scenario"]]
-    result = runner(cfg, outdir)
     report = {
         "meta": {
             "generated_at": datetime.now(timezone.utc).isoformat(),

@@ -94,7 +94,7 @@ class EnergyDensity:
 
 def point_density(mass: float, center=(0.0, 0.0, 0.0), sigma_reg: float | None = None) -> EnergyDensity:
     """Point source; regularised as a Gaussian of width sigma_reg on grids
-    (default: two grid cells, fixed at sampling time)."""
+    (default: POINT_SIGMA_CELLS grid cells, fixed at sampling time)."""
     return EnergyDensity(kind="point", mass=mass, center=tuple(center), sigma=sigma_reg)
 
 
@@ -106,20 +106,27 @@ def grid_density(values: np.ndarray, box: float) -> EnergyDensity:
     return EnergyDensity(kind="grid", values=np.asarray(values, dtype=float), box=float(box))
 
 
-def effective_sigma(e: EnergyDensity, grid: GridSpec, sigma_reg_cells: float = 2.0) -> float:
-    """Width actually used when sampling an analytic profile on `grid`."""
-    if e.kind == "gaussian":
+POINT_SIGMA_CELLS = 2.0  # width of an unregularised point source, in grid cells
+
+
+def effective_sigma(e: EnergyDensity, grid: GridSpec | None) -> float:
+    """Width of an analytic profile: a Gaussian's sigma, a point source's
+    regularisation width, or POINT_SIGMA_CELLS cells of `grid` for a point
+    source that declares none."""
+    if e.kind == "grid":
+        raise ValueError("grid profiles have no analytic width")
+    if e.sigma:
         return float(e.sigma)
-    if e.kind == "point":
-        return float(e.sigma) if e.sigma else sigma_reg_cells * grid.h
-    raise ValueError("grid profiles have no analytic width")
+    if grid is None:
+        raise ValueError("point profile needs an explicit regularisation width "
+                         "when no grid is given")
+    return POINT_SIGMA_CELLS * grid.h
 
 
 def sample_on_grid(
     e: EnergyDensity,
     grid: GridSpec,
     consts: PhysicalConstants,
-    sigma_reg_cells: float = 2.0,
 ) -> EnergyDensity:
     """Sample an analytic profile on the lattice, renormalised so that the
     discrete integral equals mass * c^2 exactly.
@@ -131,7 +138,7 @@ def sample_on_grid(
         if e.values.shape != (grid.n,) * 3 or not np.isclose(e.box, grid.box):
             raise ValueError("grid density does not match requested grid")
         return e
-    sigma = effective_sigma(e, grid, sigma_reg_cells)
+    sigma = effective_sigma(e, grid)
     if grid.box <= 6.0 * sigma:
         raise ValueError(
             f"profile truncated: box {grid.box} must exceed 6 sigma = {6 * sigma}"

@@ -168,7 +168,15 @@ def test_malformed_negativity_block_is_a_config_error(tmp_path, capsys, block, w
     path.write_text(json.dumps(_negativity_cfg(**block)))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
     assert f"config invalid at {where}:" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "tables").exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_runner_time_opalg_config_error_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "preset:zassenhaus-t3", "--set",
+                 "opalg.trace_branch_amplitudes=[0,0.05,0.1]", "--out", str(out)]) == 1
+    assert "branch amplitude lists must have matching length" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_poisson_scenario_writes_grid_files(tmp_path):

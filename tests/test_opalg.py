@@ -4,7 +4,6 @@ from scipy.linalg import expm
 
 from gravphase.opalg import (
     ModeSpec,
-    ProbeStressTensor,
     TruncatedModeSystem,
     build_HG,
     build_HI,
@@ -95,7 +94,7 @@ def test_hi_zero_probe_and_hermiticity():
     assert np.abs(hi).max() == 0.0
     probe2 = tt_probe(sys1, 0.3)
     hi2 = build_HI(sys1, probe2, [0.7])
-    assert np.abs(hi2 - hi2.conj().T).max() < 1e-12
+    assert np.abs(hi2 - np.swapaxes(hi2.conj(), 1, 2)).max() < 1e-12
 
 
 def test_hi_linear_drive_matrix_elements():
@@ -103,11 +102,10 @@ def test_hi_linear_drive_matrix_elements():
     amp = 0.25
     probe = tt_probe(sys1, amp)
     hi = build_HI(sys1, probe, [0.0])
+    assert hi.shape == (2, 40, 40)
     # branch b block must be -(1/2) * w * amp * h
-    blk = hi.reshape(40, 2, 40, 2)[:, 1, :, 1]
-    np.testing.assert_allclose(blk, -0.5 * 2.0 * amp * sys1.h_op(0), atol=1e-14)
-    blk0 = hi.reshape(40, 2, 40, 2)[:, 0, :, 0]
-    assert np.abs(blk0).max() == 0.0
+    np.testing.assert_allclose(hi[1], -0.5 * 2.0 * amp * sys1.h_op(0), atol=1e-14)
+    assert np.abs(hi[0]).max() == 0.0
 
 
 def test_hi_mode_mismatch():
@@ -119,7 +117,7 @@ def test_hi_mode_mismatch():
 
 def test_commutator_basics():
     sys1 = single_system()
-    hg = build_HG(sys1, probe_dim=2)
+    hg = build_HG(sys1)
     assert np.abs(commutator(hg, hg)).max() == 0.0
 
 
@@ -127,47 +125,51 @@ def test_double_commutator_is_pure_probe():
     sys1 = single_system(weight=1.5)
     amp_a, amp_b = 0.1, 0.3
     probe = tt_probe(sys1, amp_b, amp_a)
-    hg = build_HG(sys1, probe_dim=2)
+    hg = build_HG(sys1)
     hi = build_HI(sys1, probe, [0.0])
-    nest = nested_commutators(hg, hi)
-    igi = nest["IGI"]
-    # predicted c-number per branch: (kappa hbar^2 / 2) (w tau_b)^2
     kappa = CONSTS.kappa
-    pred = np.kron(np.eye(40), np.diag([
-        0.5 * kappa * (1.5 * amp_a) ** 2, 0.5 * kappa * (1.5 * amp_b) ** 2]))
-    proj = low_level_projector(sys1, 2, 38)
-    dev = np.abs(proj @ (igi - pred) @ proj).max()
-    assert dev < 1e-8
-    # field dependence is confined to the truncation boundary
-    off_field = proj @ igi @ proj - pred @ proj
-    assert np.abs(off_field).max() < 1e-10
+    proj = low_level_projector(sys1, 38)
+    for hib, amp in zip(hi, (amp_a, amp_b)):
+        igi = nested_commutators(hg, hib)["IGI"]
+        # predicted c-number per branch: (kappa hbar^2 / 2) (w tau_b)^2
+        pred = 0.5 * kappa * (1.5 * amp) ** 2 * np.eye(40)
+        dev = np.abs(proj @ (igi - pred) @ proj).max()
+        assert dev < 1e-8
+        # field dependence is confined to the truncation boundary
+        off_field = proj @ igi @ proj - pred @ proj
+        assert np.abs(off_field).max() < 1e-10
 
 
 def test_zassenhaus_identity_at_t0_and_commuting_collapse():
     sys1 = single_system()
     probe = c_number_probe_stress(sys1, [np.zeros((3, 3)), np.diag([0.2, 0.2, 0.0])])
-    hg = build_HG(sys1, probe_dim=2)
-    hi = build_HI(sys1, probe, [0.9])  # trace-only coupling: pure probe operator
-    u0 = zassenhaus_product(hg, hi, 0.0, 1.0)
-    np.testing.assert_allclose(u0, np.eye(80), atol=1e-14)
+    hg = build_HG(sys1)
+    hi = build_HI(sys1, probe, [0.9])  # trace-only coupling: a c-number per branch
     t = 0.3
-    uz = zassenhaus_product(hg, hi, t, 1.0)
-    direct = expm(-1j * t * (hg + hi))
-    assert np.abs(uz - direct).max() < 1e-12
+    for hib in hi:
+        u0 = zassenhaus_product(hg, hib, 0.0, 1.0)
+        np.testing.assert_allclose(u0, np.eye(40), atol=1e-14)
+        uz = zassenhaus_product(hg, hib, t, 1.0)
+        direct = expm(-1j * t * (hg + hib))
+        assert np.abs(uz - direct).max() < 1e-12
+    with pytest.raises(ValueError, match="order"):
+        zassenhaus_product(hg, hi[0], t, 1.0, order=4)
 
 
 def test_zassenhaus_defect_slopes():
     sys1 = single_system()
     probe = tt_probe(sys1, 0.3)
-    hg = build_HG(sys1, probe_dim=2)
+    hg = build_HG(sys1)
     hi = build_HI(sys1, probe, [0.0])
-    proj = low_level_projector(sys1, 2, 8)
+    proj = low_level_projector(sys1, 8)
     ts = np.geomspace(0.03, 0.3, 8)
     d3, d2 = [], []
     for t in ts:
         uex = exact_propagator(hg + hi, t, 1.0)
-        d3.append(np.linalg.norm((uex - zassenhaus_product(hg, hi, t, 1.0, order=3)) @ proj, 2))
-        d2.append(np.linalg.norm((uex - zassenhaus_product(hg, hi, t, 1.0, order=2)) @ proj, 2))
+        d3.append(max(np.linalg.norm((ub - zb) @ proj, 2) for ub, zb in
+                      zip(uex, zassenhaus_product(hg, hi, t, 1.0, order=3))))
+        d2.append(max(np.linalg.norm((ub - zb) @ proj, 2) for ub, zb in
+                      zip(uex, zassenhaus_product(hg, hi, t, 1.0, order=2))))
     s3 = np.polyfit(np.log(ts), np.log(d3), 1)[0]
     s2 = np.polyfit(np.log(ts), np.log(d2), 1)[0]
     assert 3.9 <= s3 <= 4.3
@@ -208,39 +210,25 @@ def test_predict_theta_zero_and_term_selection():
     np.testing.assert_allclose(pred.damping0[1], -kappa * t**2 / (8 * OMEGA) * c2, rtol=1e-12)
 
 
-def test_predict_theta_noncommuting_probe_rejected():
-    sys1 = single_system()
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    coeffs = np.zeros((1, 6, 2, 2), dtype=complex)
-    coeffs[0, 0] = sx
-    coeffs[0, 1] = sz
-    probe = ProbeStressTensor(coeffs=coeffs, probe_dim=2)
-    with pytest.raises(ValueError, match="branch basis undefined"):
-        predict_theta(sys1, probe, [0.0], 0.1)
-
-
 def test_extract_relative_phase_identity_and_free():
-    sys1 = single_system()
-    dim = 40 * 2
-    dphase, dmag = extract_relative_phase(np.eye(dim), sys1, 2, (0, 1))
+    identity = np.broadcast_to(np.eye(40), (2, 40, 40))
+    dphase, dmag = extract_relative_phase(identity, (0, 1))
     assert dphase == 0.0 and dmag == 0.0
     gap = 0.8
-    hfree = np.kron(np.eye(40), np.diag([0.0, gap]))
     t = 0.37
-    u = expm(-1j * t * hfree)
-    dphase, dmag = extract_relative_phase(u, sys1, 2, (0, 1))
+    # H_b = b * gap on the field space: branch 1 picks up e^{-i gap t}
+    u = np.stack([expm(-1j * t * b * gap * np.eye(40)) for b in (0, 1)])
+    dphase, dmag = extract_relative_phase(u, (0, 1))
     assert abs(dphase + gap * t) < 1e-12
     assert abs(dmag) < 1e-12
 
 
 def test_extract_relative_phase_suppressed_branch():
-    sys1 = single_system()
-    u = np.zeros((80, 80), dtype=complex)
-    u[1, 0] = 1.0  # moves everything out of the vacuum-branch subspace
-    u += 1e-15 * np.eye(80)
+    u = np.zeros((2, 40, 40), dtype=complex)
+    u[:, 1, 0] = 1.0  # moves everything out of the vacuum
+    u += 1e-15 * np.eye(40)
     with pytest.raises(ValueError, match="suppressed"):
-        extract_relative_phase(np.eye(80) - np.eye(80) + u, sys1, 2, (0, 1))
+        extract_relative_phase(u, (0, 1))
 
 
 def test_full_evolution_matches_closed_form_and_predictions():
@@ -253,11 +241,11 @@ def test_full_evolution_matches_closed_form_and_predictions():
     probe = c_number_probe_stress(
         sys1, [np.zeros((3, 3)), amp * e_plus + 0.5 * trace_amp * trans])
     hT = np.array([0.9])
-    hg = build_HG(sys1, probe_dim=2)
+    hg = build_HG(sys1)
     hi = build_HI(sys1, probe, hT)
     for t in (0.05, 0.1, 0.2):
         u = exact_propagator(hg + hi, t, 1.0)
-        dphase, dmag = extract_relative_phase(u, sys1, 2, (0, 1))
+        dphase, dmag = extract_relative_phase(u, (0, 1))
         pred = predict_theta(sys1, probe, hT, t)
         # trace coupling: c-number branch phase, exact at all orders
         phase0 = pred.phase0[1] - pred.phase0[0]
@@ -275,13 +263,13 @@ def test_full_evolution_matches_closed_form_and_predictions():
 def test_damping_t2_scaling():
     sys1 = single_system()
     probe = tt_probe(sys1, 0.3)
-    hg = build_HG(sys1, probe_dim=2)
+    hg = build_HG(sys1)
     hi = build_HI(sys1, probe, [0.0])
     ts = np.geomspace(0.05, 0.5, 8)
     mags = []
     for t in ts:
         u = exact_propagator(hg + hi, t, 1.0)
-        _, dmag = extract_relative_phase(u, sys1, 2, (0, 1))
+        _, dmag = extract_relative_phase(u, (0, 1))
         mags.append(abs(dmag))
     slope = np.polyfit(np.log(ts), np.log(mags), 1)[0]
     assert 1.9 <= slope <= 2.1
@@ -293,56 +281,91 @@ def test_compare_propagators_record():
     sys1 = single_system()
     probe = tt_probe(sys1, 0.2)
     sweep = propagator_sweep(sys1, probe, [0.0])
-    comp = compare_propagators(sweep, 0.1, order=3)
-    assert comp.defect >= 0.0
+    comp = compare_propagators(sweep, 0.1)
+    assert comp.defect_order3 >= 0.0
     for u in (comp.u_exact, comp.u_zassenhaus):
-        assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() < 1e-10
+        assert u.shape == (2, 40, 40)
+        for ub in u:
+            assert np.abs(ub.conj().T @ ub - np.eye(40)).max() < 1e-10
     assert abs(comp.dphase_exact - comp.dphase_predicted) < 1e-6
     assert abs(comp.ddamping_exact - comp.ddamping_predicted) < 1e-5
-    weaker = compare_propagators(sweep, 0.1, order=2)
-    assert weaker.defect > comp.defect
-    with pytest.raises(ValueError, match="order"):
-        compare_propagators(sweep, 0.1, order=4)
+    assert comp.defect_order2 > comp.defect_order3
 
 
 def zassenhaus_t3_arena():
-    """The 80 x 80 system of the zassenhaus-t3 preset, with H_G and H_I."""
+    """The zassenhaus-t3 preset's system: two branches of a 40-level mode,
+    with H_G and the per-branch H_I,b."""
     _, system, probe, hT = _verification_arena()
-    return system, probe, hT, build_HG(system, probe_dim=2), build_HI(system, probe, hT)
+    return system, probe, hT, build_HG(system), build_HI(system, probe, hT)
 
 
 def test_spectral_propagators_match_expm():
     # scipy's Pade expm is the test-side oracle for the eigendecompositions
     system, _, _, hg, hi = zassenhaus_t3_arena()
     hbar = system.consts.hbar
-    nest = nested_commutators(hg, hi)
-    for t in (0.02, 0.07, 0.2, 1.5):
-        u = exact_propagator(hg + hi, t, hbar)
-        assert np.abs(u - expm(-1j * t * (hg + hi) / hbar)).max() <= 1e-13
-        factors = [expm(-1j * t * hg / hbar), expm(-1j * t * hi / hbar),
-                   expm((t**2 / (2 * hbar**2)) * nest["GI"]),
-                   expm((1j * t**3 / (6 * hbar**3)) * (nest["GGI"] + 2 * nest["IGI"]))]
-        for order in (2, 3):
-            want = np.linalg.multi_dot(factors[: order + 1])
-            got = zassenhaus_product(hg, hi, t, hbar, order=order)
-            assert np.abs(got - want).max() <= 1e-13
+    for hib in hi:
+        nest = nested_commutators(hg, hib)
+        for t in (0.02, 0.07, 0.2, 1.5):
+            u = exact_propagator(hg + hib, t, hbar)
+            assert np.abs(u - expm(-1j * t * (hg + hib) / hbar)).max() <= 1e-13
+            factors = [expm(-1j * t * hg / hbar), expm(-1j * t * hib / hbar),
+                       expm((t**2 / (2 * hbar**2)) * nest["GI"]),
+                       expm((1j * t**3 / (6 * hbar**3)) * (nest["GGI"] + 2 * nest["IGI"]))]
+            for order in (2, 3):
+                want = np.linalg.multi_dot(factors[: order + 1])
+                got = zassenhaus_product(hg, hib, t, hbar, order=order)
+                assert np.abs(got - want).max() <= 1e-13
+
+
+def test_branch_blocks_match_dense_field_probe_space():
+    # the field (x) probe operators the branch blocks replace, built densely:
+    # H = H_G (x) 1 + sum_b H_I,b (x) |b><b|, exponentiated by scipy's expm
+    system, probe, hT, hg, hi = zassenhaus_t3_arena()
+    hbar = system.consts.hbar
+    n_b = len(hi)
+    ket = np.eye(n_b)
+    big_g = np.kron(hg, np.eye(n_b))
+    big_i = sum(np.kron(hib, np.outer(ket[b], ket[b])) for b, hib in enumerate(hi))
+    gi = big_g @ big_i - big_i @ big_g
+    t3_gen = (big_g @ gi - gi @ big_g) + 2.0 * (big_i @ gi - gi @ big_i)
+    big_proj = np.kron(low_level_projector(system, 8), np.eye(n_b))
+    sweep = propagator_sweep(system, probe, hT, n_low=8)
+    for t in np.geomspace(0.02, 0.2, 4):
+        comp = compare_propagators(sweep, t)
+        u = expm(-1j * t * (big_g + big_i) / hbar)
+        # |0, b> is kron-basis vector b: field vacuum first, probe last
+        dense_amps = np.array([u[b, b] for b in range(n_b)])
+        assert np.abs(dense_amps - comp.u_exact[:, 0, 0]).max() <= 1e-13
+        factors = [expm(-1j * t * big_g / hbar), expm(-1j * t * big_i / hbar),
+                   expm((t**2 / (2 * hbar**2)) * gi),
+                   expm((1j * t**3 / (6 * hbar**3)) * t3_gen)]
+        for order, defect in ((3, comp.defect_order3), (2, comp.defect_order2)):
+            u_z = np.linalg.multi_dot(factors[: order + 1])
+            dense = np.linalg.norm((u - u_z) @ big_proj, 2)
+            assert abs(dense - defect) <= 1e-12
 
 
 def test_sweep_is_bit_identical_to_single_time_calls():
     system, probe, hT, hg, hi = zassenhaus_t3_arena()
     hbar = system.consts.hbar
-    proj = low_level_projector(system, 2, 8)
+    proj = low_level_projector(system, 8)
     sweep = propagator_sweep(system, probe, hT, n_low=8)
     for t in np.geomspace(0.02, 0.2, 4):
-        for order in (3, 2):
-            comp = compare_propagators(sweep, t, order=order)
-            u_exact = exact_propagator(hg + hi, t, hbar)
+        comp = compare_propagators(sweep, t)
+        u_exact = exact_propagator(hg + hi, t, hbar)
+        assert np.array_equal(comp.u_exact, u_exact)
+        for order, defect in ((3, comp.defect_order3), (2, comp.defect_order2)):
             u_z = zassenhaus_product(hg, hi, t, hbar, order=order)
-            assert np.array_equal(comp.u_exact, u_exact)
-            assert np.array_equal(comp.u_zassenhaus, u_z)
-            assert comp.defect == float(np.linalg.norm((u_exact - u_z) @ proj, 2))
-            assert (comp.dphase_exact, comp.ddamping_exact) == extract_relative_phase(
-                u_exact, system, 2, (0, 1))
-            single = compare_propagators(propagator_sweep(system, probe, hT), t, order=order)
-            assert np.array_equal(single.u_zassenhaus, comp.u_zassenhaus)
-            assert single.defect == comp.defect
+            if order == 3:
+                assert np.array_equal(comp.u_zassenhaus, u_z)
+            assert defect == max(float(np.linalg.norm((ub - zb) @ proj, 2))
+                                 for ub, zb in zip(u_exact, u_z))
+        for b, hib in enumerate(hi):
+            assert np.array_equal(comp.u_exact[b], exact_propagator(hg + hib, t, hbar))
+            assert np.array_equal(comp.u_zassenhaus[b], zassenhaus_product(hg, hib, t, hbar))
+        assert (comp.dphase_exact, comp.ddamping_exact) == extract_relative_phase(
+            u_exact, (0, 1))
+        single = compare_propagators(propagator_sweep(system, probe, hT), t)
+        assert np.array_equal(single.u_zassenhaus, comp.u_zassenhaus)
+        assert (single.defect_order3, single.defect_order2) == (
+            comp.defect_order3, comp.defect_order2)
