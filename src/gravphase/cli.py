@@ -45,37 +45,26 @@ def main(argv=None) -> int:
         print(json.dumps(CONFIG_SCHEMA, indent=2))
         return 0
 
-    if args.command == "presets":
-        try:
+    try:
+        if args.command == "presets":
             if args.emit:
                 print(json.dumps(get_preset(args.emit), indent=2))
             else:
                 for name in preset_names():
                     print(name)
             return 0
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-
-    # run
-    try:
         if args.config.startswith("preset:"):
             cfg = get_preset(args.config.split(":", 1)[1])
         else:
             cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args.sets)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    outdir = args.out or cfg.get("output_dir", "out")
-    try:
+        outdir = args.out or cfg.get("output_dir", "out")
         from .scenarios import run_scenario
-        report = run_scenario(cfg, outdir)
+        run_scenario(cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,10 +1,12 @@
-"""Scenario configuration: JSON schema, presets, loading and overrides.
+"""Scenario configuration: JSON schema and its validator, presets, loading
+and overrides.
 
 Configs are plain JSON.  Every scenario carries a mandatory random seed
 (echoed into the outputs) so Monte-Carlo runs are reproducible, and a
 constants block that either works in natural units (G = c = hbar = 1 by
 default) or takes SI inputs together with length/mass scales that map them
-onto well-conditioned internal units.
+onto well-conditioned internal units.  `validate_config` is the one judge
+of a config: a config it accepts is one every scenario runner can read.
 """
 
 from __future__ import annotations
@@ -12,18 +14,19 @@ from __future__ import annotations
 import copy
 import json
 import math
-from functools import lru_cache
 from pathlib import Path
-
-import jsonschema
 
 from .sources import PhysicalConstants
 
 SCENARIOS = ("phase-compare", "poisson", "overlap-sweep", "opalg-verify", "negativity")
 
 _NUM = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
 _VEC3 = {"type": "array", "items": _NUM, "minItems": 3, "maxItems": 3}
 _NUMLIST = {"type": "array", "items": _NUM, "minItems": 1}
+_WIDTHS = {"type": "array", "items": _POSITIVE, "minItems": 1}
+_BRANCH_LIST = {"type": "array", "items": _NUM, "minItems": 2}  # one entry per probe branch
 _MATRIX = {"type": "array", "items": _NUMLIST, "minItems": 1}
 # a real number or a [re, im] pair
 _AMPLITUDE = {"oneOf": [_NUM, {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}]}
@@ -33,7 +36,7 @@ _BRANCH = {
     "properties": {
         "amplitude": _AMPLITUDE,
         "center": _VEC3,
-        "width": _NUM,
+        "width": _POSITIVE,
     },
     "required": ["amplitude", "center", "width"],
     "additionalProperties": False,
@@ -43,9 +46,9 @@ _SOURCE = {
     "type": "object",
     "properties": {
         "type": {"enum": ["localized", "gaussian", "point", "grid-file"]},
-        "mass": _NUM,
+        "mass": _NON_NEGATIVE,
         "center": _VEC3,
-        "sigma": _NUM,
+        "sigma": _POSITIVE,
         "branches": {"type": "array", "items": _BRANCH, "minItems": 1},
         "path": {"type": "string"},
     },
@@ -65,18 +68,18 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "system": {"enum": ["natural", "si"]},
-                "G": _NUM, "c": _NUM, "hbar": _NUM,
-                "length_scale": _NUM, "mass_scale": _NUM,
+                "G": _POSITIVE, "c": _POSITIVE, "hbar": _POSITIVE,
+                "length_scale": _POSITIVE, "mass_scale": _POSITIVE,
             },
             "additionalProperties": False,
         },
         "grid": {
             "type": "object",
-            "properties": {"n": {"type": "integer", "minimum": 2}, "box": _NUM},
+            "properties": {"n": {"type": "integer", "minimum": 2}, "box": _POSITIVE},
             "required": ["n", "box"],
             "additionalProperties": False,
         },
-        "time": _NUM,
+        "time": _NON_NEGATIVE,
         "backend": {"enum": ["auto", "analytic", "grid", "mc"]},
         "mc_samples": {"type": "integer", "minimum": 1},
         "sources": {
@@ -85,8 +88,8 @@ CONFIG_SCHEMA = {
             "required": ["a", "b"],
             "additionalProperties": False,
         },
-        "sigma_ladder": _NUMLIST,
-        "width_variation": _NUMLIST,
+        "sigma_ladder": _WIDTHS,
+        "width_variation": _WIDTHS,
         "poisson": {
             "type": "object",
             "properties": {
@@ -103,13 +106,13 @@ CONFIG_SCHEMA = {
                 "position": _VEC3,
                 "epsilon": _VEC3,
                 "epsilon_scales": _NUMLIST,
-                "w_start": _NUM,
+                "w_start": _POSITIVE,
                 "w_halvings": {"type": "integer", "minimum": 0},
                 "grid_sizes": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-                "box": _NUM,
-                "mass": _NUM,
-                "sigma_reg": _NUM,
-                "matter_width": _NUM,
+                "box": _POSITIVE,
+                "mass": _NON_NEGATIVE,
+                "sigma_reg": _POSITIVE,
+                "matter_width": _POSITIVE,
                 "state_pairs": {"type": "integer", "minimum": 0},
             },
             "required": ["epsilon", "w_start", "w_halvings", "grid_sizes", "box"],
@@ -120,12 +123,12 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kvec": _VEC3,
                 "dim": {"type": "integer", "minimum": 4},
-                "weight": _NUM,
-                "tt_branch_amplitudes": _NUMLIST,
-                "trace_branch_amplitudes": _NUMLIST,
+                "weight": _POSITIVE,
+                "tt_branch_amplitudes": _BRANCH_LIST,
+                "trace_branch_amplitudes": _BRANCH_LIST,
                 "hT_shift": _NUM,
-                "t_start": _NUM,
-                "t_stop": _NUM,
+                "t_start": _POSITIVE,
+                "t_stop": _POSITIVE,
                 "t_points": {"type": "integer", "minimum": 4},
                 "n_low": {"type": "integer", "minimum": 2},
             },
@@ -153,34 +156,117 @@ class ConfigError(Exception):
     pass
 
 
-@lru_cache(maxsize=1)
-def _validator():
-    # CONFIG_SCHEMA is a constant checked against its meta-schema by the test
-    # suite; checking it on every run would cost each process ~50 ms
-    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# JSON type -> Python types; a bool is neither an integer nor a number
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float)}
+
+
+def schema_error(instance, schema: dict, path: tuple = ()):
+    """The first violation of `schema` by `instance`, as (path, message), or None.
+
+    Evaluates exactly the keywords CONFIG_SCHEMA uses, with the messages of
+    the reference Python JSON Schema validator.  An integer is an int, so
+    16.0 is not one; properties are visited in schema order, so the
+    reported error is deterministic."""
+    kind = schema.get("type")
+    if kind and (not isinstance(instance, _TYPES[kind])
+                 or isinstance(instance, bool) and kind in ("integer", "number")):
+        return path, f"{instance!r} is not of type {kind!r}"
+    if "enum" in schema and instance not in schema["enum"]:
+        return path, f"{instance!r} is not one of {schema['enum']!r}"
+    if "minimum" in schema and instance < schema["minimum"]:
+        return path, f"{instance!r} is less than the minimum of {schema['minimum']!r}"
+    if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
+        return path, (f"{instance!r} is less than or equal to the minimum of "
+                      f"{schema['exclusiveMinimum']!r}")
+    if "oneOf" in schema and sum(schema_error(instance, s) is None for s in schema["oneOf"]) != 1:
+        return path, f"{instance!r} is not valid under any of the given schemas"
+    children = []
+    if isinstance(instance, dict):
+        for key in schema.get("required", ()):
+            if key not in instance:
+                return path, f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        extras = sorted(k for k in instance if k not in properties)
+        if extras and schema.get("additionalProperties") is False:
+            return path, ("Additional properties are not allowed (%s %s unexpected)"
+                          % (", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"))
+        children = [(key, instance[key], sub) for key, sub in properties.items() if key in instance]
+    elif isinstance(instance, list):
+        if len(instance) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            return path, f"{instance!r} {short}"
+        if len(instance) > schema.get("maxItems", len(instance)):
+            return path, f"{instance!r} is too long"
+        children = [(i, item, schema["items"]) for i, item in enumerate(instance)
+                    if "items" in schema]
+    for key, value, sub in children:
+        error = schema_error(value, sub, path + (key,))
+        if error is not None:
+            return error
+    return None
+
+
+# the blocks each scenario reads, and the keys each source type reads
+_SCENARIO_BLOCKS = {"phase-compare": ("sources",), "poisson": ("poisson", "grid"),
+                    "overlap-sweep": ("overlap",), "opalg-verify": ("opalg",),
+                    "negativity": ("negativity",)}
+_SOURCE_KEYS = {"localized": ("mass", "branches"), "gaussian": ("mass", "center", "sigma"),
+                "point": ("mass", "center"), "grid-file": ("path",)}
 
 
 def validate_config(cfg: dict) -> None:
-    # same error selection as jsonschema.validate, without rebuilding the
-    # validator on every call
-    exc = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
-    kvec = cfg.get("opalg", {}).get("kvec")
-    if kvec is not None and not any(kvec):
-        raise ConfigError("config invalid at opalg/kvec: wavevector must be nonzero")
-    # all-zero amplitudes cannot be normalised into a state
+    """Raise ConfigError unless `cfg` is a config every scenario runner can
+    read: the schema, then the checks that span fields."""
+    error = schema_error(cfg, CONFIG_SCHEMA)
+    if error is not None:
+        path, message = error
+        raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
+    scenario = cfg["scenario"]
+    for key in _SCENARIO_BLOCKS[scenario]:
+        if key not in cfg:
+            raise ConfigError(f"scenario {scenario!r} needs a {key!r} block")
+    constants = cfg.get("constants", {})
+    if constants.get("system") == "si" and not {"length_scale", "mass_scale"} <= constants.keys():
+        raise ConfigError("si constants need length_scale and mass_scale")
     sources = {f"sources/{k}": v for k, v in cfg.get("sources", {}).items()}
     if "poisson" in cfg:
         sources["poisson/profile"] = cfg["poisson"]["profile"]
+    for path, block in sources.items():
+        for key in _SOURCE_KEYS[block["type"]]:
+            if key not in block:
+                raise ConfigError(f"config invalid at {path}: a {block['type']!r} source "
+                                  f"needs {key!r}")
+        if block["type"] == "grid-file" and not Path(block["path"]).exists():
+            raise ConfigError(f"referenced grid file not found: {block['path']}")
+    if scenario == "phase-compare" and any(
+            cfg["sources"][k]["type"] not in ("localized", "gaussian") for k in "ab"):
+        raise ConfigError("phase-compare sources must be localized or gaussian")
+    opalg = cfg.get("opalg", {})
+    if "kvec" in opalg and not any(opalg["kvec"]):
+        raise ConfigError("config invalid at opalg/kvec: wavevector must be nonzero")
+    tr_amps = opalg.get("trace_branch_amplitudes")
+    if tr_amps is not None and len(tr_amps) != len(opalg["tt_branch_amplitudes"]):
+        raise ConfigError("branch amplitude lists must have matching length")
+    negativity = cfg.get("negativity", {})
+    if negativity:
+        shape = (len(negativity["amplitudes_a"]), len(negativity["amplitudes_b"]))
+        for key in ("phases", "dampings"):
+            rows = negativity.get(key)
+            if rows is not None and [len(r) for r in rows] != [shape[1]] * shape[0]:
+                raise ConfigError(f"config invalid at negativity/{key}: expected a {shape[0]} x "
+                                  f"{shape[1]} matrix (amplitudes_a x amplitudes_b)")
+    # amplitudes whose squared norm is 0 or inf in double precision cannot be
+    # normalised into a state
     amplitudes = {f"{path}/branches": [b["amplitude"] for b in block["branches"]]
                   for path, block in sources.items() if "branches" in block}
-    amplitudes.update({f"negativity/{k}": v for k, v in cfg.get("negativity", {}).items()
+    amplitudes.update({f"negativity/{k}": v for k, v in negativity.items()
                        if k.startswith("amplitudes")})
     for path, amps in amplitudes.items():
-        if not any(any(a) if isinstance(a, list) else a for a in amps):
-            raise ConfigError(f"config invalid at {path}: amplitudes are all zero")
+        parts = [float(x) for a in amps for x in (a if isinstance(a, list) else [a])]
+        if not 0.0 < sum(x * x for x in parts) < math.inf:
+            raise ConfigError(f"config invalid at {path}: amplitudes are all zero, "
+                              "or too small or too large to normalise")
 
 
 def _reject_non_finite(token: str):
@@ -207,7 +293,7 @@ def load_config(path) -> dict:
         cfg = _json_loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{p}: {exc}") from None
     validate_config(cfg)
     return cfg
@@ -256,8 +342,6 @@ def build_constants(cfg: dict):
         scales = {"length": 1.0, "mass": 1.0, "time": 1.0}
         label = "natural units (dimensional quantities in config units)"
         return consts, scales, label
-    if "length_scale" not in block or "mass_scale" not in block:
-        raise ConfigError("si constants need length_scale and mass_scale")
     si = PhysicalConstants(
         G=block.get("G", PhysicalConstants.si().G),
         c=block.get("c", PhysicalConstants.si().c),

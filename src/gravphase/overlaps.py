@@ -160,6 +160,8 @@ def semiclassical_overlap(
         raise ValueError("displacement leaves the box")
     if sigma_reg is None:  # the width any unregularised point source gets on this grid
         sigma_reg = effective_sigma(point_density(0.0), grid)
+    elif sigma_reg <= 0.0:
+        raise ValueError("source regularisation width must be positive")
     hk = analytic_point_amplitudes(mass, sigma_reg, grid, consts)
     kvec = grid.k_lattice()
     # |1 - e^{-i k.eps}|^2 = 2 (1 - cos k.eps)

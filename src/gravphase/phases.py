@@ -156,8 +156,9 @@ def negativity(amps_a, amps_b, matrix: PhaseMatrix) -> float:
     """
     amps_a = np.asarray(amps_a, dtype=complex)
     amps_b = np.asarray(amps_b, dtype=complex)
-    coeff = amps_a[:, None] * amps_b[None, :] * np.exp(matrix.theta)
-    norm = np.linalg.norm(coeff)
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard below reports both
+        coeff = amps_a[:, None] * amps_b[None, :] * np.exp(matrix.theta)
+        norm = np.linalg.norm(coeff)
     if not 1e-300 <= norm < np.inf:  # also catches NaN
         raise ValueError("state is not normalisable (coefficients all zero or not finite)")
     s = np.linalg.svd(coeff / norm, compute_uv=False)

@@ -331,6 +331,8 @@ def laplacian_residual(field: ScalarFieldX, e: EnergyDensity, consts: PhysicalCo
     """RMS of the 7-point discrete Laplacian residual del^2 h + kappa E,
     relative to RMS(kappa E), both evaluated away from boundary cells."""
     grid = field.grid
+    if grid.n <= 2 * margin:
+        raise ValueError(f"Laplacian residual needs N > {2 * margin} (margin {margin})")
     vals = field.values
     h2 = grid.h**2
     lap = (

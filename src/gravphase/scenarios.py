@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gridio
-from .config import ConfigError, build_constants
+from .config import build_constants
 from .grids import GridSpec
 from .opalg import (
     c_number_probe_stress,
@@ -84,19 +84,8 @@ def _build_source(block: dict, scales: dict):
         return point_density(block["mass"] / scales["mass"],
                              _scaled_vec(block["center"], scales),
                              sigma_reg=sigma)
-    if kind == "grid-file":
-        path = Path(block["path"])
-        if not path.exists():
-            raise ConfigError(f"referenced grid file not found: {path}")
-        values, box, _ = gridio.load_scalar_grid(path)
-        return grid_density(values, box)
-    raise ConfigError(f"unsupported source type {kind!r}")
-
-
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"scenario {cfg.get('scenario')!r} needs a {key!r} block")
-    return cfg[key]
+    values, box, _ = gridio.load_scalar_grid(Path(block["path"]))  # grid-file
+    return grid_density(values, box)
 
 
 def _matrix_rows(name: str, pm, stderr=None):
@@ -111,11 +100,8 @@ def _matrix_rows(name: str, pm, stderr=None):
 
 def run_phase_compare(cfg: dict, outdir: Path) -> dict:
     consts, scales, unit_label = build_constants(cfg)
-    sources = _require(cfg, "sources")
-    spec_a = _build_source(sources["a"], scales)
-    spec_b = _build_source(sources["b"], scales)
-    if not isinstance(spec_a, LocalizedSourceSpec) or not isinstance(spec_b, LocalizedSourceSpec):
-        raise ConfigError("phase-compare sources must be localized or gaussian")
+    spec_a = _build_source(cfg["sources"]["a"], scales)
+    spec_b = _build_source(cfg["sources"]["b"], scales)
     grid_cfg = cfg.get("grid")
     grid = GridSpec(grid_cfg["n"], grid_cfg["box"] / scales["length"]) if grid_cfg else None
     request = PhaseRequest(
@@ -180,8 +166,7 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
 
 def run_poisson(cfg: dict, outdir: Path) -> dict:
     consts, scales, unit_label = build_constants(cfg)
-    block = _require(cfg, "poisson")
-    grid_cfg = _require(cfg, "grid")
+    block, grid_cfg = cfg["poisson"], cfg["grid"]
     grid = GridSpec(grid_cfg["n"], grid_cfg["box"] / scales["length"])
     profile_block = block["profile"]
     src = _build_source(profile_block, scales)
@@ -192,7 +177,8 @@ def run_poisson(cfg: dict, outdir: Path) -> dict:
     stride = block.get("stride", max(1, grid.n // 16))
     direct = solve_hT_direct(src, grid, consts, stride=stride)
     sub = spectral.values[::stride, ::stride, ::stride]
-    backend_dev = float(np.abs(sub - direct.values).max() / np.abs(direct.values).max())
+    scale = np.abs(direct.values).max()  # zero for a massless profile
+    backend_dev = float(np.abs(sub - direct.values).max() / scale) if scale else 0.0
     rms_res, rms_src = laplacian_residual(spectral, src, consts)
 
     if block.get("save_fields", True):
@@ -226,7 +212,7 @@ def _random_state_pair(rng, n_basis: int = 4):
 
 def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
     consts, scales, unit_label = build_constants(cfg)
-    block = _require(cfg, "overlap")
+    block = cfg["overlap"]
     box = block["box"] / scales["length"]
     pos = np.asarray(block.get("position", [box / 2] * 3), dtype=float) / scales["length"]
     eps0 = np.asarray(block["epsilon"], dtype=float) / scales["length"]
@@ -277,24 +263,25 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
 
 
 def _fit_slope(ts, values):
+    """Log-log slope, or nan where fewer than two distinct times carry a
+    positive value."""
     mask = np.asarray(values) > 0.0
-    if mask.sum() < 2:
+    log_t = np.log(np.asarray(ts)[mask])
+    if log_t.size < 2 or log_t.min() == log_t.max():
         return float("nan")
-    return float(np.polyfit(np.log(np.asarray(ts)[mask]),
-                            np.log(np.asarray(values)[mask]), 1)[0])
+    coef, _, rank, _, _ = np.polyfit(log_t, np.log(np.asarray(values)[mask]), 1, full=True)
+    return float(coef[0]) if rank == 2 else float("nan")
 
 
 def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     consts, _, unit_label = build_constants(cfg)
-    block = _require(cfg, "opalg")
+    block = cfg["opalg"]
     dim = block["dim"]
     system = make_single_mode_system(block["kvec"], dim, consts,
                                      weight=block.get("weight", 1.0))
     system.validate()
     tt_amps = block["tt_branch_amplitudes"]
     tr_amps = block.get("trace_branch_amplitudes", [0.0] * len(tt_amps))
-    if len(tr_amps) != len(tt_amps):
-        raise ConfigError("branch amplitude lists must have matching length")
     e_plus, _ = polarization_tensors(block["kvec"])
     khat = np.asarray(block["kvec"]) / np.linalg.norm(block["kvec"])
     trans = np.eye(3) - np.outer(khat, khat)  # trace amplitude b gives P:T = b
@@ -354,15 +341,9 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
 def run_negativity(cfg: dict, outdir: Path) -> dict:
     from .phases import PhaseMatrix, negativity
 
-    block = _require(cfg, "negativity")
+    block = cfg["negativity"]
     amps_a = np.array([_amplitude(a) for a in block["amplitudes_a"]])
     amps_b = np.array([_amplitude(a) for a in block["amplitudes_b"]])
-    shape = (len(amps_a), len(amps_b))
-    for key in ("phases", "dampings"):
-        rows = block.get(key)
-        if rows is not None and (len(rows) != shape[0] or any(len(r) != shape[1] for r in rows)):
-            raise ConfigError(f"config invalid at negativity/{key}: expected a "
-                              f"{shape[0]} x {shape[1]} matrix (amplitudes_a x amplitudes_b)")
     phases = np.asarray(block["phases"], dtype=float)
     dampings = np.asarray(block.get("dampings", np.zeros_like(phases)), dtype=float)
     pm = PhaseMatrix(model="explicit", theta=dampings + 1j * phases)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -15,6 +16,7 @@ from gravphase.config import (
     apply_overrides,
     get_preset,
     preset_names,
+    validate_config,
 )
 
 
@@ -57,6 +59,15 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert main(["run", str(invalid)]) == 1
 
 
+def test_unreadable_config_file_exit_codes(tmp_path, capsys):
+    (tmp_path / "dir.json").mkdir()
+    assert main(["run", str(tmp_path / "dir.json")]) == 3
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    assert main(["run", str(binary)]) == 1
+    assert "binary.json: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_numbers_rejected_at_load(tmp_path, capsys, literal):
     cfg = json.dumps(get_preset("gie-2x2")).replace('"time": 0.2', f'"time": {literal}')
@@ -76,6 +87,86 @@ def test_zero_wavevector_is_a_config_error(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "opalg/kvec: wavevector must be nonzero" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _phase_compare_grid_file(tmp_path):
+    cfg = _phase_compare("grid")()
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("config, override, where", [
+    (_phase_compare_grid_file, "grid.n=16.0", "grid/n"),
+    ("preset:gie-2x2", "mc_samples=1000.0", "mc_samples"),
+    ("preset:semiclassical-overlap", "seed=7.0", "seed"),
+    ("preset:zassenhaus-t3", "opalg.dim=40.0", "opalg/dim"),
+])
+def test_integral_floats_are_not_integers(tmp_path, capsys, config, override, where):
+    config = config if isinstance(config, str) else config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", config, "--set", override, "--out", str(out)]) == 1
+    assert f"config invalid at {where}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, dropped", [
+    ("localized", "mass"), ("localized", "branches"),
+    ("gaussian", "mass"), ("gaussian", "center"), ("gaussian", "sigma"),
+    ("point", "mass"), ("point", "center"),
+    ("grid-file", "path"),
+])
+def test_source_type_keys_are_required_at_load(kind, dropped):
+    full = {"type": kind, "mass": 1.0, "center": [4.0, 4.0, 4.0], "sigma": 1.2,
+            "path": "rho.f64", "branches": get_preset("gie-2x2")["sources"]["a"]["branches"]}
+    cfg = _small_poisson()
+    cfg["poisson"]["profile"] = {k: v for k, v in full.items() if k != dropped}
+    with pytest.raises(ConfigError, match=f"config invalid at poisson/profile: "
+                                          f"a '{kind}' source needs '{dropped}'"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.pop("grid"), "scenario 'poisson' needs a 'grid' block"),
+    (lambda c: c.update(constants={"system": "si", "length_scale": 1.0}),
+     "si constants need length_scale and mass_scale"),
+    (lambda c: c["poisson"].update(profile={"type": "grid-file", "path": "no/such.f64"}),
+     "referenced grid file not found: no/such.f64"),
+    (lambda c: c.update(scenario="phase-compare", sources={
+        "a": {"type": "point", "mass": 1.0, "center": [0.0, 0.0, 0.0]},
+        "b": {"type": "gaussian", "mass": 1.0, "center": [1.0, 0.0, 0.0], "sigma": 0.2}}),
+     "phase-compare sources must be localized or gaussian"),
+])
+def test_cross_field_checks_run_at_load(edit, message):
+    cfg = _small_poisson()
+    edit(cfg)
+    with pytest.raises(ConfigError, match=message):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("config, override, where", [
+    ("preset:semiclassical-overlap", "overlap.sigma_reg=0", "overlap/sigma_reg"),
+    ("preset:semiclassical-overlap", "overlap.sigma_reg=-0.2", "overlap/sigma_reg"),
+    ("preset:semiclassical-overlap", "overlap.mass=-1", "overlap/mass"),
+    ("preset:zassenhaus-t3", "opalg.t_start=0", "opalg/t_start"),
+    ("preset:zassenhaus-t3", "opalg.weight=-1", "opalg/weight"),
+    ("preset:gie-2x2", "time=-0.2", "time"),
+    ("preset:gie-2x2", "sigma_ladder=[0.1,0]", "sigma_ladder/1"),
+    ("preset:zassenhaus-t3", "opalg.tt_branch_amplitudes=[0.04]",
+     "opalg/tt_branch_amplitudes"),
+])
+def test_out_of_range_numbers_are_config_errors(tmp_path, capsys, config, override, where):
+    out = tmp_path / "o"
+    assert main(["run", config, "--set", override, "--out", str(out)]) == 1
+    assert f"config invalid at {where}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_underflowing_wavevector_is_a_numerical_guard(tmp_path, capsys):
+    # |k| = 1e-300 passes the nonzero check, but omega = c|k| underflows in h_op
+    assert main(["run", "preset:zassenhaus-t3", "--set", "opalg.kvec=[0,0,1e-300]",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "numerical guard:" in capsys.readouterr().err
 
 
 def _zero_branch_amplitudes():
@@ -294,9 +385,42 @@ def test_scenarios_run_without_scipy(tmp_path, make_cfg):
     path.write_text(json.dumps(make_cfg()))
     probe = ("import sys; from gravphase.cli import main; "
              f"code = main(['run', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
-             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(code, sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def _edited(make_cfg, edit):
+    def make():
+        cfg = make_cfg()
+        edit(cfg)
+        return cfg
+    return make
+
+
+@pytest.mark.parametrize("make_cfg, code", [
+    # a slope fit over one time is undefined: nan, not a RankWarning
+    (_edited(lambda: get_preset("zassenhaus-t3"),
+             lambda c: c["opalg"].update(t_start=0.1, t_stop=0.1, t_points=4)), 0),
+    # no interior cells for the Laplacian residual
+    (_edited(_small_poisson, lambda c: c["grid"].update(n=4, box=8.0)), 2),
+    # a massless profile has a zero field on both backends
+    (_edited(_small_poisson, lambda c: c["poisson"]["profile"].update(mass=0.0)), 0),
+    # exp(710) overflows before the normalisation guard
+    (_edited(_small_negativity, lambda c: c["negativity"].update(
+        dampings=[[0.0, 0.0], [0.0, 710.0]])), 2),
+    # the squared norm underflows to zero
+    (_edited(_small_negativity, lambda c: c["negativity"].update(
+        amplitudes_b=[0.0, 1e-200])), 1),
+], ids=["opalg-one-time", "poisson-n4", "poisson-massless", "negativity-overflow",
+        "amplitude-underflow"])
+def test_degenerate_configs_end_in_an_exit_code(tmp_path, make_cfg, code):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make_cfg()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == code

@@ -1,0 +1,182 @@
+"""The in-tree config validator, fuzzed.
+
+`schema_error` is checked against jsonschema, the reference validator, on
+configs generated around CONFIG_SCHEMA; schema-valid configs on small grids
+are run through the CLI, where every one must end in a documented exit code.
+"""
+
+import json
+import tempfile
+import warnings
+
+import jsonschema
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gravphase.cli import main
+from gravphase.config import CONFIG_SCHEMA, schema_error
+
+# JSON has no integral floats: an integer is an int, as in the walker
+_Draft = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_ORACLE = jsonschema.validators.extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine(
+    "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))(CONFIG_SCHEMA)
+
+
+def _valid(schema: dict) -> st.SearchStrategy:
+    """Instances of `schema`, small and close to its bounds."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    if "oneOf" in schema:
+        return st.one_of(*map(_valid, schema["oneOf"]))
+    kind = schema["type"]
+    if kind in ("number", "integer"):
+        lo = schema.get("minimum", schema.get("exclusiveMinimum", -3))
+        if kind == "integer":
+            return st.integers(lo + ("exclusiveMinimum" in schema), lo + 20)
+        return st.floats(lo, lo + 10.0, exclude_min="exclusiveMinimum" in schema)
+    if kind == "string":
+        return st.text(max_size=3)
+    if kind == "boolean":
+        return st.booleans()
+    if kind == "array":
+        lo = schema.get("minItems", 0)
+        return st.lists(_valid(schema["items"]), min_size=lo,
+                        max_size=schema.get("maxItems", lo + 2))
+    props = {k: _valid(s) for k, s in schema["properties"].items()}
+    required = schema.get("required", ())
+    return st.fixed_dictionaries({k: v for k, v in props.items() if k in required},
+                                 optional={k: v for k, v in props.items() if k not in required})
+
+
+def _nodes(value, path=()):
+    yield path
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+_JUNK = [None, True, 0, -1, -1e-9, 0.5, 16.0, "", "x", [], [1.0, 2.0, 3.0, 4.0], {}]
+
+
+@st.composite
+def _around(draw, schema: dict):
+    """A config valid under `schema`, then hit by up to two mutations: a
+    node replaced by junk or by its integral float, a key or list item
+    dropped, an unknown key or a repeated list item added."""
+    cfg = draw(_valid(schema))
+    for _ in range(draw(st.integers(0, 2))):
+        *parent_path, key = draw(st.sampled_from(list(_nodes(cfg))[1:]))
+        parent = cfg
+        for k in parent_path:
+            parent = parent[k]
+        value = parent[key]
+        options = ([float(value)] if type(value) is int else []) + _JUNK
+        mutation = draw(st.integers(0, len(options) + 1))
+        if mutation < len(options):
+            parent[key] = options[mutation]
+        elif mutation == len(options):
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent["zz_extra"] = 1
+        else:
+            parent.append(value)
+    return cfg
+
+
+@settings(max_examples=250, deadline=None)
+@given(cfg=_around(CONFIG_SCHEMA))
+def test_walker_agrees_with_jsonschema(cfg):
+    error = schema_error(cfg, CONFIG_SCHEMA)
+    expected = {(tuple(e.absolute_path), e.message) for e in _ORACLE.iter_errors(cfg)}
+    assert (error is None) == (not expected)
+    if error is not None:
+        assert error in expected  # same path, same wording
+
+
+# --------------------------------------------------------- schema-valid runs
+
+_REAL = st.floats(-1e3, 1e3)
+_POSITIVE = st.floats(1e-3, 1e3)
+_NON_NEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
+_VEC3 = st.lists(st.floats(-2.0, 10.0), min_size=3, max_size=3)
+_AMPLITUDE = st.one_of(_REAL, st.lists(_REAL, min_size=2, max_size=2))
+_SIZE = st.sampled_from([2, 4, 8, 16])
+
+
+def _optional(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_SOURCE = st.one_of(
+    st.fixed_dictionaries({"type": st.just("localized"), "mass": _NON_NEGATIVE,
+                           "branches": st.lists(st.fixed_dictionaries(
+                               {"amplitude": _AMPLITUDE, "center": _VEC3,
+                                "width": _POSITIVE}), min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"type": st.just("gaussian"), "mass": _NON_NEGATIVE,
+                           "center": _VEC3, "sigma": _POSITIVE}),
+    st.fixed_dictionaries({"type": st.just("point"), "mass": _NON_NEGATIVE, "center": _VEC3},
+                          optional={"sigma": _POSITIVE}),
+)
+
+_CONSTANTS = st.one_of(
+    _optional(system=st.just("natural"), G=_POSITIVE, c=_POSITIVE, hbar=_POSITIVE),
+    st.fixed_dictionaries({"system": st.just("si"), "length_scale": _POSITIVE,
+                           "mass_scale": _POSITIVE}),
+)
+
+_GRID = st.fixed_dictionaries({"n": _SIZE, "box": _POSITIVE})
+
+_BLOCKS = {
+    "phase-compare": st.fixed_dictionaries(
+        {"sources": st.fixed_dictionaries({"a": _SOURCE, "b": _SOURCE}),
+         "mc_samples": st.integers(1, 10**4)},  # the default of 10^6 is too slow here
+        optional={"grid": _GRID, "time": _NON_NEGATIVE,
+                  "backend": st.sampled_from(["auto", "analytic", "grid", "mc"]),
+                  "sigma_ladder": st.lists(_POSITIVE, min_size=1, max_size=3),
+                  "width_variation": st.lists(_POSITIVE, min_size=1, max_size=2)}),
+    "poisson": st.fixed_dictionaries(
+        {"grid": _GRID,
+         "poisson": st.fixed_dictionaries({"profile": _SOURCE}, optional={
+             "stride": st.integers(1, 16), "save_fields": st.booleans()})}),
+    "overlap-sweep": st.fixed_dictionaries({"overlap": st.fixed_dictionaries(
+        {"epsilon": _VEC3, "w_start": _POSITIVE, "w_halvings": st.integers(0, 3),
+         "grid_sizes": st.lists(_SIZE, min_size=1, max_size=2), "box": _POSITIVE},
+        optional={"position": _VEC3, "epsilon_scales": st.lists(_REAL, min_size=1, max_size=3),
+                  "mass": _NON_NEGATIVE, "sigma_reg": _POSITIVE, "matter_width": _POSITIVE,
+                  "state_pairs": st.integers(0, 2)})}),
+    "opalg-verify": st.fixed_dictionaries({"opalg": st.integers(2, 3).flatmap(
+        lambda n_branches: st.fixed_dictionaries(
+            {"kvec": _VEC3, "dim": st.integers(4, 12),
+             "tt_branch_amplitudes": st.lists(_REAL, min_size=n_branches, max_size=n_branches),
+             "t_start": _POSITIVE, "t_stop": _POSITIVE},
+            optional={"weight": _POSITIVE, "hT_shift": _REAL, "t_points": st.integers(4, 8),
+                      "n_low": st.integers(2, 14),
+                      "trace_branch_amplitudes": st.lists(
+                          _REAL, min_size=n_branches, max_size=n_branches)}))}),
+    "negativity": st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda shape: st.fixed_dictionaries({"negativity": st.fixed_dictionaries(
+            {"amplitudes_a": st.lists(_AMPLITUDE, min_size=shape[0], max_size=shape[0]),
+             "amplitudes_b": st.lists(_AMPLITUDE, min_size=shape[1], max_size=shape[1]),
+             "phases": st.lists(st.lists(_REAL, min_size=shape[1], max_size=shape[1]),
+                                min_size=shape[0], max_size=shape[0])},
+            optional={"dampings": st.lists(st.lists(_REAL, min_size=shape[1],
+                                                    max_size=shape[1]),
+                                           min_size=shape[0], max_size=shape[0])})})),
+}
+
+_VALID_CONFIGS = st.sampled_from(sorted(_BLOCKS)).flatmap(lambda scenario: st.tuples(
+    st.just(scenario), st.integers(0, 2**32), _CONSTANTS, _BLOCKS[scenario],
+)).map(lambda t: {"scenario": t[0], "seed": t[1], "constants": t[2], **t[3]})
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_VALID_CONFIGS)
+def test_schema_valid_configs_end_in_an_exit_code(cfg):
+    assert schema_error(cfg, CONFIG_SCHEMA) is None
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["run", path, "--out", f"{tmp}/o"]) in (0, 1, 2, 3)

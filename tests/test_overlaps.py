@@ -93,6 +93,14 @@ def test_semiclassical_trivial_and_guards():
         semiclassical_overlap((7.9, 4, 4), (0.5, 0, 0), 1.0, GRID, CONSTS)
 
 
+@pytest.mark.parametrize("sigma_reg", [0.0, -2.0 * GRID.h])
+def test_semiclassical_refuses_non_positive_sigma_reg(sigma_reg):
+    # zero used to mean an unregularised 1/k^2 source, a negative width its absolute value
+    with pytest.raises(ValueError, match="regularisation width must be positive"):
+        semiclassical_overlap((4.0, 4.0, 4.0), (0.5, 0, 0), 0.1, GRID, CONSTS,
+                              sigma_reg=sigma_reg)
+
+
 def test_semiclassical_w_ladder_strictly_decreasing():
     pos, eps = (4.0, 4.0, 4.0), (0.5, 0.0, 0.0)
     logs = [semiclassical_overlap(pos, eps, 700.0 * 0.5**i, GRID, CONSTS,
