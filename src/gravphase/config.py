@@ -81,7 +81,7 @@ CONFIG_SCHEMA = {
         },
         "time": _NON_NEGATIVE,
         "backend": {"enum": ["auto", "analytic", "grid", "mc"]},
-        "mc_samples": {"type": "integer", "minimum": 1},
+        "mc_samples": {"type": "integer", "minimum": 2},
         "sources": {
             "type": "object",
             "properties": {"a": _SOURCE, "b": _SOURCE},

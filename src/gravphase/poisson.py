@@ -30,6 +30,12 @@ Coulomb pair integrals int E_A E_B / |x - y| come in closed form, by grid
 quadrature against the spectral potential, or by 6-D Monte Carlo, one pair
 at a time (`mutual_coulomb`) or for two whole density families at once
 (`pair_integrals`, which computes each integral once).
+
+The Monte-Carlo stream is part of the contract: per block of MC_BLOCK
+samples, all of A's standard normals come first, then all of B's, each
+scaled by the width and shifted by the centre, so a seed gives the same
+integral on every version.  `coulomb_pair_mc` streams B through the block
+in chunks and holds about 4.5 doubles per block sample.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ from .grids import GridSpec
 from .sources import EnergyDensity, PhysicalConstants, effective_sigma, sample_on_grid
 
 DIRECT_N_LIMIT = 48
+# Monte-Carlo samples per block: sets how A's and B's draws interleave above
+# one block, so it is part of the stream contract, not a tuning knob.
+MC_BLOCK = 1_000_000
+_MC_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -180,12 +190,6 @@ def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity, consts: Physic
     return m2c4 * math.erf(d / (math.sqrt(2.0) * s)) / d
 
 
-def _sample_profile_points(e: EnergyDensity, n: int, rng: np.random.Generator,
-                           grid: GridSpec | None) -> np.ndarray:
-    sigma = effective_sigma(e, grid)
-    return rng.normal(loc=e.center, scale=sigma, size=(n, 3))
-
-
 def coulomb_pair_mc(
     e_a: EnergyDensity,
     e_b: EnergyDensity,
@@ -193,25 +197,53 @@ def coulomb_pair_mc(
     samples: int = 1_000_000,
     seed: int = 0,
     grid: GridSpec | None = None,
-    batch: int = 1_000_000,
 ):
     """6-D Monte-Carlo estimate of the Coulomb pair integral with its
     standard error.  Positions are drawn exactly from the (Gaussian)
-    profiles, so the estimator is mean of m_A m_B c^4 / |x - y|."""
+    profiles, so the estimator is mean of m_A m_B c^4 / |x - y|.
+
+    Stream contract: per block of MC_BLOCK samples, all of A's standard
+    normals (m x 3, row by row) are drawn first, then all of B's, each
+    scaled by its width and shifted by its centre, so a seed gives the same
+    integral on every version.  Within a block B is drawn, subtracted and
+    reduced in chunks of _MC_CHUNK rows into one block-length 1/r buffer;
+    the block is then summed once, squared in place and summed again.  The
+    arithmetic is that of broadcast `normal(loc, scale)` draws, the
+    row-wise Euclidean norm and pairwise sums, bit for bit.  Memory is
+    about 4.5 doubles per block sample: A's block (3), the 1/r buffer (1)
+    and B's chunk.
+    """
     if not (_pair_is_analytic(e_a) and _pair_is_analytic(e_b)):
         raise ValueError("mc backend needs point or gaussian profiles")
+    if samples < 2:
+        raise ValueError(f"mc backend needs at least 2 samples for a standard error, got {samples}")
+    sigma_a, sigma_b = effective_sigma(e_a, grid), effective_sigma(e_b, grid)
+    center_a, center_b = np.asarray(e_a.center, float), np.asarray(e_b.center, float)
     rng = np.random.default_rng(seed)
+    inv = np.empty(min(samples, MC_BLOCK))
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
-        xa = _sample_profile_points(e_a, m, rng, grid)
-        xb = _sample_profile_points(e_b, m, rng, grid)
-        inv = 1.0 / np.linalg.norm(xa - xb, axis=1)
-        total += inv.sum()
-        total_sq += (inv**2).sum()
-        done += m
+    for start in range(0, samples, MC_BLOCK):
+        m = min(MC_BLOCK, samples - start)
+        xa = rng.standard_normal((m, 3))
+        xa *= sigma_a
+        xa += center_a
+        for lo in range(0, m, _MC_CHUNK):
+            hi = min(lo + _MC_CHUNK, m)
+            d = rng.standard_normal((hi - lo, 3))
+            d *= sigma_b
+            d += center_b
+            np.subtract(xa[lo:hi], d, out=d)
+            d *= d
+            r = d[:, 0] + d[:, 1]  # the order of norm(axis=1); einsum sums otherwise
+            r += d[:, 2]
+            np.sqrt(r, out=r)
+            np.divide(1.0, r, out=inv[lo:hi])
+        del xa  # the next block's A draw must not overlap this one
+        block = inv[:m]
+        total += block.sum()
+        block *= block
+        total_sq += block.sum()
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
     scale = e_a.mass * e_b.mass * consts.c**4

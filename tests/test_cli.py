@@ -354,6 +354,19 @@ def _phase_compare(backend):
     return make
 
 
+def test_one_sample_mc_run_is_a_config_error(tmp_path, capsys):
+    # a single draw has a sample variance of 0: the run would report an
+    # exact value with stderr_rad 0 on every row
+    cfg = _phase_compare("mc")()
+    cfg["mc_samples"] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert "config invalid at mc_samples: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _small_poisson():
     return {"scenario": "poisson", "seed": 2, "grid": {"n": 16, "box": 8.0},
             "poisson": {"profile": {"type": "gaussian", "mass": 1.0,

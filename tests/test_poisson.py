@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,11 @@ from scipy.special import erf
 
 from gravphase.grids import GridSpec
 from gravphase.poisson import (
+    MC_BLOCK,
     _coulomb_kernel_hat,
     cell_averaged_inv_r,
     coulomb_pair_analytic,
+    coulomb_pair_mc,
     laplacian_residual,
     mutual_coulomb,
     pair_integrals,
@@ -21,6 +24,7 @@ from gravphase.poisson import (
 )
 from gravphase.sources import (
     PhysicalConstants,
+    effective_sigma,
     gaussian_density,
     grid_density,
     point_density,
@@ -270,3 +274,63 @@ def test_pair_integrals_match_the_single_pair_backends():
     assert np.all(mc.stderr > 0.0)
     with pytest.raises(ValueError, match="GridSpec"):
         pair_integrals([dens_a[1]], [], CONSTS)
+
+
+def _mc_reference(e_a, e_b, samples, seed, grid=None):
+    """The Monte-Carlo pair integral as first written: per block of 10^6
+    samples, broadcast normal draws for A then B, the row norm and two sums."""
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    for start in range(0, samples, 1_000_000):
+        m = min(1_000_000, samples - start)
+        xa = rng.normal(loc=e_a.center, scale=effective_sigma(e_a, grid), size=(m, 3))
+        xb = rng.normal(loc=e_b.center, scale=effective_sigma(e_b, grid), size=(m, 3))
+        inv = 1.0 / np.linalg.norm(xa - xb, axis=1)
+        total += inv.sum()
+        total_sq += (inv**2).sum()
+    mean = total / samples
+    var = max(total_sq / samples - mean**2, 0.0)
+    scale = e_a.mass * e_b.mass * CONSTS.c**4
+    return scale * mean, scale * math.sqrt(var / samples)
+
+
+_MC_PAIRS = {
+    "gaussians": (gaussian_density(1.0, (0.1, 0.2, -0.3), 0.3),
+                  gaussian_density(0.7, (1.1, 0.0, 0.2), 0.5), None),
+    "point-width-from-grid": (point_density(1.3, (2.0, 2.0, 2.0)),
+                              gaussian_density(0.7, (3.0, 2.1, 2.0), 0.4), GridSpec(32, 4.0)),
+    "coincident-centres": (gaussian_density(1.0, (1.0, 1.0, 1.0), 0.3),
+                           point_density(2.0, (1.0, 1.0, 1.0), sigma_reg=0.2), None),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_MC_PAIRS))
+def test_mc_kernel_is_bit_identical_to_the_reference(pair):
+    # the streamed kernel draws the same numbers and sums them in the same
+    # order, so values and stderr are equal, not close; the counts straddle
+    # the B chunk (65 536 rows) and the block (MC_BLOCK)
+    e_a, e_b, grid = _MC_PAIRS[pair]
+    for samples in (2, 7, 65_536, 65_537, 1_000_000, 1_000_001):
+        got = coulomb_pair_mc(e_a, e_b, CONSTS, samples=samples, seed=samples % 5, grid=grid)
+        assert got == _mc_reference(e_a, e_b, samples, samples % 5, grid), samples
+
+
+def test_mc_kernel_peak_memory_is_one_block():
+    e_a, e_b, _ = _MC_PAIRS["gaussians"]
+    for samples in (1_000_000, 2_500_000):
+        tracemalloc.start()
+        try:
+            coulomb_pair_mc(e_a, e_b, CONSTS, samples=samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 5 doubles per sample of one block; the kernel holds ~4.5
+        assert peak <= 40 * min(samples, MC_BLOCK), (samples, peak)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_mc_kernel_refuses_fewer_than_two_samples(samples):
+    # one draw has a variance estimate of 0, which would claim an exact value
+    e_a, e_b, _ = _MC_PAIRS["gaussians"]
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        coulomb_pair_mc(e_a, e_b, CONSTS, samples=samples)
