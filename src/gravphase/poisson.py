@@ -41,6 +41,7 @@ in chunks and holds about 4.5 doubles per block sample.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,21 +84,18 @@ def _as_grid_values(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants)
     return sample_on_grid(e, grid, consts).values
 
 
-def _displacement_kernel_1d(grid: GridSpec) -> np.ndarray:
-    """Signed displacements covered by the doubled lattice, length 2n."""
-    n2 = 2 * grid.n
-    idx = np.arange(n2)
-    idx = np.where(idx < grid.n, idx, idx - n2)  # minimum image on the doubled box
-    return idx * grid.h
-
-
 def _coulomb_kernel(grid: GridSpec) -> np.ndarray:
-    d = _displacement_kernel_1d(grid)
+    """1/r on the doubled box, minimum image per axis, with the cell average
+    at the origin.  Offsets i and 2N - i have the same |d|, so 1/r is
+    evaluated on the (N+1)^3 non-negative offsets and mirrored."""
+    n = grid.n
+    d = np.arange(n + 1) * grid.h
     r2 = d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2
     with np.errstate(divide="ignore"):
-        k = 1.0 / np.sqrt(r2)
-    k[0, 0, 0] = cell_averaged_inv_r(grid.h)
-    return k
+        octant = 1.0 / np.sqrt(r2)
+    octant[0, 0, 0] = cell_averaged_inv_r(grid.h)
+    mirror = np.r_[0:n + 1, n - 1:0:-1]
+    return octant[np.ix_(mirror, mirror, mirror)]
 
 
 @lru_cache(maxsize=1)
@@ -109,14 +107,19 @@ def _coulomb_kernel_hat(grid: GridSpec) -> np.ndarray:
 
 
 def solve_hT_spectral(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> ScalarFieldX:
-    """Free-space solve by zero-padded FFT convolution (see module docstring)."""
+    """Free-space solve by zero-padded FFT convolution (see module docstring).
+
+    The transforms are those of rfftn/irfftn on the doubled box, axis by
+    axis in their order, but each axis is zero-padded only when it is
+    transformed and cropped as soon as it is back in position space, so the
+    7/8 of the doubled box that holds zeros is never built."""
     vals = _as_grid_values(e, grid, consts)
-    n2 = 2 * grid.n
-    padded = np.zeros((n2,) * 3)
-    padded[: grid.n, : grid.n, : grid.n] = vals
-    conv = np.fft.irfftn(np.fft.rfftn(padded) * _coulomb_kernel_hat(grid),
-                         s=(n2,) * 3, axes=(0, 1, 2))
-    out = conv[: grid.n, : grid.n, : grid.n] * (consts.kappa / (4.0 * math.pi)) * grid.cell_volume
+    n, n2 = grid.n, 2 * grid.n
+    spec = np.fft.fft(np.fft.fft(np.fft.rfft(vals, n=n2, axis=2), n=n2, axis=1), n=n2, axis=0)
+    spec *= _coulomb_kernel_hat(grid)
+    spec = np.fft.ifft(spec, axis=0)[:n]  # frees the product before the next transform
+    conv = np.fft.irfft(np.fft.ifft(spec, axis=1)[:, :n], n=n2, axis=2)
+    out = conv[:, :, :n] * (consts.kappa / (4.0 * math.pi)) * grid.cell_volume
     return ScalarFieldX(grid=grid, values=out)
 
 
@@ -308,6 +311,13 @@ class PairIntegrals:
     self_b: np.ndarray
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pair_integrals(
     dens_a,
     dens_b,
@@ -324,7 +334,11 @@ def pair_integrals(
     otherwise, so that all integrals share one quadrature.  The grid backend
     solves one potential per density, holding one at a time; "mc" draws
     independent samples per integral, seeded seed + k with k counting the
-    cross block row by row, then the self integrals of A and of B.
+    cross block row by row, then the self integrals of A and of B.  The mc
+    integrals run one per thread on up to as many threads as the process
+    has CPUs in its affinity mask (os.cpu_count() where the OS has no
+    mask), so peak memory is about that many Monte-Carlo blocks; the
+    values do not depend on the thread count.
     """
     dens_a, dens_b = list(dens_a), list(dens_b)
     n_a, n_b = len(dens_a), len(dens_b)
@@ -349,10 +363,22 @@ def pair_integrals(
 
     pairs = ([(x, y) for x in dens_a for y in dens_b]
              + [(e, e) for e in dens_a] + [(e, e) for e in dens_b])
-    vals, errs = np.array([
-        mutual_coulomb(x, y, consts, backend=backend, grid=grid,
-                       mc_samples=mc_samples, seed=seed + k)
-        for k, (x, y) in enumerate(pairs)]).T
+
+    def integral(k):
+        x, y = pairs[k]
+        return mutual_coulomb(x, y, consts, backend=backend, grid=grid,
+                              mc_samples=mc_samples, seed=seed + k)
+
+    if backend == "mc":
+        # numpy's generator and ufuncs release the GIL, and every integral
+        # has its own seed, so the threads change no value
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(len(pairs), _cpu_count())) as pool:
+            results = list(pool.map(integral, range(len(pairs))))
+    else:
+        results = [integral(k) for k in range(len(pairs))]
+    vals, errs = np.array(results).T
     m = n_a * n_b
     return PairIntegrals(vals[:m].reshape(n_a, n_b), errs[:m].reshape(n_a, n_b),
                          vals[m:m + n_a], vals[m + n_a:])

@@ -394,17 +394,19 @@ def _small_negativity():
 ], ids=["phase-compare-analytic", "phase-compare-grid", "phase-compare-mc", "poisson",
         "overlap-sweep", "opalg-verify", "negativity"])
 def test_scenarios_run_without_scipy(tmp_path, make_cfg):
+    cfg = make_cfg()
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(make_cfg()))
+    path.write_text(json.dumps(cfg))
     probe = ("import sys; from gravphase.cli import main; "
              f"code = main(['run', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
              "print(code, sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'jsonschema')))")
+             "if m.split('.')[0] in ('scipy', 'jsonschema')), 'concurrent' in sys.modules)")
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    # only the Monte-Carlo pair integrals start a thread pool
+    assert proc.stdout.splitlines()[-1] == f"0 [] {cfg.get('backend') == 'mc'}"
 
 
 def _edited(make_cfg, edit):

@@ -12,6 +12,7 @@ from scipy.special import erf
 from gravphase.grids import GridSpec
 from gravphase.poisson import (
     MC_BLOCK,
+    _coulomb_kernel,
     _coulomb_kernel_hat,
     cell_averaged_inv_r,
     coulomb_pair_analytic,
@@ -174,6 +175,63 @@ def test_cached_kernel_never_serves_another_grid():
         np.testing.assert_array_equal(solve_hT_spectral(e, grid, CONSTS).values, fresh[grid])
 
 
+def _kernel_reference(grid):
+    """The doubled-box kernel as first written: 1/r of the signed minimum-image
+    displacement over all (2N)^3 offsets, cell average at the origin."""
+    n2 = 2 * grid.n
+    idx = np.arange(n2)
+    d = np.where(idx < grid.n, idx, idx - n2) * grid.h
+    r2 = d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2
+    with np.errstate(divide="ignore"):
+        k = 1.0 / np.sqrt(r2)
+    k[0, 0, 0] = cell_averaged_inv_r(grid.h)
+    return k
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_octant_kernel_is_bit_identical_to_the_full_formula(n):
+    np.testing.assert_array_equal(_coulomb_kernel(GridSpec(n, 4.0)),
+                                  _kernel_reference(GridSpec(n, 4.0)))
+
+
+def _spectral_reference(e, grid):
+    """The spectral solve as first written: the density zero-padded into the
+    doubled box, rfftn, times the kernel transform, irfftn, cropped."""
+    n, n2 = grid.n, 2 * grid.n
+    padded = np.zeros((n2,) * 3)
+    padded[:n, :n, :n] = sample_on_grid(e, grid, CONSTS).values
+    conv = np.fft.irfftn(np.fft.rfftn(padded) * np.fft.rfftn(_kernel_reference(grid)),
+                         s=(n2,) * 3, axes=(0, 1, 2))
+    return conv[:n, :n, :n] * (KAPPA / (4.0 * math.pi)) * grid.cell_volume
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 64])
+def test_pruned_spectral_solve_is_bit_identical_to_the_padded_transform(n):
+    # the transforms run axis by axis in rfftn/irfftn's order; another order
+    # differs in the last bits, so the comparison is exact
+    grid = GridSpec(n, 4.0)
+    e = gaussian_density(1.0, (1.3, 2.2, 1.9), 0.4)  # off-centre in every axis
+    got = solve_hT_spectral(e, grid, CONSTS).values
+    assert np.array_equal(got, _spectral_reference(e, grid))
+
+
+def test_spectral_solve_peak_memory_is_two_spectra():
+    n = 64
+    grid = GridSpec(n, 4.0)
+    e = gaussian_density(1.0, (1.3, 2.2, 1.9), 0.4)
+    solve_hT_spectral(e, grid, CONSTS)  # the kernel transform is cached per grid
+    tracemalloc.start()
+    try:
+        solve_hT_spectral(e, grid, CONSTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two complex half-spectra of the doubled box live at once, plus the
+    # density and the field; the padded form held twice that
+    spectrum = (2 * n) ** 2 * (n + 1) * 16
+    assert peak <= 2 * spectrum + 2 * n**3 * 8, peak
+
+
 def test_laplacian_residual_small():
     grid = GridSpec(32, 8.0)
     e = smooth_density(grid, seed=5)
@@ -334,3 +392,39 @@ def test_mc_kernel_refuses_fewer_than_two_samples(samples):
     e_a, e_b, _ = _MC_PAIRS["gaussians"]
     with pytest.raises(ValueError, match="at least 2 samples"):
         coulomb_pair_mc(e_a, e_b, CONSTS, samples=samples)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_mc_pair_integrals_do_not_depend_on_the_thread_count(cpus, monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    dens_a = [gaussian_density(1.0, (0.3 * k, 0.0, 0.1), 0.2 + 0.1 * k) for k in range(2)]
+    dens_b = [gaussian_density(0.5, (1.0, 0.2 * k, 0.0), 0.3) for k in range(3)]
+    got = pair_integrals(dens_a, dens_b, CONSTS, backend="mc", mc_samples=3000, seed=7)
+    assert workers == [cpus]
+    # seed + k: k counts the cross block row by row, then A's and B's self integrals
+    k = 7
+    for i, x in enumerate(dens_a):
+        for j, y in enumerate(dens_b):
+            assert (got.cross[i, j], got.stderr[i, j]) == coulomb_pair_mc(
+                x, y, CONSTS, samples=3000, seed=k)
+            k += 1
+    for own, family in ((got.self_a, dens_a), (got.self_b, dens_b)):
+        for value, e in zip(own, family):
+            assert value == coulomb_pair_mc(e, e, CONSTS, samples=3000, seed=k)[0]
+            k += 1
+
+
+def test_mc_pair_integral_errors_reach_the_caller():
+    e_a, e_b, _ = _MC_PAIRS["gaussians"]
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        pair_integrals([e_a], [e_b], CONSTS, backend="mc", mc_samples=1)
