@@ -242,6 +242,26 @@ def validate_config(cfg: dict) -> None:
     if scenario == "phase-compare" and any(
             cfg["sources"][k]["type"] not in ("localized", "gaussian") for k in "ab"):
         raise ConfigError("phase-compare sources must be localized or gaussian")
+    grid_sizes = {"grid/n": cfg["grid"]["n"]} if "grid" in cfg else {}
+    overlap = cfg.get("overlap")
+    if overlap:
+        grid_sizes.update((f"overlap/grid_sizes/{i}", n)
+                          for i, n in enumerate(overlap["grid_sizes"]))
+    for path, n in grid_sizes.items():
+        if n < 2 or n & (n - 1):
+            raise ConfigError(f"config invalid at {path}: grid size must be a power of two "
+                              f">= 2, got {n}")
+    if overlap:
+        box = overlap["box"]
+        position = overlap.get("position", [box / 2] * 3)
+        if not all(0.0 <= x <= box for x in position):
+            raise ConfigError(f"config invalid at overlap/position: {position} lies outside "
+                              f"the box [0, {box!r}]")
+        for scale in overlap.get("epsilon_scales", [1.0]):
+            end = [x + scale * e for x, e in zip(position, overlap["epsilon"])]
+            if not all(0.0 <= x <= box for x in end):
+                raise ConfigError(f"config invalid at overlap/epsilon: position + {scale!r} * "
+                                  f"epsilon = {end} leaves the box [0, {box!r}]")
     opalg = cfg.get("opalg", {})
     if "kvec" in opalg and not any(opalg["kvec"]):
         raise ConfigError("config invalid at opalg/kvec: wavevector must be nonzero")

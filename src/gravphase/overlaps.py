@@ -86,22 +86,21 @@ def exact_joint_overlap(
 ) -> complex:
     """Inner product of the joint matter+field states.
 
-    Assembles the field state of every eigen-density and contracts.  For
-    matching eigenbasis indices the two shift arrays are verified to cancel
-    mode by mode (gravity factor exactly 1); for distinct indices the matter
-    factor <E'|E> = 0 removes the term.  The result therefore equals the bare
-    matter overlap, which is what this function returns after the checks.
+    Assembles the field states of the eigen-densities whose index both
+    states carry and contracts.  For each such index the two shift arrays are
+    verified to cancel mode by mode (gravity factor exactly 1); an index only
+    one state carries meets the matter factor <E'|E> = 0, so its field state
+    is never built.  The result therefore equals the bare matter overlap,
+    which is what this function returns after the checks.
     """
-    states_a = {idx: build_field_state(d, consts, grid)
-                for idx, d in zip(psi_a.indices, psi_a.densities)}
-    states_b = {idx: build_field_state(d, consts, grid)
-                for idx, d in zip(psi_b.indices, psi_b.densities)}
-    out = 0.0 + 0.0j
     amp_b = dict(zip(psi_b.indices, psi_b.amplitudes))
-    for idx, amp in zip(psi_a.indices, psi_a.amplitudes):
+    dens_b = dict(zip(psi_b.indices, psi_b.densities))
+    out = 0.0 + 0.0j
+    for idx, amp, dens in zip(psi_a.indices, psi_a.amplitudes, psi_a.densities):
         if idx not in amp_b:
             continue
-        da, db = states_a[idx], states_b[idx]
+        da = build_field_state(dens, consts, grid)
+        db = build_field_state(dens_b[idx], consts, grid)
         scale = max(np.abs(da.shift).max(), 1.0)
         defect = np.abs(da.shift - db.shift).max() / scale
         if defect > SHIFT_CANCEL_TOL:
@@ -131,10 +130,15 @@ def analytic_point_amplitudes(mass: float, sigma: float, grid: GridSpec,
     return out
 
 
+def overlap_from_log(log_overlap: float) -> float:
+    """exp(log_overlap), flushed to 0 where it would underflow."""
+    return math.exp(log_overlap) if log_overlap > -745.0 else 0.0
+
+
 def semiclassical_overlap(
     x,
     epsilon,
-    w: float,
+    w,
     grid: GridSpec,
     consts: PhysicalConstants,
     mass: float = 1.0,
@@ -150,29 +154,48 @@ def semiclassical_overlap(
     the displaced-wavepacket overlap exp(-|eps|^2 / 8 sigma_m^2) when a
     matter width is declared.  Accumulated in log space; `return_log` gives
     the log value directly for ladder studies that would underflow.
+
+    `epsilon` may be a stack of displacements, shape (m, 3), and `w` a 1-D
+    array of widths; the result then has shape (m, len(w)), without the
+    axis of a single displacement or a scalar width.  The mode sum
+    S(eps) = sum |dh(k)|^2 is formed once per displacement and each width
+    only divides it, so every entry equals the scalar call bit for bit.
     """
-    if w <= 0.0:
+    w = np.asarray(w, dtype=float)
+    if w.ndim > 1:
+        raise ValueError("regularisation widths must be a scalar or a 1-D array")
+    if np.any(w <= 0.0):
         raise ValueError("regularisation width must be positive; "
                          "study the w -> 0 limit by sweeping instead")
     x = np.asarray(x, dtype=float)
     eps = np.asarray(epsilon, dtype=float)
-    if np.any(x < 0.0) or np.any(x + eps > grid.box) or np.any(x > grid.box):
+    if eps.ndim not in (1, 2) or eps.shape[-1] != 3:
+        raise ValueError("displacement must be a 3-vector or a stack of them")
+    ends = x + eps
+    if (np.any(x < 0.0) or np.any(x > grid.box)
+            or np.any(ends < 0.0) or np.any(ends > grid.box)):
         raise ValueError("displacement leaves the box")
     if sigma_reg is None:  # the width any unregularised point source gets on this grid
         sigma_reg = effective_sigma(point_density(0.0), grid)
     elif sigma_reg <= 0.0:
         raise ValueError("source regularisation width must be positive")
-    hk = analytic_point_amplitudes(mass, sigma_reg, grid, consts)
+    if matter_width is not None and matter_width <= 0.0:
+        raise ValueError("matter width must be positive")
+    hk2 = analytic_point_amplitudes(mass, sigma_reg, grid, consts) ** 2
     kvec = grid.k_lattice()
-    # |1 - e^{-i k.eps}|^2 = 2 (1 - cos k.eps)
-    keps = kvec @ eps
-    dh2 = 2.0 * (1.0 - np.cos(keps)) * hk**2
     mask = grid.nonzero_mode_mask()
-    log_overlap = -float(dh2[mask].sum() / (4.0 * w**2))
+    rows = eps.reshape(-1, 3)
+    # |1 - e^{-i k.eps}|^2 = 2 (1 - cos k.eps)
+    mode_sums = np.array([(2.0 * (1.0 - np.cos(kvec @ e)) * hk2)[mask].sum() for e in rows])
+    # each width's 4 w^2 in Python floats, as a scalar call has always formed it
+    log_overlap = -(mode_sums[:, None] / np.array([4.0 * v**2 for v in w.reshape(-1).tolist()]))
     if matter_width is not None:
-        if matter_width <= 0.0:
-            raise ValueError("matter width must be positive")
-        log_overlap += -float((eps**2).sum() / (8.0 * matter_width**2))
+        matter = np.array([(e**2).sum() / (8.0 * matter_width**2) for e in rows])
+        log_overlap += -matter[:, None]
+    log_overlap = log_overlap.reshape(eps.shape[:-1] + w.shape)
+    if log_overlap.ndim == 0:
+        log_overlap = float(log_overlap)
+        return log_overlap if return_log else overlap_from_log(log_overlap)
     if return_log:
         return log_overlap
-    return math.exp(log_overlap) if log_overlap > -745.0 else 0.0
+    return np.array([overlap_from_log(v) for v in log_overlap.flat]).reshape(log_overlap.shape)

@@ -338,8 +338,11 @@ def pair_integrals(
     integrals run one per thread on up to as many threads as the process
     has CPUs in its affinity mask (os.cpu_count() where the OS has no
     mask), so peak memory is about that many Monte-Carlo blocks; the
-    values do not depend on the thread count.
+    values do not depend on the thread count.  Two empty families give
+    empty arrays on every backend.
     """
+    if backend not in ("auto", "analytic", "grid", "mc"):
+        raise ValueError(f"unknown backend {backend!r}")
     dens_a, dens_b = list(dens_a), list(dens_b)
     n_a, n_b = len(dens_a), len(dens_b)
     if backend == "auto":
@@ -348,16 +351,20 @@ def pair_integrals(
     if backend == "grid":
         if grid is None:
             raise ValueError("grid backend needs a GridSpec")
-        # one potential live at a time keeps the peak memory that of one
-        # solve; only A's sampled densities are held throughout
+        # each density is sampled once and its solve handed the sampled grid
+        # density, which sampling returns as it is; one potential live at a
+        # time keeps the peak memory that of one solve; only A's sampled
+        # densities are held throughout
         va, self_a, self_b = [], np.empty(n_a), np.empty(n_b)
         cross = np.empty((n_a, n_b))
         for i, e in enumerate(dens_a):
-            va.append(_as_grid_values(e, grid, consts))
-            self_a[i] = _contract(va[i], _coulomb_potential(e, grid, consts), grid)
+            sampled = sample_on_grid(e, grid, consts)
+            va.append(sampled.values)
+            self_a[i] = _contract(va[i], _coulomb_potential(sampled, grid, consts), grid)
         for j, e in enumerate(dens_b):
-            pot = _coulomb_potential(e, grid, consts)
-            self_b[j] = _contract(_as_grid_values(e, grid, consts), pot, grid)
+            sampled = sample_on_grid(e, grid, consts)
+            pot = _coulomb_potential(sampled, grid, consts)
+            self_b[j] = _contract(sampled.values, pot, grid)
             cross[:, j] = [_contract(v, pot, grid) for v in va]
         return PairIntegrals(cross, np.zeros((n_a, n_b)), self_a, self_b)
 
@@ -369,7 +376,7 @@ def pair_integrals(
         return mutual_coulomb(x, y, consts, backend=backend, grid=grid,
                               mc_samples=mc_samples, seed=seed + k)
 
-    if backend == "mc":
+    if backend == "mc" and pairs:
         # numpy's generator and ufuncs release the GIL, and every integral
         # has its own seed, so the threads change no value
         from concurrent.futures import ThreadPoolExecutor
@@ -378,7 +385,7 @@ def pair_integrals(
             results = list(pool.map(integral, range(len(pairs))))
     else:
         results = [integral(k) for k in range(len(pairs))]
-    vals, errs = np.array(results).T
+    vals, errs = np.array(results).reshape(len(pairs), 2).T
     m = n_a * n_b
     return PairIntegrals(vals[:m].reshape(n_a, n_b), errs[:m].reshape(n_a, n_b),
                          vals[m:m + n_a], vals[m + n_a:])

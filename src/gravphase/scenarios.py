@@ -4,7 +4,6 @@ JSON report plus plot-ready CSV tables, return the report dict."""
 from __future__ import annotations
 
 import json
-import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .opalg import (
     polarization_tensors,
     propagator_sweep,
 )
-from .overlaps import exact_joint_overlap, semiclassical_overlap
+from .overlaps import exact_joint_overlap, overlap_from_log, semiclassical_overlap
 from .phases import PhaseRequest, compare_models, newton_phase, theta_AB
 from .poisson import laplacian_residual, solve_hT_direct, solve_hT_spectral
 from .sources import (
@@ -214,7 +213,8 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
     consts, scales, unit_label = build_constants(cfg)
     block = cfg["overlap"]
     box = block["box"] / scales["length"]
-    pos = np.asarray(block.get("position", [box / 2] * 3), dtype=float) / scales["length"]
+    pos = np.asarray(block.get("position", [block["box"] / 2] * 3), dtype=float)
+    pos /= scales["length"]
     eps0 = np.asarray(block["epsilon"], dtype=float) / scales["length"]
     mass = block.get("mass", 1.0) / scales["mass"]
     sigma_reg = block.get("sigma_reg")
@@ -225,19 +225,17 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
         matter_width /= scales["length"]
 
     ws = [block["w_start"] * 0.5**i for i in range(block["w_halvings"] + 1)]
-    eps_scales = block.get("epsilon_scales", [1.0])
+    eps_stack = np.array([eps0 * scale for scale in block.get("epsilon_scales", [1.0])])
     rows = []
     for n in block["grid_sizes"]:
-        grid = GridSpec(int(n), box)
-        for scale in eps_scales:
-            eps = eps0 * scale
-            for w in ws:
-                log_ov = semiclassical_overlap(pos, eps, w, grid, consts, mass=mass,
-                                               sigma_reg=sigma_reg,
-                                               matter_width=matter_width,
-                                               return_log=True)
-                ov = math.exp(log_ov) if log_ov > -745.0 else 0.0
-                rows.append((float(np.linalg.norm(eps)), w, int(n), ov, log_ov))
+        # one call per grid: the mode sum of each displacement serves every width
+        logs = semiclassical_overlap(pos, eps_stack, ws, GridSpec(int(n), box), consts,
+                                     mass=mass, sigma_reg=sigma_reg,
+                                     matter_width=matter_width, return_log=True)
+        for eps, eps_logs in zip(eps_stack, logs):
+            eps_norm = float(np.linalg.norm(eps))
+            rows.extend((eps_norm, w, int(n), overlap_from_log(log_ov), log_ov)
+                        for w, log_ov in zip(ws, eps_logs))
     write_csv(outdir / "tables" / "overlap_sweep.csv",
               ["epsilon", "w", "N", "overlap", "log_overlap"], rows)
 

@@ -162,6 +162,57 @@ def test_out_of_range_numbers_are_config_errors(tmp_path, capsys, config, overri
     assert not out.exists()
 
 
+def _small_poisson_file(tmp_path):
+    path = tmp_path / "poisson.json"
+    path.write_text(json.dumps(_small_poisson()))
+    return str(path)
+
+
+@pytest.mark.parametrize("config, override, where", [
+    (_phase_compare_grid_file, "grid.n=12", "grid/n"),
+    (_small_poisson_file, "grid.n=24", "grid/n"),
+    ("preset:semiclassical-overlap", "overlap.grid_sizes=[12]", "overlap/grid_sizes/0"),
+    ("preset:semiclassical-overlap", "overlap.grid_sizes=[8,1]", "overlap/grid_sizes/1"),
+])
+def test_grid_sizes_must_be_powers_of_two_at_load(tmp_path, capsys, config, override, where):
+    config = config if isinstance(config, str) else config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", config, "--set", override, "--out", str(out)]) == 1
+    assert (f"config invalid at {where}: grid size must be a power of two"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, where", [
+    (["overlap.position=[0.1,4,4]", "overlap.epsilon=[-0.5,0,0]"],
+     "overlap/epsilon: position + 0.5 * epsilon = [-0.15, 4.0, 4.0] leaves the box"),
+    (["overlap.position=[7.9,4,4]"],
+     "overlap/epsilon: position + 0.5 * epsilon = [8.15, 4.0, 4.0] leaves the box"),
+    (["overlap.position=[4,-1,4]"], "overlap/position: [4, -1, 4] lies outside the box"),
+])
+def test_overlap_displacement_leaving_the_box_is_refused_at_load(tmp_path, capsys,
+                                                                 overrides, where):
+    out = tmp_path / "o"
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["run", "preset:semiclassical-overlap", *sets, "--out", str(out)]) == 1
+    assert f"config invalid at {where} [0, 8.0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_si_overlap_sweep_defaults_to_the_box_centre(tmp_path):
+    # half the box in config units, scaled like every other length (it was
+    # scaled twice, which put it outside the box for any length scale below 1)
+    cfg = {"scenario": "overlap-sweep", "seed": 1,
+           "constants": {"system": "si", "length_scale": 1e-3, "mass_scale": 1e-14},
+           "overlap": {"epsilon": [5e-4, 0.0, 0.0], "w_start": 1.0, "w_halvings": 1,
+                       "grid_sizes": [8], "box": 8e-3, "mass": 1e-14}}
+    path = tmp_path / "si.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert len((out / "tables" / "overlap_sweep.csv").read_text().splitlines()) == 3
+
+
 def test_underflowing_wavevector_is_a_numerical_guard(tmp_path, capsys):
     # |k| = 1e-300 passes the nonzero check, but omega = c|k| underflows in h_op
     assert main(["run", "preset:zassenhaus-t3", "--set", "opalg.kvec=[0,0,1e-300]",

@@ -1,8 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from gravphase import overlaps, scenarios
+from gravphase.config import get_preset
 from gravphase.grids import GridSpec
 from gravphase.overlaps import (
     analytic_point_amplitudes,
@@ -84,6 +87,37 @@ def test_exact_joint_overlap_rejects_inconsistent_index():
         exact_joint_overlap(psi, other, GRID, CONSTS)
 
 
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_exact_joint_overlap_builds_only_shared_indices(monkeypatch):
+    calls = _counting(monkeypatch, overlaps, "build_field_state")
+    s3 = 1 / np.sqrt(3)
+    psi = _state([s3, s3, s3], (0, 1, 2))
+    phi = _state([0.6, 0.8], (1, 3))
+    joint = exact_joint_overlap(psi, phi, GRID, CONSTS)
+    assert joint == source_overlap(psi, phi)
+    # index 1 on each side; indices 0, 2 and 3 meet a zero matter factor
+    assert [args[0] for args in calls] == [psi.densities[1], phi.densities[0]]
+
+    calls.clear()
+    other = QuantumSourceState(
+        amplitudes=[0.6, 0.8], indices=(1, 3),
+        densities=[gaussian_density(1.0, (5.0, 5.0, 5.0), 0.5), phi.densities[1]])
+    with pytest.raises(ValueError, match="eigenstate index 1 carries inconsistent"):
+        exact_joint_overlap(psi, other, GRID, CONSTS)
+    assert len(calls) == 2
+
+
 def test_semiclassical_trivial_and_guards():
     pos = (4.0, 4.0, 4.0)
     assert semiclassical_overlap(pos, (0.0, 0.0, 0.0), 1.0, GRID, CONSTS) == 1.0
@@ -91,6 +125,75 @@ def test_semiclassical_trivial_and_guards():
         semiclassical_overlap(pos, (0.5, 0, 0), 0.0, GRID, CONSTS)
     with pytest.raises(ValueError, match="box"):
         semiclassical_overlap((7.9, 4, 4), (0.5, 0, 0), 1.0, GRID, CONSTS)
+    with pytest.raises(ValueError, match="box"):
+        semiclassical_overlap((0.1, 4, 4), (-0.5, 0, 0), 1.0, GRID, CONSTS)
+    with pytest.raises(ValueError, match="box"):
+        semiclassical_overlap(pos, [(0.5, 0, 0), (0, 0, -4.5)], 1.0, GRID, CONSTS)
+
+
+@pytest.mark.parametrize("w", [[1.0, 0.0, 2.0], [3.0, -0.5], [[1.0, 2.0]]])
+def test_semiclassical_refuses_width_arrays_with_a_non_positive_entry(w):
+    with pytest.raises(ValueError, match="width"):
+        semiclassical_overlap((4.0, 4.0, 4.0), [(0.5, 0, 0), (0, 0.5, 0)], w, GRID, CONSTS)
+
+
+def _scalar_reference(x, eps, w, grid, mass, sigma_reg, matter_width):
+    """The log overlap as the scalar form has always computed it."""
+    hk = analytic_point_amplitudes(mass, sigma_reg, grid, CONSTS)
+    dh2 = 2.0 * (1.0 - np.cos(grid.k_lattice() @ np.asarray(eps, float))) * hk**2
+    log_overlap = -float(dh2[grid.nonzero_mode_mask()].sum() / (4.0 * w**2))
+    if matter_width is not None:
+        log_overlap += -float((np.asarray(eps, float) ** 2).sum() / (8.0 * matter_width**2))
+    return log_overlap
+
+
+@pytest.mark.parametrize("matter_width", [None, 0.25])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_semiclassical_array_forms_equal_scalar_calls(n, matter_width):
+    grid = GridSpec(n, 8.0)
+    pos = (4.0, 4.0, 4.0)
+    eps = np.array([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (-0.3, 0.7, 0.1), (1.3, -2.9, 3.7)])
+    # 2.759**2 rounds one ulp apart in Python floats and in numpy's square
+    ws = [700.0 * 0.5**i for i in range(6)] + [3.7, 2.759, 0.013, 1e-3 / 3]
+    kw = dict(mass=1.3, sigma_reg=0.1, matter_width=matter_width)
+    logs = semiclassical_overlap(pos, eps, ws, grid, CONSTS, return_log=True, **kw)
+    values = semiclassical_overlap(pos, eps, ws, grid, CONSTS, **kw)
+    assert logs.shape == values.shape == (len(eps), len(ws))
+    assert (values == 0.0).any() and (values == 1.0).any() and ((0 < values) & (values < 1)).any()
+    for i, e in enumerate(eps):
+        for j, w in enumerate(ws):
+            log_ij = semiclassical_overlap(pos, e, w, grid, CONSTS, return_log=True, **kw)
+            assert logs[i, j] == log_ij == _scalar_reference(pos, e, w, grid, **kw)
+            assert values[i, j] == semiclassical_overlap(pos, e, w, grid, CONSTS, **kw)
+        row = semiclassical_overlap(pos, e, ws, grid, CONSTS, return_log=True, **kw)
+        assert row.shape == (len(ws),) and np.array_equal(row, logs[i])
+    column = semiclassical_overlap(pos, eps, ws[2], grid, CONSTS, return_log=True, **kw)
+    assert column.shape == (len(eps),) and np.array_equal(column, logs[:, 2])
+
+
+def test_overlap_sweep_calls_the_overlap_once_per_grid(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, scenarios, "semiclassical_overlap")
+    cfg = get_preset("semiclassical-overlap")
+    cfg["overlap"]["state_pairs"] = 0
+    scenarios.run_overlap_sweep(cfg, tmp_path)
+    block = cfg["overlap"]
+    assert len(calls) == len(block["grid_sizes"]) == 3
+    with open(tmp_path / "tables" / "overlap_sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    ws = [block["w_start"] * 0.5**i for i in range(block["w_halvings"] + 1)]
+    expected = [(n, scale, w) for n in block["grid_sizes"]
+                for scale in block["epsilon_scales"] for w in ws]
+    assert len(rows) == len(expected) == 90
+    eps0 = np.array(block["epsilon"])
+    for row, (n, scale, w) in zip(rows, expected):
+        log_ov = overlaps.semiclassical_overlap(
+            block["position"], eps0 * scale, w, GridSpec(n, block["box"]), CONSTS,
+            mass=block["mass"], sigma_reg=block["sigma_reg"],
+            matter_width=block["matter_width"], return_log=True)
+        assert (int(row["N"]), float(row["w"])) == (n, w)
+        assert float(row["epsilon"]) == float(np.linalg.norm(eps0 * scale))
+        assert float(row["log_overlap"]) == log_ov
+        assert float(row["overlap"]) == overlaps.overlap_from_log(log_ov)
 
 
 @pytest.mark.parametrize("sigma_reg", [0.0, -2.0 * GRID.h])

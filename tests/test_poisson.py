@@ -428,3 +428,46 @@ def test_mc_pair_integral_errors_reach_the_caller():
     e_a, e_b, _ = _MC_PAIRS["gaussians"]
     with pytest.raises(ValueError, match="at least 2 samples"):
         pair_integrals([e_a], [e_b], CONSTS, backend="mc", mc_samples=1)
+
+
+def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
+    from gravphase import poisson
+
+    sampled = []
+    real = poisson.sample_on_grid
+
+    def recording(e, grid, consts):
+        sampled.append(e.kind)
+        return real(e, grid, consts)
+
+    monkeypatch.setattr(poisson, "sample_on_grid", recording)
+    grid = GridSpec(16, 6.0)
+    dens_a = [gaussian_density(1.0, (2.5 + 0.4 * k, 3.0, 3.0), 0.5) for k in range(2)]
+    dens_b = [gaussian_density(0.7, (3.5, 3.0 - 0.3 * k, 3.0), 0.6) for k in range(2)]
+    got = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
+    # the solves receive the sampled grid density, which sampling hands back as is
+    assert sampled.count("gaussian") == 4 and sampled.count("grid") == 4
+    monkeypatch.setattr(poisson, "sample_on_grid", real)
+
+    def pair(x, y):  # the analytic density sampled anew for the solve
+        pot = solve_hT_spectral(y, grid, CONSTS).values * (4.0 * math.pi / KAPPA)
+        return float((sample_on_grid(x, grid, CONSTS).values * pot).sum() * grid.cell_volume)
+
+    for i, x in enumerate(dens_a):
+        assert got.self_a[i] == pair(x, x)
+        for j, y in enumerate(dens_b):
+            assert got.cross[i, j] == pair(x, y)
+    assert [got.self_b[j] for j in range(2)] == [pair(y, y) for y in dens_b]
+
+
+@pytest.mark.parametrize("backend", ["auto", "analytic", "grid", "mc"])
+def test_empty_density_families_give_empty_pair_integrals(backend):
+    got = pair_integrals([], [], CONSTS, backend=backend, grid=GridSpec(8, 6.0))
+    assert [a.shape for a in (got.cross, got.stderr, got.self_a, got.self_b)] == \
+        [(0, 0), (0, 0), (0,), (0,)]
+    assert all(a.dtype == np.float64 for a in (got.cross, got.stderr, got.self_a, got.self_b))
+
+
+def test_pair_integrals_refuse_an_unknown_backend():
+    with pytest.raises(ValueError, match="unknown backend 'fmm'"):
+        pair_integrals([], [], CONSTS, backend="fmm")
