@@ -13,7 +13,6 @@ from .sources import (
     point_density,
     sample_on_grid,
     source_overlap,
-    total_mass,
 )
 from .poisson import (
     PairIntegrals,

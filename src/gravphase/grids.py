@@ -1,10 +1,28 @@
-"""Cubic periodic grid bookkeeping shared by the spectral modules."""
+"""Cubic periodic grid bookkeeping shared by the spectral modules.
+
+`GridSpec` owns the tables every spectral computation on a grid reads: the
+mode magnitudes |k|, the mask of the nonzero modes and the spectrum of the
+doubled-box 1/r kernel of the free-space (Hockney) convolution.  Each is
+built on first use, once per grid object, and is read-only; equality and
+hashing still go by (n, box) alone.  The wavevector lattice itself stays
+an uncached method: its (n, n, n, 3) array is read once per overlap call.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+# Average of 1/|r| over the unit cube centred at the origin, in closed form.
+_UNIT_CUBE_INV_R_AVERAGE = 3.0 * math.log(2.0 + math.sqrt(3.0)) - math.pi / 2.0
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -42,11 +60,38 @@ class GridSpec:
         kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
         return np.stack([kx, ky, kz], axis=-1)
 
+    @cached_property
     def k_magnitude(self) -> np.ndarray:
-        return np.sqrt((self.k_lattice() ** 2).sum(axis=-1))
+        """|k| per mode, shape (n, n, n), FFT layout."""
+        return _read_only(np.sqrt((self.k_lattice() ** 2).sum(axis=-1)))
 
+    @cached_property
     def nonzero_mode_mask(self) -> np.ndarray:
+        """True on every mode but k = 0."""
         mask = np.ones((self.n,) * 3, dtype=bool)
         mask[0, 0, 0] = False
-        return mask
+        return _read_only(mask)
 
+    @cached_property
+    def coulomb_kernel_hat(self) -> np.ndarray:
+        """rfftn of `coulomb_kernel`, shape (2n, 2n, n + 1)."""
+        return _read_only(np.fft.rfftn(coulomb_kernel(self)))
+
+
+def cell_averaged_inv_r(h: float) -> float:
+    """Cell average of 1/r for a cubic cell of side h centred on the node."""
+    return _UNIT_CUBE_INV_R_AVERAGE / h
+
+
+def coulomb_kernel(grid: GridSpec) -> np.ndarray:
+    """1/r on the doubled box, minimum image per axis, with the cell average
+    at the origin.  Offsets i and 2N - i have the same |d|, so 1/r is
+    evaluated on the (N+1)^3 non-negative offsets and mirrored."""
+    n = grid.n
+    d = np.arange(n + 1) * grid.h
+    r2 = d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2
+    with np.errstate(divide="ignore"):
+        octant = 1.0 / np.sqrt(r2)
+    octant[0, 0, 0] = cell_averaged_inv_r(grid.h)
+    mirror = np.r_[0:n + 1, n - 1:0:-1]
+    return octant[np.ix_(mirror, mirror, mirror)]

@@ -3,17 +3,19 @@
 Two regimes are contrasted here.  Treating a displaced source classically
 pins the constraint field to a delta functional, so two solutions that differ
 by any amount are orthogonal; regularising each mode's delta as a Gaussian of
-width w exhibits the limit (`semiclassical_overlap` falls off as w shrinks,
-as the displacement grows and as more modes are constrained).  Keeping the
-source quantum instead, the joint matter+field inner product collapses onto
-the matter overlap alone: the per-mode shift phases cancel exactly for equal
-eigen-densities and orthogonal eigenstates drop out (`exact_joint_overlap`).
+width w exhibits the limit (the log overlap `semiclassical_overlap` returns
+falls as w shrinks, as the displacement grows and as more modes are
+constrained).  Keeping the source quantum instead, the joint matter+field
+inner product collapses onto the matter overlap alone: the per-mode shift
+phases cancel exactly for equal eigen-densities and orthogonal eigenstates
+drop out (`exact_joint_overlap`).
 
-Mode data live on the FFT lattice; Fourier amplitudes carry the cell-volume
-factor h^3 (physical convention, stable under grid refinement) and the k = 0
-mode never enters a product.  Only transverse-traceless vacuum factors and
-trace-part shift phases matter: the longitudinal and trace momentum
-integrations are common normalisation between bra and ket.
+Mode data live on the FFT lattice, whose |k| and nonzero-mode mask are the
+grid's own tables; Fourier amplitudes carry the cell-volume factor h^3
+(physical convention, stable under grid refinement) and the k = 0 mode never
+enters a product.  Only transverse-traceless vacuum factors and trace-part
+shift phases matter: the longitudinal and trace momentum integrations are
+common normalisation between bra and ket.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ def field_fourier_amplitudes(e: EnergyDensity, grid: GridSpec, consts: PhysicalC
     """
     vals = sample_on_grid(e, grid, consts).values
     ek = np.fft.fftn(vals) * grid.cell_volume
-    kmag = grid.k_magnitude()
-    mask = grid.nonzero_mode_mask()
+    kmag = grid.k_magnitude
+    mask = grid.nonzero_mode_mask
     out = np.zeros_like(ek)
     out[mask] = consts.kappa * ek[mask] / kmag[mask] ** 2
     return out
@@ -72,10 +74,7 @@ def field_fourier_amplitudes(e: EnergyDensity, grid: GridSpec, consts: PhysicalC
 
 def build_field_state(e: EnergyDensity, consts: PhysicalConstants, grid: GridSpec) -> ModeGaussianState:
     hk = field_fourier_amplitudes(e, grid, consts)
-    shift = hk / (2.0 * consts.hbar)
-    mask = grid.nonzero_mode_mask()
-    shift[~mask] = 0.0
-    return ModeGaussianState(grid=grid, shift=shift)
+    return ModeGaussianState(grid=grid, shift=hk / (2.0 * consts.hbar))
 
 
 def exact_joint_overlap(
@@ -122,8 +121,8 @@ def analytic_point_amplitudes(mass: float, sigma: float, grid: GridSpec,
     changes a mode product only by adding modes.  The grid-solve transform
     agrees with these values mode by mode up to discretisation (tested).
     """
-    kmag = grid.k_magnitude()
-    mask = grid.nonzero_mode_mask()
+    kmag = grid.k_magnitude
+    mask = grid.nonzero_mode_mask
     out = np.zeros_like(kmag)
     k2 = kmag[mask] ** 2
     out[mask] = consts.kappa * mass * consts.c**2 * np.exp(-0.5 * sigma**2 * k2) / k2
@@ -144,16 +143,15 @@ def semiclassical_overlap(
     mass: float = 1.0,
     sigma_reg: float | None = None,
     matter_width: float | None = None,
-    return_log: bool = False,
 ):
-    """Overlap of two classically-treated displaced sources.
+    """Log overlap of two classically-treated displaced sources.
 
     The per-mode delta constraint on the trace field is regularised as a
     Gaussian of width w, giving the product over modes of
     exp(-|dh(k)|^2 / 4 w^2) with dh(k) = (1 - e^{-i k . eps}) h^T(k), times
     the displaced-wavepacket overlap exp(-|eps|^2 / 8 sigma_m^2) when a
-    matter width is declared.  Accumulated in log space; `return_log` gives
-    the log value directly for ladder studies that would underflow.
+    matter width is declared.  The log is returned, since the overlap itself
+    underflows on ladder studies; `overlap_from_log` recovers it.
 
     `epsilon` may be a stack of displacements, shape (m, 3), and `w` a 1-D
     array of widths; the result then has shape (m, len(w)), without the
@@ -183,7 +181,7 @@ def semiclassical_overlap(
         raise ValueError("matter width must be positive")
     hk2 = analytic_point_amplitudes(mass, sigma_reg, grid, consts) ** 2
     kvec = grid.k_lattice()
-    mask = grid.nonzero_mode_mask()
+    mask = grid.nonzero_mode_mask
     rows = eps.reshape(-1, 3)
     # |1 - e^{-i k.eps}|^2 = 2 (1 - cos k.eps)
     mode_sums = np.array([(2.0 * (1.0 - np.cos(kvec @ e)) * hk2)[mask].sum() for e in rows])
@@ -193,9 +191,4 @@ def semiclassical_overlap(
         matter = np.array([(e**2).sum() / (8.0 * matter_width**2) for e in rows])
         log_overlap += -matter[:, None]
     log_overlap = log_overlap.reshape(eps.shape[:-1] + w.shape)
-    if log_overlap.ndim == 0:
-        log_overlap = float(log_overlap)
-        return log_overlap if return_log else overlap_from_log(log_overlap)
-    if return_log:
-        return log_overlap
-    return np.array([overlap_from_log(v) for v in log_overlap.flat]).reshape(log_overlap.shape)
+    return float(log_overlap) if log_overlap.ndim == 0 else log_overlap

@@ -16,12 +16,14 @@ average of 1/r):
   source weights in one matrix product and sums the Toeplitz diagonal along
   the third axis.  The sum is exact: every source node meets every target.
 * `solve_hT_spectral` performs the identical free-space convolution by
-  zero-padded grid doubling (Hockney): the 1/r kernel is tabulated on the
-  doubled box with the cell-averaged value at the origin (which also renders
-  its k = 0 Fourier mode finite), transformed once per grid, multiplied and
-  transformed back.  Periodic images never contaminate the result because
-  every source to target displacement of the original box is covered by the
-  doubled box.
+  zero-padded grid doubling (Hockney): the density's transform on the
+  doubled box is multiplied by the grid's `coulomb_kernel_hat` (the 1/r
+  kernel tabulated on the doubled box with the cell-averaged value at the
+  origin, which also renders its k = 0 Fourier mode finite; `GridSpec`
+  builds it once per grid) and transformed back.  Periodic images never
+  contaminate the result because every source to target displacement of
+  the original box is covered by the doubled box.  The module keeps no
+  state of its own.
 
 Continuum fidelity is checked elsewhere against closed forms (point far
 field, mutual Gaussian energies) and the discrete Laplacian residual.
@@ -43,11 +45,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grids import GridSpec
+from .grids import GridSpec, cell_averaged_inv_r
 from .sources import EnergyDensity, PhysicalConstants, effective_sigma, sample_on_grid
 
 DIRECT_N_LIMIT = 48
@@ -71,39 +72,8 @@ class ScalarFieldX:
             raise ValueError("field entries must be finite")
 
 
-# Average of 1/|r| over the unit cube centred at the origin, in closed form.
-_UNIT_CUBE_INV_R_AVERAGE = 3.0 * math.log(2.0 + math.sqrt(3.0)) - math.pi / 2.0
-
-
-def cell_averaged_inv_r(h: float) -> float:
-    """Cell average of 1/r for a cubic cell of side h centred on the node."""
-    return _UNIT_CUBE_INV_R_AVERAGE / h
-
-
 def _as_grid_values(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> np.ndarray:
     return sample_on_grid(e, grid, consts).values
-
-
-def _coulomb_kernel(grid: GridSpec) -> np.ndarray:
-    """1/r on the doubled box, minimum image per axis, with the cell average
-    at the origin.  Offsets i and 2N - i have the same |d|, so 1/r is
-    evaluated on the (N+1)^3 non-negative offsets and mirrored."""
-    n = grid.n
-    d = np.arange(n + 1) * grid.h
-    r2 = d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2
-    with np.errstate(divide="ignore"):
-        octant = 1.0 / np.sqrt(r2)
-    octant[0, 0, 0] = cell_averaged_inv_r(grid.h)
-    mirror = np.r_[0:n + 1, n - 1:0:-1]
-    return octant[np.ix_(mirror, mirror, mirror)]
-
-
-@lru_cache(maxsize=1)
-def _coulomb_kernel_hat(grid: GridSpec) -> np.ndarray:
-    """Transform of the doubled-box kernel; a run solves on one grid."""
-    k_hat = np.fft.rfftn(_coulomb_kernel(grid))
-    k_hat.flags.writeable = False
-    return k_hat
 
 
 def solve_hT_spectral(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> ScalarFieldX:
@@ -116,7 +86,7 @@ def solve_hT_spectral(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstant
     vals = _as_grid_values(e, grid, consts)
     n, n2 = grid.n, 2 * grid.n
     spec = np.fft.fft(np.fft.fft(np.fft.rfft(vals, n=n2, axis=2), n=n2, axis=1), n=n2, axis=0)
-    spec *= _coulomb_kernel_hat(grid)
+    spec *= grid.coulomb_kernel_hat
     spec = np.fft.ifft(spec, axis=0)[:n]  # frees the product before the next transform
     conv = np.fft.irfft(np.fft.ifft(spec, axis=1)[:, :n], n=n2, axis=2)
     out = conv[:, :, :n] * (consts.kappa / (4.0 * math.pi)) * grid.cell_volume
@@ -168,10 +138,6 @@ def solve_hT_direct(
     return ScalarFieldX(grid=ngrid, values=out)
 
 
-def _pair_is_analytic(e: EnergyDensity) -> bool:
-    return e.analytic
-
-
 def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity, consts: PhysicalConstants,
                           grid: GridSpec | None = None) -> float:
     """Closed form of int E_A(x) E_B(y) / |x-y| for Gaussian/point profiles.
@@ -181,7 +147,7 @@ def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity, consts: Physic
     with s^2 = sigma_A^2 + sigma_B^2 (and the d -> 0 limit for coincident
     centers).
     """
-    if not (_pair_is_analytic(e_a) and _pair_is_analytic(e_b)):
+    if not (e_a.analytic and e_b.analytic):
         raise ValueError("analytic backend needs point or gaussian profiles")
     sa = effective_sigma(e_a, grid)
     sb = effective_sigma(e_b, grid)
@@ -216,7 +182,7 @@ def coulomb_pair_mc(
     about 4.5 doubles per block sample: A's block (3), the 1/r buffer (1)
     and B's chunk.
     """
-    if not (_pair_is_analytic(e_a) and _pair_is_analytic(e_b)):
+    if not (e_a.analytic and e_b.analytic):
         raise ValueError("mc backend needs point or gaussian profiles")
     if samples < 2:
         raise ValueError(f"mc backend needs at least 2 samples for a standard error, got {samples}")
@@ -286,7 +252,7 @@ def mutual_coulomb(
     stderr is zero for the deterministic backends.
     """
     if backend == "auto":
-        backend = "analytic" if (_pair_is_analytic(e_a) and _pair_is_analytic(e_b)) else "grid"
+        backend = "analytic" if (e_a.analytic and e_b.analytic) else "grid"
     if backend == "analytic":
         return coulomb_pair_analytic(e_a, e_b, consts, grid), 0.0
     if backend == "mc":
@@ -346,7 +312,7 @@ def pair_integrals(
     dens_a, dens_b = list(dens_a), list(dens_b)
     n_a, n_b = len(dens_a), len(dens_b)
     if backend == "auto":
-        analytic = all(_pair_is_analytic(e) for e in dens_a + dens_b)
+        analytic = all(e.analytic for e in dens_a + dens_b)
         backend = "analytic" if analytic else "grid"
     if backend == "grid":
         if grid is None:

@@ -128,14 +128,17 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
                   [(c["sigma"], c["sigma_over_d"], c["phase"], c["point_phase"],
                     c["deviation"], c["stderr"]) for c in report.convergence])
 
+    widths = cfg.get("width_variation", ())
+    # one width-independent Newton phase; it raises on coincident centres,
+    # so only a config that asks for the table computes it
+    nw = newton_phase(spec_a, spec_b, request.time, consts).phases[0, 0] if widths else None
     width_rows = []
-    for width in cfg.get("width_variation", ()):
+    for width in widths:
         sig = width / scales["length"]
         ea = gaussian_density(spec_a.mass, spec_a.centers[0], sig)
         eb = gaussian_density(spec_b.mass, spec_b.centers[0], sig)
         th, _ = theta_AB(ea, eb, request.time, consts, backend=request.backend,
                          grid=grid, mc_samples=request.mc_samples, seed=request.seed)
-        nw = newton_phase(spec_a, spec_b, request.time, consts).phases[0, 0]
         width_rows.append((sig, th, nw))
     if width_rows:
         write_csv(outdir / "tables" / "width_variation.csv",
@@ -231,7 +234,7 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
         # one call per grid: the mode sum of each displacement serves every width
         logs = semiclassical_overlap(pos, eps_stack, ws, GridSpec(int(n), box), consts,
                                      mass=mass, sigma_reg=sigma_reg,
-                                     matter_width=matter_width, return_log=True)
+                                     matter_width=matter_width)
         for eps, eps_logs in zip(eps_stack, logs):
             eps_norm = float(np.linalg.norm(eps))
             rows.extend((eps_norm, w, int(n), overlap_from_log(log_ov), log_ov)

@@ -156,15 +156,6 @@ def sample_on_grid(
     return grid_density(vals, grid.box)
 
 
-def total_mass(e: EnergyDensity, consts: PhysicalConstants) -> float:
-    """int E d^3x / c^2."""
-    if e.analytic:
-        return float(e.mass)
-    n = e.values.shape[0]
-    cell = (e.box / n) ** 3
-    return float(e.values.sum() * cell / consts.c**2)
-
-
 @dataclass(frozen=True)
 class LocalizedSourceSpec:
     """Superposition of localised branches of one source of mass `mass`:

@@ -245,12 +245,12 @@ def test_criterion_5_overlap_identities():
 
     pos, eps, sigma_reg = (4.0, 4.0, 4.0), (0.5, 0.0, 0.0), 0.1
     w_logs = [semiclassical_overlap(pos, eps, 700.0 * 0.5**i, grid, CONSTS,
-                                    sigma_reg=sigma_reg, return_log=True)
+                                    sigma_reg=sigma_reg)
               for i in range(6)]
     w_monotone = all(b < a for a, b in zip(w_logs, w_logs[1:]))
     w_final_small = math.exp(w_logs[-1] - w_logs[0]) < 1e-3
     n_logs = [semiclassical_overlap(pos, eps, 500.0, GridSpec(n, 8.0), CONSTS,
-                                    sigma_reg=sigma_reg, return_log=True)
+                                    sigma_reg=sigma_reg)
               for n in (8, 16, 32)]
     n_monotone = all(b < a for a, b in zip(n_logs, n_logs[1:]))
     elapsed = time.monotonic() - t0

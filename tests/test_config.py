@@ -5,6 +5,7 @@ configs generated around CONFIG_SCHEMA; schema-valid configs on small grids
 are run through the CLI, where every one must end in a documented exit code.
 """
 
+import copy
 import json
 import tempfile
 import warnings
@@ -71,7 +72,9 @@ def _around(draw, schema: dict):
         for k in parent_path:
             parent = parent[k]
         value = parent[key]
-        options = ([float(value)] if type(value) is int else []) + _JUNK
+        # fresh junk per draw: a later mutation may edit a junk list or dict
+        # in place, which must not change what the next example draws
+        options = ([float(value)] if type(value) is int else []) + copy.deepcopy(_JUNK)
         mutation = draw(st.integers(0, len(options) + 1))
         if mutation < len(options):
             parent[key] = options[mutation]

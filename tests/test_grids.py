@@ -1,0 +1,26 @@
+import pytest
+
+from gravphase.grids import GridSpec
+
+TABLES = ("k_magnitude", "nonzero_mode_mask", "coulomb_kernel_hat")
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_each_table_is_built_once_and_read_only(name):
+    grid = GridSpec(8, 4.0)
+    table = getattr(grid, name)
+    assert getattr(grid, name) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        table += 1
+
+
+def test_built_tables_leave_equality_and_hash_alone():
+    built, bare = GridSpec(8, 4.0), GridSpec(8, 4.0)
+    for name in TABLES:
+        getattr(built, name)
+    assert built == bare and hash(built) == hash(bare)
+    assert {bare: "table"}[built] == "table"
+    assert built != GridSpec(8, 2.0)
+

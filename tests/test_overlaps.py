@@ -44,7 +44,7 @@ def test_fft_shift_theorem_for_displaced_source():
     s0 = build_field_state(gaussian_density(1.0, (3.0, 4, 4), 0.4), CONSTS, GRID)
     s1 = build_field_state(gaussian_density(1.0, (3.0 + eps, 4, 4), 0.4), CONSTS, GRID)
     kx = GRID.k_lattice()[..., 0]
-    mask = GRID.nonzero_mode_mask()
+    mask = GRID.nonzero_mode_mask
     expected = s0.shift[mask] * np.exp(-1j * kx[mask] * eps)
     scale = np.abs(s0.shift).max()
     np.testing.assert_allclose(s1.shift[mask], expected, rtol=1e-10, atol=1e-12 * scale)
@@ -120,7 +120,8 @@ def test_exact_joint_overlap_builds_only_shared_indices(monkeypatch):
 
 def test_semiclassical_trivial_and_guards():
     pos = (4.0, 4.0, 4.0)
-    assert semiclassical_overlap(pos, (0.0, 0.0, 0.0), 1.0, GRID, CONSTS) == 1.0
+    log_ov = semiclassical_overlap(pos, (0.0, 0.0, 0.0), 1.0, GRID, CONSTS)
+    assert overlaps.overlap_from_log(log_ov) == 1.0
     with pytest.raises(ValueError, match="width"):
         semiclassical_overlap(pos, (0.5, 0, 0), 0.0, GRID, CONSTS)
     with pytest.raises(ValueError, match="box"):
@@ -141,7 +142,7 @@ def _scalar_reference(x, eps, w, grid, mass, sigma_reg, matter_width):
     """The log overlap as the scalar form has always computed it."""
     hk = analytic_point_amplitudes(mass, sigma_reg, grid, CONSTS)
     dh2 = 2.0 * (1.0 - np.cos(grid.k_lattice() @ np.asarray(eps, float))) * hk**2
-    log_overlap = -float(dh2[grid.nonzero_mode_mask()].sum() / (4.0 * w**2))
+    log_overlap = -float(dh2[grid.nonzero_mode_mask].sum() / (4.0 * w**2))
     if matter_width is not None:
         log_overlap += -float((np.asarray(eps, float) ** 2).sum() / (8.0 * matter_width**2))
     return log_overlap
@@ -156,18 +157,17 @@ def test_semiclassical_array_forms_equal_scalar_calls(n, matter_width):
     # 2.759**2 rounds one ulp apart in Python floats and in numpy's square
     ws = [700.0 * 0.5**i for i in range(6)] + [3.7, 2.759, 0.013, 1e-3 / 3]
     kw = dict(mass=1.3, sigma_reg=0.1, matter_width=matter_width)
-    logs = semiclassical_overlap(pos, eps, ws, grid, CONSTS, return_log=True, **kw)
-    values = semiclassical_overlap(pos, eps, ws, grid, CONSTS, **kw)
-    assert logs.shape == values.shape == (len(eps), len(ws))
+    logs = semiclassical_overlap(pos, eps, ws, grid, CONSTS, **kw)
+    assert logs.shape == (len(eps), len(ws))
+    values = np.array([overlaps.overlap_from_log(v) for v in logs.flat]).reshape(logs.shape)
     assert (values == 0.0).any() and (values == 1.0).any() and ((0 < values) & (values < 1)).any()
     for i, e in enumerate(eps):
         for j, w in enumerate(ws):
-            log_ij = semiclassical_overlap(pos, e, w, grid, CONSTS, return_log=True, **kw)
+            log_ij = semiclassical_overlap(pos, e, w, grid, CONSTS, **kw)
             assert logs[i, j] == log_ij == _scalar_reference(pos, e, w, grid, **kw)
-            assert values[i, j] == semiclassical_overlap(pos, e, w, grid, CONSTS, **kw)
-        row = semiclassical_overlap(pos, e, ws, grid, CONSTS, return_log=True, **kw)
+        row = semiclassical_overlap(pos, e, ws, grid, CONSTS, **kw)
         assert row.shape == (len(ws),) and np.array_equal(row, logs[i])
-    column = semiclassical_overlap(pos, eps, ws[2], grid, CONSTS, return_log=True, **kw)
+    column = semiclassical_overlap(pos, eps, ws[2], grid, CONSTS, **kw)
     assert column.shape == (len(eps),) and np.array_equal(column, logs[:, 2])
 
 
@@ -189,7 +189,7 @@ def test_overlap_sweep_calls_the_overlap_once_per_grid(tmp_path, monkeypatch):
         log_ov = overlaps.semiclassical_overlap(
             block["position"], eps0 * scale, w, GridSpec(n, block["box"]), CONSTS,
             mass=block["mass"], sigma_reg=block["sigma_reg"],
-            matter_width=block["matter_width"], return_log=True)
+            matter_width=block["matter_width"])
         assert (int(row["N"]), float(row["w"])) == (n, w)
         assert float(row["epsilon"]) == float(np.linalg.norm(eps0 * scale))
         assert float(row["log_overlap"]) == log_ov
@@ -207,7 +207,7 @@ def test_semiclassical_refuses_non_positive_sigma_reg(sigma_reg):
 def test_semiclassical_w_ladder_strictly_decreasing():
     pos, eps = (4.0, 4.0, 4.0), (0.5, 0.0, 0.0)
     logs = [semiclassical_overlap(pos, eps, 700.0 * 0.5**i, GRID, CONSTS,
-                                  sigma_reg=0.1, return_log=True) for i in range(6)]
+                                  sigma_reg=0.1) for i in range(6)]
     assert all(b < a for a, b in zip(logs, logs[1:]))
     assert math.exp(logs[-1] - logs[0]) < 1e-3
 
@@ -215,7 +215,7 @@ def test_semiclassical_w_ladder_strictly_decreasing():
 def test_semiclassical_mode_count_monotone():
     pos, eps = (4.0, 4.0, 4.0), (0.5, 0.0, 0.0)
     logs = [semiclassical_overlap(pos, eps, 500.0, GridSpec(n, 8.0), CONSTS,
-                                  sigma_reg=0.1, return_log=True) for n in (8, 16, 32)]
+                                  sigma_reg=0.1) for n in (8, 16, 32)]
     assert logs[1] < logs[0] and logs[2] < logs[1]
 
 
@@ -224,8 +224,7 @@ def test_semiclassical_monotone_in_displacement():
     values = []
     for scale in (0.0, 0.25, 0.5, 0.75, 1.0):
         values.append(semiclassical_overlap(pos, (scale, 0.0, 0.0), 400.0, GRID, CONSTS,
-                                            sigma_reg=0.1, matter_width=0.5,
-                                            return_log=True))
+                                            sigma_reg=0.1, matter_width=0.5))
     assert all(b < a or (a == b == 0.0) for a, b in zip(values, values[1:]))
 
 
@@ -237,7 +236,7 @@ def test_analytic_amplitudes_match_mode_solve():
     e = point_density(1.0, (4.0, 4.0, 4.0), sigma_reg=sigma)
     hk_grid = np.abs(field_fourier_amplitudes(e, grid, CONSTS))
     hk_exact = analytic_point_amplitudes(1.0, sigma, grid, CONSTS)
-    kmag = grid.k_magnitude()
+    kmag = grid.k_magnitude
     sel = (kmag > 0) & (kmag < 4.0)
     rel = np.abs(hk_grid[sel] - hk_exact[sel]) / hk_exact[sel]
     assert rel.max() < 0.01

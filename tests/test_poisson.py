@@ -9,12 +9,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from gravphase.grids import GridSpec
+from gravphase.grids import GridSpec, cell_averaged_inv_r, coulomb_kernel
 from gravphase.poisson import (
     MC_BLOCK,
-    _coulomb_kernel,
-    _coulomb_kernel_hat,
-    cell_averaged_inv_r,
     coulomb_pair_analytic,
     coulomb_pair_mc,
     laplacian_residual,
@@ -166,12 +163,9 @@ def test_direct_stride_subsampling():
 def test_cached_kernel_never_serves_another_grid():
     grids = [GridSpec(16, 8.0), GridSpec(16, 4.0), GridSpec(16, 8.0)]
     e = gaussian_density(1.0, (2.0, 2.0, 2.0), 0.4)  # fits both boxes
-    fresh = {}
-    for grid in grids[:2]:
-        _coulomb_kernel_hat.cache_clear()
-        fresh[grid] = solve_hT_spectral(e, grid, CONSTS).values
-    _coulomb_kernel_hat.cache_clear()
-    for grid in grids:
+    # each reference solve builds its kernel on a grid object of its own
+    fresh = {g: solve_hT_spectral(e, GridSpec(g.n, g.box), CONSTS).values for g in grids[:2]}
+    for grid in grids + grids:  # the second pass reads every grid's built kernel
         np.testing.assert_array_equal(solve_hT_spectral(e, grid, CONSTS).values, fresh[grid])
 
 
@@ -190,7 +184,7 @@ def _kernel_reference(grid):
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_octant_kernel_is_bit_identical_to_the_full_formula(n):
-    np.testing.assert_array_equal(_coulomb_kernel(GridSpec(n, 4.0)),
+    np.testing.assert_array_equal(coulomb_kernel(GridSpec(n, 4.0)),
                                   _kernel_reference(GridSpec(n, 4.0)))
 
 
@@ -219,7 +213,7 @@ def test_spectral_solve_peak_memory_is_two_spectra():
     n = 64
     grid = GridSpec(n, 4.0)
     e = gaussian_density(1.0, (1.3, 2.2, 1.9), 0.4)
-    solve_hT_spectral(e, grid, CONSTS)  # the kernel transform is cached per grid
+    solve_hT_spectral(e, grid, CONSTS)  # builds the grid's kernel spectrum
     tracemalloc.start()
     try:
         solve_hT_spectral(e, grid, CONSTS)
