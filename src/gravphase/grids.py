@@ -2,10 +2,11 @@
 
 `GridSpec` owns the tables every spectral computation on a grid reads: the
 mode magnitudes |k|, the mask of the nonzero modes and the spectrum of the
-doubled-box 1/r kernel of the free-space (Hockney) convolution.  Each is
-built on first use, once per grid object, and is read-only; equality and
-hashing still go by (n, box) alone.  The wavevector lattice itself stays
-an uncached method: its (n, n, n, 3) array is read once per overlap call.
+doubled-box 1/r kernel of the free-space (Hockney) convolution, real as the
+kernel is even.  Each is built on first use, once per grid object, and is
+read-only; equality and hashing still go by (n, box) alone.  The wavevector
+lattice stays an uncached method: its (n, n, n, 3) array is read once per
+overlap call.
 """
 
 from __future__ import annotations
@@ -74,8 +75,18 @@ class GridSpec:
 
     @cached_property
     def coulomb_kernel_hat(self) -> np.ndarray:
-        """rfftn of `coulomb_kernel`, shape (2n, 2n, n + 1)."""
-        return _read_only(np.fft.rfftn(coulomb_kernel(self)))
+        """rfftn of the doubled-box 1/r kernel, real, shape (2n, 2n, n + 1).
+
+        Offsets i and 2n - i have the same |d|, so the kernel is the octant
+        mirrored in every axis and its transform is real and even.  Each axis
+        is transformed as the real part of an rfft of the mirrored octant,
+        and the (n+1)^3 result is mirrored into the first two axes; the full
+        (2n)^3 kernel is never formed."""
+        mirror = np.r_[0:self.n + 1, self.n - 1:0:-1]
+        table = coulomb_kernel_octant(self)
+        for axis in (2, 1, 0):
+            table = np.fft.rfft(np.take(table, mirror, axis=axis), axis=axis).real
+        return _read_only(table[np.ix_(mirror, mirror, np.arange(self.n + 1))])
 
 
 def cell_averaged_inv_r(h: float) -> float:
@@ -83,15 +94,13 @@ def cell_averaged_inv_r(h: float) -> float:
     return _UNIT_CUBE_INV_R_AVERAGE / h
 
 
-def coulomb_kernel(grid: GridSpec) -> np.ndarray:
-    """1/r on the doubled box, minimum image per axis, with the cell average
-    at the origin.  Offsets i and 2N - i have the same |d|, so 1/r is
-    evaluated on the (N+1)^3 non-negative offsets and mirrored."""
-    n = grid.n
-    d = np.arange(n + 1) * grid.h
+def coulomb_kernel_octant(grid: GridSpec) -> np.ndarray:
+    """1/r over the (N+1)^3 non-negative offsets 0..N per axis of the doubled
+    box, with the cell average at the origin; offset i stands for i and
+    2N - i, the minimum image of both."""
+    d = np.arange(grid.n + 1) * grid.h
     r2 = d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2
     with np.errstate(divide="ignore"):
         octant = 1.0 / np.sqrt(r2)
     octant[0, 0, 0] = cell_averaged_inv_r(grid.h)
-    mirror = np.r_[0:n + 1, n - 1:0:-1]
-    return octant[np.ix_(mirror, mirror, mirror)]
+    return octant

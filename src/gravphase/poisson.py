@@ -17,20 +17,21 @@ average of 1/r):
   the third axis.  The sum is exact: every source node meets every target.
 * `solve_hT_spectral` performs the identical free-space convolution by
   zero-padded grid doubling (Hockney): the density's transform on the
-  doubled box is multiplied by the grid's `coulomb_kernel_hat` (the 1/r
-  kernel tabulated on the doubled box with the cell-averaged value at the
-  origin, which also renders its k = 0 Fourier mode finite; `GridSpec`
-  builds it once per grid) and transformed back.  Periodic images never
-  contaminate the result because every source to target displacement of
-  the original box is covered by the doubled box.  The module keeps no
-  state of its own.
+  doubled box is multiplied by the grid's `coulomb_kernel_hat` (the real
+  spectrum of the 1/r kernel tabulated on the doubled box with the
+  cell-averaged value at the origin, which also renders its k = 0 Fourier
+  mode finite; `GridSpec` builds it once per grid) and transformed back.
+  Periodic images never contaminate the result because every source to
+  target displacement of the original box is covered by the doubled box.
+  The module keeps no state of its own.
 
 Continuum fidelity is checked elsewhere against closed forms (point far
 field, mutual Gaussian energies) and the discrete Laplacian residual.
 
 Coulomb pair integrals int E_A E_B / |x - y| come in closed form, by grid
-quadrature against the spectral potential, or by 6-D Monte Carlo, one pair
-at a time (`mutual_coulomb`) or for two whole density families at once
+quadrature (the same Hockney convolution, summed in Fourier space with no
+potential formed), or by 6-D Monte Carlo, one pair at a time
+(`mutual_coulomb`) or for two whole density families at once
 (`pair_integrals`, which computes each integral once).
 
 The Monte-Carlo stream is part of the contract: per block of MC_BLOCK
@@ -87,8 +88,9 @@ def solve_hT_spectral(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstant
     n, n2 = grid.n, 2 * grid.n
     spec = np.fft.fft(np.fft.fft(np.fft.rfft(vals, n=n2, axis=2), n=n2, axis=1), n=n2, axis=0)
     spec *= grid.coulomb_kernel_hat
-    spec = np.fft.ifft(spec, axis=0)[:n]  # frees the product before the next transform
-    conv = np.fft.irfft(np.fft.ifft(spec, axis=1)[:, :n], n=n2, axis=2)
+    spec = np.fft.ifft(spec, axis=0, out=spec)[:n]
+    spec = np.fft.ifft(spec, axis=1)[:, :n]  # frees the product before the last transform
+    conv = np.fft.irfft(spec, n=n2, axis=2)
     out = conv[:, :, :n] * (consts.kappa / (4.0 * math.pi)) * grid.cell_volume
     return ScalarFieldX(grid=grid, values=out)
 
@@ -219,20 +221,10 @@ def coulomb_pair_mc(
     return scale * mean, scale * math.sqrt(var / samples)
 
 
-def _coulomb_potential(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> np.ndarray:
-    """int E(y) / |x - y| on the grid nodes: the spectral h^T without kappa / 4 pi."""
-    return solve_hT_spectral(e, grid, consts).values * (4.0 * math.pi / consts.kappa)
-
-
-def _contract(values: np.ndarray, potential: np.ndarray, grid: GridSpec) -> float:
-    return float((values * potential).sum() * grid.cell_volume)
-
-
 def coulomb_pair_grid(e_a: EnergyDensity, e_b: EnergyDensity, consts: PhysicalConstants,
                       grid: GridSpec) -> float:
-    """Grid quadrature: contract E_A with the solved potential of E_B."""
-    va = _as_grid_values(e_a, grid, consts)
-    return _contract(va, _coulomb_potential(e_b, grid, consts), grid)
+    """Grid quadrature of one pair: the cross entry of `pair_integrals`."""
+    return float(pair_integrals([e_a], [e_b], consts, backend="grid", grid=grid).cross[0, 0])
 
 
 def mutual_coulomb(
@@ -246,9 +238,10 @@ def mutual_coulomb(
 ):
     """int d^3x d^3y E_A(x) E_B(y) / |x - y|, returned as (value, stderr).
 
-    backend: "analytic" (Gaussian/point closed form), "grid" (spectral solve
-    plus contraction), "mc" (6-D Monte Carlo), or "auto" which picks the
-    closed form when both profiles are analytic and the grid route otherwise.
+    backend: "analytic" (Gaussian/point closed form), "grid" (Hockney
+    quadrature in Fourier space), "mc" (6-D Monte Carlo), or "auto" which
+    picks the closed form when both profiles are analytic and the grid route
+    otherwise.
     stderr is zero for the deterministic backends.
     """
     if backend == "auto":
@@ -284,6 +277,33 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _grid_pair_integrals(dens_a, dens_b, consts: PhysicalConstants, grid: GridSpec) -> PairIntegrals:
+    """Parseval on the doubled box: P_ij = h^6 / (2N)^3 sum_k w K^(k)
+    (Re A^_i Re B^_j + Im A^_i Im B^_j) over the rfft half-spectrum, w = 1
+    at k2 = 0 and N, else 2.  Each density is sampled once and held as its
+    axis-2 rfft, an (N, N, N+1) stage; then, one k2 plane at a time, every
+    slab is transformed along axes 1 and 0 and all sums of the plane taken.
+    No potential or full spectrum is built, and the product is symmetric,
+    so swapping the families transposes the cross block bit for bit."""
+    n, n2 = grid.n, 2 * grid.n
+    stages = [np.fft.rfft(sample_on_grid(e, grid, consts).values, n=n2, axis=2)
+              for e in dens_a + dens_b]
+    n_a, n_d = len(dens_a), len(stages)
+    cross, own = np.zeros((n_a, n_d - n_a)), np.zeros(n_d)
+
+    def sums(x, y, kernel):
+        return (kernel * (x.real * y.real + x.imag * y.imag)).sum(axis=(-2, -1))
+
+    for k2 in range(n + 1 if stages else 0):
+        slabs = np.fft.fft2(np.stack([s[:, :, k2] for s in stages]), s=(n2, n2))  # axis 2, then 1
+        kernel = grid.coulomb_kernel_hat[:, :, k2]
+        weight = 1.0 if k2 in (0, n) else 2.0
+        cross += weight * sums(slabs[:n_a, None], slabs[None, n_a:], kernel)
+        own += weight * sums(slabs, slabs, kernel)
+    scale = grid.cell_volume**2 / n2**3
+    return PairIntegrals(cross * scale, np.zeros_like(cross), own[:n_a] * scale, own[n_a:] * scale)
+
+
 def pair_integrals(
     dens_a,
     dens_b,
@@ -298,7 +318,8 @@ def pair_integrals(
 
     "auto" takes the closed form when every density is analytic and the grid
     otherwise, so that all integrals share one quadrature.  The grid backend
-    solves one potential per density, holding one at a time; "mc" draws
+    takes one forward transform per density and sums every integral in
+    Fourier space (`_grid_pair_integrals`); "mc" draws
     independent samples per integral, seeded seed + k with k counting the
     cross block row by row, then the self integrals of A and of B.  The mc
     integrals run one per thread on up to as many threads as the process
@@ -317,22 +338,7 @@ def pair_integrals(
     if backend == "grid":
         if grid is None:
             raise ValueError("grid backend needs a GridSpec")
-        # each density is sampled once and its solve handed the sampled grid
-        # density, which sampling returns as it is; one potential live at a
-        # time keeps the peak memory that of one solve; only A's sampled
-        # densities are held throughout
-        va, self_a, self_b = [], np.empty(n_a), np.empty(n_b)
-        cross = np.empty((n_a, n_b))
-        for i, e in enumerate(dens_a):
-            sampled = sample_on_grid(e, grid, consts)
-            va.append(sampled.values)
-            self_a[i] = _contract(va[i], _coulomb_potential(sampled, grid, consts), grid)
-        for j, e in enumerate(dens_b):
-            sampled = sample_on_grid(e, grid, consts)
-            pot = _coulomb_potential(sampled, grid, consts)
-            self_b[j] = _contract(sampled.values, pot, grid)
-            cross[:, j] = [_contract(v, pot, grid) for v in va]
-        return PairIntegrals(cross, np.zeros((n_a, n_b)), self_a, self_b)
+        return _grid_pair_integrals(dens_a, dens_b, consts, grid)
 
     pairs = ([(x, y) for x in dens_a for y in dens_b]
              + [(e, e) for e in dens_a] + [(e, e) for e in dens_b])

@@ -368,9 +368,10 @@ def _counting(monkeypatch, name):
 def test_compare_models_computes_each_pair_integral_once(monkeypatch):
     a, b = (LocalizedSourceSpec(mass=1.0, amplitudes=[S2, S2], widths=[0.3, 0.3],
                                 centers=[[x, 2.0, 2.0], [x + 0.4, 2.0, 2.0]]) for x in (1.0, 2.6))
+    samplings = _counting(monkeypatch, "sample_on_grid")
     solves = _counting(monkeypatch, "solve_hT_spectral")
     models(a, b, 0.3, backend="grid", grid=GridSpec(16, 4.0))
-    assert len(solves) == 4  # one potential per density
+    assert len(samplings) == 4 and not solves  # one transform per density, no potential
     draws = _counting(monkeypatch, "coulomb_pair_mc")
     models(a, b, 0.3, backend="mc", mc_samples=1000)
     assert len(draws) == 8  # 2x2 cross integrals and 2 + 2 self integrals

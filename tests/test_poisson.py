@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from gravphase.grids import GridSpec, cell_averaged_inv_r, coulomb_kernel
+from gravphase.grids import GridSpec, cell_averaged_inv_r, coulomb_kernel_octant
 from gravphase.poisson import (
     MC_BLOCK,
     coulomb_pair_analytic,
@@ -184,17 +184,35 @@ def _kernel_reference(grid):
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_octant_kernel_is_bit_identical_to_the_full_formula(n):
-    np.testing.assert_array_equal(coulomb_kernel(GridSpec(n, 4.0)),
+    # offsets i and 2N - i share |d|: the octant mirrored is the full kernel
+    mirror = np.r_[0:n + 1, n - 1:0:-1]
+    octant = coulomb_kernel_octant(GridSpec(n, 4.0))
+    np.testing.assert_array_equal(octant[np.ix_(mirror, mirror, mirror)],
                                   _kernel_reference(GridSpec(n, 4.0)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_real_kernel_spectrum_is_the_real_part_of_the_full_transform(n):
+    # the doubled-box kernel is even in every axis, so its transform is real:
+    # the reference's imaginary part is rounding noise, and the table built
+    # from the octant agrees with its real part to a few ulps of the largest
+    # entry (measured <= 0.11 eps)
+    grid = GridSpec(n, 4.0)
+    ref = np.fft.rfftn(_kernel_reference(grid))
+    table = grid.coulomb_kernel_hat
+    scale = np.abs(ref.real).max()
+    assert table.dtype == np.float64 and table.shape == ref.shape == (2 * n, 2 * n, n + 1)
+    assert np.abs(ref.imag).max() <= 1e-16 * scale
+    assert np.abs(table - ref.real).max() <= 8 * np.finfo(float).eps * scale
 
 
 def _spectral_reference(e, grid):
     """The spectral solve as first written: the density zero-padded into the
-    doubled box, rfftn, times the kernel transform, irfftn, cropped."""
+    doubled box, rfftn, times the grid's kernel spectrum, irfftn, cropped."""
     n, n2 = grid.n, 2 * grid.n
     padded = np.zeros((n2,) * 3)
     padded[:n, :n, :n] = sample_on_grid(e, grid, CONSTS).values
-    conv = np.fft.irfftn(np.fft.rfftn(padded) * np.fft.rfftn(_kernel_reference(grid)),
+    conv = np.fft.irfftn(np.fft.rfftn(padded) * grid.coulomb_kernel_hat,
                          s=(n2,) * 3, axes=(0, 1, 2))
     return conv[:n, :n, :n] * (KAPPA / (4.0 * math.pi)) * grid.cell_volume
 
@@ -220,10 +238,11 @@ def test_spectral_solve_peak_memory_is_two_spectra():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # two complex half-spectra of the doubled box live at once, plus the
-    # density and the field; the padded form held twice that
+    # at most the doubled-box product (inverted along axis 0 in place) and
+    # its axis-1 inverse, half as tall, live at once, plus the density; 64 KiB
+    # covers the transforms' line buffers
     spectrum = (2 * n) ** 2 * (n + 1) * 16
-    assert peak <= 2 * spectrum + 2 * n**3 * 8, peak
+    assert peak <= spectrum + spectrum // 2 + n**3 * 8 + 2**16, peak
 
 
 def test_laplacian_residual_small():
@@ -278,7 +297,7 @@ def test_mutual_coulomb_zero_and_symmetry():
     e2 = smooth_density(grid, seed=10)
     ab, _ = mutual_coulomb(e, e2, CONSTS, backend="grid", grid=grid)
     ba, _ = mutual_coulomb(e2, e, CONSTS, backend="grid", grid=grid)
-    assert abs(ab - ba) < 0.005 * abs(ab)
+    assert ab == ba
 
 
 def test_grid_backend_against_closed_form():
@@ -439,19 +458,58 @@ def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
     dens_a = [gaussian_density(1.0, (2.5 + 0.4 * k, 3.0, 3.0), 0.5) for k in range(2)]
     dens_b = [gaussian_density(0.7, (3.5, 3.0 - 0.3 * k, 3.0), 0.6) for k in range(2)]
     got = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
-    # the solves receive the sampled grid density, which sampling hands back as is
-    assert sampled.count("gaussian") == 4 and sampled.count("grid") == 4
+    # one sampling per density and no solve, so no grid density is sampled
+    assert sampled.count("gaussian") == 4 and sampled.count("grid") == 0
     monkeypatch.setattr(poisson, "sample_on_grid", real)
 
-    def pair(x, y):  # the analytic density sampled anew for the solve
+    def pair(x, y):  # position space: E_A contracted with the solved potential of E_B
         pot = solve_hT_spectral(y, grid, CONSTS).values * (4.0 * math.pi / KAPPA)
         return float((sample_on_grid(x, grid, CONSTS).values * pot).sum() * grid.cell_volume)
 
-    for i, x in enumerate(dens_a):
-        assert got.self_a[i] == pair(x, x)
-        for j, y in enumerate(dens_b):
-            assert got.cross[i, j] == pair(x, y)
-    assert [got.self_b[j] for j in range(2)] == [pair(y, y) for y in dens_b]
+    # the same quadrature summed in another order: equal to rounding
+    want = [[pair(x, y) for y in dens_b] for x in dens_a]
+    np.testing.assert_allclose(got.cross, want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got.self_a, [pair(x, x) for x in dens_a], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got.self_b, [pair(y, y) for y in dens_b], rtol=1e-14, atol=0)
+
+
+def test_swapping_the_families_transposes_the_grid_pair_integrals():
+    # a few random spikes per density spread the sums evenly over the modes,
+    # so that an asymmetric product such as (K a) b shows in the last bits
+    grid = GridSpec(16, 8.0)
+    rng = np.random.default_rng(12)
+    spikes = []
+    for _ in range(3):
+        values = np.zeros((16,) * 3)
+        values.flat[rng.choice(values.size, 5, replace=False)] = rng.uniform(0.5, 1.5, 5)
+        spikes.append(grid_density(values, grid.box))
+    dens_a = [spikes[0], gaussian_density(1.0, (3.0, 4.0, 4.5), 0.6)]
+    dens_b = [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5), spikes[1], spikes[2]]
+    ab = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
+    ba = pair_integrals(dens_b, dens_a, CONSTS, backend="grid", grid=grid)
+    assert np.array_equal(ba.cross, ab.cross.T)
+    assert np.array_equal(ba.self_a, ab.self_b) and np.array_equal(ba.self_b, ab.self_a)
+
+
+def test_grid_pair_integrals_peak_memory_is_the_stages_and_one_plane():
+    n = 64
+    grid = GridSpec(n, 6.0)
+    dens_a = [gaussian_density(0.7, (1.65 + dx, 3.0, 3.0), 0.3) for dx in (0.0, 0.7)]
+    dens_b = [gaussian_density(0.7, (3.65 + dx, 3.0, 3.0), 0.3) for dx in (0.0, 0.7)]
+    grid.coulomb_kernel_hat  # built once per grid, not part of the call
+    tracemalloc.start()
+    try:
+        pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the four axis-2 stages, (N, N, N+1) complex each, and the work of one
+    # k2 plane: the four (2N, 2N) complex slab transforms, at most three live
+    # temporaries of the sums, each the four cross products (two planes'
+    # worth), and two planes for the transform's intermediate and buffers
+    # (measured 19.9 MB)
+    stage, plane = n * n * (n + 1) * 16, (2 * n) ** 2 * 16
+    assert peak <= 4 * stage + (4 + 3 * 2 + 2) * plane, peak
 
 
 @pytest.mark.parametrize("backend", ["auto", "analytic", "grid", "mc"])
