@@ -41,7 +41,6 @@ from .opalg import (
     ModeSpec,
     ProbeStressTensor,
     PropagatorComparison,
-    PropagatorSweep,
     ThetaPrediction,
     TruncatedModeSystem,
     build_HG,
@@ -54,7 +53,6 @@ from .opalg import (
     make_single_mode_system,
     nested_commutators,
     predict_theta,
-    propagator_sweep,
     zassenhaus_product,
 )
 

@@ -251,6 +251,10 @@ def validate_config(cfg: dict) -> None:
         if n < 2 or n & (n - 1):
             raise ConfigError(f"config invalid at {path}: grid size must be a power of two "
                               f">= 2, got {n}")
+    stride = cfg.get("poisson", {}).get("stride")
+    if stride is not None and "grid" in cfg and cfg["grid"]["n"] % stride:
+        raise ConfigError(f"config invalid at poisson/stride: stride must divide grid/n = "
+                          f"{cfg['grid']['n']}, got {stride}")
     if overlap:
         box = overlap["box"]
         position = overlap.get("position", [box / 2] * 3)

@@ -246,82 +246,59 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def nested_commutators(h_g: np.ndarray, h_i: np.ndarray, depth: int = 3) -> dict:
-    """{"GI": [H_G,H_I], "GGI": [H_G,[H_G,H_I]], "IGI": [H_I,[H_G,H_I]]} up
-    to the requested depth for one branch block (or equal stacks of them);
-    computed once and returned as a cache."""
-    if not 1 <= depth <= 3:
-        raise ValueError("depth must be 1, 2 or 3")
-    out = {"GI": commutator(h_g, h_i)}
-    if depth >= 2:
-        out["GGI"] = commutator(h_g, out["GI"])
-    if depth >= 3:
-        out["IGI"] = commutator(h_i, out["GI"])
-    return out
+def nested_commutators(h_g: np.ndarray, h_i: np.ndarray) -> dict:
+    """{"GI": [H_G,H_I], "GGI": [H_G,[H_G,H_I]], "IGI": [H_I,[H_G,H_I]]} for
+    one branch block (or equal stacks of them), computed once."""
+    gi = commutator(h_g, h_i)
+    return {"GI": gi, "GGI": commutator(h_g, gi), "IGI": commutator(h_i, gi)}
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigendecomposition H = V diag(lambda) V^dagger of a Hermitian
-    generator, or of a stack of them."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def propagator(self, s: float) -> np.ndarray:
-        """exp(-i s H) = V diag(e^{-i s lambda}) V^dagger, unitary by construction."""
-        phases = np.exp(-1j * s * self.values)[..., None, :]
-        return (self.vectors * phases) @ np.swapaxes(self.vectors.conj(), -1, -2)
-
-
-def _hermitian_spectrum(h: np.ndarray) -> HermitianSpectrum:
+def _propagators(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """exp(-i s H) = V diag(e^{-i s lambda}) V^dagger at every s, from one
+    eigendecomposition of H (or of a stack of them); unitary by
+    construction.  s holds the time axes and then one unit axis per stack
+    axis of H, and the time axes lead the result."""
     # eigh reads one triangle, so a commutator that is Hermitian only up to
     # rounding is exponentiated as its Hermitian part
     values, vectors = np.linalg.eigh(h)
-    return HermitianSpectrum(values=values, vectors=vectors)
+    phases = np.exp(-1j * s[..., None] * values)[..., None, :]
+    return (vectors * phases) @ np.swapaxes(vectors.conj(), -1, -2)
 
 
-def _exact_spectrum(h_total: np.ndarray) -> HermitianSpectrum:
+def _times(t, h: np.ndarray) -> np.ndarray:
+    """A time or a 1-D array of times, with one unit axis per stack axis of h."""
+    t = np.asarray(t, dtype=float)
+    return t.reshape(t.shape + (1,) * (h.ndim - 2))
+
+
+def zassenhaus_product(h_g: np.ndarray, h_i: np.ndarray, t,
+                       hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered products of exponentials at a time or a 1-D array of times
+    (time axis first), as (order2, order3).  The factors are exp(-i s_k G_k)
+    for the generators H_G, H_I, i[H_G,H_I] and [H_G,[H_G,H_I]] +
+    2 [H_I,[H_G,H_I]], with s = t/hbar, t/hbar, t^2/2hbar^2 and
+    -t^3/6hbar^3; order 2 stops after the single-commutator factor and
+    order 3 is order 2 times the t^3 factor.  Each generator is
+    diagonalised once per call; H_I may be a stack of branch blocks, and
+    H_G is then diagonalised once for all."""
+    nest = nested_commutators(np.broadcast_to(h_g, h_i.shape), h_i)
+    times = _times(t, h_i)
+
+    def power(p):  # in Python floats: numpy's array power can be an ulp off
+        return np.reshape([x**p for x in times.ravel().tolist()], times.shape)
+
+    order2 = (_propagators(h_g, times / hbar) @ _propagators(h_i, times / hbar)
+              @ _propagators(1j * nest["GI"], power(2) / (2.0 * hbar**2)))
+    return order2, order2 @ _propagators(nest["GGI"] + 2.0 * nest["IGI"],
+                                         -power(3) / (6.0 * hbar**3))
+
+
+def exact_propagator(h_total: np.ndarray, t, hbar: float) -> np.ndarray:
+    """exp(-i t H / hbar) at a time or a 1-D array of times (time axis
+    first), from one eigendecomposition of H (or of each block of a stack)."""
     if h_total.shape[-1] > EXACT_DIM_LIMIT:
         raise ValueError(f"dense exponential guarded to dimension {EXACT_DIM_LIMIT}")
-    return _hermitian_spectrum(h_total)
-
-
-def _zassenhaus_spectra(h_g: np.ndarray, h_i: np.ndarray,
-                        order: int) -> tuple[HermitianSpectrum, ...]:
-    """Spectra of the Hermitian generators of the Zassenhaus factors: H_G, H_I,
-    i[H_G,H_I] and, at order 3, [H_G,[H_G,H_I]] + 2 [H_I,[H_G,H_I]].  H_I may
-    be a stack of branch blocks; H_G is then diagonalised once for all."""
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
-    nest = nested_commutators(np.broadcast_to(h_g, h_i.shape), h_i,
-                              depth=1 if order == 2 else 3)
-    generators = [h_g, h_i, 1j * nest["GI"]]
-    if order == 3:
-        generators.append(nest["GGI"] + 2.0 * nest["IGI"])
-    return tuple(_hermitian_spectrum(g) for g in generators)
-
-
-def _zassenhaus_products(spectra, t: float, hbar: float) -> list[np.ndarray]:
-    """Running products of the factors at time t, exp(-i s_k G_k) with
-    s = t/hbar, t/hbar, t^2/2hbar^2 and -t^3/6hbar^3 for the generators G_k
-    above: entry k is the product of the first k + 1 factors."""
-    scales = (t / hbar, t / hbar, t**2 / (2.0 * hbar**2), -(t**3) / (6.0 * hbar**3))
-    out = [spectra[0].propagator(scales[0])]
-    for spectrum, s in zip(spectra[1:], scales[1:]):
-        out.append(out[-1] @ spectrum.propagator(s))
-    return out
-
-
-def zassenhaus_product(h_g: np.ndarray, h_i: np.ndarray, t: float, hbar: float,
-                       order: int = 3) -> np.ndarray:
-    """Ordered product of exponentials; order 3 keeps the t^3 factor, order 2
-    stops after the single-commutator factor."""
-    return _zassenhaus_products(_zassenhaus_spectra(h_g, h_i, order), t, hbar)[-1]
-
-
-def exact_propagator(h_total: np.ndarray, t: float, hbar: float) -> np.ndarray:
-    return _exact_spectrum(h_total).propagator(t / hbar)
+    return _propagators(h_total, _times(t, h_total) / hbar)
 
 
 @dataclass(frozen=True)
@@ -407,62 +384,40 @@ def _unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])).max())
 
 
-@dataclass(frozen=True)
-class PropagatorSweep:
-    """What every time of a sweep shares, built once: the per-branch spectra
-    of H_G + H_I,b and of the Zassenhaus generators, and the low-level
-    projector."""
-
-    system: TruncatedModeSystem
-    probe: ProbeStressTensor
-    hT_shift: np.ndarray
-    exact: HermitianSpectrum
-    factors: tuple[HermitianSpectrum, ...]
-    projector: np.ndarray
-    branch_pair: tuple[int, int]
-
-
-def propagator_sweep(system: TruncatedModeSystem, probe: ProbeStressTensor,
-                     hT_shift, n_low: int = 8,
-                     branch_pair: tuple[int, int] = (0, 1)) -> PropagatorSweep:
-    """Build H_G and every H_I,b once and diagonalise, per branch, H_G + H_I,b
-    and the Zassenhaus generators (H_G itself once for all branches)."""
-    h_g = build_HG(system)
-    h_i = build_HI(system, probe, hT_shift)
-    return PropagatorSweep(system=system, probe=probe,
-                           hT_shift=np.asarray(hT_shift, dtype=float),
-                           exact=_exact_spectrum(h_g + h_i),
-                           factors=_zassenhaus_spectra(h_g, h_i, 3),
-                           projector=low_level_projector(system, n_low),
-                           branch_pair=branch_pair)
-
-
-def compare_propagators(sweep: PropagatorSweep, t: float) -> PropagatorComparison:
+def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
+                        hT_shift, times, n_low: int = 8,
+                        branch_pair: tuple[int, int] = (0, 1)) -> list[PropagatorComparison]:
     """Evolve every branch exactly and through the order-3 and order-2
     ordered-exponential factorisations, measure their deviations on the
-    low-lying subspace and extract the branch-pair interference data.
+    low-lying subspace and extract the branch-pair interference data: one
+    PropagatorComparison per time, in the order given.  H_G and every H_I,b
+    are built once, and each propagator function is called once for all
+    times.
 
     A defect is the largest per-branch ||(U_b - U_Z,b) P||_2, which is the
     operator norm on the block-diagonal field (x) probe space.  Every
     propagator is checked unitary to 1e-10 (they are unitary by
     construction, so this guards against a corrupted decomposition rather
     than roundoff)."""
-    system = sweep.system
     hbar = system.consts.hbar
-    u_exact = sweep.exact.propagator(t / hbar)
-    _, _, u_z2, u_z3 = _zassenhaus_products(sweep.factors, t, hbar)
+    times = np.asarray(times, dtype=float)
+    h_g = build_HG(system)
+    h_i = build_HI(system, probe, hT_shift)
+    u_exact = exact_propagator(h_g + h_i, times, hbar)
+    u_z2, u_z3 = zassenhaus_product(h_g, h_i, times, hbar)
     for u in (u_exact, u_z2, u_z3):
         if _unitarity_defect(u) > 1e-10:
             raise ValueError("propagator lost unitarity beyond 1e-10")
+    projector = low_level_projector(system, n_low)
     defect3, defect2 = (
-        float(np.linalg.norm((u_exact - u_z) @ sweep.projector, 2, axis=(-2, -1)).max())
+        np.linalg.norm((u_exact - u_z) @ projector, 2, axis=(-2, -1)).max(axis=-1)
         for u_z in (u_z3, u_z2))
-    dphase, dmag = extract_relative_phase(u_exact, sweep.branch_pair)
-    pred = predict_theta(system, sweep.probe, sweep.hT_shift, t)
-    return PropagatorComparison(time=t, u_exact=u_exact, u_zassenhaus=u_z3,
-                                defect_order3=defect3, defect_order2=defect2,
-                                dphase_exact=dphase, ddamping_exact=dmag,
-                                prediction=pred, branch_pair=sweep.branch_pair)
+    interference = [extract_relative_phase(u, branch_pair) for u in u_exact]
+    return [PropagatorComparison(
+        time=t, u_exact=u_exact[k], u_zassenhaus=u_z3[k], defect_order3=float(defect3[k]),
+        defect_order2=float(defect2[k]), dphase_exact=interference[k][0],
+        ddamping_exact=interference[k][1], prediction=predict_theta(system, probe, hT_shift, t),
+        branch_pair=branch_pair) for k, t in enumerate(times)]
 
 
 def extract_relative_phase(u: np.ndarray, branch_pair: tuple[int, int]):

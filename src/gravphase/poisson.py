@@ -29,9 +29,9 @@ Continuum fidelity is checked elsewhere against closed forms (point far
 field, mutual Gaussian energies) and the discrete Laplacian residual.
 
 Coulomb pair integrals int E_A E_B / |x - y| come in closed form, by grid
-quadrature (the same Hockney convolution, summed in Fourier space with no
-potential formed), or by 6-D Monte Carlo, one pair at a time
-(`mutual_coulomb`) or for two whole density families at once
+quadrature (`coulomb_pair_grid`: the same Hockney convolution, summed in
+Fourier space with no potential formed), or by 6-D Monte Carlo, one pair at
+a time (`mutual_coulomb`) or for two whole density families at once
 (`pair_integrals`, which computes each integral once).
 
 The Monte-Carlo stream is part of the contract: per block of MC_BLOCK
@@ -221,12 +221,6 @@ def coulomb_pair_mc(
     return scale * mean, scale * math.sqrt(var / samples)
 
 
-def coulomb_pair_grid(e_a: EnergyDensity, e_b: EnergyDensity, consts: PhysicalConstants,
-                      grid: GridSpec) -> float:
-    """Grid quadrature of one pair: the cross entry of `pair_integrals`."""
-    return float(pair_integrals([e_a], [e_b], consts, backend="grid", grid=grid).cross[0, 0])
-
-
 def mutual_coulomb(
     e_a: EnergyDensity,
     e_b: EnergyDensity,
@@ -253,7 +247,7 @@ def mutual_coulomb(
     if backend == "grid":
         if grid is None:
             raise ValueError("grid backend needs a GridSpec")
-        return coulomb_pair_grid(e_a, e_b, consts, grid), 0.0
+        return float(coulomb_pair_grid([e_a], [e_b], consts, grid).cross[0, 0]), 0.0
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -277,8 +271,9 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _grid_pair_integrals(dens_a, dens_b, consts: PhysicalConstants, grid: GridSpec) -> PairIntegrals:
-    """Parseval on the doubled box: P_ij = h^6 / (2N)^3 sum_k w K^(k)
+def coulomb_pair_grid(dens_a, dens_b, consts: PhysicalConstants, grid: GridSpec) -> PairIntegrals:
+    """The grid backend of `pair_integrals`, by Parseval on the doubled box:
+    P_ij = h^6 / (2N)^3 sum_k w K^(k)
     (Re A^_i Re B^_j + Im A^_i Im B^_j) over the rfft half-spectrum, w = 1
     at k2 = 0 and N, else 2.  Each density is sampled once and held as its
     axis-2 rfft, an (N, N, N+1) stage; then, one k2 plane at a time, every
@@ -318,10 +313,10 @@ def pair_integrals(
 
     "auto" takes the closed form when every density is analytic and the grid
     otherwise, so that all integrals share one quadrature.  The grid backend
-    takes one forward transform per density and sums every integral in
-    Fourier space (`_grid_pair_integrals`); "mc" draws
-    independent samples per integral, seeded seed + k with k counting the
-    cross block row by row, then the self integrals of A and of B.  The mc
+    (`coulomb_pair_grid`) takes one forward transform per density and sums
+    every integral in Fourier space; "mc" draws independent samples per
+    integral, seeded seed + k with k counting the cross block row by row,
+    then the self integrals of A and of B.  The mc
     integrals run one per thread on up to as many threads as the process
     has CPUs in its affinity mask (os.cpu_count() where the OS has no
     mask), so peak memory is about that many Monte-Carlo blocks; the
@@ -338,7 +333,7 @@ def pair_integrals(
     if backend == "grid":
         if grid is None:
             raise ValueError("grid backend needs a GridSpec")
-        return _grid_pair_integrals(dens_a, dens_b, consts, grid)
+        return coulomb_pair_grid(dens_a, dens_b, consts, grid)
 
     pairs = ([(x, y) for x in dens_a for y in dens_b]
              + [(e, e) for e in dens_a] + [(e, e) for e in dens_b])

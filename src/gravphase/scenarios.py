@@ -17,7 +17,6 @@ from .opalg import (
     compare_propagators,
     make_single_mode_system,
     polarization_tensors,
-    propagator_sweep,
 )
 from .overlaps import exact_joint_overlap, overlap_from_log, semiclassical_overlap
 from .phases import PhaseRequest, compare_models, newton_phase, theta_AB
@@ -292,8 +291,7 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     n_low = block.get("n_low", 8)
 
     ts = np.geomspace(block["t_start"], block["t_stop"], block.get("t_points", 10))
-    sweep = propagator_sweep(system, probe, hT, n_low=n_low)
-    comps = [compare_propagators(sweep, t) for t in ts]
+    comps = compare_propagators(system, probe, hT, ts, n_low=n_low)
     defects3 = [c.defect_order3 for c in comps]
     defects2 = [c.defect_order2 for c in comps]
     resid = [c.dphase_exact - float(c.prediction.phase0[1] - c.prediction.phase0[0])

@@ -287,8 +287,8 @@ def test_criterion_6_zassenhaus_order_certification():
     for t in ts:
         # per branch block; the operator norm on field (x) probe is the largest
         uex = exact_propagator(hg + hi, t, consts.hbar)
-        for out, order in ((d3, 3), (d2, 2)):
-            uz = zassenhaus_product(hg, hi, t, consts.hbar, order)
+        uz2, uz3 = zassenhaus_product(hg, hi, t, consts.hbar)
+        for out, uz in ((d3, uz3), (d2, uz2)):
             out.append(max(np.linalg.norm((ub - zb) @ proj, 2) for ub, zb in zip(uex, uz)))
     slope3 = float(np.polyfit(np.log(ts), np.log(d3), 1)[0])
     slope2 = float(np.polyfit(np.log(ts), np.log(d2), 1)[0])

@@ -183,6 +183,16 @@ def test_grid_sizes_must_be_powers_of_two_at_load(tmp_path, capsys, config, over
     assert not out.exists()
 
 
+def test_poisson_stride_that_does_not_divide_n_is_refused_at_load(tmp_path, capsys):
+    # found before the N^3 spectral solve runs, not by the direct solver after it
+    out = tmp_path / "o"
+    assert main(["run", _small_poisson_file(tmp_path), "--set", "poisson.stride=3",
+                 "--out", str(out)]) == 1
+    assert ("config invalid at poisson/stride: stride must divide grid/n = 16, got 3"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, where", [
     (["overlap.position=[0.1,4,4]", "overlap.epsilon=[-0.5,0,0]"],
      "overlap/epsilon: position + 0.5 * epsilon = [-0.15, 4.0, 4.0] leaves the box"),
@@ -211,6 +221,23 @@ def test_si_overlap_sweep_defaults_to_the_box_centre(tmp_path):
     out = tmp_path / "o"
     assert main(["run", str(path), "--out", str(out)]) == 0
     assert len((out / "tables" / "overlap_sweep.csv").read_text().splitlines()) == 3
+
+
+def test_si_opalg_verify_reads_its_times_in_internal_units(tmp_path):
+    # the opalg block is not rescaled under SI constants: the t column is the
+    # geometric ladder of the config's own t_start and t_stop
+    cfg = get_preset("zassenhaus-t3")
+    cfg["constants"] = {"system": "si", "length_scale": 1e-3, "mass_scale": 1e-14}
+    cfg["opalg"].update(dim=12, t_start=0.05, t_stop=0.4, t_points=4)
+    path = tmp_path / "si.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    rows = (out / "tables" / "zassenhaus.csv").read_text().splitlines()
+    ts = [float(r.split(",")[rows[0].split(",").index("t")]) for r in rows[1:]]
+    assert ts == np.geomspace(0.05, 0.4, 4).tolist()
+    report = json.loads((out / "report.json").read_text())
+    assert report["result"]["units"]["t"].startswith("time, internal units")
 
 
 def test_underflowing_wavevector_is_a_numerical_guard(tmp_path, capsys):

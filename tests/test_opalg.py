@@ -17,7 +17,6 @@ from gravphase.opalg import (
     nested_commutators,
     polarization_tensors,
     predict_theta,
-    propagator_sweep,
     zassenhaus_product,
 )
 from gravphase.sources import PhysicalConstants
@@ -147,13 +146,11 @@ def test_zassenhaus_identity_at_t0_and_commuting_collapse():
     hi = build_HI(sys1, probe, [0.9])  # trace-only coupling: a c-number per branch
     t = 0.3
     for hib in hi:
-        u0 = zassenhaus_product(hg, hib, 0.0, 1.0)
+        _, u0 = zassenhaus_product(hg, hib, 0.0, 1.0)
         np.testing.assert_allclose(u0, np.eye(40), atol=1e-14)
-        uz = zassenhaus_product(hg, hib, t, 1.0)
+        _, uz = zassenhaus_product(hg, hib, t, 1.0)
         direct = expm(-1j * t * (hg + hib))
         assert np.abs(uz - direct).max() < 1e-12
-    with pytest.raises(ValueError, match="order"):
-        zassenhaus_product(hg, hi[0], t, 1.0, order=4)
 
 
 def test_zassenhaus_defect_slopes():
@@ -166,10 +163,9 @@ def test_zassenhaus_defect_slopes():
     d3, d2 = [], []
     for t in ts:
         uex = exact_propagator(hg + hi, t, 1.0)
-        d3.append(max(np.linalg.norm((ub - zb) @ proj, 2) for ub, zb in
-                      zip(uex, zassenhaus_product(hg, hi, t, 1.0, order=3))))
-        d2.append(max(np.linalg.norm((ub - zb) @ proj, 2) for ub, zb in
-                      zip(uex, zassenhaus_product(hg, hi, t, 1.0, order=2))))
+        z2, z3 = zassenhaus_product(hg, hi, t, 1.0)
+        d3.append(max(np.linalg.norm((ub - zb) @ proj, 2) for ub, zb in zip(uex, z3)))
+        d2.append(max(np.linalg.norm((ub - zb) @ proj, 2) for ub, zb in zip(uex, z2)))
     s3 = np.polyfit(np.log(ts), np.log(d3), 1)[0]
     s2 = np.polyfit(np.log(ts), np.log(d2), 1)[0]
     assert 3.9 <= s3 <= 4.3
@@ -280,8 +276,7 @@ def test_damping_t2_scaling():
 def test_compare_propagators_record():
     sys1 = single_system()
     probe = tt_probe(sys1, 0.2)
-    sweep = propagator_sweep(sys1, probe, [0.0])
-    comp = compare_propagators(sweep, 0.1)
+    [comp] = compare_propagators(sys1, probe, [0.0], [0.1])
     assert comp.defect_order3 >= 0.0
     for u in (comp.u_exact, comp.u_zassenhaus):
         assert u.shape == (2, 40, 40)
@@ -311,9 +306,8 @@ def test_spectral_propagators_match_expm():
             factors = [expm(-1j * t * hg / hbar), expm(-1j * t * hib / hbar),
                        expm((t**2 / (2 * hbar**2)) * nest["GI"]),
                        expm((1j * t**3 / (6 * hbar**3)) * (nest["GGI"] + 2 * nest["IGI"]))]
-            for order in (2, 3):
+            for order, got in zip((2, 3), zassenhaus_product(hg, hib, t, hbar)):
                 want = np.linalg.multi_dot(factors[: order + 1])
-                got = zassenhaus_product(hg, hib, t, hbar, order=order)
                 assert np.abs(got - want).max() <= 1e-13
 
 
@@ -329,9 +323,8 @@ def test_branch_blocks_match_dense_field_probe_space():
     gi = big_g @ big_i - big_i @ big_g
     t3_gen = (big_g @ gi - gi @ big_g) + 2.0 * (big_i @ gi - gi @ big_i)
     big_proj = np.kron(low_level_projector(system, 8), np.eye(n_b))
-    sweep = propagator_sweep(system, probe, hT, n_low=8)
-    for t in np.geomspace(0.02, 0.2, 4):
-        comp = compare_propagators(sweep, t)
+    ts = np.geomspace(0.02, 0.2, 4)
+    for t, comp in zip(ts, compare_propagators(system, probe, hT, ts, n_low=8)):
         u = expm(-1j * t * (big_g + big_i) / hbar)
         # |0, b> is kron-basis vector b: field vacuum first, probe last
         dense_amps = np.array([u[b, b] for b in range(n_b)])
@@ -349,23 +342,70 @@ def test_sweep_is_bit_identical_to_single_time_calls():
     system, probe, hT, hg, hi = zassenhaus_t3_arena()
     hbar = system.consts.hbar
     proj = low_level_projector(system, 8)
-    sweep = propagator_sweep(system, probe, hT, n_low=8)
-    for t in np.geomspace(0.02, 0.2, 4):
-        comp = compare_propagators(sweep, t)
+    ts = np.geomspace(0.02, 0.2, 4)
+    for t, comp in zip(ts, compare_propagators(system, probe, hT, ts, n_low=8)):
+        assert comp.time == t
         u_exact = exact_propagator(hg + hi, t, hbar)
         assert np.array_equal(comp.u_exact, u_exact)
-        for order, defect in ((3, comp.defect_order3), (2, comp.defect_order2)):
-            u_z = zassenhaus_product(hg, hi, t, hbar, order=order)
-            if order == 3:
-                assert np.array_equal(comp.u_zassenhaus, u_z)
+        u_z2, u_z3 = zassenhaus_product(hg, hi, t, hbar)
+        assert np.array_equal(comp.u_zassenhaus, u_z3)
+        for u_z, defect in ((u_z3, comp.defect_order3), (u_z2, comp.defect_order2)):
             assert defect == max(float(np.linalg.norm((ub - zb) @ proj, 2))
                                  for ub, zb in zip(u_exact, u_z))
         for b, hib in enumerate(hi):
             assert np.array_equal(comp.u_exact[b], exact_propagator(hg + hib, t, hbar))
-            assert np.array_equal(comp.u_zassenhaus[b], zassenhaus_product(hg, hib, t, hbar))
+            assert np.array_equal(comp.u_zassenhaus[b], zassenhaus_product(hg, hib, t, hbar)[1])
         assert (comp.dphase_exact, comp.ddamping_exact) == extract_relative_phase(
             u_exact, (0, 1))
-        single = compare_propagators(propagator_sweep(system, probe, hT), t)
+        [single] = compare_propagators(system, probe, hT, [t])
         assert np.array_equal(single.u_zassenhaus, comp.u_zassenhaus)
         assert (single.defect_order3, single.defect_order2) == (
             comp.defect_order3, comp.defect_order2)
+
+
+# the zassenhaus-t3 preset's times, whose cubes numpy's array power rounds
+# differently at t = 0.02 and t = 0.15485..., and random ones
+SWEEP_TIMES = {"preset": np.geomspace(0.02, 0.2, 10),
+               "random": np.random.default_rng(7).uniform(0.0, 1.5, 12)}
+
+
+@pytest.mark.parametrize("which", sorted(SWEEP_TIMES))
+def test_time_arrays_equal_the_scalar_calls(which):
+    system, _, _, hg, hi = zassenhaus_t3_arena()
+    hbar = system.consts.hbar
+    ts = SWEEP_TIMES[which]
+    u_exact = exact_propagator(hg + hi, ts, hbar)
+    u_z2, u_z3 = zassenhaus_product(hg, hi, ts, hbar)
+    assert u_exact.shape == u_z2.shape == u_z3.shape == (len(ts),) + hi.shape
+    for k, t in enumerate(ts):
+        assert np.array_equal(u_exact[k], exact_propagator(hg + hi, t, hbar))
+        z2, z3 = zassenhaus_product(hg, hi, float(t), hbar)
+        assert np.array_equal(u_z2[k], z2) and np.array_equal(u_z3[k], z3)
+    # a single branch block takes a time array the same way, and its t^3
+    # factor has the scale -t^3/6hbar^3 formed in Python floats at every time
+    order2, order3 = zassenhaus_product(hg, hi[1], ts, hbar)
+    assert order3.shape == (len(ts),) + hg.shape
+    nest = nested_commutators(hg, hi[1])
+    values, vectors = np.linalg.eigh(nest["GGI"] + 2.0 * nest["IGI"])
+    for k, t in enumerate(ts.tolist()):
+        s3 = -(t**3) / (6.0 * hbar**3)
+        factor = (vectors * np.exp(-1j * s3 * values)) @ vectors.conj().T
+        assert np.array_equal(order3[k], order2[k] @ factor)
+
+
+@pytest.mark.parametrize("n_times", [1, 10])
+def test_compare_propagators_diagonalises_each_generator_once(monkeypatch, n_times):
+    # H_G + H_I,b, H_G, H_I,b, i[H_G,H_I,b] and the t^3 generator: one eigh
+    # call each, the branch blocks stacked, at any number of times
+    system, probe, hT, _, _ = zassenhaus_t3_arena()
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(h):
+        calls.append(h.shape)
+        return real(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    comps = compare_propagators(system, probe, hT, np.geomspace(0.02, 0.2, n_times))
+    assert len(comps) == n_times
+    assert sorted(calls) == sorted([(40, 40)] + [(2, 40, 40)] * 4)

@@ -1,11 +1,13 @@
 """The benchmark tracer (perfbench/tracer.py) wraps gravphase functions by
 module and name and describes each call from its argument names; renaming
 either breaks every traced benchmark run.  These checks hold the package to
-that contract."""
+that contract, and check that the benchmark's workloads reach every target,
+so that no per-layer metric sits empty."""
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,10 +15,19 @@ import pytest
 from gravphase.grids import GridSpec
 from gravphase.sources import PhysicalConstants, gaussian_density
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
 
 # The call arguments each DESCRIBE entry reads.
 READS = {
@@ -66,3 +77,17 @@ def test_install_records_a_described_span_and_uninstall_restores():
     assert sources.sample_on_grid is original
     [span] = spans.spans
     assert span["name"] == "sources.sample_on_grid" and "key" in span
+
+
+def test_every_target_records_a_span_in_the_benchmark_workloads(tmp_path):
+    from gravphase import cli
+
+    spans = tracer.Tracer("t")
+    undo = tracer.install(spans)
+    try:
+        for workload in workloads.WORKLOADS:
+            for op in workloads.ops(workload, 0, tmp_path):
+                assert cli.main([*op.argv, "--out", str(tmp_path / op.label)]) == 0
+    finally:
+        tracer.uninstall(undo)
+    assert set(tracer.TARGETS) - {span["name"] for span in spans.spans} == set()
