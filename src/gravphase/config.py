@@ -16,6 +16,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
+from . import gridio
+from .opalg import check_sweep_size
 from .sources import PhysicalConstants
 
 SCENARIOS = ("phase-compare", "poisson", "overlap-sweep", "opalg-verify", "negativity")
@@ -215,6 +219,32 @@ _SOURCE_KEYS = {"localized": ("mass", "branches"), "gaussian": ("mass", "center"
                 "point": ("mass", "center"), "grid-file": ("path",)}
 
 
+def _check_grid_file(where: str, path: str, cfg: dict) -> None:
+    """Check a grid-file source from its sidecar header and payload size,
+    without reading the payload: N and L against `grid` as `sample_on_grid`
+    will check them."""
+    def refuse(message):
+        return ConfigError(f"config invalid at {where}: {message}")
+
+    if not Path(path).exists():
+        raise refuse(f"referenced grid file not found: {path}")
+    if cfg.get("constants", {}).get("system") == "si":
+        raise refuse("a grid file records no unit system and cannot be read under si constants")
+    try:
+        header = gridio.read_header(path)
+        n, box = int(header["N"]), float(header["L"])
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise refuse(f"unreadable grid header {path}{gridio.HEADER_SUFFIX}: {exc!r}") from None
+    grid = cfg.get("grid")
+    if grid is not None and n != grid["n"]:
+        raise refuse(f"grid file has N = {n}, grid/n is {grid['n']}")
+    size = Path(path).stat().st_size
+    if size != 8 * n**3:
+        raise refuse(f"grid file payload has {size} bytes, header N = {n} needs {8 * n**3}")
+    if grid is not None and not np.isclose(box, grid["box"]):
+        raise refuse(f"grid file has L = {box!r}, grid/box is {grid['box']!r}")
+
+
 def validate_config(cfg: dict) -> None:
     """Raise ConfigError unless `cfg` is a config every scenario runner can
     read: the schema, then the checks that span fields."""
@@ -237,8 +267,8 @@ def validate_config(cfg: dict) -> None:
             if key not in block:
                 raise ConfigError(f"config invalid at {path}: a {block['type']!r} source "
                                   f"needs {key!r}")
-        if block["type"] == "grid-file" and not Path(block["path"]).exists():
-            raise ConfigError(f"referenced grid file not found: {block['path']}")
+        if block["type"] == "grid-file":
+            _check_grid_file(path, block["path"], cfg)
     if scenario == "phase-compare" and any(
             cfg["sources"][k]["type"] not in ("localized", "gaussian") for k in "ab"):
         raise ConfigError("phase-compare sources must be localized or gaussian")
@@ -269,6 +299,12 @@ def validate_config(cfg: dict) -> None:
     opalg = cfg.get("opalg", {})
     if "kvec" in opalg and not any(opalg["kvec"]):
         raise ConfigError("config invalid at opalg/kvec: wavevector must be nonzero")
+    if opalg:
+        try:
+            check_sweep_size(opalg.get("t_points", 10), len(opalg["tt_branch_amplitudes"]),
+                             opalg["dim"])
+        except ValueError as exc:
+            raise ConfigError(f"config invalid at opalg: {exc}") from None
     tr_amps = opalg.get("trace_branch_amplitudes")
     if tr_amps is not None and len(tr_amps) != len(opalg["tt_branch_amplitudes"]):
         raise ConfigError("branch amplitude lists must have matching length")

@@ -30,10 +30,15 @@ def save_scalar_grid(path, values: np.ndarray, box: float, units: str = "", mass
     Path(str(path) + HEADER_SUFFIX).write_text(json.dumps(header, indent=2) + "\n")
 
 
+def read_header(path) -> dict:
+    """The JSON sidecar header of the grid file at `path`."""
+    return json.loads(Path(str(path) + HEADER_SUFFIX).read_text())
+
+
 def load_scalar_grid(path):
     """Returns (values, box, header_dict)."""
     path = Path(path)
-    header = json.loads(Path(str(path) + HEADER_SUFFIX).read_text())
+    header = read_header(path)
     n = int(header["N"])
     raw = np.frombuffer(path.read_bytes(), dtype="<f8")
     if raw.size != n**3:

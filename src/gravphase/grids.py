@@ -52,12 +52,9 @@ class GridSpec:
     def axes(self) -> np.ndarray:
         return np.arange(self.n) * self.h
 
-    def k_axes(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
-
     def k_lattice(self) -> np.ndarray:
         """Wavevectors, shape (n, n, n, 3), FFT layout."""
-        k = self.k_axes()
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
         kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
         return np.stack([kx, ky, kz], axis=-1)
 

@@ -47,10 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sources import PhysicalConstants
-from .tensoralg import SYM6_CONTRACTION_WEIGHTS, sym6_from_matrix, transverse_projector
+from .tensoralg import transverse_projector
 
 EXACT_DIM_LIMIT = 4096
 BRANCH_AMP_FLOOR = 1e-12
+# bytes of one (times, d_P, D, D) complex propagator stack; a sweep holds
+# about five such stacks at once
+SWEEP_BYTES_LIMIT = 2**27
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -122,9 +125,6 @@ class TruncatedModeSystem:
         p0 = math.sqrt(self.consts.hbar * self.omega(m) / (4.0 * self.consts.kappa))
         return 1j * p0 * (a.T - a)
 
-    def polarization_tensor(self, m: int) -> np.ndarray:
-        return polarization_tensors(self.modes[m].kvec)[self.modes[m].polarization]
-
     def commutator_defect(self, m: int) -> float:
         """Norm of [h, pi] - i hbar on the lowest D - 2 levels (truncation
         only corrupts the top of the ladder)."""
@@ -152,17 +152,17 @@ def make_single_mode_system(kvec, dim: int, consts: PhysicalConstants,
 
 @dataclass(frozen=True)
 class ProbeStressTensor:
-    """Probe stress per mode and branch: one real symmetric tensor (SYM6
-    order) per branch, shape (n_modes, d_P, 6).  Being diagonal in the branch
-    basis is what splits H_G + H_I into one field-space block per branch."""
+    """Probe stress per mode and branch: one real symmetric 3x3 tensor per
+    branch, shape (n_modes, d_P, 3, 3).  Being diagonal in the branch basis
+    is what splits H_G + H_I into one field-space block per branch."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         object.__setattr__(self, "coeffs", c)
-        if c.ndim != 3 or c.shape[2] != 6:
-            raise ValueError("coeffs must have shape (n_modes, d_P, 6)")
+        if c.ndim != 4 or c.shape[2:] != (3, 3) or not np.array_equal(c, c.swapaxes(2, 3)):
+            raise ValueError("coeffs must be symmetric tensors of shape (n_modes, d_P, 3, 3)")
 
     @property
     def n_modes(self) -> int:
@@ -175,21 +175,23 @@ class ProbeStressTensor:
     def tt_contraction(self, system: TruncatedModeSystem, m: int) -> np.ndarray:
         """tau_m(b) = e_m : T_b(k_m) per branch, automatically the TT part
         since e_m is TT."""
-        e6 = sym6_from_matrix(system.polarization_tensor(m))
-        return self.coeffs[m] @ (SYM6_CONTRACTION_WEIGHTS * e6)
+        mode = system.modes[m]
+        e = polarization_tensors(mode.kvec)[mode.polarization]
+        return np.einsum("bij,ij->b", self.coeffs[m], e)
 
     def trace_contraction(self, system: TruncatedModeSystem, m: int) -> np.ndarray:
         """tr_m(b) = P_ij T_b^ij(k_m) per branch, the transverse-trace
         coefficient."""
-        p6 = sym6_from_matrix(transverse_projector(np.asarray(system.modes[m].kvec)))
-        return self.coeffs[m] @ (SYM6_CONTRACTION_WEIGHTS * p6)
+        p = transverse_projector(np.asarray(system.modes[m].kvec))
+        return np.einsum("bij,ij->b", self.coeffs[m], p)
 
 
 def c_number_probe_stress(system: TruncatedModeSystem, branch_tensors) -> ProbeStressTensor:
     """Probe whose stress is one 3x3 symmetric tensor per branch, the same
-    for every mode: branch_tensors is a sequence of d_P matrices."""
+    for every mode: branch_tensors is a sequence of d_P matrices, taken by
+    their symmetric part."""
     t = np.asarray(branch_tensors, dtype=float)
-    per_branch = sym6_from_matrix(0.5 * (t + np.swapaxes(t, -1, -2)))
+    per_branch = 0.5 * (t + np.swapaxes(t, -1, -2))
     return ProbeStressTensor(coeffs=np.repeat(per_branch[None], system.n_modes, axis=0))
 
 
@@ -380,6 +382,16 @@ class PropagatorComparison:
         return float(self.prediction.damping0[b] - self.prediction.damping0[a])
 
 
+def check_sweep_size(n_times: int, n_branches: int, field_dim: int) -> None:
+    """Refuse a propagator sweep whose (n_times, d_P, D, D) complex stack
+    exceeds SWEEP_BYTES_LIMIT, before any operator is built."""
+    size = 16 * n_times * n_branches * field_dim**2
+    if size > SWEEP_BYTES_LIMIT:
+        raise ValueError(f"propagator sweep of {n_times} times x {n_branches} branches x "
+                         f"dimension {field_dim} needs {size} bytes per stack, above the "
+                         f"limit of {SWEEP_BYTES_LIMIT}")
+
+
 def _unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])).max())
 
@@ -398,9 +410,10 @@ def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
     operator norm on the block-diagonal field (x) probe space.  Every
     propagator is checked unitary to 1e-10 (they are unitary by
     construction, so this guards against a corrupted decomposition rather
-    than roundoff)."""
+    than roundoff).  A sweep over SWEEP_BYTES_LIMIT is refused first."""
     hbar = system.consts.hbar
     times = np.asarray(times, dtype=float)
+    check_sweep_size(times.size, probe.n_branches, system.field_dim)
     h_g = build_HG(system)
     h_i = build_HI(system, probe, hT_shift)
     u_exact = exact_propagator(h_g + h_i, times, hbar)

@@ -21,7 +21,6 @@ common normalisation between bra and ket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,43 +37,27 @@ from .sources import (
 SHIFT_CANCEL_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class ModeGaussianState:
+def build_field_state(e: EnergyDensity, consts: PhysicalConstants, grid: GridSpec) -> np.ndarray:
     """Per-mode Gaussian data of the field state in the momentum
     representation: the trace-sector displacement phase coefficient
-    h^T_E(k) / (2 hbar).  The TT vacuum Gaussians are identical in bra and
-    ket, so they normalise to one and are not stored."""
+    h^T_E(k) / (2 hbar), an (n, n, n) complex array with the k = 0 entry
+    zeroed (that mode never enters an overlap product).  The TT vacuum
+    Gaussians are identical in bra and ket, so they normalise to one and are
+    not stored.
 
-    grid: GridSpec
-    shift: np.ndarray          # (n, n, n) complex, k = 0 entry zeroed
-
-    def __post_init__(self):
-        if self.shift.shape != (self.grid.n,) * 3:
-            raise ValueError("shift array does not match grid")
-
-
-def field_fourier_amplitudes(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> np.ndarray:
-    """Per-mode constraint amplitudes h^T_E(k) = kappa E(k) / |k|^2.
-
-    This solves the trace-sector Poisson equation mode by mode on the
-    lattice, with E(k) the cell-volume-weighted transform of the sampled
-    density (so values are stable under grid refinement).  The k = 0 entry
-    is zeroed; that mode never enters an overlap product.  The
-    position-space solver treats the same equation with free-space boundary
-    conditions; here the periodic mode decomposition itself is the object.
+    h^T_E(k) = kappa E(k) / |k|^2 solves the trace-sector Poisson equation
+    mode by mode on the periodic lattice (the position-space solver treats
+    it with free-space boundary conditions), E(k) being the
+    cell-volume-weighted transform of the sampled density, so values are
+    stable under grid refinement.
     """
     vals = sample_on_grid(e, grid, consts).values
     ek = np.fft.fftn(vals) * grid.cell_volume
     kmag = grid.k_magnitude
     mask = grid.nonzero_mode_mask
-    out = np.zeros_like(ek)
-    out[mask] = consts.kappa * ek[mask] / kmag[mask] ** 2
-    return out
-
-
-def build_field_state(e: EnergyDensity, consts: PhysicalConstants, grid: GridSpec) -> ModeGaussianState:
-    hk = field_fourier_amplitudes(e, grid, consts)
-    return ModeGaussianState(grid=grid, shift=hk / (2.0 * consts.hbar))
+    hk = np.zeros_like(ek)
+    hk[mask] = consts.kappa * ek[mask] / kmag[mask] ** 2
+    return hk / (2.0 * consts.hbar)
 
 
 def exact_joint_overlap(
@@ -100,8 +83,8 @@ def exact_joint_overlap(
             continue
         da = build_field_state(dens, consts, grid)
         db = build_field_state(dens_b[idx], consts, grid)
-        scale = max(np.abs(da.shift).max(), 1.0)
-        defect = np.abs(da.shift - db.shift).max() / scale
+        scale = max(np.abs(da).max(), 1.0)
+        defect = np.abs(da - db).max() / scale
         if defect > SHIFT_CANCEL_TOL:
             raise ValueError(
                 f"eigenstate index {idx} carries inconsistent densities "

@@ -66,38 +66,6 @@ class PhaseMatrix:
         return self.theta.real
 
 
-@dataclass(frozen=True)
-class PhaseRequest:
-    source_a: LocalizedSourceSpec | QuantumSourceState
-    source_b: LocalizedSourceSpec | QuantumSourceState
-    time: float
-    consts: PhysicalConstants
-    grid: GridSpec | None = None
-    backend: str = "auto"
-    mc_samples: int = 1_000_000
-    seed: int = 0
-    sigma_ladder: tuple = ()
-
-    def __post_init__(self):
-        if self.time < 0.0:
-            raise ValueError("evolution time must be non-negative")
-
-
-@dataclass
-class PhaseReport:
-    matrices: dict
-    negativities: dict
-    deviations: dict           # general vs model, point-limit prefactor pinned
-    fitted_deviations: dict    # same with the overall constant fitted
-    pairwise_deviations: dict  # model vs model after prefactor normalisation
-    self_energies: dict
-    prefactor_ratios: dict
-    skipped: dict
-    convergence: list
-    cq_stub: dict
-    vacuum_note: str
-
-
 def _nonlocal_coupling(time: float, consts: PhysicalConstants) -> float:
     """G t / (hbar c^4), the nonlocal model's phase per unit pair integral.
     The density phase is -4 times it (kappa / 4 pi = 4 G / c^4); a factor
@@ -200,33 +168,43 @@ def _fitted_deviation(theta_general: np.ndarray, theta_model: np.ndarray) -> flo
     return float(np.abs(g - scale * m).max() / ref)
 
 
-def compare_models(request: PhaseRequest) -> PhaseReport:
+def compare_models(
+    source_a: LocalizedSourceSpec | QuantumSourceState,
+    source_b: LocalizedSourceSpec | QuantumSourceState,
+    time: float,
+    consts: PhysicalConstants,
+    grid: GridSpec | None = None,
+    backend: str = "auto",
+    mc_samples: int = 1_000_000,
+    seed: int = 0,
+    sigma_ladder=(),
+) -> dict:
     """Evaluate all applicable model phase matrices for one source pair and
     quantify how far each competing model is from the full density phase.
 
-    Emits, per model: the phase matrix, the negativity of the resulting
-    branch state, and the max functional-form deviation from the general
-    matrix after prefactor normalisation.  Localised inputs also produce a
-    narrow-width convergence ladder when sigma_ladder is set.  The hybrid
-    classical-quantum row is a static stub: that class of dynamics is
-    stochastic and decoherence dominated and generates no entanglement, so
-    there is no phase matrix to compute.
+    Returns a dict: "matrices" (PhaseMatrix per model), "convergence" (the
+    narrow-width ladder rows, empty unless both sources are localised and
+    sigma_ladder is set), then the report sections "negativities",
+    "deviations_point_normalized" (general vs model, point-limit prefactor
+    pinned), "deviations_fitted" (same with the overall constant fitted),
+    "pairwise_deviations" (model vs model after prefactor normalisation),
+    "self_energies", "prefactor_ratios" and "skipped_models".
     """
-    a_loc = isinstance(request.source_a, LocalizedSourceSpec)
-    b_loc = isinstance(request.source_b, LocalizedSourceSpec)
-    psi_a = _as_state(request.source_a)
-    psi_b = _as_state(request.source_b)
-    kw = dict(backend=request.backend, grid=request.grid,
-              mc_samples=request.mc_samples, seed=request.seed)
+    if time < 0.0:
+        raise ValueError("evolution time must be non-negative")
+    a_loc = isinstance(source_a, LocalizedSourceSpec)
+    b_loc = isinstance(source_b, LocalizedSourceSpec)
+    psi_a = _as_state(source_a)
+    psi_b = _as_state(source_b)
+    kw = dict(backend=backend, grid=grid, mc_samples=mc_samples, seed=seed)
 
     matrices = {}
     skipped = {}
 
     # every model matrix and the self-energies are fixed linear maps of the
     # same pair integrals, computed once
-    consts, t = request.consts, request.time
     pairs = pair_integrals(psi_a.densities, psi_b.densities, consts, **kw)
-    pref_nonlocal = _nonlocal_coupling(t, consts)
+    pref_nonlocal = _nonlocal_coupling(time, consts)
     pref_general = -4.0 * pref_nonlocal
     stderr = abs(pref_general) * pairs.stderr
     general = PhaseMatrix(model="general", theta=1j * (pref_general * pairs.cross),
@@ -234,7 +212,7 @@ def compare_models(request: PhaseRequest) -> PhaseReport:
     matrices["general"] = general
 
     if a_loc and b_loc:
-        matrices["newton"] = newton_phase(request.source_a, request.source_b, t, consts)
+        matrices["newton"] = newton_phase(source_a, source_b, time, consts)
     else:
         skipped["newton"] = "needs localized branch specs (center-based potential)"
 
@@ -285,16 +263,16 @@ def compare_models(request: PhaseRequest) -> PhaseReport:
     }
 
     convergence = []
-    if a_loc and b_loc and request.sigma_ladder:
-        d = float(np.linalg.norm(request.source_a.centers[0] - request.source_b.centers[0]))
-        m_a, m_b = request.source_a.mass, request.source_b.mass
-        pt_a = point_density(m_a, request.source_a.centers[0], sigma_reg=min(request.sigma_ladder) / 4.0)
-        pt_b = point_density(m_b, request.source_b.centers[0], sigma_reg=min(request.sigma_ladder) / 4.0)
-        th_pt, _ = theta_AB(pt_a, pt_b, t, consts, **kw)
-        for sigma in request.sigma_ladder:
-            ea = gaussian_density(m_a, request.source_a.centers[0], sigma)
-            eb = gaussian_density(m_b, request.source_b.centers[0], sigma)
-            th, err = theta_AB(ea, eb, t, consts, **kw)
+    if a_loc and b_loc and sigma_ladder:
+        d = float(np.linalg.norm(source_a.centers[0] - source_b.centers[0]))
+        m_a, m_b = source_a.mass, source_b.mass
+        pt_a = point_density(m_a, source_a.centers[0], sigma_reg=min(sigma_ladder) / 4.0)
+        pt_b = point_density(m_b, source_b.centers[0], sigma_reg=min(sigma_ladder) / 4.0)
+        th_pt, _ = theta_AB(pt_a, pt_b, time, consts, **kw)
+        for sigma in sigma_ladder:
+            ea = gaussian_density(m_a, source_a.centers[0], sigma)
+            eb = gaussian_density(m_b, source_b.centers[0], sigma)
+            th, err = theta_AB(ea, eb, time, consts, **kw)
             convergence.append({
                 "sigma": float(sigma),
                 "sigma_over_d": float(sigma / d),
@@ -304,27 +282,14 @@ def compare_models(request: PhaseRequest) -> PhaseReport:
                 "stderr": float(err),
             })
 
-    cq_stub = {
-        "model": "classical-quantum hybrid",
-        "status": "stub",
-        "prediction": "decoherence-dominated, no entanglement",
-        "note": ("positivity-preserving hybrid couplings evolve by stochastic "
-                 "open-system dynamics; they diffuse and decohere instead of "
-                 "building coherent entangling phases, so no phase matrix exists"),
+    return {
+        "matrices": matrices,
+        "convergence": convergence,
+        "negativities": negativities,
+        "deviations_point_normalized": deviations,
+        "deviations_fitted": fitted_deviations,
+        "pairwise_deviations": pairwise_deviations,
+        "self_energies": self_energies,
+        "prefactor_ratios": prefactor_ratios,
+        "skipped_models": skipped,
     }
-    vacuum_note = ("field vacuum energy enters only as a subtracted reference; "
-                   "it is symbolic and never evaluated")
-
-    return PhaseReport(
-        matrices=matrices,
-        negativities=negativities,
-        deviations=deviations,
-        fitted_deviations=fitted_deviations,
-        pairwise_deviations=pairwise_deviations,
-        self_energies=self_energies,
-        prefactor_ratios=prefactor_ratios,
-        skipped=skipped,
-        convergence=convergence,
-        cq_stub=cq_stub,
-        vacuum_note=vacuum_note,
-    )

@@ -73,10 +73,6 @@ class ScalarFieldX:
             raise ValueError("field entries must be finite")
 
 
-def _as_grid_values(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> np.ndarray:
-    return sample_on_grid(e, grid, consts).values
-
-
 def solve_hT_spectral(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstants) -> ScalarFieldX:
     """Free-space solve by zero-padded FFT convolution (see module docstring).
 
@@ -84,7 +80,7 @@ def solve_hT_spectral(e: EnergyDensity, grid: GridSpec, consts: PhysicalConstant
     axis in their order, but each axis is zero-padded only when it is
     transformed and cropped as soon as it is back in position space, so the
     7/8 of the doubled box that holds zeros is never built."""
-    vals = _as_grid_values(e, grid, consts)
+    vals = sample_on_grid(e, grid, consts).values
     n, n2 = grid.n, 2 * grid.n
     spec = np.fft.fft(np.fft.fft(np.fft.rfft(vals, n=n2, axis=2), n=n2, axis=1), n=n2, axis=0)
     spec *= grid.coulomb_kernel_hat
@@ -120,7 +116,7 @@ def solve_hT_direct(
     if grid.n % stride:
         raise ValueError("stride must divide N")
     n = grid.n
-    weights = (_as_grid_values(e, grid, consts) * grid.cell_volume).reshape(n * n, n)
+    weights = (sample_on_grid(e, grid, consts).values * grid.cell_volume).reshape(n * n, n)
     offsets = np.arange(n)
     r2 = offsets[:, None, None] ** 2 + offsets[None, :, None] ** 2 + offsets[None, None, :] ** 2
     with np.errstate(divide="ignore"):
@@ -373,7 +369,7 @@ def laplacian_residual(field: ScalarFieldX, e: EnergyDensity, consts: PhysicalCo
         + np.roll(vals, 1, 2) + np.roll(vals, -1, 2)
         - 6.0 * vals
     ) / h2
-    src = consts.kappa * _as_grid_values(e, grid, consts)
+    src = consts.kappa * sample_on_grid(e, grid, consts).values
     sl = slice(margin, grid.n - margin)
     res = lap[sl, sl, sl] + src[sl, sl, sl]
     rms_res = float(np.sqrt((res**2).mean()))

@@ -19,7 +19,7 @@ from .opalg import (
     polarization_tensors,
 )
 from .overlaps import exact_joint_overlap, overlap_from_log, semiclassical_overlap
-from .phases import PhaseRequest, compare_models, newton_phase, theta_AB
+from .phases import PhaseMatrix, compare_models, negativity, newton_phase, theta_AB
 from .poisson import laplacian_residual, solve_hT_direct, solve_hT_spectral
 from .sources import (
     LocalizedSourceSpec,
@@ -29,6 +29,21 @@ from .sources import (
     point_density,
     source_overlap,
 )
+from .tensoralg import transverse_projector
+
+# The hybrid classical-quantum row is static: that class of dynamics is
+# stochastic and decoherence dominated and generates no entanglement, so
+# there is no phase matrix to compute.
+CLASSICAL_QUANTUM_ROW = {
+    "model": "classical-quantum hybrid",
+    "status": "stub",
+    "prediction": "decoherence-dominated, no entanglement",
+    "note": ("positivity-preserving hybrid couplings evolve by stochastic "
+             "open-system dynamics; they diffuse and decohere instead of "
+             "building coherent entangling phases, so no phase matrix exists"),
+}
+VACUUM_REFERENCE = ("field vacuum energy enters only as a subtracted reference; "
+                    "it is symbolic and never evaluated")
 
 
 def _fmt(x) -> str:
@@ -86,58 +101,42 @@ def _build_source(block: dict, scales: dict):
     return grid_density(values, box)
 
 
-def _matrix_rows(name: str, pm, stderr=None):
-    rows = []
-    n_a, n_b = pm.theta.shape
-    for i in range(n_a):
-        for j in range(n_b):
-            err = 0.0 if stderr is None else stderr[i, j]
-            rows.append((name, i, j, pm.damping[i, j], pm.phases[i, j], err))
-    return rows
-
-
 def run_phase_compare(cfg: dict, outdir: Path) -> dict:
     consts, scales, unit_label = build_constants(cfg)
     spec_a = _build_source(cfg["sources"]["a"], scales)
     spec_b = _build_source(cfg["sources"]["b"], scales)
     grid_cfg = cfg.get("grid")
     grid = GridSpec(grid_cfg["n"], grid_cfg["box"] / scales["length"]) if grid_cfg else None
-    request = PhaseRequest(
-        source_a=spec_a,
-        source_b=spec_b,
-        time=cfg.get("time", 1.0) / scales["time"],
-        consts=consts,
-        grid=grid,
-        backend=cfg.get("backend", "auto"),
-        mc_samples=cfg.get("mc_samples", 1_000_000),
-        seed=cfg["seed"],
-        sigma_ladder=tuple(s / scales["length"] for s in cfg.get("sigma_ladder", ())),
-    )
-    report = compare_models(request)
+    time = cfg.get("time", 1.0) / scales["time"]
+    kw = dict(grid=grid, backend=cfg.get("backend", "auto"),
+              mc_samples=cfg.get("mc_samples", 1_000_000), seed=cfg["seed"])
+    report = compare_models(
+        spec_a, spec_b, time, consts,
+        sigma_ladder=tuple(s / scales["length"] for s in cfg.get("sigma_ladder", ())), **kw)
+    matrices, convergence = report.pop("matrices"), report.pop("convergence")
 
-    rows = []
-    for name, pm in report.matrices.items():
-        rows.extend(_matrix_rows(name, pm, pm.stderr))
     write_csv(outdir / "tables" / "models.csv",
-              ["model", "i", "j", "damping", "phase_rad", "stderr_rad"], rows)
-    if report.convergence:
+              ["model", "i", "j", "damping", "phase_rad", "stderr_rad"],
+              [(name, i, j, pm.damping[i, j], pm.phases[i, j],
+                0.0 if pm.stderr is None else pm.stderr[i, j])
+               for name, pm in matrices.items() for i, j in np.ndindex(pm.theta.shape)])
+    if convergence:
         write_csv(outdir / "tables" / "convergence.csv",
                   ["sigma", "sigma_over_d", "phase_rad", "point_phase_rad",
                    "deviation", "stderr_rad"],
                   [(c["sigma"], c["sigma_over_d"], c["phase"], c["point_phase"],
-                    c["deviation"], c["stderr"]) for c in report.convergence])
+                    c["deviation"], c["stderr"]) for c in convergence])
 
     widths = cfg.get("width_variation", ())
     # one width-independent Newton phase; it raises on coincident centres,
     # so only a config that asks for the table computes it
-    nw = newton_phase(spec_a, spec_b, request.time, consts).phases[0, 0] if widths else None
+    nw = newton_phase(spec_a, spec_b, time, consts).phases[0, 0] if widths else None
     width_rows = []
     for width in widths:
         sig = width / scales["length"]
         ea = gaussian_density(spec_a.mass, spec_a.centers[0], sig)
         eb = gaussian_density(spec_b.mass, spec_b.centers[0], sig)
-        th, _ = theta_AB(ea, eb, request.time, consts, backend=request.backend,
-                         grid=grid, mc_samples=request.mc_samples, seed=request.seed)
+        th, _ = theta_AB(ea, eb, time, consts, **kw)
         width_rows.append((sig, th, nw))
     if width_rows:
         write_csv(outdir / "tables" / "width_variation.csv",
@@ -148,15 +147,9 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
         "units": {"phase": "rad", "damping": "log-magnitude",
                   "self_energy": "energy, " + unit_label,
                   "lengths_masses_times": unit_label},
-        "negativities": report.negativities,
-        "deviations_point_normalized": report.deviations,
-        "deviations_fitted": report.fitted_deviations,
-        "pairwise_deviations": report.pairwise_deviations,
-        "self_energies": report.self_energies,
-        "prefactor_ratios": report.prefactor_ratios,
-        "skipped_models": report.skipped,
-        "classical_quantum_row": report.cq_stub,
-        "vacuum_reference": report.vacuum_note,
+        **report,
+        "classical_quantum_row": CLASSICAL_QUANTUM_ROW,
+        "vacuum_reference": VACUUM_REFERENCE,
         "tables": {
             "models.csv": "per model x eigenpair: damping, phase (rad)",
             "convergence.csv": "narrow-width ladder (written when sigma_ladder set)",
@@ -283,8 +276,7 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     tt_amps = block["tt_branch_amplitudes"]
     tr_amps = block.get("trace_branch_amplitudes", [0.0] * len(tt_amps))
     e_plus, _ = polarization_tensors(block["kvec"])
-    khat = np.asarray(block["kvec"]) / np.linalg.norm(block["kvec"])
-    trans = np.eye(3) - np.outer(khat, khat)  # trace amplitude b gives P:T = b
+    trans = transverse_projector(block["kvec"])  # trace amplitude b gives P:T = b
     branch_tensors = [a * e_plus + 0.5 * b * trans for a, b in zip(tt_amps, tr_amps)]
     probe = c_number_probe_stress(system, branch_tensors)
     hT = np.array([block.get("hT_shift", 0.0)])
@@ -338,8 +330,6 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
 
 
 def run_negativity(cfg: dict, outdir: Path) -> dict:
-    from .phases import PhaseMatrix, negativity
-
     block = cfg["negativity"]
     amps_a = np.array([_amplitude(a) for a in block["amplitudes_a"]])
     amps_b = np.array([_amplitude(a) for a in block["amplitudes_b"]])

@@ -1,40 +1,23 @@
 """Fourier-space symmetric-tensor algebra.
 
-Symmetric 3x3 tensors are stored through their six independent components in
-the order (xx, yy, zz, xy, xz, yz), which keeps symmetry exact by
-construction.  All operations are pure and vectorised over leading axes, so
-per-mode work parallelises trivially.
+Symmetric tensors are plain (..., 3, 3) arrays.  All operations are pure and
+vectorised over leading axes, so per-mode work parallelises trivially.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# component order for the 6-vector representation
-SYM6_INDICES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-# off-diagonal components count twice in full contractions A_ij B^ij
-SYM6_CONTRACTION_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 
-
-def sym6_from_matrix(t: np.ndarray) -> np.ndarray:
-    """Pack (..., 3, 3) symmetric matrices into (..., 6) component vectors."""
-    t = np.asarray(t)
-    return np.stack([t[..., i, j] for i, j in SYM6_INDICES], axis=-1)
-
-
-def _unit_k(k: np.ndarray) -> np.ndarray:
+def transverse_projector(k: np.ndarray) -> np.ndarray:
+    """P_ij = delta_ij - k_i k_j / |k|^2, shape (..., 3, 3)."""
     k = np.asarray(k, dtype=float)
     norm = np.sqrt((k**2).sum(axis=-1))
     if not np.all(np.isfinite(norm)):
         raise ValueError("wavevector components must be finite")
     if np.any(norm == 0.0):
         raise ValueError("transverse projector is undefined at k = 0")
-    return k / norm[..., None]
-
-
-def transverse_projector(k: np.ndarray) -> np.ndarray:
-    """P_ij = delta_ij - k_i k_j / |k|^2, shape (..., 3, 3)."""
-    n = _unit_k(k)
+    n = k / norm[..., None]
     return np.eye(3) - n[..., :, None] * n[..., None, :]
 
 

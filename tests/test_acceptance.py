@@ -37,7 +37,7 @@ from gravphase.opalg import (
     zassenhaus_product,
 )
 from gravphase.overlaps import exact_joint_overlap, semiclassical_overlap
-from gravphase.phases import PhaseRequest, compare_models, newton_phase, theta_AB
+from gravphase.phases import compare_models, newton_phase, theta_AB
 from gravphase.poisson import laplacian_residual, solve_hT_direct, solve_hT_spectral
 from gravphase.sources import (
     LocalizedSourceSpec,
@@ -189,18 +189,18 @@ def test_criterion_4_model_discrimination():
     # wide pair, sigma = d / 2
     wa = LocalizedSourceSpec(mass=1.0, amplitudes=[1.0], centers=[[0, 0, 0]], widths=[0.5])
     wb = LocalizedSourceSpec(mass=1.0, amplitudes=[1.0], centers=[[1.0, 0, 0]], widths=[0.5])
-    wide = compare_models(PhaseRequest(source_a=wa, source_b=wb, time=t, consts=CONSTS))
-    newton_dev = wide.deviations["newton"]
+    wide = compare_models(wa, wb, t, CONSTS)
+    newton_dev = wide["deviations_point_normalized"]["newton"]
 
     # 2x2 branches for the negativity statements
     ga = LocalizedSourceSpec(mass=1.0, amplitudes=[S2, S2],
                              centers=[[0, 0, 0], [0.4, 0, 0]], widths=[0.05, 0.05])
     gb = LocalizedSourceSpec(mass=1.0, amplitudes=[S2, S2],
                              centers=[[1.0, 0, 0], [1.4, 0, 0]], widths=[0.05, 0.05])
-    gie = compare_models(PhaseRequest(source_a=ga, source_b=gb, time=t, consts=CONSTS))
-    sn_neg = gie.negativities["schroedinger-newton"]
-    full_neg = gie.negativities["general"]
-    narrow_newton_dev = gie.deviations["newton"]
+    gie = compare_models(ga, gb, t, CONSTS)
+    sn_neg = gie["negativities"]["schroedinger-newton"]
+    full_neg = gie["negativities"]["general"]
+    narrow_newton_dev = gie["deviations_point_normalized"]["newton"]
 
     # functional-form invariance under width change
     n1 = newton_phase(wa, wb, t, CONSTS).phases[0, 0]

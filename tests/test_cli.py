@@ -18,6 +18,7 @@ from gravphase.config import (
     preset_names,
     validate_config,
 )
+from gravphase.gridio import save_scalar_grid
 
 
 def test_presets_listed_and_valid():
@@ -346,6 +347,92 @@ def test_runner_time_opalg_config_error_writes_nothing(tmp_path, capsys):
                  "opalg.trace_branch_amplitudes=[0,0.05,0.1]", "--out", str(out)]) == 1
     assert "branch amplitude lists must have matching length" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _grid_file_poisson(tmp_path, n=16, box=8.0, payload_values=None, header=None, **cfg):
+    path = tmp_path / "rho.f64"
+    save_scalar_grid(path, np.ones((n, n, n)), box)
+    if payload_values is not None:
+        path.write_bytes(np.ones(payload_values).tobytes())
+    if header is not None:
+        (tmp_path / "rho.f64.json").write_text(header)
+    config = {**_small_poisson(), **cfg}
+    config["poisson"]["profile"] = {"type": "grid-file", "path": str(path)}
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    return str(config_path)
+
+
+def test_matching_grid_file_source_runs(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", _grid_file_poisson(tmp_path), "--out", str(out)]) == 0
+    assert (out / "fields" / "hT.f64").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (dict(header="not json"), "unreadable grid header"),
+    (dict(header=json.dumps({"L": 8.0})), "unreadable grid header"),
+    (dict(n=8), "grid file has N = 8, grid/n is 16"),
+    (dict(payload_values=16**3 - 1),
+     "grid file payload has 32760 bytes, header N = 16 needs 32768"),
+    (dict(box=4.0), "grid file has L = 4.0, grid/box is 8.0"),
+    (dict(constants={"system": "si", "length_scale": 2.0, "mass_scale": 1.0}),
+     "a grid file records no unit system and cannot be read"),
+    (dict(constants={"system": "si", "length_scale": 1.0, "mass_scale": 1.0}),
+     "a grid file records no unit system and cannot be read"),
+], ids=["header-not-json", "header-without-N", "N", "payload-size", "L", "si", "si-unit-scale"])
+def test_grid_file_source_is_checked_against_the_grid_at_load(tmp_path, capsys, edit, message):
+    # found from the sidecar header before any compute, not by sample_on_grid
+    # after the config has been accepted
+    config = _grid_file_poisson(tmp_path, **edit)
+    out = tmp_path / "o"
+    assert main(["run", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config invalid at poisson/profile: {message}" in err
+    assert not out.exists()
+
+
+def test_missing_grid_file_header_is_a_config_error(tmp_path, capsys):
+    config = _grid_file_poisson(tmp_path)
+    (tmp_path / "rho.f64.json").unlink()
+    out = tmp_path / "o"
+    assert main(["run", config, "--out", str(out)]) == 1
+    assert "config invalid at poisson/profile: unreadable grid header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_opalg_sweep_exits_1_without_a_traceback(tmp_path):
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gravphase.cli", "run", "preset:zassenhaus-t3",
+         "--set", "opalg.t_points=20000", "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 1
+    assert "config invalid at opalg: propagator sweep" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_layer():
+    # layers are imported by module path where they are used, so the package
+    # and the CLI module import no other gravphase module
+    probe = ("import sys, gravphase, gravphase.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gravphase'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['gravphase', 'gravphase.cli']"
+
+
+def test_gie_report_carries_the_static_rows(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "preset:gie-2x2", "--out", str(out)]) == 0
+    result = json.loads((out / "report.json").read_text())["result"]
+    row = result["classical_quantum_row"]
+    assert row["prediction"] == "decoherence-dominated, no entanglement"
+    assert "subtracted" in result["vacuum_reference"]
 
 
 def test_poisson_scenario_writes_grid_files(tmp_path):

@@ -11,11 +11,18 @@ import tempfile
 import warnings
 
 import jsonschema
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gravphase.cli import main
-from gravphase.config import CONFIG_SCHEMA, schema_error
+from gravphase.config import (
+    CONFIG_SCHEMA,
+    ConfigError,
+    get_preset,
+    schema_error,
+    validate_config,
+)
 
 # JSON has no integral floats: an integer is an int, as in the walker
 _Draft = jsonschema.validators.validator_for(CONFIG_SCHEMA)
@@ -183,3 +190,13 @@ def test_schema_valid_configs_end_in_an_exit_code(cfg):
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         assert main(["run", path, "--out", f"{tmp}/o"]) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("edit", [{"t_points": 10**6}, {"dim": 2048}])
+def test_oversized_opalg_sweep_is_refused_at_load(edit):
+    # the fuzz above caps dim and t_points, so it never reaches the budget
+    cfg = get_preset("zassenhaus-t3")
+    cfg["opalg"].update(edit)
+    assert schema_error(cfg, CONFIG_SCHEMA) is None
+    with pytest.raises(ConfigError, match="config invalid at opalg: propagator sweep"):
+        validate_config(cfg)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gravphase import opalg
 from gravphase.opalg import (
     ModeSpec,
+    ProbeStressTensor,
     TruncatedModeSystem,
     build_HG,
     build_HI,
@@ -105,6 +107,15 @@ def test_hi_linear_drive_matrix_elements():
     # branch b block must be -(1/2) * w * amp * h
     np.testing.assert_allclose(hi[1], -0.5 * 2.0 * amp * sys1.h_op(0), atol=1e-14)
     assert np.abs(hi[0]).max() == 0.0
+
+
+def test_probe_stress_refuses_asymmetric_tensors():
+    coeffs = np.zeros((1, 2, 3, 3))
+    coeffs[0, 1, 0, 1] = 0.2  # xy set, yx left at zero
+    with pytest.raises(ValueError, match="symmetric"):
+        ProbeStressTensor(coeffs=coeffs)
+    with pytest.raises(ValueError, match="shape"):
+        ProbeStressTensor(coeffs=np.zeros((1, 2, 6)))
 
 
 def test_hi_mode_mismatch():
@@ -409,3 +420,14 @@ def test_compare_propagators_diagonalises_each_generator_once(monkeypatch, n_tim
     comps = compare_propagators(system, probe, hT, np.geomspace(0.02, 0.2, n_times))
     assert len(comps) == n_times
     assert sorted(calls) == sorted([(40, 40)] + [(2, 40, 40)] * 4)
+
+
+def test_compare_propagators_refuses_an_oversized_sweep_before_building(monkeypatch):
+    def unreachable(system):
+        raise AssertionError("build_HG reached")
+
+    monkeypatch.setattr(opalg, "build_HG", unreachable)
+    system = single_system()
+    # 3000 times x 2 branches x 40^2 x 16 B = 154 MB > SWEEP_BYTES_LIMIT
+    with pytest.raises(ValueError, match="propagator sweep"):
+        compare_propagators(system, tt_probe(system, 0.1), [0.0], np.linspace(0.01, 0.1, 3000))

@@ -11,7 +11,6 @@ from gravphase.overlaps import (
     analytic_point_amplitudes,
     build_field_state,
     exact_joint_overlap,
-    field_fourier_amplitudes,
     semiclassical_overlap,
 )
 from gravphase.sources import (
@@ -27,14 +26,14 @@ GRID = GridSpec(16, 8.0)
 
 
 def test_build_field_state_zero_source():
-    state = build_field_state(gaussian_density(0.0, (4, 4, 4), 0.4), CONSTS, GRID)
-    assert np.all(state.shift == 0.0)
+    shift = build_field_state(gaussian_density(0.0, (4, 4, 4), 0.4), CONSTS, GRID)
+    assert np.all(shift == 0.0)
 
 
 def test_shift_linearity_in_source():
     s1 = build_field_state(gaussian_density(1.0, (4, 4, 4), 0.4), CONSTS, GRID)
     s2 = build_field_state(gaussian_density(2.0, (4, 4, 4), 0.4), CONSTS, GRID)
-    np.testing.assert_allclose(s2.shift, 2.0 * s1.shift, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(s2, 2.0 * s1, rtol=1e-12, atol=1e-15)
 
 
 def test_fft_shift_theorem_for_displaced_source():
@@ -45,9 +44,9 @@ def test_fft_shift_theorem_for_displaced_source():
     s1 = build_field_state(gaussian_density(1.0, (3.0 + eps, 4, 4), 0.4), CONSTS, GRID)
     kx = GRID.k_lattice()[..., 0]
     mask = GRID.nonzero_mode_mask
-    expected = s0.shift[mask] * np.exp(-1j * kx[mask] * eps)
-    scale = np.abs(s0.shift).max()
-    np.testing.assert_allclose(s1.shift[mask], expected, rtol=1e-10, atol=1e-12 * scale)
+    expected = s0[mask] * np.exp(-1j * kx[mask] * eps)
+    scale = np.abs(s0).max()
+    np.testing.assert_allclose(s1[mask], expected, rtol=1e-10, atol=1e-12 * scale)
 
 
 def _state(amps, indices, grid=GRID):
@@ -234,7 +233,7 @@ def test_analytic_amplitudes_match_mode_solve():
     sigma = 0.4
     grid = GridSpec(32, 8.0)
     e = point_density(1.0, (4.0, 4.0, 4.0), sigma_reg=sigma)
-    hk_grid = np.abs(field_fourier_amplitudes(e, grid, CONSTS))
+    hk_grid = 2.0 * CONSTS.hbar * np.abs(build_field_state(e, CONSTS, grid))
     hk_exact = analytic_point_amplitudes(1.0, sigma, grid, CONSTS)
     kmag = grid.k_magnitude
     sel = (kmag > 0) & (kmag < 4.0)

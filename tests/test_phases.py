@@ -6,7 +6,6 @@ from gravphase import poisson
 from gravphase.grids import GridSpec
 from gravphase.phases import (
     PhaseMatrix,
-    PhaseRequest,
     compare_models,
     negativity,
     newton_phase,
@@ -45,7 +44,7 @@ def single(e):
 
 
 def models(a, b, t, **kw):
-    return compare_models(PhaseRequest(source_a=a, source_b=b, time=t, consts=CONSTS, **kw))
+    return compare_models(a, b, t, CONSTS, **kw)
 
 
 def test_theta_trivial_zeroes():
@@ -106,8 +105,8 @@ def test_self_energy():
     # a Gaussian's self integral in closed form: m^2 c^4 / (sqrt(pi) sigma)
     assert abs(s1 - 1.0 / (np.sqrt(np.pi) * 0.3)) < 1e-12 * s1
     rep = models(single(zero), single(e), 1.0)
-    assert rep.self_energies["A"] == [0.0]
-    assert rep.self_energies["B"] == [pref * s1]
+    assert rep["self_energies"]["A"] == [0.0]
+    assert rep["self_energies"]["B"] == [pref * s1]
     # 6-D Monte-Carlo oracle
     smc = pair_integrals([e], [], CONSTS, backend="mc", mc_samples=2_000_000, seed=7).self_a[0]
     assert abs(smc - s1) < 0.02 * abs(s1)
@@ -147,11 +146,11 @@ def test_newton_coincident_centers_error():
 def test_nonlocal_reduction_and_ratio():
     zero = gaussian_density(0.0, (1, 0, 0), 0.1)
     e = gaussian_density(1.0, (0, 0, 0), 0.1)
-    assert models(single(e), single(zero), 1.0).matrices["nonlocal"].phases[0, 0] == 0.0
+    assert models(single(e), single(zero), 1.0)["matrices"]["nonlocal"].phases[0, 0] == 0.0
     t, d = 0.4, 1.5
     a = point_density(1.0, (0, 0, 0), sigma_reg=0.02)
     b = point_density(1.0, (d, 0, 0), sigma_reg=0.02)
-    nl = models(single(a), single(b), t).matrices["nonlocal"].phases[0, 0]
+    nl = models(single(a), single(b), t)["matrices"]["nonlocal"].phases[0, 0]
     assert abs(nl - CONSTS.G * t / (CONSTS.hbar * d)) < 0.02 * nl
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -160,22 +159,22 @@ def test_nonlocal_reduction_and_ratio():
         ea = gaussian_density(rng.uniform(0.5, 2), (0, 0, 0), sig)
         eb = gaussian_density(rng.uniform(0.5, 2), (dd, 0, 0), sig)
         th, _ = theta_AB(ea, eb, t, CONSTS)
-        nl = models(single(ea), single(eb), t).matrices["nonlocal"].phases[0, 0]
+        nl = models(single(ea), single(eb), t)["matrices"]["nonlocal"].phases[0, 0]
         assert abs(nl / th + 0.25) < 1e-6
 
 
 def test_sn_phase_point_limit_and_separability():
     t, d = 0.7, 2.0
     a, b = pair_spec(d=d, width=0.02)
-    pm = models(a, b, t).matrices["schroedinger-newton"]
+    pm = models(a, b, t)["matrices"]["schroedinger-newton"]
     expected = 2.0 * CONSTS.G * t / (CONSTS.hbar * d)
     assert abs(pm.phases[0, 0] - expected) < 0.02 * expected
     a2, b2 = gie_specs(width=0.2)
     rep = models(a2, b2, t)
-    assert rep.negativities["schroedinger-newton"] == 0.0
-    assert negativity(a2.amplitudes, b2.amplitudes, rep.matrices["schroedinger-newton"]) == 0.0
+    assert rep["negativities"]["schroedinger-newton"] == 0.0
+    assert negativity(a2.amplitudes, b2.amplitudes, rep["matrices"]["schroedinger-newton"]) == 0.0
     # separable structure: theta_ij - theta_i0 - theta_0j + theta_00 = 0
-    th = rep.matrices["schroedinger-newton"].phases
+    th = rep["matrices"]["schroedinger-newton"].phases
     mix = th[1, 1] - th[1, 0] - th[0, 1] + th[0, 0]
     assert abs(mix) < 1e-12 * np.abs(th).max()
 
@@ -183,7 +182,7 @@ def test_sn_phase_point_limit_and_separability():
 def test_sn_differs_from_full_phase_on_wide_gaussians():
     t, d, sigma = 1.0, 1.0, 0.5
     a, b = pair_spec(d=d, width=sigma)
-    pm = models(a, b, t).matrices["schroedinger-newton"]
+    pm = models(a, b, t)["matrices"]["schroedinger-newton"]
     th, _ = theta_AB(a.branch_density(0), b.branch_density(0), t, CONSTS)
     # quadrature error here is ~0: analytic backend; difference is structural
     assert abs(pm.phases[0, 0] - th) > 0.5 * abs(th)
@@ -194,12 +193,13 @@ def test_phase_matrix_general_structure():
     a, b = gie_specs()
     psi_a = QuantumSourceState.from_localized(a)
     psi_b = QuantumSourceState.from_localized(b)
-    pm = models(psi_a, psi_b, t).matrices["general"]
+    pm = models(psi_a, psi_b, t)["matrices"]["general"]
     assert pm.theta.shape == (2, 2)
-    one = models(single(a.branch_density(0)), single(b.branch_density(0)), t).matrices["general"]
+    one = models(single(a.branch_density(0)), single(b.branch_density(0)), t)["matrices"]
+    one = one["general"]
     th, _ = theta_AB(a.branch_density(0), b.branch_density(0), t, CONSTS)
     assert abs(one.phases[0, 0] - th) < 1e-14 * abs(th)
-    swapped = models(psi_b, psi_a, t).matrices["general"]
+    swapped = models(psi_b, psi_a, t)["matrices"]["general"]
     np.testing.assert_allclose(swapped.phases, pm.phases.T, rtol=1e-12)
     # narrow limit: equals the Newton matrix up to the constant -4
     newt = newton_phase(a, b, t, CONSTS)
@@ -280,20 +280,24 @@ def test_negativity_from_schmidt_coefficients():
 def test_compare_models_gie_and_wide():
     t = 0.2
     a, b = gie_specs()
-    rep = compare_models(PhaseRequest(source_a=a, source_b=b, time=t, consts=CONSTS))
-    assert rep.deviations["newton"] < 0.02
-    assert rep.negativities["schroedinger-newton"] == 0.0
-    assert rep.negativities["general"] > 0.0
-    assert rep.cq_stub["prediction"] == "decoherence-dominated, no entanglement"
-    assert "subtracted" in rep.vacuum_note
-    assert abs(rep.prefactor_ratios["general_over_nonlocal"] + 4.0) < 1e-9
-    assert len(rep.self_energies["A"]) == 2
+    rep = compare_models(a, b, t, CONSTS)
+    assert rep["deviations_point_normalized"]["newton"] < 0.02
+    assert rep["negativities"]["schroedinger-newton"] == 0.0
+    assert rep["negativities"]["general"] > 0.0
+    assert abs(rep["prefactor_ratios"]["general_over_nonlocal"] + 4.0) < 1e-9
+    assert len(rep["self_energies"]["A"]) == 2
 
     wa, wb = pair_spec(d=1.0, width=0.5)
-    wide = compare_models(PhaseRequest(source_a=wa, source_b=wb, time=t, consts=CONSTS))
+    wide = compare_models(wa, wb, t, CONSTS)
     expected_dev = (1.0 - erf(1.0)) / erf(1.0)
-    assert abs(wide.deviations["newton"] - expected_dev) < 1e-6
-    assert wide.deviations["newton"] > 0.10
+    assert abs(wide["deviations_point_normalized"]["newton"] - expected_dev) < 1e-6
+    assert wide["deviations_point_normalized"]["newton"] > 0.10
+
+
+def test_compare_models_refuses_negative_time():
+    a, b = gie_specs()
+    with pytest.raises(ValueError, match="non-negative"):
+        compare_models(a, b, -0.1, CONSTS)
 
 
 def test_compare_models_skips_for_state_inputs():
@@ -303,9 +307,9 @@ def test_compare_models_skips_for_state_inputs():
     psi_b = QuantumSourceState(amplitudes=[1.0],
                                densities=[gaussian_density(1.0, (2.0, 0, 0), 0.3)],
                                indices=(0,))
-    rep = compare_models(PhaseRequest(source_a=psi_a, source_b=psi_b, time=t, consts=CONSTS))
-    assert "newton" in rep.skipped and "newton" not in rep.matrices
-    assert "general" in rep.matrices
+    rep = compare_models(psi_a, psi_b, t, CONSTS)
+    assert "newton" in rep["skipped_models"] and "newton" not in rep["matrices"]
+    assert "general" in rep["matrices"]
 
 
 def test_functional_form_discrimination():
@@ -337,20 +341,20 @@ def test_phase_invariant_under_unit_rescaling():
 def test_sn_phase_accepts_quantum_states():
     t = 0.3
     a, b = gie_specs(width=0.2)
-    from_spec = models(a, b, t).matrices["schroedinger-newton"]
+    from_spec = models(a, b, t)["matrices"]["schroedinger-newton"]
     from_state = models(QuantumSourceState.from_localized(a),
-                        QuantumSourceState.from_localized(b), t).matrices["schroedinger-newton"]
+                        QuantumSourceState.from_localized(b), t)["matrices"]["schroedinger-newton"]
     np.testing.assert_allclose(from_state.phases, from_spec.phases, rtol=1e-12)
 
 
 def test_pairwise_deviations_reported():
     t = 0.2
     a, b = gie_specs()
-    rep = compare_models(PhaseRequest(source_a=a, source_b=b, time=t, consts=CONSTS))
+    rep = compare_models(a, b, t, CONSTS)
     # nonlocal carries the identical kernel, so it normalises onto general
-    assert rep.pairwise_deviations["general|nonlocal"] < 1e-12
-    assert rep.pairwise_deviations["general|schroedinger-newton"] > 0.1
-    assert "general|newton" in rep.pairwise_deviations
+    assert rep["pairwise_deviations"]["general|nonlocal"] < 1e-12
+    assert rep["pairwise_deviations"]["general|schroedinger-newton"] > 0.1
+    assert "general|newton" in rep["pairwise_deviations"]
 
 
 def _counting(monkeypatch, name):
@@ -382,6 +386,6 @@ def test_mc_models_share_one_sample_set():
     a, b = gie_specs(width=0.3)
     for t in (0.3, 0.17):
         rep = models(a, b, t, backend="mc", mc_samples=20_000, seed=4)
-        assert rep.prefactor_ratios["general_over_nonlocal"] == -4.0
-        assert rep.pairwise_deviations["general|nonlocal"] == 0.0
-        assert rep.matrices["general"].stderr.min() > 0.0
+        assert rep["prefactor_ratios"]["general_over_nonlocal"] == -4.0
+        assert rep["pairwise_deviations"]["general|nonlocal"] == 0.0
+        assert rep["matrices"]["general"].stderr.min() > 0.0

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from gravphase.tensoralg import (
-    SYM6_CONTRACTION_WEIGHTS,
     decompose,
-    sym6_from_matrix,
     transverse_projector,
     tt_project,
 )
@@ -91,16 +89,3 @@ def test_decompose_recomposition_and_orthogonality():
         assert abs((longitudinal * tt).sum()) < 1e-12
         assert abs((longitudinal * trace_tensor).sum()) < 1e-12
         assert abs((tt * trace_tensor).sum()) < 1e-12
-
-
-def test_sym6_roundtrip():
-    # (xx, yy, zz, xy, xz, yz), each independent component read once
-    t = np.array([[1.0, 4.0, 5.0], [4.0, 2.0, 6.0], [5.0, 6.0, 3.0]])
-    np.testing.assert_array_equal(sym6_from_matrix(t), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    rng = np.random.default_rng(3)
-    a, b = random_sym(rng, 10), random_sym(rng, 10)
-    a6, b6 = sym6_from_matrix(a), sym6_from_matrix(b)
-    assert a6.shape == (10, 6)
-    # the weights turn the packed product into the full contraction A_ij B^ij
-    np.testing.assert_allclose((SYM6_CONTRACTION_WEIGHTS * a6 * b6).sum(axis=-1),
-                               np.einsum("nij,nij->n", a, b), rtol=1e-13)
