@@ -52,16 +52,22 @@ class GridSpec:
     def axes(self) -> np.ndarray:
         return np.arange(self.n) * self.h
 
+    def k_axis(self) -> np.ndarray:
+        """Wavenumbers along one axis, FFT layout."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+
     def k_lattice(self) -> np.ndarray:
         """Wavevectors, shape (n, n, n, 3), FFT layout."""
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+        k = self.k_axis()
         kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
         return np.stack([kx, ky, kz], axis=-1)
 
     @cached_property
     def k_magnitude(self) -> np.ndarray:
-        """|k| per mode, shape (n, n, n), FFT layout."""
-        return _read_only(np.sqrt((self.k_lattice() ** 2).sum(axis=-1)))
+        """|k| per mode, shape (n, n, n), FFT layout, summed from the
+        squared axis wavenumbers without forming the lattice."""
+        k2 = self.k_axis() ** 2
+        return _read_only(np.sqrt(k2[:, None, None] + k2[None, :, None] + k2[None, None, :]))
 
     @cached_property
     def nonzero_mode_mask(self) -> np.ndarray:

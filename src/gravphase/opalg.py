@@ -51,9 +51,13 @@ from .tensoralg import transverse_projector
 
 EXACT_DIM_LIMIT = 4096
 BRANCH_AMP_FLOOR = 1e-12
-# bytes of one (times, d_P, D, D) complex propagator stack; a sweep holds
-# about five such stacks at once
+# bytes a propagator sweep may hold at its peak.  Under tracemalloc,
+# compare_propagators peaks at five (times, d_P, D, D) complex stacks (up to
+# 5.6 at D = 4, where per-time Python objects add to them) or, over few
+# times, at four stacks and about eight (d_P, D, D) operators
 SWEEP_BYTES_LIMIT = 2**27
+SWEEP_STACKS = 6
+SWEEP_OPERATORS = 8
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -383,12 +387,13 @@ class PropagatorComparison:
 
 
 def check_sweep_size(n_times: int, n_branches: int, field_dim: int) -> None:
-    """Refuse a propagator sweep whose (n_times, d_P, D, D) complex stack
-    exceeds SWEEP_BYTES_LIMIT, before any operator is built."""
-    size = 16 * n_times * n_branches * field_dim**2
+    """Refuse a propagator sweep whose peak, SWEEP_STACKS (n_times, d_P, D,
+    D) complex stacks and SWEEP_OPERATORS (d_P, D, D) operators, exceeds
+    SWEEP_BYTES_LIMIT, before any operator is built."""
+    size = 16 * n_branches * field_dim**2 * (SWEEP_STACKS * n_times + SWEEP_OPERATORS)
     if size > SWEEP_BYTES_LIMIT:
         raise ValueError(f"propagator sweep of {n_times} times x {n_branches} branches x "
-                         f"dimension {field_dim} needs {size} bytes per stack, above the "
+                         f"dimension {field_dim} needs {size} bytes at its peak, above the "
                          f"limit of {SWEEP_BYTES_LIMIT}")
 
 

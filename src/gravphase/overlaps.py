@@ -60,12 +60,7 @@ def build_field_state(e: EnergyDensity, consts: PhysicalConstants, grid: GridSpe
     return hk / (2.0 * consts.hbar)
 
 
-def exact_joint_overlap(
-    psi_a: QuantumSourceState,
-    psi_b: QuantumSourceState,
-    grid: GridSpec,
-    consts: PhysicalConstants,
-) -> complex:
+def exact_joint_overlap(psi_a, psi_b, grid: GridSpec, consts: PhysicalConstants):
     """Inner product of the joint matter+field states.
 
     Assembles the field states of the eigen-densities whose index both
@@ -74,24 +69,47 @@ def exact_joint_overlap(
     one state carries meets the matter factor <E'|E> = 0, so its field state
     is never built.  The result therefore equals the bare matter overlap,
     which is what this function returns after the checks.
+
+    `psi_a` and `psi_b` may also be equal-length sequences of states, paired
+    element by element; the result is then a complex array, one entry per
+    pair, each equal to the single-pair call.  Within one call every
+    distinct eigen-density gets one field state, so an index whose two
+    densities are equal needs no check.
     """
-    amp_b = dict(zip(psi_b.indices, psi_b.amplitudes))
-    dens_b = dict(zip(psi_b.indices, psi_b.densities))
-    out = 0.0 + 0.0j
-    for idx, amp, dens in zip(psi_a.indices, psi_a.amplitudes, psi_a.densities):
-        if idx not in amp_b:
-            continue
-        da = build_field_state(dens, consts, grid)
-        db = build_field_state(dens_b[idx], consts, grid)
-        scale = max(np.abs(da).max(), 1.0)
-        defect = np.abs(da - db).max() / scale
-        if defect > SHIFT_CANCEL_TOL:
-            raise ValueError(
-                f"eigenstate index {idx} carries inconsistent densities "
-                f"(per-mode shift mismatch {defect:.2e})"
-            )
-        out += np.conj(amp) * amp_b[idx]
-    return complex(out)
+    single = isinstance(psi_a, QuantumSourceState)
+    pairs_a, pairs_b = ([psi_a], [psi_b]) if single else (list(psi_a), list(psi_b))
+    if len(pairs_a) != len(pairs_b):
+        raise ValueError(f"need equal numbers of states, got {len(pairs_a)} and {len(pairs_b)}")
+    field_states = {}
+
+    def field_state(dens):
+        # equal profile parameters give equal field states; a grid profile's
+        # array is not hashable, so it is keyed by identity
+        key = id(dens) if dens.kind == "grid" else (dens.kind, dens.mass, dens.center, dens.sigma)
+        if key not in field_states:
+            field_states[key] = build_field_state(dens, consts, grid)
+        return field_states[key]
+
+    result = np.zeros(len(pairs_a), dtype=complex)
+    for k, (a, b) in enumerate(zip(pairs_a, pairs_b)):
+        amp_b = dict(zip(b.indices, b.amplitudes))
+        dens_b = dict(zip(b.indices, b.densities))
+        out = 0.0 + 0.0j
+        for idx, amp, dens in zip(a.indices, a.amplitudes, a.densities):
+            if idx not in amp_b:
+                continue
+            da, db = field_state(dens), field_state(dens_b[idx])
+            if da is not db:
+                scale = max(np.abs(da).max(), 1.0)
+                defect = np.abs(da - db).max() / scale
+                if defect > SHIFT_CANCEL_TOL:
+                    raise ValueError(
+                        f"eigenstate index {idx} carries inconsistent densities "
+                        f"(per-mode shift mismatch {defect:.2e})"
+                    )
+            out += np.conj(amp) * amp_b[idx]
+        result[k] = out
+    return complex(result[0]) if single else result
 
 
 def analytic_point_amplitudes(mass: float, sigma: float, grid: GridSpec,

@@ -578,13 +578,15 @@ def test_scenarios_run_without_scipy(tmp_path, make_cfg):
     probe = ("import sys; from gravphase.cli import main; "
              f"code = main(['run', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
              "print(code, sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'jsonschema')), 'concurrent' in sys.modules)")
+             "if m.split('.')[0] in ('scipy', 'jsonschema')), 'concurrent' in sys.modules, "
+             "'numpy.random' in sys.modules)")
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.returncode == 0, proc.stderr
-    # only the Monte-Carlo pair integrals start a thread pool
-    assert proc.stdout.splitlines()[-1] == f"0 [] {cfg.get('backend') == 'mc'}"
+    # only the Monte-Carlo pair integrals start a thread pool and draw from numpy.random
+    mc = cfg.get("backend") == "mc"
+    assert proc.stdout.splitlines()[-1] == f"0 [] {mc} {mc}"
 
 
 def _edited(make_cfg, edit):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gravphase.grids import GridSpec
@@ -24,3 +25,9 @@ def test_built_tables_leave_equality_and_hash_alone():
     assert {bare: "table"}[built] == "table"
     assert built != GridSpec(8, 2.0)
 
+
+@pytest.mark.parametrize("box", [1.0, 8.0, 0.013, 1e5])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_k_magnitude_equals_the_lattice_norm(n, box):
+    grid = GridSpec(n, box)
+    assert np.array_equal(grid.k_magnitude, np.sqrt((grid.k_lattice() ** 2).sum(axis=-1)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -422,12 +424,35 @@ def test_compare_propagators_diagonalises_each_generator_once(monkeypatch, n_tim
     assert sorted(calls) == sorted([(40, 40)] + [(2, 40, 40)] * 4)
 
 
+@pytest.mark.parametrize("dim", [4, 12, 40])
+def test_the_largest_accepted_sweep_peaks_under_the_limit(monkeypatch, dim):
+    limit = 2**22
+    monkeypatch.setattr(opalg, "SWEEP_BYTES_LIMIT", limit)
+    n_times = 1
+    while True:
+        try:
+            opalg.check_sweep_size(n_times + 1, 2, dim)
+        except ValueError:
+            break
+        n_times += 1
+    opalg.check_sweep_size(n_times, 2, dim)
+    system = single_system(dim)
+    tracemalloc.start()
+    try:
+        compare_propagators(system, tt_probe(system, 0.1), [0.0],
+                            np.geomspace(0.02, 0.2, n_times), n_low=min(8, dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
 def test_compare_propagators_refuses_an_oversized_sweep_before_building(monkeypatch):
     def unreachable(system):
         raise AssertionError("build_HG reached")
 
     monkeypatch.setattr(opalg, "build_HG", unreachable)
     system = single_system()
-    # 3000 times x 2 branches x 40^2 x 16 B = 154 MB > SWEEP_BYTES_LIMIT
+    # 2 branches x 40^2 x 16 B x (6 x 3000 times + 8) = 922 MB > SWEEP_BYTES_LIMIT
     with pytest.raises(ValueError, match="propagator sweep"):
         compare_propagators(system, tt_probe(system, 0.1), [0.0], np.linspace(0.01, 0.1, 3000))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravphase import overlaps, scenarios
 from gravphase.config import get_preset
@@ -17,7 +19,9 @@ from gravphase.sources import (
     PhysicalConstants,
     QuantumSourceState,
     gaussian_density,
+    grid_density,
     point_density,
+    sample_on_grid,
     source_overlap,
 )
 
@@ -105,8 +109,10 @@ def test_exact_joint_overlap_builds_only_shared_indices(monkeypatch):
     phi = _state([0.6, 0.8], (1, 3))
     joint = exact_joint_overlap(psi, phi, GRID, CONSTS)
     assert joint == source_overlap(psi, phi)
-    # index 1 on each side; indices 0, 2 and 3 meet a zero matter factor
-    assert [args[0] for args in calls] == [psi.densities[1], phi.densities[0]]
+    # index 1 on each side carries one density, so one field state serves
+    # both; indices 0, 2 and 3 meet a zero matter factor
+    assert psi.densities[1] == phi.densities[0]
+    assert [args[0] for args in calls] == [psi.densities[1]]
 
     calls.clear()
     other = QuantumSourceState(
@@ -115,6 +121,33 @@ def test_exact_joint_overlap_builds_only_shared_indices(monkeypatch):
     with pytest.raises(ValueError, match="eigenstate index 1 carries inconsistent"):
         exact_joint_overlap(psi, other, GRID, CONSTS)
     assert len(calls) == 2
+
+
+def test_overlap_sweep_builds_one_field_state_per_density(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, overlaps, "build_field_state")
+    cfg = get_preset("semiclassical-overlap")
+    report = scenarios.run_overlap_sweep(cfg, tmp_path)
+    assert report["state_pairs_checked"] == cfg["overlap"]["state_pairs"] == 20
+    assert report["joint_overlap_identity_max_dev"] == 0.0
+    keys = {(dens, grid) for dens, _, grid in calls}
+    assert 0 < len(calls) == len(keys) <= 4
+
+
+def test_exact_joint_overlap_pairs_sequences_and_keys_grid_profiles_by_identity(monkeypatch):
+    calls = _counting(monkeypatch, overlaps, "build_field_state")
+    s2 = 1 / np.sqrt(2)
+    sampled = sample_on_grid(gaussian_density(1.0, (4.0, 4.0, 4.0), 0.5), GRID, CONSTS)
+    twin = grid_density(sampled.values.copy(), GRID.box)
+    a = QuantumSourceState(amplitudes=[s2, s2], densities=[sampled, sampled], indices=(0, 1))
+    b = QuantumSourceState(amplitudes=[s2, -s2], densities=[twin, sampled], indices=(0, 1))
+    joint = exact_joint_overlap([a, a, b], [b, a, b], GRID, CONSTS)
+    assert joint.dtype == complex and joint.shape == (3,)
+    assert list(joint) == [source_overlap(a, b), source_overlap(a, a), source_overlap(b, b)]
+    # equal values, two objects: two field states, checked against each other
+    assert len(calls) == 2 and calls[0][0] is sampled and calls[1][0] is twin
+    assert exact_joint_overlap([], [], GRID, CONSTS).shape == (0,)
+    with pytest.raises(ValueError, match="equal numbers of states"):
+        exact_joint_overlap([a, b], [a], GRID, CONSTS)
 
 
 def test_semiclassical_trivial_and_guards():
@@ -239,3 +272,46 @@ def test_analytic_amplitudes_match_mode_solve():
     sel = (kmag > 0) & (kmag < 4.0)
     rel = np.abs(hk_grid[sel] - hk_exact[sel]) / hk_exact[sel]
     assert rel.max() < 0.01
+
+
+# The array forms against their scalar calls, bit for bit, on random input:
+# eigenbases of analytic and sampled (identity-keyed) densities, and
+# displacement stacks against width ladders.
+FUZZ_GRID = GridSpec(8, 8.0)
+FUZZ_BASIS = [gaussian_density(1.0, (2.0 + 0.5 * i, 3.0, 4.0), 0.3 + 0.03 * i) for i in range(3)]
+FUZZ_BASIS.append(sample_on_grid(gaussian_density(2.0, (4.0, 4.0, 4.0), 0.6), FUZZ_GRID, CONSTS))
+
+
+@st.composite
+def _fuzz_state(draw):
+    idx = sorted(draw(st.sets(st.integers(0, len(FUZZ_BASIS) - 1), min_size=1)))
+    amps = np.array(draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+                                  min_size=len(idx), max_size=len(idx))))
+    return QuantumSourceState(amplitudes=amps / np.linalg.norm(amps),
+                              densities=[FUZZ_BASIS[i] for i in idx], indices=idx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(_fuzz_state(), _fuzz_state()), max_size=6))
+def test_batched_joint_overlap_equals_its_pair_calls(pairs):
+    psis, phis = [a for a, _ in pairs], [b for _, b in pairs]
+    joint = exact_joint_overlap(psis, phis, FUZZ_GRID, CONSTS)
+    assert list(joint) == [exact_joint_overlap(a, b, FUZZ_GRID, CONSTS) for a, b in pairs]
+
+
+_COORD = st.floats(-1.5, 1.5, allow_subnormal=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(eps=st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=4),
+       ws=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+       sigma_reg=st.floats(0.05, 0.5),
+       matter_width=st.none() | st.floats(0.05, 2.0))
+def test_semiclassical_stacks_equal_their_scalar_calls(eps, ws, sigma_reg, matter_width):
+    pos = (4.0, 4.0, 4.0)
+    kw = dict(mass=1.3, sigma_reg=sigma_reg, matter_width=matter_width)
+    logs = semiclassical_overlap(pos, eps, ws, FUZZ_GRID, CONSTS, **kw)
+    assert logs.shape == (len(eps), len(ws))
+    for i, e in enumerate(eps):
+        for j, w in enumerate(ws):
+            assert logs[i, j] == semiclassical_overlap(pos, e, w, FUZZ_GRID, CONSTS, **kw)
