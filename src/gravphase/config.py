@@ -302,7 +302,7 @@ def validate_config(cfg: dict) -> None:
     if opalg:
         try:
             check_sweep_size(opalg.get("t_points", 10), len(opalg["tt_branch_amplitudes"]),
-                             opalg["dim"])
+                             opalg["dim"], min(opalg.get("n_low", 8), opalg["dim"]))
         except ValueError as exc:
             raise ConfigError(f"config invalid at opalg: {exc}") from None
     tr_amps = opalg.get("trace_branch_amplitudes")

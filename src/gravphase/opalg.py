@@ -37,6 +37,12 @@ phase1 carries the cross term of the h-displacement passing through the
 [H_G, H_I] factor; dropping the t^3 Zassenhaus factor degrades the product
 from O(t^4) to O(t^3) accuracy, which is the observable signature that the
 commutator terms are real.
+
+The verification reads only the low-lying columns of each propagator, so
+each is applied to those columns X as V (e^{-i s lambda} (.) V^dagger X),
+one eigendecomposition per generator and no D x D matrix per time (the
+action of the exponential on a block of vectors: Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33, 488, 2011).
 """
 
 from __future__ import annotations
@@ -52,12 +58,12 @@ from .tensoralg import transverse_projector
 EXACT_DIM_LIMIT = 4096
 BRANCH_AMP_FLOOR = 1e-12
 # bytes a propagator sweep may hold at its peak.  Under tracemalloc,
-# compare_propagators peaks at five (times, d_P, D, D) complex stacks (up to
-# 5.6 at D = 4, where per-time Python objects add to them) or, over few
-# times, at four stacks and about eight (d_P, D, D) operators
+# compare_propagators peaks at 4.1-4.2 (times, d_P, D, 2 n_low) complex
+# column stacks over long sweeps (per-time Python objects included) and at
+# about eleven (d_P, D, D) operators over few times
 SWEEP_BYTES_LIMIT = 2**27
-SWEEP_STACKS = 6
-SWEEP_OPERATORS = 8
+SWEEP_STACKS = 5
+SWEEP_OPERATORS = 12
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -259,52 +265,62 @@ def nested_commutators(h_g: np.ndarray, h_i: np.ndarray) -> dict:
     return {"GI": gi, "GGI": commutator(h_g, gi), "IGI": commutator(h_i, gi)}
 
 
-def _propagators(h: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """exp(-i s H) = V diag(e^{-i s lambda}) V^dagger at every s, from one
-    eigendecomposition of H (or of a stack of them); unitary by
-    construction.  s holds the time axes and then one unit axis per stack
-    axis of H, and the time axes lead the result."""
+def _propagators(h: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(-i s H) X = V (e^{-i s lambda} (.) V^dagger X) at every s, applied
+    right to left from one eigendecomposition of H (or of a stack of them).
+    s holds the time axes and then one unit axis per stack axis of H, and
+    the time axes lead the result.  V is checked unitary to 1e-10 once per
+    generator: the propagators are unitary by construction, so this guards
+    against a corrupted decomposition rather than roundoff."""
     # eigh reads one triangle, so a commutator that is Hermitian only up to
     # rounding is exponentiated as its Hermitian part
     values, vectors = np.linalg.eigh(h)
-    phases = np.exp(-1j * s[..., None] * values)[..., None, :]
-    return (vectors * phases) @ np.swapaxes(vectors.conj(), -1, -2)
+    vectors_h = np.swapaxes(vectors.conj(), -1, -2)
+    if np.abs(vectors_h @ vectors - np.eye(h.shape[-1])).max() > 1e-10:
+        raise ValueError("propagator lost unitarity beyond 1e-10")
+    phases = np.exp(-1j * s[..., None] * values)[..., None]
+    return vectors @ (phases * (vectors_h @ x))
 
 
-def _times(t, h: np.ndarray) -> np.ndarray:
-    """A time or a 1-D array of times, with one unit axis per stack axis of h."""
+def _times(t, unit_axes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A time or a 1-D array of times, and its squares and cubes, each with
+    unit_axes unit axes appended; the powers are taken in Python floats, as
+    numpy's array power can be an ulp off."""
     t = np.asarray(t, dtype=float)
-    return t.reshape(t.shape + (1,) * (h.ndim - 2))
+    shape = t.shape + (1,) * unit_axes
+    return tuple(np.reshape([x**p for x in t.ravel().tolist()], shape) for p in (1, 2, 3))
 
 
-def zassenhaus_product(h_g: np.ndarray, h_i: np.ndarray, t,
-                       hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered products of exponentials at a time or a 1-D array of times
-    (time axis first), as (order2, order3).  The factors are exp(-i s_k G_k)
-    for the generators H_G, H_I, i[H_G,H_I] and [H_G,[H_G,H_I]] +
-    2 [H_I,[H_G,H_I]], with s = t/hbar, t/hbar, t^2/2hbar^2 and
-    -t^3/6hbar^3; order 2 stops after the single-commutator factor and
-    order 3 is order 2 times the t^3 factor.  Each generator is
+def zassenhaus_product(h_g: np.ndarray, h_i: np.ndarray, t, hbar: float,
+                       x: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered products of exponentials applied to the columns x (the
+    identity when None) at a time or a 1-D array of times (time axis
+    first), as (order2 x, order3 x).  The factors are A = exp(-i t H_G/hbar),
+    B = exp(-i t H_I/hbar), C = exp(-i (t^2/2hbar^2) i[H_G,H_I]) and
+    E = exp(i (t^3/6hbar^3) ([H_G,[H_G,H_I]] + 2 [H_I,[H_G,H_I]])); order 2
+    is ABC and order 3 is ABCE.  E x is formed first, and the 2 n columns
+    [x | E x] go through C, B and A in one pass.  Each generator is
     diagonalised once per call; H_I may be a stack of branch blocks, and
     H_G is then diagonalised once for all."""
+    x = np.eye(h_i.shape[-1]) if x is None else x
     nest = nested_commutators(np.broadcast_to(h_g, h_i.shape), h_i)
-    times = _times(t, h_i)
-
-    def power(p):  # in Python floats: numpy's array power can be an ulp off
-        return np.reshape([x**p for x in times.ravel().tolist()], times.shape)
-
-    order2 = (_propagators(h_g, times / hbar) @ _propagators(h_i, times / hbar)
-              @ _propagators(1j * nest["GI"], power(2) / (2.0 * hbar**2)))
-    return order2, order2 @ _propagators(nest["GGI"] + 2.0 * nest["IGI"],
-                                         -power(3) / (6.0 * hbar**3))
+    times, squares, cubes = _times(t, h_i.ndim - 2)
+    ex = _propagators(nest["GGI"] + 2.0 * nest["IGI"], -cubes / (6.0 * hbar**3), x)
+    y = np.concatenate([np.broadcast_to(x, ex.shape), ex], axis=-1)
+    for h, s in ((1j * nest["GI"], squares / (2.0 * hbar**2)), (h_i, times / hbar),
+                 (h_g, times / hbar)):
+        y = _propagators(h, s, y)
+    return y[..., : x.shape[-1]], y[..., x.shape[-1]:]
 
 
-def exact_propagator(h_total: np.ndarray, t, hbar: float) -> np.ndarray:
-    """exp(-i t H / hbar) at a time or a 1-D array of times (time axis
-    first), from one eigendecomposition of H (or of each block of a stack)."""
+def exact_propagator(h_total: np.ndarray, t, hbar: float, x: np.ndarray | None = None) -> np.ndarray:
+    """exp(-i t H / hbar) applied to the columns x (the identity when None)
+    at a time or a 1-D array of times (time axis first), from one
+    eigendecomposition of H (or of each block of a stack)."""
     if h_total.shape[-1] > EXACT_DIM_LIMIT:
         raise ValueError(f"dense exponential guarded to dimension {EXACT_DIM_LIMIT}")
-    return _propagators(h_total, _times(t, h_total) / hbar)
+    x = np.eye(h_total.shape[-1]) if x is None else x
+    return _propagators(h_total, _times(t, h_total.ndim - 2)[0] / hbar, x)
 
 
 @dataclass(frozen=True)
@@ -320,136 +336,158 @@ class ThetaPrediction:
     def phase_t3(self) -> np.ndarray:
         return self.phase1 + self.phase2
 
-    def total_phase(self) -> np.ndarray:
-        return self.phase0 + self.phase1 + self.phase2
+
+def _couplings(system: TruncatedModeSystem, probe: ProbeStressTensor,
+               hT_shift) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The H_I coupling coefficients C_m(b) = w tau_m(b), shape (n_modes,
+    d_P), the c-number drive sum_m w hS_m tr_m(b) per branch and omega per
+    mode."""
+    hT_shift = _checked_shift(system, probe, hT_shift)
+    modes = range(system.n_modes)
+    tau = np.array([probe.tt_contraction(system, m) for m in modes])
+    tr = np.array([probe.trace_contraction(system, m) for m in modes])
+    w = system.weight
+    return (w * tau, (w * hT_shift[:, None] * tr).sum(axis=0),
+            np.array([system.omega(m) for m in modes]))
 
 
 def predict_theta(system: TruncatedModeSystem, probe: ProbeStressTensor,
-                  hT_shift, t: float) -> ThetaPrediction:
-    """Commutator-ordered phase and damping predictions per probe branch."""
-    hT_shift = _checked_shift(system, probe, hT_shift)
-    modes = range(system.n_modes)
-    tau = np.array([probe.tt_contraction(system, m) for m in modes])  # (n_modes, d_P)
-    tr = np.array([probe.trace_contraction(system, m) for m in modes])
-    w = system.weight
+                  hT_shift, t) -> ThetaPrediction:
+    """Commutator-ordered phase and damping predictions per probe branch at
+    a time or a 1-D array of times (time axis first); the sums over modes
+    are formed once per call."""
+    coupling, drive, omegas = _couplings(system, probe, hT_shift)
     kappa, hbar = system.consts.kappa, system.consts.hbar
-    omegas = np.array([system.omega(m) for m in modes])
-    c2 = (w * tau) ** 2  # squared H_I coupling coefficients
-    phase0 = (t / (4.0 * hbar)) * (w * hT_shift[:, None] * tr).sum(axis=0)
-    damping0 = -(kappa * t**2 / (8.0 * hbar)) * (c2 / omegas[:, None]).sum(axis=0)
-    phase1 = -(kappa * t**3 / (8.0 * hbar)) * c2.sum(axis=0)
-    phase2 = (kappa * t**3 / (6.0 * hbar)) * c2.sum(axis=0)
-    return ThetaPrediction(phase0=phase0, damping0=damping0, phase1=phase1, phase2=phase2)
+    t, squares, cubes = _times(t, 1)
+    c2 = coupling**2
+    return ThetaPrediction(
+        phase0=(t / (4.0 * hbar)) * drive,
+        damping0=-(kappa * squares / (8.0 * hbar)) * (c2 / omegas[:, None]).sum(axis=0),
+        phase1=-(kappa * cubes / (8.0 * hbar)) * c2.sum(axis=0),
+        phase2=(kappa * cubes / (6.0 * hbar)) * c2.sum(axis=0))
+
+
+def closed_form_branch_amplitude(system: TruncatedModeSystem, probe: ProbeStressTensor,
+                                 hT_shift, t) -> np.ndarray:
+    """Vacuum persistence amplitude of every branch at a time or a 1-D array
+    of times (time axis first), exact to all orders in t.  Per mode, H_G -
+    (C/2) h is a linearly driven oscillator, whose amplitude with the free
+    zero-point phase removed is exp(i g^2 (omega t - sin omega t))
+    exp(-g^2 (1 - cos omega t)), g^2 = (C/2)^2 kappa / (hbar omega^3)
+    (Carruthers & Nieto, Am. J. Phys. 33, 537, 1965); the modes multiply,
+    and the c-number trace term adds phase0.  The dense propagators differ
+    from it only by the truncation at D levels."""
+    coupling, drive, omegas = _couplings(system, probe, hT_shift)
+    kappa, hbar = system.consts.kappa, system.consts.hbar
+    g2 = (0.5 * coupling) ** 2 * kappa / (hbar * omegas[:, None] ** 3)
+    t = _times(t, 1)[0]
+    wt = t[..., None] * omegas[:, None]
+    phase = (t / (4.0 * hbar)) * drive + (g2 * (wt - np.sin(wt))).sum(axis=-2)
+    return np.exp(1j * phase) * np.exp(-(g2 * (1.0 - np.cos(wt))).sum(axis=-2))
 
 
 def low_level_projector(system: TruncatedModeSystem, n_low: int) -> np.ndarray:
     """Diagonal projector onto per-mode number states below n_low; restricts
     defect norms to the subspace where truncation is clean."""
-    masks = {}
-    for m, spec in enumerate(system.modes):
-        d = np.zeros(spec.dim)
-        d[: min(n_low, spec.dim)] = 1.0
-        masks[m] = np.diag(d)
-    return _embed(system, masks)
+    keep = np.ones(1)
+    for spec in system.modes:
+        keep = np.kron(keep, np.arange(spec.dim) < n_low)
+    return np.diag(keep)
 
 
 @dataclass(frozen=True)
 class PropagatorComparison:
-    """One point of the exact-vs-factorised comparison: the per-branch exact
-    and order-3 propagators, the restricted operator-norm defects of the
-    order-3 and order-2 products, the extracted interference data of a
-    branch pair and the commutator-ordered predictions for it."""
+    """The exact-vs-factorised comparison over a sweep, time axis first:
+    the per-branch vacuum amplitudes <0|U_b|0> of the exact propagators,
+    shape (times, d_P), the restricted operator-norm defects of the order-3
+    and order-2 products, the extracted interference data of a branch pair
+    and the commutator-ordered predictions for it."""
 
-    time: float
-    u_exact: np.ndarray
-    u_zassenhaus: np.ndarray
-    defect_order3: float
-    defect_order2: float
-    dphase_exact: float
-    ddamping_exact: float
+    times: np.ndarray
+    amplitudes: np.ndarray
+    defect_order3: np.ndarray
+    defect_order2: np.ndarray
+    dphase_exact: np.ndarray
+    ddamping_exact: np.ndarray
     prediction: ThetaPrediction
     branch_pair: tuple[int, int]
 
     def __post_init__(self):
-        if min(self.defect_order3, self.defect_order2) < 0.0:
+        if min(self.defect_order3.min(), self.defect_order2.min()) < 0.0:
             raise ValueError("defect must be non-negative")
 
     @property
-    def dphase_predicted(self) -> float:
+    def dphase_predicted(self) -> np.ndarray:
         a, b = self.branch_pair
-        total = self.prediction.total_phase()
-        return float(total[b] - total[a])
+        p = self.prediction
+        total = p.phase0 + p.phase1 + p.phase2
+        return total[..., b] - total[..., a]
 
     @property
-    def ddamping_predicted(self) -> float:
+    def ddamping_predicted(self) -> np.ndarray:
         a, b = self.branch_pair
-        return float(self.prediction.damping0[b] - self.prediction.damping0[a])
+        return self.prediction.damping0[..., b] - self.prediction.damping0[..., a]
 
 
-def check_sweep_size(n_times: int, n_branches: int, field_dim: int) -> None:
-    """Refuse a propagator sweep whose peak, SWEEP_STACKS (n_times, d_P, D,
-    D) complex stacks and SWEEP_OPERATORS (d_P, D, D) operators, exceeds
-    SWEEP_BYTES_LIMIT, before any operator is built."""
-    size = 16 * n_branches * field_dim**2 * (SWEEP_STACKS * n_times + SWEEP_OPERATORS)
+def check_sweep_size(n_times: int, n_branches: int, field_dim: int, n_columns: int) -> None:
+    """Refuse a propagator sweep of n_columns columns whose peak,
+    SWEEP_STACKS (n_times, d_P, D, 2 n_columns) complex column stacks and
+    SWEEP_OPERATORS (d_P, D, D) operators, exceeds SWEEP_BYTES_LIMIT,
+    before any operator is built."""
+    size = 16 * n_branches * field_dim * (SWEEP_STACKS * n_times * 2 * n_columns
+                                          + SWEEP_OPERATORS * field_dim)
     if size > SWEEP_BYTES_LIMIT:
         raise ValueError(f"propagator sweep of {n_times} times x {n_branches} branches x "
-                         f"dimension {field_dim} needs {size} bytes at its peak, above the "
-                         f"limit of {SWEEP_BYTES_LIMIT}")
-
-
-def _unitarity_defect(u: np.ndarray) -> float:
-    return float(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])).max())
+                         f"dimension {field_dim} x {n_columns} columns needs {size} bytes at "
+                         f"its peak, above the limit of {SWEEP_BYTES_LIMIT}")
 
 
 def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
                         hT_shift, times, n_low: int = 8,
-                        branch_pair: tuple[int, int] = (0, 1)) -> list[PropagatorComparison]:
+                        branch_pair: tuple[int, int] = (0, 1)) -> PropagatorComparison:
     """Evolve every branch exactly and through the order-3 and order-2
-    ordered-exponential factorisations, measure their deviations on the
-    low-lying subspace and extract the branch-pair interference data: one
-    PropagatorComparison per time, in the order given.  H_G and every H_I,b
-    are built once, and each propagator function is called once for all
-    times.
+    ordered-exponential factorisations over a 1-D array of times, measure
+    their deviations on the low-lying subspace and extract the branch-pair
+    interference data.  H_G and every H_I,b are built once, and each
+    propagator function is called once for all times.
 
-    A defect is the largest per-branch ||(U_b - U_Z,b) P||_2, which is the
-    operator norm on the block-diagonal field (x) probe space.  Every
-    propagator is checked unitary to 1e-10 (they are unitary by
-    construction, so this guards against a corrupted decomposition rather
-    than roundoff).  A sweep over SWEEP_BYTES_LIMIT is refused first."""
+    Every propagator is applied only to the columns the comparison reads:
+    the n_low^M number states X that the diagonal low_level_projector P
+    keeps, the field vacuum first.  A defect is the largest per-branch
+    ||(U_b - U_Z,b) X||_2, which equals ||(U_b - U_Z,b) P||_2 because
+    P = X X^T with X orthonormal, and is the operator norm on the
+    block-diagonal field (x) probe space.  The vacuum amplitudes are column
+    0 of U_b X.  A sweep over SWEEP_BYTES_LIMIT is refused first."""
     hbar = system.consts.hbar
     times = np.asarray(times, dtype=float)
-    check_sweep_size(times.size, probe.n_branches, system.field_dim)
+    check_sweep_size(times.size, probe.n_branches, system.field_dim,
+                     math.prod(min(n_low, m.dim) for m in system.modes))
     h_g = build_HG(system)
     h_i = build_HI(system, probe, hT_shift)
-    u_exact = exact_propagator(h_g + h_i, times, hbar)
-    u_z2, u_z3 = zassenhaus_product(h_g, h_i, times, hbar)
-    for u in (u_exact, u_z2, u_z3):
-        if _unitarity_defect(u) > 1e-10:
-            raise ValueError("propagator lost unitarity beyond 1e-10")
-    projector = low_level_projector(system, n_low)
-    defect3, defect2 = (
-        np.linalg.norm((u_exact - u_z) @ projector, 2, axis=(-2, -1)).max(axis=-1)
-        for u_z in (u_z3, u_z2))
-    interference = [extract_relative_phase(u, branch_pair) for u in u_exact]
-    return [PropagatorComparison(
-        time=t, u_exact=u_exact[k], u_zassenhaus=u_z3[k], defect_order3=float(defect3[k]),
-        defect_order2=float(defect2[k]), dphase_exact=interference[k][0],
-        ddamping_exact=interference[k][1], prediction=predict_theta(system, probe, hT_shift, t),
-        branch_pair=branch_pair) for k, t in enumerate(times)]
+    x = np.eye(system.field_dim)[:, np.diagonal(low_level_projector(system, n_low)) == 1.0]
+    u_x = exact_propagator(h_g + h_i, times, hbar, x)
+    u_z2, u_z3 = zassenhaus_product(h_g, h_i, times, hbar, x)
+    defect3, defect2 = (np.linalg.norm(u_x - u_z, 2, axis=(-2, -1)).max(axis=-1)
+                        for u_z in (u_z3, u_z2))
+    # the amplitudes are copied, so that no view keeps the column stack alive
+    return PropagatorComparison(
+        times, u_x[..., 0, 0].copy(), defect3, defect2, *extract_relative_phase(u_x, branch_pair),
+        predict_theta(system, probe, hT_shift, times), branch_pair)
 
 
 def extract_relative_phase(u: np.ndarray, branch_pair: tuple[int, int]):
     """Interference data between two probe branches from the per-branch
-    propagators u, shape (d_P, D, D).
+    propagators u, shape (..., d_P, D, D) with any leading time axes, or
+    from them applied to columns of which the first is the field vacuum.
 
     Per branch x the vacuum amplitude is A_x = <0|U_x|0> (the field vacuum
     is the first kron-basis vector); returns (arg, log magnitude) of
     A_b / A_a, the relative phase and damping that an interference
     measurement on the probe reads out.
     """
-    amps = u[list(branch_pair), 0, 0]
+    amps = u[..., list(branch_pair), 0, 0]
     weakest = float(np.abs(amps).min())
     if weakest < BRANCH_AMP_FLOOR:
         raise ValueError(f"branch suppressed: |amplitude| = {weakest:.2e}")
-    ratio = amps[1] / amps[0]
-    return float(np.angle(ratio)), float(np.log(np.abs(ratio)))
+    ratio = amps[..., 1] / amps[..., 0]
+    return np.angle(ratio), np.log(np.abs(ratio))

@@ -15,6 +15,7 @@ from .config import build_constants
 from .grids import GridSpec
 from .opalg import (
     c_number_probe_stress,
+    closed_form_branch_amplitude,
     compare_propagators,
     make_single_mode_system,
     polarization_tensors,
@@ -281,26 +282,30 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     n_low = block.get("n_low", 8)
 
     ts = np.geomspace(block["t_start"], block["t_stop"], block.get("t_points", 10))
-    comps = compare_propagators(system, probe, hT, ts, n_low=n_low)
-    defects3 = [c.defect_order3 for c in comps]
-    defects2 = [c.defect_order2 for c in comps]
-    resid = [c.dphase_exact - float(c.prediction.phase0[1] - c.prediction.phase0[0])
-             for c in comps]
-    damp = [abs(c.ddamping_exact) for c in comps]
+    comp = compare_propagators(system, probe, hT, ts, n_low=n_low)
+    pred = comp.prediction
+    resid = comp.dphase_exact - (pred.phase0[:, 1] - pred.phase0[:, 0])
     write_csv(outdir / "tables" / "zassenhaus.csv",
               ["t", "defect_order3", "defect_order2", "dphase_exact",
                "dphase_predicted", "ddamping_exact", "ddamping_predicted"],
-              [(c.time, c.defect_order3, c.defect_order2, c.dphase_exact,
-                c.dphase_predicted, c.ddamping_exact, c.ddamping_predicted)
-               for c in comps])
+              zip(ts, comp.defect_order3, comp.defect_order2, comp.dphase_exact,
+                  comp.dphase_predicted, comp.ddamping_exact, comp.ddamping_predicted))
 
-    slope3 = _fit_slope(ts, defects3)
-    slope2 = _fit_slope(ts, defects2)
+    slope3 = _fit_slope(ts, comp.defect_order3)
+    slope2 = _fit_slope(ts, comp.defect_order2)
     slope_resid = _fit_slope(ts, np.abs(resid))
-    pred0 = comps[0].prediction
-    t3_pred = float(pred0.phase_t3[1] - pred0.phase_t3[0])
+    t3_pred = float(pred.phase_t3[0, 1] - pred.phase_t3[0, 0])
     t3_rel_err = abs(resid[0] - t3_pred) / abs(t3_pred) if t3_pred else float("nan")
-    slope_damp = _fit_slope(ts, damp)
+    slope_damp = _fit_slope(ts, np.abs(comp.ddamping_exact))
+    # the displaced-oscillator closed form, exact to all orders in t: a
+    # closed form that under- or overflows reads as nan
+    with np.errstate(all="ignore"):
+        closed = closed_form_branch_amplitude(system, probe, hT, ts)
+        ratio = closed[:, 1] / closed[:, 0]
+        phase, damping = np.angle(ratio), np.log(np.abs(ratio))
+        closed_dev = {
+            "dphase": float(np.max(np.abs(comp.dphase_exact - phase) / np.abs(phase))),
+            "ddamping": float(np.max(np.abs(comp.ddamping_exact - damping) / np.abs(damping)))}
     write_csv(outdir / "tables" / "slopes.csv",
               ["quantity", "slope", "window_lo", "window_hi", "target_lo", "target_hi"],
               [("defect_order3", slope3, ts[0], ts[-1], 3.9, 4.3),
@@ -322,6 +327,7 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
         "slopes": {"defect_order3": slope3, "defect_order2": slope2,
                    "phase_residual": slope_resid, "damping": slope_damp},
         "t3_coefficient_rel_err": t3_rel_err,
+        "closed_form_max_rel_dev": closed_dev,
         "pass_flags": flags,
         "tables": {"zassenhaus.csv": "per-t defects and phase/damping comparison"},
     }

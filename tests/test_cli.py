@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -507,6 +508,45 @@ def test_si_units_scenario_matches_natural_computation(tmp_path):
     assert abs(phase - expected) < 1e-12 * abs(expected)
     report = json.loads((out / "report.json").read_text())
     assert "internal units" in report["result"]["units"]["lengths_masses_times"]
+
+
+def _si_phase_compare(backend, length_scale, mass_scale):
+    # table-top numbers: two 2-branch sources of 1e-14 kg a few hundred
+    # micrometres apart, t = 2.5 s, so the phases are of order 1 rad
+    def branch(x):
+        return {"amplitude": 0.7071067811865476, "center": [x, 1e-3, 1e-3], "width": 1e-4}
+
+    return {"scenario": "phase-compare", "seed": 4, "time": 2.5, "backend": backend,
+            "mc_samples": 2000, "grid": {"n": 32, "box": 2e-3},
+            "constants": {"system": "si", "length_scale": length_scale, "mass_scale": mass_scale},
+            "sources": {"a": {"type": "localized", "mass": 1e-14,
+                              "branches": [branch(6e-4), branch(8e-4)]},
+                        "b": {"type": "localized", "mass": 1e-14,
+                              "branches": [branch(1.2e-3), branch(1.4e-3)]}}}
+
+
+# Roundings by which one phase may differ between two unit choices.  Every
+# dimensional entry and constant reaches internal units through a few
+# divisions, and a phase is a product of them and a pair integral: 32 in
+# all, generously.  The Monte-Carlo estimate adds the pairwise sum over its
+# samples (log2 of their count); the grid adds two forward transforms of
+# 3 log2 N each and a Parseval sum over N^3 modes (log2 N^3).
+@pytest.mark.parametrize("backend, roundings", [
+    ("analytic", 32), ("mc", 32 + math.log2(2000)), ("grid", 32 + 9 * math.log2(32))])
+def test_si_phases_do_not_depend_on_the_unit_choice(tmp_path, backend, roundings):
+    phases = []
+    for length_scale, mass_scale in ((1e-3, 1e-14), (1e-4, 1e-13), (1.0, 1.0)):
+        path = tmp_path / f"{length_scale}.json"
+        path.write_text(json.dumps(_si_phase_compare(backend, length_scale, mass_scale)))
+        out = tmp_path / f"o{length_scale}"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        body = (out / "tables" / "models.csv").read_text().splitlines()
+        column = body[0].split(",").index("phase_rad")
+        phases.append(np.array([float(row.split(",")[column]) for row in body[1:]]))
+    assert np.abs(phases[0]).min() > 0.1  # no phase sits near zero, so relative is apt
+    bound = roundings * np.finfo(float).eps / 2
+    for other in phases[1:]:
+        assert np.all(np.abs(other - phases[0]) <= bound * np.abs(phases[0]))
 
 
 def _phase_compare(backend):

@@ -200,3 +200,16 @@ def test_oversized_opalg_sweep_is_refused_at_load(edit):
     assert schema_error(cfg, CONFIG_SCHEMA) is None
     with pytest.raises(ConfigError, match="config invalid at opalg: propagator sweep"):
         validate_config(cfg)
+
+
+def test_the_largest_accepted_dim_40_sweep_validates_and_the_next_exits_1(tmp_path, capsys):
+    # 2 branches x 40 x 16 B x (5 x t_points x 2 x 8 columns + 12 x 40) is at
+    # most 2^27 bytes up to 1304 times
+    cfg = get_preset("zassenhaus-t3")
+    cfg["opalg"]["t_points"] = 1304
+    validate_config(cfg)
+    out = tmp_path / "o"
+    assert main(["run", "preset:zassenhaus-t3", "--set", "opalg.t_points=1305",
+                 "--out", str(out)]) == 1
+    assert "config invalid at opalg: propagator sweep" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from gravphase.opalg import (
     build_HG,
     build_HI,
     c_number_probe_stress,
+    closed_form_branch_amplitude,
     commutator,
     compare_propagators,
     exact_propagator,
@@ -42,7 +44,7 @@ def tt_probe(system, amp_b, amp_a=0.0):
     return c_number_probe_stress(system, [amp_a * e_plus, amp_b * e_plus])
 
 
-def closed_form_branch_amplitude(coupling, t, omega=OMEGA, kappa=CONSTS.kappa, hbar=1.0):
+def closed_form_amplitude(coupling, t, omega=OMEGA, kappa=CONSTS.kappa, hbar=1.0):
     """Displaced-oscillator vacuum persistence amplitude for H = H_G + c h,
     with the free zero-point phase removed: exp(i g^2 (wt - sin wt))
     * exp(-g^2 (1 - cos wt)), g^2 = c^2 kappa / (hbar w^3)."""
@@ -259,7 +261,7 @@ def test_full_evolution_matches_closed_form_and_predictions():
         # trace coupling: c-number branch phase, exact at all orders
         phase0 = pred.phase0[1] - pred.phase0[0]
         lam = 0.5 * 1.0 * amp  # |lambda| of H_I = lambda h on branch b (w = 1)
-        closed = closed_form_branch_amplitude(lam, t)
+        closed = closed_form_amplitude(lam, t)
         # closed form phase of branch b relative to idle branch a
         assert abs((dphase - phase0) - np.angle(closed)) < 1e-9
         assert abs(dmag - np.log(abs(closed))) < 1e-9
@@ -267,6 +269,47 @@ def test_full_evolution_matches_closed_form_and_predictions():
         resid = dphase - phase0
         t3 = pred.phase_t3[1] - pred.phase_t3[0]
         assert abs(resid - t3) < 0.05 * abs(t3) + 1e-12
+
+
+def test_closed_form_amplitude_matches_the_test_copy():
+    # two modes of different omega and polarisation contraction, and a
+    # c-number trace drive on branch 1: the src form multiplies the modes
+    # and adds phase0
+    system = TruncatedModeSystem(
+        modes=(ModeSpec(kvec=KVEC, polarization=0, dim=12),
+               ModeSpec(kvec=(0.0, 0.9, 0.4), polarization=1, dim=12)),
+        consts=CONSTS, weight=1.4)
+    tensor = np.array([[0.1, 0.05, 0.0], [0.05, -0.2, 0.03], [0.0, 0.03, 0.15]])
+    probe = c_number_probe_stress(system, [np.zeros((3, 3)), tensor])
+    hT = np.array([0.9, -0.4])
+    ts = np.array([0.05, 0.2, 1.5])
+    got = closed_form_branch_amplitude(system, probe, hT, ts)
+    assert got.shape == (3, 2) and np.all(got[:, 0] == 1.0)  # the idle branch
+    phase0 = predict_theta(system, probe, hT, ts).phase0[:, 1]
+    want = np.exp(1j * phase0)
+    for m in range(2):
+        lam = 0.5 * 1.4 * probe.tt_contraction(system, m)[1]
+        want = want * closed_form_amplitude(lam, ts, omega=system.omega(m))
+    # the same closed form, its terms formed and multiplied in another order:
+    # a few dozen roundings of quantities of order one
+    np.testing.assert_allclose(got[:, 1], want, rtol=64 * np.finfo(float).eps, atol=0)
+    assert np.array_equal(closed_form_branch_amplitude(system, probe, hT, ts[1]), got[1])
+
+
+def test_opalg_verify_reports_its_deviation_from_the_closed_form(tmp_path):
+    from gravphase.config import get_preset
+    from gravphase.scenarios import run_opalg_verify
+
+    dev = run_opalg_verify(get_preset("zassenhaus-t3"), tmp_path)["closed_form_max_rel_dev"]
+    # the preset's smallest |dphase| and |ddamping| (t = 0.02) are 2.0e-4 and
+    # 4.0e-6, read from the ratio of two unit-modulus amplitudes that each
+    # err by at most product_rounding_bound(40, 1, 2) in the column path, so
+    # the ratio errs by at most twice that in phase and in log-magnitude; the
+    # closed form rounds by a few ulps, and the truncation at 40 levels is
+    # far below rounding at these couplings
+    amp_err = 2 * product_rounding_bound(40, 1, EXACT_MATMULS)
+    assert 0.0 <= dev["dphase"] <= amp_err / 2.0e-4
+    assert 0.0 <= dev["ddamping"] <= amp_err / 4.0e-6
 
 
 def test_damping_t2_scaling():
@@ -286,18 +329,50 @@ def test_damping_t2_scaling():
     assert pred.damping0[1] < 0.0  # decaying, matching the sign convention
 
 
+def product_rounding_bound(dim, n_cols, n_matmuls):
+    """Worst-case 2-norm by which one floating-point evaluation of unitary
+    factors applied right to left to n_cols orthonormal columns can differ
+    from the same product of the same factors in exact arithmetic.  A
+    complex product V w errs componentwise by at most
+    sqrt(2) gamma_{D+2} (|V||w|)_i (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.6), and (|V||w|)_i <= ||V_i|| ||w||
+    = 1 for a unit column w and a unitary V (Cauchy-Schwarz).  So a column
+    errs by at most sqrt(2 D) gamma_{D+2} in the 2-norm and the block by
+    sqrt(n_cols) times that; unitary factors pass earlier errors on
+    unchanged in norm, so the errors of the n_matmuls products add."""
+    u = np.finfo(float).eps / 2
+    gamma = (dim + 2) * u / (1 - (dim + 2) * u)
+    return n_matmuls * math.sqrt(2 * dim * n_cols) * gamma
+
+
+# matrix products per evaluation: V^dagger x and V (.) per propagator, so
+# 2 for the exact propagator and 8 for the four factors of order 3 (order 2
+# is the first block of the same pass)
+EXACT_MATMULS, ZASSENHAUS_MATMULS = 2, 8
+
+
 def test_compare_propagators_record():
     sys1 = single_system()
     probe = tt_probe(sys1, 0.2)
-    [comp] = compare_propagators(sys1, probe, [0.0], [0.1])
-    assert comp.defect_order3 >= 0.0
-    for u in (comp.u_exact, comp.u_zassenhaus):
+    comp = compare_propagators(sys1, probe, [0.0], [0.1])
+    assert comp.times.tolist() == [0.1]
+    assert comp.defect_order3.shape == comp.dphase_predicted.shape == (1,)
+    assert comp.defect_order3[0] >= 0.0
+    # the record holds no propagator: rebuild the full ones (x = None)
+    hg, hi = build_HG(sys1), build_HI(sys1, probe, [0.0])
+    u_exact = exact_propagator(hg + hi, 0.1, 1.0)
+    for u in (u_exact, zassenhaus_product(hg, hi, 0.1, 1.0)[1]):
         assert u.shape == (2, 40, 40)
         for ub in u:
             assert np.abs(ub.conj().T @ ub - np.eye(40)).max() < 1e-10
-    assert abs(comp.dphase_exact - comp.dphase_predicted) < 1e-6
-    assert abs(comp.ddamping_exact - comp.ddamping_predicted) < 1e-5
-    assert comp.defect_order2 > comp.defect_order3
+    # the vacuum column, computed alone and within the full matrix, by
+    # products that may round differently
+    assert comp.amplitudes.shape == (1, 2)
+    assert (np.abs(comp.amplitudes[0] - u_exact[:, 0, 0]).max()
+            <= 2 * product_rounding_bound(40, 1, EXACT_MATMULS))
+    assert abs(comp.dphase_exact[0] - comp.dphase_predicted[0]) < 1e-6
+    assert abs(comp.ddamping_exact[0] - comp.ddamping_predicted[0]) < 1e-5
+    assert comp.defect_order2[0] > comp.defect_order3[0]
 
 
 def zassenhaus_t3_arena():
@@ -337,15 +412,16 @@ def test_branch_blocks_match_dense_field_probe_space():
     t3_gen = (big_g @ gi - gi @ big_g) + 2.0 * (big_i @ gi - gi @ big_i)
     big_proj = np.kron(low_level_projector(system, 8), np.eye(n_b))
     ts = np.geomspace(0.02, 0.2, 4)
-    for t, comp in zip(ts, compare_propagators(system, probe, hT, ts, n_low=8)):
+    comp = compare_propagators(system, probe, hT, ts, n_low=8)
+    for k, t in enumerate(ts):
         u = expm(-1j * t * (big_g + big_i) / hbar)
         # |0, b> is kron-basis vector b: field vacuum first, probe last
         dense_amps = np.array([u[b, b] for b in range(n_b)])
-        assert np.abs(dense_amps - comp.u_exact[:, 0, 0]).max() <= 1e-13
+        assert np.abs(dense_amps - comp.amplitudes[k]).max() <= 1e-13
         factors = [expm(-1j * t * big_g / hbar), expm(-1j * t * big_i / hbar),
                    expm((t**2 / (2 * hbar**2)) * gi),
                    expm((1j * t**3 / (6 * hbar**3)) * t3_gen)]
-        for order, defect in ((3, comp.defect_order3), (2, comp.defect_order2)):
+        for order, defect in ((3, comp.defect_order3[k]), (2, comp.defect_order2[k])):
             u_z = np.linalg.multi_dot(factors[: order + 1])
             dense = np.linalg.norm((u - u_z) @ big_proj, 2)
             assert abs(dense - defect) <= 1e-12
@@ -355,25 +431,64 @@ def test_sweep_is_bit_identical_to_single_time_calls():
     system, probe, hT, hg, hi = zassenhaus_t3_arena()
     hbar = system.consts.hbar
     proj = low_level_projector(system, 8)
+    x = proj[:, :8]  # the eight low columns compare_propagators reads, vacuum first
+    # a defect read from the columns against one read from the full
+    # matrices: both evaluations round, and a defect is 1-Lipschitz in each
+    # of its two propagators
+    full_bound = 2 * product_rounding_bound(40, 8, EXACT_MATMULS + ZASSENHAUS_MATMULS)
     ts = np.geomspace(0.02, 0.2, 4)
-    for t, comp in zip(ts, compare_propagators(system, probe, hT, ts, n_low=8)):
-        assert comp.time == t
-        u_exact = exact_propagator(hg + hi, t, hbar)
-        assert np.array_equal(comp.u_exact, u_exact)
-        u_z2, u_z3 = zassenhaus_product(hg, hi, t, hbar)
-        assert np.array_equal(comp.u_zassenhaus, u_z3)
-        for u_z, defect in ((u_z3, comp.defect_order3), (u_z2, comp.defect_order2)):
-            assert defect == max(float(np.linalg.norm((ub - zb) @ proj, 2))
-                                 for ub, zb in zip(u_exact, u_z))
+    comp = compare_propagators(system, probe, hT, ts, n_low=8)
+    assert np.array_equal(comp.times, ts)
+    for k, t in enumerate(ts):
+        u_x = exact_propagator(hg + hi, t, hbar, x)
+        u_z2, u_z3 = zassenhaus_product(hg, hi, t, hbar, x)
+        for u_z, defect in ((u_z3, comp.defect_order3[k]), (u_z2, comp.defect_order2[k])):
+            assert defect == max(float(np.linalg.norm(ub - zb, 2)) for ub, zb in zip(u_x, u_z))
+        assert np.array_equal(comp.amplitudes[k], u_x[:, 0, 0])
         for b, hib in enumerate(hi):
-            assert np.array_equal(comp.u_exact[b], exact_propagator(hg + hib, t, hbar))
-            assert np.array_equal(comp.u_zassenhaus[b], zassenhaus_product(hg, hib, t, hbar)[1])
-        assert (comp.dphase_exact, comp.ddamping_exact) == extract_relative_phase(
-            u_exact, (0, 1))
-        [single] = compare_propagators(system, probe, hT, [t])
-        assert np.array_equal(single.u_zassenhaus, comp.u_zassenhaus)
-        assert (single.defect_order3, single.defect_order2) == (
-            comp.defect_order3, comp.defect_order2)
+            assert np.array_equal(u_x[b], exact_propagator(hg + hib, t, hbar, x))
+            assert np.array_equal(u_z3[b], zassenhaus_product(hg, hib, t, hbar, x)[1])
+        u_exact = exact_propagator(hg + hi, t, hbar)
+        full = zassenhaus_product(hg, hi, t, hbar)
+        for u_z, defect in ((full[1], comp.defect_order3[k]), (full[0], comp.defect_order2[k])):
+            dense = max(float(np.linalg.norm((ub - zb) @ proj, 2))
+                        for ub, zb in zip(u_exact, u_z))
+            assert abs(defect - dense) <= full_bound
+        assert (comp.dphase_exact[k], comp.ddamping_exact[k]) == extract_relative_phase(
+            u_x, (0, 1))
+        single = compare_propagators(system, probe, hT, [t])
+        assert np.array_equal(single.amplitudes[0], comp.amplitudes[k])
+        assert (single.defect_order3[0], single.defect_order2[0]) == (
+            comp.defect_order3[k], comp.defect_order2[k])
+
+
+def decomposition_bound(h, s):
+    """First-order bound on ||V e^{-i s Lambda} V^dagger - exp(-i s H)||_2
+    for eigh's V and Lambda, from the measured backward error
+    ||V Lambda V^dagger - H||_2 (times |s|) and loss of unitarity
+    ||V^dagger V - I||_2, the largest over a stack of blocks."""
+    values, vectors = np.linalg.eigh(h)
+    vh = np.swapaxes(vectors.conj(), -1, -2)
+    backward = np.linalg.norm((vectors * values[..., None, :]) @ vh - h, 2, axis=(-2, -1))
+    unitarity = np.linalg.norm(vh @ vectors - np.eye(h.shape[-1]), 2, axis=(-2, -1))
+    return float(np.max(abs(s) * backward + unitarity))
+
+
+def test_preset_order3_defect_at_the_first_time_matches_its_40_digit_value():
+    # mpmath at 40 digits, from the same double-precision H_G and H_I,b
+    reference = 4.265926246067722e-09
+    system, probe, hT, hg, hi = zassenhaus_t3_arena()
+    hbar = system.consts.hbar
+    t = 0.02
+    comp = compare_propagators(system, probe, hT, [t], n_low=8)
+    nest = nested_commutators(np.broadcast_to(hg, hi.shape), hi)
+    bound = (product_rounding_bound(40, 8, EXACT_MATMULS + ZASSENHAUS_MATMULS)
+             + decomposition_bound(hg + hi, t / hbar) + decomposition_bound(hg, t / hbar)
+             + decomposition_bound(hi, t / hbar)
+             + decomposition_bound(1j * nest["GI"], t**2 / (2 * hbar**2))
+             + decomposition_bound(nest["GGI"] + 2 * nest["IGI"], t**3 / (6 * hbar**3)))
+    assert bound < 1e-3 * reference  # the bound pins the defect, not just its size
+    assert abs(comp.defect_order3[0] - reference) <= bound
 
 
 # the zassenhaus-t3 preset's times, whose cubes numpy's array power rounds
@@ -394,16 +509,27 @@ def test_time_arrays_equal_the_scalar_calls(which):
         assert np.array_equal(u_exact[k], exact_propagator(hg + hi, t, hbar))
         z2, z3 = zassenhaus_product(hg, hi, float(t), hbar)
         assert np.array_equal(u_z2[k], z2) and np.array_equal(u_z3[k], z3)
+    # so do the low columns
+    x = low_level_projector(system, 8)[:, :8]
+    u_x = exact_propagator(hg + hi, ts, hbar, x)
+    x2, x3 = zassenhaus_product(hg, hi, ts, hbar, x)
+    assert u_x.shape == x2.shape == x3.shape == (len(ts),) + hi.shape[:2] + (8,)
+    for k, t in enumerate(ts):
+        assert np.array_equal(u_x[k], exact_propagator(hg + hi, t, hbar, x))
+        z2, z3 = zassenhaus_product(hg, hi, float(t), hbar, x)
+        assert np.array_equal(x2[k], z2) and np.array_equal(x3[k], z3)
     # a single branch block takes a time array the same way, and its t^3
-    # factor has the scale -t^3/6hbar^3 formed in Python floats at every time
-    order2, order3 = zassenhaus_product(hg, hi[1], ts, hbar)
-    assert order3.shape == (len(ts),) + hg.shape
+    # factor E has the scale -t^3/6hbar^3 formed in Python floats at every
+    # time: order 3 is order 2 applied to E x, formed here as the product
+    # forms it
+    _, order3 = zassenhaus_product(hg, hi[1], ts, hbar, x)
+    assert order3.shape == (len(ts),) + x.shape
     nest = nested_commutators(hg, hi[1])
     values, vectors = np.linalg.eigh(nest["GGI"] + 2.0 * nest["IGI"])
     for k, t in enumerate(ts.tolist()):
         s3 = -(t**3) / (6.0 * hbar**3)
-        factor = (vectors * np.exp(-1j * s3 * values)) @ vectors.conj().T
-        assert np.array_equal(order3[k], order2[k] @ factor)
+        ex = vectors @ (np.exp(-1j * s3 * values)[:, None] * (vectors.conj().T @ x))
+        assert np.array_equal(order3[k], zassenhaus_product(hg, hi[1], t, hbar, ex)[0])
 
 
 @pytest.mark.parametrize("n_times", [1, 10])
@@ -419,8 +545,8 @@ def test_compare_propagators_diagonalises_each_generator_once(monkeypatch, n_tim
         return real(h)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    comps = compare_propagators(system, probe, hT, np.geomspace(0.02, 0.2, n_times))
-    assert len(comps) == n_times
+    comp = compare_propagators(system, probe, hT, np.geomspace(0.02, 0.2, n_times))
+    assert comp.defect_order3.shape == (n_times,)
     assert sorted(calls) == sorted([(40, 40)] + [(2, 40, 40)] * 4)
 
 
@@ -431,11 +557,11 @@ def test_the_largest_accepted_sweep_peaks_under_the_limit(monkeypatch, dim):
     n_times = 1
     while True:
         try:
-            opalg.check_sweep_size(n_times + 1, 2, dim)
+            opalg.check_sweep_size(n_times + 1, 2, dim, min(8, dim))
         except ValueError:
             break
         n_times += 1
-    opalg.check_sweep_size(n_times, 2, dim)
+    opalg.check_sweep_size(n_times, 2, dim, min(8, dim))
     system = single_system(dim)
     tracemalloc.start()
     try:
@@ -453,6 +579,7 @@ def test_compare_propagators_refuses_an_oversized_sweep_before_building(monkeypa
 
     monkeypatch.setattr(opalg, "build_HG", unreachable)
     system = single_system()
-    # 2 branches x 40^2 x 16 B x (6 x 3000 times + 8) = 922 MB > SWEEP_BYTES_LIMIT
+    # 2 branches x 40 x 16 B x (5 x 3000 times x 2 x 8 columns + 12 x 40) = 308 MB
+    # > SWEEP_BYTES_LIMIT
     with pytest.raises(ValueError, match="propagator sweep"):
         compare_propagators(system, tt_probe(system, 0.1), [0.0], np.linspace(0.01, 0.1, 3000))

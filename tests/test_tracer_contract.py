@@ -91,3 +91,24 @@ def test_every_target_records_a_span_in_the_benchmark_workloads(tmp_path):
     finally:
         tracer.uninstall(undo)
     assert set(tracer.TARGETS) - {span["name"] for span in spans.spans} == set()
+
+
+OPALG_LAYERS = ("opalg.compare_propagators", "opalg.exact_propagator",
+                "opalg.zassenhaus_product", "opalg.nested_commutators", "opalg.build_HG",
+                "opalg.build_HI")
+
+
+def test_one_zassenhaus_run_calls_each_opalg_layer_once(tmp_path):
+    # the per-layer opalg metrics are per-call spans: a second call would
+    # double them, and a call bypassing the module-global name would leave
+    # them empty
+    from gravphase import cli
+
+    spans = tracer.Tracer("t")
+    undo = tracer.install(spans)
+    try:
+        assert cli.main(["run", "preset:zassenhaus-t3", "--out", str(tmp_path / "o")]) == 0
+    finally:
+        tracer.uninstall(undo)
+    names = [span["name"] for span in spans.spans]
+    assert {name: names.count(name) for name in OPALG_LAYERS} == dict.fromkeys(OPALG_LAYERS, 1)
