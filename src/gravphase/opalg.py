@@ -216,34 +216,35 @@ def _checked_shift(system: TruncatedModeSystem, probe: ProbeStressTensor,
 def _embed(system: TruncatedModeSystem, mode_ops: dict[int, np.ndarray]) -> np.ndarray:
     """Kron-embed per-mode operators (identity elsewhere) into the field
     space, modes in listed order."""
-    out = np.eye(1, dtype=complex)
+    out = np.eye(1)
     for m, spec in enumerate(system.modes):
-        out = np.kron(out, mode_ops.get(m, np.eye(spec.dim, dtype=complex)))
+        out = np.kron(out, mode_ops.get(m, np.eye(spec.dim)))
     return out
 
 
 def build_HG(system: TruncatedModeSystem) -> np.ndarray:
     """Free field Hamiltonian: per mode kappa pi^2 + (k^2/4 kappa) h^2, an
-    oscillator at omega = c|k| whose spectrum is kappa-independent."""
+    oscillator at omega = c|k| whose spectrum is kappa-independent.  pi is
+    imaginary but pi^2 is real, so the operator is a real symmetric array."""
     kappa = system.consts.kappa
-    total = np.zeros((system.field_dim,) * 2, dtype=complex)
+    total = np.zeros((system.field_dim,) * 2)
     for m in range(system.n_modes):
         h, pi = system.h_op(m), system.pi_op(m)
         k2 = (system.omega(m) / system.consts.c) ** 2
-        hmode = kappa * (pi @ pi) + (k2 / (4.0 * kappa)) * (h @ h)
+        hmode = kappa * (pi @ pi).real + (k2 / (4.0 * kappa)) * (h @ h)
         total += _embed(system, {m: hmode})
     return total
 
 
 def build_HI(system: TruncatedModeSystem, probe: ProbeStressTensor,
              hT_shift) -> np.ndarray:
-    """Interaction Hamiltonian of every branch, shape (d_P, D, D); hT_shift
-    is the per-mode real c-number trace field of the source, so the trace
-    term is a multiple of the identity per branch."""
+    """Interaction Hamiltonian of every branch, a real array of shape
+    (d_P, D, D); hT_shift is the per-mode real c-number trace field of the
+    source, so the trace term is a multiple of the identity per branch."""
     hT_shift = _checked_shift(system, probe, hT_shift)
     w = system.weight
     eye = np.eye(system.field_dim)
-    total = np.zeros((probe.n_branches,) + eye.shape, dtype=complex)
+    total = np.zeros((probe.n_branches,) + eye.shape)
     for m in range(system.n_modes):
         tau = probe.tt_contraction(system, m)[:, None, None]
         tr = probe.trace_contraction(system, m)[:, None, None]
@@ -273,7 +274,8 @@ def _propagators(h: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
     generator: the propagators are unitary by construction, so this guards
     against a corrupted decomposition rather than roundoff."""
     # eigh reads one triangle, so a commutator that is Hermitian only up to
-    # rounding is exponentiated as its Hermitian part
+    # rounding is exponentiated as its Hermitian part; every generator but
+    # i[H_G, H_I] is real symmetric and takes the real eigh
     values, vectors = np.linalg.eigh(h)
     vectors_h = np.swapaxes(vectors.conj(), -1, -2)
     if np.abs(vectors_h @ vectors - np.eye(h.shape[-1])).max() > 1e-10:

@@ -30,15 +30,20 @@ field, mutual Gaussian energies) and the discrete Laplacian residual.
 
 Coulomb pair integrals int E_A E_B / |x - y| come in closed form, by grid
 quadrature (`coulomb_pair_grid`: the same Hockney convolution, summed in
-Fourier space with no potential formed), or by 6-D Monte Carlo, one pair at
-a time (`mutual_coulomb`) or for two whole density families at once
-(`pair_integrals`, which computes each integral once).
+Fourier space with no potential formed), or by 6-D Monte Carlo
+(`coulomb_pair_mc`), one pair at a time (`mutual_coulomb`) or for two whole
+density families at once (`pair_integrals`, which computes each integral
+once).
 
-The Monte-Carlo stream is part of the contract: per block of MC_BLOCK
-samples, all of A's standard normals come first, then all of B's, each
-scaled by the width and shifted by the centre, so a seed gives the same
-integral on every version.  `coulomb_pair_mc` streams B through the block
-in chunks and holds about 4.5 doubles per block sample.
+The Monte-Carlo stream is part of the contract, so a seed gives the same
+integrals on every version: chunk c holds the n <= MC_CHUNK samples from
+c MC_CHUNK onwards, and its standard normals Z_x and Z_y, each drawn as a
+(3, n) array (axis, sample), come from the first and the second child of
+SeedSequence([seed, c]).  Every density of both families is drawn from
+the same chunk (common random numbers): density k sits at
+c_k + sigma_k Z_x on the x side and at c_k + sigma_k Z_y on the y side.
+Each integral stays an unbiased estimate with its own standard error; only
+the integrals' errors are correlated.
 """
 
 from __future__ import annotations
@@ -53,10 +58,9 @@ from .grids import GridSpec, cell_averaged_inv_r
 from .sources import EnergyDensity, PhysicalConstants, effective_sigma, sample_on_grid
 
 DIRECT_N_LIMIT = 48
-# Monte-Carlo samples per block: sets how A's and B's draws interleave above
-# one block, so it is part of the stream contract, not a tuning knob.
-MC_BLOCK = 1_000_000
-_MC_CHUNK = 65_536
+# Monte-Carlo samples per chunk: sets which seed draws which sample, so it
+# is part of the stream contract, not a tuning knob.
+MC_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -157,66 +161,6 @@ def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity, consts: Physic
     return m2c4 * math.erf(d / (math.sqrt(2.0) * s)) / d
 
 
-def coulomb_pair_mc(
-    e_a: EnergyDensity,
-    e_b: EnergyDensity,
-    consts: PhysicalConstants,
-    samples: int = 1_000_000,
-    seed: int = 0,
-    grid: GridSpec | None = None,
-):
-    """6-D Monte-Carlo estimate of the Coulomb pair integral with its
-    standard error.  Positions are drawn exactly from the (Gaussian)
-    profiles, so the estimator is mean of m_A m_B c^4 / |x - y|.
-
-    Stream contract: per block of MC_BLOCK samples, all of A's standard
-    normals (m x 3, row by row) are drawn first, then all of B's, each
-    scaled by its width and shifted by its centre, so a seed gives the same
-    integral on every version.  Within a block B is drawn, subtracted and
-    reduced in chunks of _MC_CHUNK rows into one block-length 1/r buffer;
-    the block is then summed once, squared in place and summed again.  The
-    arithmetic is that of broadcast `normal(loc, scale)` draws, the
-    row-wise Euclidean norm and pairwise sums, bit for bit.  Memory is
-    about 4.5 doubles per block sample: A's block (3), the 1/r buffer (1)
-    and B's chunk.
-    """
-    if not (e_a.analytic and e_b.analytic):
-        raise ValueError("mc backend needs point or gaussian profiles")
-    if samples < 2:
-        raise ValueError(f"mc backend needs at least 2 samples for a standard error, got {samples}")
-    sigma_a, sigma_b = effective_sigma(e_a, grid), effective_sigma(e_b, grid)
-    center_a, center_b = np.asarray(e_a.center, float), np.asarray(e_b.center, float)
-    rng = np.random.default_rng(seed)
-    inv = np.empty(min(samples, MC_BLOCK))
-    total = 0.0
-    total_sq = 0.0
-    for start in range(0, samples, MC_BLOCK):
-        m = min(MC_BLOCK, samples - start)
-        xa = rng.standard_normal((m, 3))
-        xa *= sigma_a
-        xa += center_a
-        for lo in range(0, m, _MC_CHUNK):
-            hi = min(lo + _MC_CHUNK, m)
-            d = rng.standard_normal((hi - lo, 3))
-            d *= sigma_b
-            d += center_b
-            np.subtract(xa[lo:hi], d, out=d)
-            d *= d
-            r = d[:, 0] + d[:, 1]  # the order of norm(axis=1); einsum sums otherwise
-            r += d[:, 2]
-            np.sqrt(r, out=r)
-            np.divide(1.0, r, out=inv[lo:hi])
-        del xa  # the next block's A draw must not overlap this one
-        block = inv[:m]
-        total += block.sum()
-        block *= block
-        total_sq += block.sum()
-    mean = total / samples
-    var = max(total_sq / samples - mean**2, 0.0)
-    scale = e_a.mass * e_b.mass * consts.c**4
-    return scale * mean, scale * math.sqrt(var / samples)
-
-
 def mutual_coulomb(
     e_a: EnergyDensity,
     e_b: EnergyDensity,
@@ -239,7 +183,8 @@ def mutual_coulomb(
     if backend == "analytic":
         return coulomb_pair_analytic(e_a, e_b, consts, grid), 0.0
     if backend == "mc":
-        return coulomb_pair_mc(e_a, e_b, consts, samples=mc_samples, seed=seed, grid=grid)
+        pairs = coulomb_pair_mc([e_a], [e_b], consts, samples=mc_samples, seed=seed, grid=grid)
+        return float(pairs.cross[0, 0]), float(pairs.stderr[0, 0])
     if backend == "grid":
         if grid is None:
             raise ValueError("grid backend needs a GridSpec")
@@ -295,6 +240,71 @@ def coulomb_pair_grid(dens_a, dens_b, consts: PhysicalConstants, grid: GridSpec)
     return PairIntegrals(cross * scale, np.zeros_like(cross), own[:n_a] * scale, own[n_a:] * scale)
 
 
+def coulomb_pair_mc(dens_a, dens_b, consts: PhysicalConstants, samples: int = 1_000_000,
+                    seed: int = 0, grid: GridSpec | None = None) -> PairIntegrals:
+    """The Monte-Carlo backend of `pair_integrals`: 6-D estimates of every
+    integral with its standard error.  Positions are drawn exactly from the
+    (Gaussian) profiles, so each integral is the mean of m m' c^4 / |x - y|.
+
+    Every cross and self integral reads the same chunks of the stream (see
+    the module docstring), so a self integral still pairs two independent
+    draws, and an entry equals its 1 x 1 call bit for bit.  The chunks run
+    on up to as many threads as the process has CPUs in its affinity mask
+    (os.cpu_count() where the OS has no mask), each holding one chunk's
+    work; the partial sums are added in chunk order, so the values do not
+    depend on the thread count.  Per chunk the squared distance is summed in
+    the order of np.linalg.norm(axis=0), and each sum over the chunk's
+    samples is numpy's pairwise sum."""
+    dens_a = list(dens_a)
+    family = dens_a + list(dens_b)
+    n_a, n_d = len(dens_a), len(family)
+    if not all(e.analytic for e in family):
+        raise ValueError("mc backend needs point or gaussian profiles")
+    if samples < 2:
+        raise ValueError(f"mc backend needs at least 2 samples for a standard error, got {samples}")
+    # the x and y density of every integral: the cross block row by row, then
+    # the self integrals of A and of B
+    pairs = [(i, j) for i in range(n_a) for j in range(n_a, n_d)] + [(k, k) for k in range(n_d)]
+    sigma = np.array([effective_sigma(e, grid) for e in family]).reshape(n_d, 1, 1)
+    center = np.array([e.center for e in family], float).reshape(n_d, 3, 1)
+
+    def chunk(c):
+        rows = min(MC_CHUNK, samples - c * MC_CHUNK)
+        x, y = (np.random.default_rng(s).standard_normal((3, rows)) * sigma
+                for s in np.random.SeedSequence([seed, c]).spawn(2))
+        x += center
+        y += center
+        d, inv, out = np.empty((3, rows)), np.empty(rows), np.empty((2, len(pairs)))
+        for p, (i, j) in enumerate(pairs):
+            np.subtract(x[i], y[j], out=d)
+            d *= d
+            np.add(d[0], d[1], out=inv)  # the order of np.linalg.norm(axis=0)
+            inv += d[2]
+            np.sqrt(inv, out=inv)
+            np.divide(1.0, inv, out=inv)
+            out[0, p] = inv.sum()
+            inv *= inv
+            out[1, p] = inv.sum()
+        return out
+
+    sums = np.zeros((2, len(pairs)))
+    if pairs:
+        # numpy's generator and ufuncs release the GIL
+        from concurrent.futures import ThreadPoolExecutor
+
+        n_chunks = -(-samples // MC_CHUNK)
+        with ThreadPoolExecutor(min(n_chunks, _cpu_count())) as pool:
+            for part in pool.map(chunk, range(n_chunks)):
+                sums += part
+    mean = sums[0] / samples
+    scale = np.array([family[i].mass * family[j].mass for i, j in pairs]) * consts.c**4
+    val = scale * mean
+    err = scale * np.sqrt(np.maximum(sums[1] / samples - mean**2, 0.0) / samples)
+    m = n_a * (n_d - n_a)
+    return PairIntegrals(val[:m].reshape(n_a, n_d - n_a), err[:m].reshape(n_a, n_d - n_a),
+                         val[m:m + n_a], val[m + n_a:])
+
+
 def pair_integrals(
     dens_a,
     dens_b,
@@ -310,48 +320,29 @@ def pair_integrals(
     "auto" takes the closed form when every density is analytic and the grid
     otherwise, so that all integrals share one quadrature.  The grid backend
     (`coulomb_pair_grid`) takes one forward transform per density and sums
-    every integral in Fourier space; "mc" draws independent samples per
-    integral, seeded seed + k with k counting the cross block row by row,
-    then the self integrals of A and of B.  The mc
-    integrals run one per thread on up to as many threads as the process
-    has CPUs in its affinity mask (os.cpu_count() where the OS has no
-    mask), so peak memory is about that many Monte-Carlo blocks; the
-    values do not depend on the thread count.  Two empty families give
+    every integral in Fourier space; "mc" (`coulomb_pair_mc`) draws one
+    sample stream that every integral reads.  Two empty families give
     empty arrays on every backend.
     """
     if backend not in ("auto", "analytic", "grid", "mc"):
         raise ValueError(f"unknown backend {backend!r}")
     dens_a, dens_b = list(dens_a), list(dens_b)
-    n_a, n_b = len(dens_a), len(dens_b)
     if backend == "auto":
         analytic = all(e.analytic for e in dens_a + dens_b)
         backend = "analytic" if analytic else "grid"
+    if backend == "mc":
+        return coulomb_pair_mc(dens_a, dens_b, consts, samples=mc_samples, seed=seed, grid=grid)
     if backend == "grid":
         if grid is None:
             raise ValueError("grid backend needs a GridSpec")
         return coulomb_pair_grid(dens_a, dens_b, consts, grid)
 
-    pairs = ([(x, y) for x in dens_a for y in dens_b]
-             + [(e, e) for e in dens_a] + [(e, e) for e in dens_b])
+    def closed(pairs):
+        return np.array([mutual_coulomb(x, y, consts, "analytic", grid)[0] for x, y in pairs])
 
-    def integral(k):
-        x, y = pairs[k]
-        return mutual_coulomb(x, y, consts, backend=backend, grid=grid,
-                              mc_samples=mc_samples, seed=seed + k)
-
-    if backend == "mc" and pairs:
-        # numpy's generator and ufuncs release the GIL, and every integral
-        # has its own seed, so the threads change no value
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(min(len(pairs), _cpu_count())) as pool:
-            results = list(pool.map(integral, range(len(pairs))))
-    else:
-        results = [integral(k) for k in range(len(pairs))]
-    vals, errs = np.array(results).reshape(len(pairs), 2).T
-    m = n_a * n_b
-    return PairIntegrals(vals[:m].reshape(n_a, n_b), errs[:m].reshape(n_a, n_b),
-                         vals[m:m + n_a], vals[m + n_a:])
+    cross = closed([(x, y) for x in dens_a for y in dens_b]).reshape(len(dens_a), len(dens_b))
+    return PairIntegrals(cross, np.zeros_like(cross), closed(zip(dens_a, dens_a)),
+                         closed(zip(dens_b, dens_b)))
 
 
 def laplacian_residual(field: ScalarFieldX, e: EnergyDensity, consts: PhysicalConstants,

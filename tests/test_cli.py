@@ -19,7 +19,7 @@ from gravphase.config import (
     preset_names,
     validate_config,
 )
-from gravphase.gridio import save_scalar_grid
+from gravphase.gridio import load_scalar_grid, save_scalar_grid
 
 
 def test_presets_listed_and_valid():
@@ -547,6 +547,49 @@ def test_si_phases_do_not_depend_on_the_unit_choice(tmp_path, backend, roundings
     bound = roundings * np.finfo(float).eps / 2
     for other in phases[1:]:
         assert np.all(np.abs(other - phases[0]) <= bound * np.abs(phases[0]))
+
+
+def _si_poisson(length_scale, mass_scale):
+    return {"scenario": "poisson", "seed": 0, "grid": {"n": 16, "box": 2e-3},
+            "constants": {"system": "si", "length_scale": length_scale, "mass_scale": mass_scale},
+            "poisson": {"profile": {"type": "gaussian", "mass": 1e-14,
+                                    "center": [1e-3, 1e-3, 1e-3], "sigma": 2e-4}}}
+
+
+def test_si_poisson_field_does_not_depend_on_the_unit_choice(tmp_path):
+    # h^T scales as kappa m c^2 / L, which is dimensionless, so the field
+    # written in internal units needs no conversion, and the box converts
+    # back by the length scale.  Its bound is that of the phases plus the
+    # forward and the inverse transform on the doubled box, 3 log2(2N)
+    # roundings each, relative to the largest value
+    fields = []
+    for length_scale, mass_scale in ((1e-3, 1e-14), (1e-4, 1e-13), (1.0, 1.0)):
+        path = tmp_path / f"{length_scale}.json"
+        path.write_text(json.dumps(_si_poisson(length_scale, mass_scale)))
+        out = tmp_path / f"o{length_scale}"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        values, box, _ = load_scalar_grid(out / "fields" / "hT.f64")
+        assert abs(box * length_scale - 2e-3) <= 2 * np.finfo(float).eps * 2e-3
+        fields.append(values)
+    assert np.abs(fields[0]).min() > 0.0
+    bound = (32 + 6 * math.log2(32)) * np.finfo(float).eps / 2
+    for other in fields[1:]:
+        assert np.abs(other - fields[0]).max() <= bound * np.abs(fields[0]).max()
+
+
+def test_presets_import_no_thread_pool_and_no_random_generator(tmp_path):
+    # only the Monte-Carlo pair integrals start a thread pool and draw from
+    # numpy.random; no preset uses them, so neither may load at module level
+    probe = ("import sys; from gravphase.cli import main; "
+             "from gravphase.config import preset_names; "
+             f"codes = [main(['run', 'preset:' + name, '--out', {str(tmp_path)!r} + '/' + name]) "
+             "for name in preset_names()]; "
+             "print(codes, 'concurrent.futures' in sys.modules, 'numpy.random' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(preset_names())} False False"
 
 
 def _phase_compare(backend):

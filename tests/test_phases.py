@@ -378,7 +378,7 @@ def test_compare_models_computes_each_pair_integral_once(monkeypatch):
     assert len(samplings) == 4 and not solves  # one transform per density, no potential
     draws = _counting(monkeypatch, "coulomb_pair_mc")
     models(a, b, 0.3, backend="mc", mc_samples=1000)
-    assert len(draws) == 8  # 2x2 cross integrals and 2 + 2 self integrals
+    assert len(draws) == 1  # the 2x2 cross and 2 + 2 self integrals from one stream
 
 
 def test_mc_models_share_one_sample_set():

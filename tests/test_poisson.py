@@ -7,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from gravphase.grids import GridSpec, cell_averaged_inv_r, coulomb_kernel_octant
 from gravphase.poisson import (
-    MC_BLOCK,
+    MC_CHUNK,
+    _cpu_count,
     coulomb_pair_analytic,
     coulomb_pair_mc,
     laplacian_residual,
@@ -334,29 +337,34 @@ def test_pair_integrals_match_the_single_pair_backends():
     assert pairs.self_b[0] == mutual_coulomb(dens_b[0], dens_b[0], CONSTS, backend="grid", grid=grid)[0]
     assert not pairs.stderr.any()
 
-    # mc: seed + k, k counting the cross block row by row, then the self integrals
+    # mc: every entry equals its own 1 x 1 call, stderr included
     gauss = [gaussian_density(1.0, (0.3 * k, 0.0, 0.0), 0.2 + 0.1 * k) for k in range(3)]
     mc = pair_integrals(gauss[:2], gauss[2:], CONSTS, backend="mc", mc_samples=500, seed=3)
-    order = [(gauss[0], gauss[2]), (gauss[1], gauss[2]), (gauss[0], gauss[0]),
-             (gauss[1], gauss[1]), (gauss[2], gauss[2])]
-    got = [mc.cross[0, 0], mc.cross[1, 0], *mc.self_a, *mc.self_b]
-    for k, ((x, y), value) in enumerate(zip(order, got)):
-        assert value == mutual_coulomb(x, y, CONSTS, backend="mc", mc_samples=500, seed=3 + k)[0]
+
+    def single(x, y):
+        return mutual_coulomb(x, y, CONSTS, backend="mc", mc_samples=500, seed=3)
+
+    for i, x in enumerate(gauss[:2]):
+        assert (mc.cross[i, 0], mc.stderr[i, 0]) == single(x, gauss[2])
+        assert mc.self_a[i] == single(x, x)[0]
+    assert mc.self_b[0] == single(gauss[2], gauss[2])[0]
     assert np.all(mc.stderr > 0.0)
     with pytest.raises(ValueError, match="GridSpec"):
         pair_integrals([dens_a[1]], [], CONSTS)
 
 
 def _mc_reference(e_a, e_b, samples, seed, grid=None):
-    """The Monte-Carlo pair integral as first written: per block of 10^6
-    samples, broadcast normal draws for A then B, the row norm and two sums."""
-    rng = np.random.default_rng(seed)
+    """One Monte-Carlo pair integral as a plain loop over the stream: per
+    chunk of MC_CHUNK samples, normals drawn as (axis, sample) from the two
+    children of SeedSequence([seed, chunk]), scaled and shifted into A's and
+    B's positions, then the norm and two sums."""
     total = total_sq = 0.0
-    for start in range(0, samples, 1_000_000):
-        m = min(1_000_000, samples - start)
-        xa = rng.normal(loc=e_a.center, scale=effective_sigma(e_a, grid), size=(m, 3))
-        xb = rng.normal(loc=e_b.center, scale=effective_sigma(e_b, grid), size=(m, 3))
-        inv = 1.0 / np.linalg.norm(xa - xb, axis=1)
+    for c, start in enumerate(range(0, samples, MC_CHUNK)):
+        rows = min(MC_CHUNK, samples - start)
+        gen_x, gen_y = (np.random.default_rng(s) for s in np.random.SeedSequence([seed, c]).spawn(2))
+        x = gen_x.standard_normal((3, rows)) * effective_sigma(e_a, grid) + np.reshape(e_a.center, (3, 1))
+        y = gen_y.standard_normal((3, rows)) * effective_sigma(e_b, grid) + np.reshape(e_b.center, (3, 1))
+        inv = 1.0 / np.linalg.norm(x - y, axis=0)
         total += inv.sum()
         total_sq += (inv**2).sum()
     mean = total / samples
@@ -377,26 +385,32 @@ _MC_PAIRS = {
 
 @pytest.mark.parametrize("pair", sorted(_MC_PAIRS))
 def test_mc_kernel_is_bit_identical_to_the_reference(pair):
-    # the streamed kernel draws the same numbers and sums them in the same
-    # order, so values and stderr are equal, not close; the counts straddle
-    # the B chunk (65 536 rows) and the block (MC_BLOCK)
+    # the kernel draws the same numbers and sums them in the same order, so
+    # values and stderr are equal, not close; the counts straddle MC_CHUNK
     e_a, e_b, grid = _MC_PAIRS[pair]
-    for samples in (2, 7, 65_536, 65_537, 1_000_000, 1_000_001):
-        got = coulomb_pair_mc(e_a, e_b, CONSTS, samples=samples, seed=samples % 5, grid=grid)
-        assert got == _mc_reference(e_a, e_b, samples, samples % 5, grid), samples
+    for samples in (2, 7, MC_CHUNK, MC_CHUNK + 1, 100_001):
+        seed = samples % 5
+        got = coulomb_pair_mc([e_a], [e_b], CONSTS, samples=samples, seed=seed, grid=grid)
+        assert (got.cross[0, 0], got.stderr[0, 0]) == \
+            _mc_reference(e_a, e_b, samples, seed, grid), samples
+        assert got.self_a[0] == _mc_reference(e_a, e_a, samples, seed, grid)[0], samples
+        assert got.self_b[0] == _mc_reference(e_b, e_b, samples, seed, grid)[0], samples
 
 
-def test_mc_kernel_peak_memory_is_one_block():
+def test_mc_kernel_peak_memory_is_bounded_per_worker():
     e_a, e_b, _ = _MC_PAIRS["gaussians"]
+    coulomb_pair_mc([e_a], [e_b], CONSTS, samples=2)  # imports the pool and the generator
     for samples in (1_000_000, 2_500_000):
         tracemalloc.start()
         try:
-            coulomb_pair_mc(e_a, e_b, CONSTS, samples=samples, seed=1)
+            coulomb_pair_mc([e_a], [e_b], CONSTS, samples=samples, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 5 doubles per sample of one block; the kernel holds ~4.5
-        assert peak <= 40 * min(samples, MC_BLOCK), (samples, peak)
+        # per worker, one chunk's doubles per sample: the x and y positions
+        # of the 2 densities (12), the squared distance (3) and 1/r (1); only
+        # the pool's bookkeeping, about 1 kB per chunk, grows with the count
+        assert peak <= _cpu_count() * 20 * 8 * MC_CHUNK, (samples, peak)
 
 
 @pytest.mark.parametrize("samples", [0, 1])
@@ -404,11 +418,19 @@ def test_mc_kernel_refuses_fewer_than_two_samples(samples):
     # one draw has a variance estimate of 0, which would claim an exact value
     e_a, e_b, _ = _MC_PAIRS["gaussians"]
     with pytest.raises(ValueError, match="at least 2 samples"):
-        coulomb_pair_mc(e_a, e_b, CONSTS, samples=samples)
+        coulomb_pair_mc([e_a], [e_b], CONSTS, samples=samples)
+
+
+def test_mc_kernel_refuses_a_non_analytic_profile():
+    e_a, _, _ = _MC_PAIRS["gaussians"]
+    with pytest.raises(ValueError, match="point or gaussian"):
+        coulomb_pair_mc([e_a], [grid_density(np.ones((4, 4, 4)), 2.0)], CONSTS, samples=10)
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_mc_pair_integrals_do_not_depend_on_the_thread_count(cpus, monkeypatch):
+    # the chunks' partial sums are added in chunk order whatever thread ran
+    # them, so every affinity mask gives the arrays of the plain per-pair loop
     import concurrent.futures
 
     workers = []
@@ -422,25 +444,41 @@ def test_mc_pair_integrals_do_not_depend_on_the_thread_count(cpus, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     dens_a = [gaussian_density(1.0, (0.3 * k, 0.0, 0.1), 0.2 + 0.1 * k) for k in range(2)]
     dens_b = [gaussian_density(0.5, (1.0, 0.2 * k, 0.0), 0.3) for k in range(3)]
-    got = pair_integrals(dens_a, dens_b, CONSTS, backend="mc", mc_samples=3000, seed=7)
+    samples = 4 * MC_CHUNK + 1  # five chunks, more than either mask's CPUs
+    got = pair_integrals(dens_a, dens_b, CONSTS, backend="mc", mc_samples=samples, seed=7)
     assert workers == [cpus]
-    # seed + k: k counts the cross block row by row, then A's and B's self integrals
-    k = 7
-    for i, x in enumerate(dens_a):
-        for j, y in enumerate(dens_b):
-            assert (got.cross[i, j], got.stderr[i, j]) == coulomb_pair_mc(
-                x, y, CONSTS, samples=3000, seed=k)
-            k += 1
+    want = [[_mc_reference(x, y, samples, 7) for y in dens_b] for x in dens_a]
+    assert np.array_equal(got.cross, [[v for v, _ in row] for row in want])
+    assert np.array_equal(got.stderr, [[e for _, e in row] for row in want])
     for own, family in ((got.self_a, dens_a), (got.self_b, dens_b)):
-        for value, e in zip(own, family):
-            assert value == coulomb_pair_mc(e, e, CONSTS, samples=3000, seed=k)[0]
-            k += 1
+        assert np.array_equal(own, [_mc_reference(e, e, samples, 7)[0] for e in family])
 
 
 def test_mc_pair_integral_errors_reach_the_caller():
     e_a, e_b, _ = _MC_PAIRS["gaussians"]
     with pytest.raises(ValueError, match="at least 2 samples"):
         pair_integrals([e_a], [e_b], CONSTS, backend="mc", mc_samples=1)
+
+
+_GAUSSIAN = st.builds(gaussian_density, st.floats(0.5, 2.0),
+                      st.tuples(*[st.floats(0.0, 2.0)] * 3), st.floats(0.2, 1.0))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(dens_a=st.lists(_GAUSSIAN, min_size=1, max_size=3),
+       dens_b=st.lists(_GAUSSIAN, min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_mc_pair_integrals_agree_with_the_closed_form(dens_a, dens_b, seed):
+    # every entry, cross and self, is an unbiased estimate with its own
+    # standard error, although all of them read the same sample stream
+    got = pair_integrals(dens_a, dens_b, CONSTS, backend="mc", mc_samples=3000, seed=seed)
+    exact = pair_integrals(dens_a, dens_b, CONSTS, backend="analytic")
+    assert np.all(np.abs(got.cross - exact.cross) <= 5.0 * got.stderr)
+    # PairIntegrals holds no stderr of a self integral; the 1 x 1 call with
+    # the density on both sides is the same estimate and carries one
+    for family, own, want in ((dens_a, got.self_a, exact.self_a),
+                              (dens_b, got.self_b, exact.self_b)):
+        err = [mutual_coulomb(e, e, CONSTS, "mc", None, 3000, seed)[1] for e in family]
+        assert np.all(np.abs(own - want) <= 5.0 * np.array(err))
 
 
 def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
