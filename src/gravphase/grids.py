@@ -1,10 +1,11 @@
 """Cubic periodic grid bookkeeping shared by the spectral modules.
 
 `GridSpec` owns the tables every spectral computation on a grid reads: the
-mode magnitudes |k|, the mask of the nonzero modes and the spectrum of the
-doubled-box 1/r kernel of the free-space (Hockney) convolution, real as the
-kernel is even.  Each is built on first use, once per grid object, and is
-read-only; equality and hashing still go by (n, box) alone.  The wavevector
+mode magnitudes |k|, the mask of the nonzero modes, the lattice 1/r kernel
+over the non-negative offsets (the octant) and, built from it, the spectrum
+of the doubled-box kernel of the free-space (Hockney) convolution, real as
+the kernel is even.  Each is built on first use, once per grid object, and
+is read-only; equality and hashing still go by (n, box) alone.  The wavevector
 lattice stays an uncached method: its (n, n, n, 3) array is read once per
 overlap call.
 """
@@ -28,7 +29,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """N^3 lattice on a cubic box of side `box`; nodes sit at i*h, i = 0..n-1."""
+    """N^3 lattice on a cubic box of side `box`; nodes sit at i*h, i = 0..n-1.
+
+    It owns the read-only tables built from (n, box) on first use: |k| and
+    the nonzero-mode mask for the overlaps, the lattice 1/r octant that the
+    separable pair sums contract, and the doubled-box kernel spectrum, made
+    from the octant, that the spectral solve and the Fourier pair sums
+    multiply by."""
 
     n: int
     box: float
@@ -77,6 +84,13 @@ class GridSpec:
         return _read_only(mask)
 
     @cached_property
+    def coulomb_octant(self) -> np.ndarray:
+        """`coulomb_kernel_octant` of this grid, shape (n + 1,) * 3: the
+        separable pair sums read it directly, and `coulomb_kernel_hat` is
+        its transform."""
+        return _read_only(coulomb_kernel_octant(self))
+
+    @cached_property
     def coulomb_kernel_hat(self) -> np.ndarray:
         """rfftn of the doubled-box 1/r kernel, real, shape (2n, 2n, n + 1).
 
@@ -86,7 +100,7 @@ class GridSpec:
         and the (n+1)^3 result is mirrored into the first two axes; the full
         (2n)^3 kernel is never formed."""
         mirror = np.r_[0:self.n + 1, self.n - 1:0:-1]
-        table = coulomb_kernel_octant(self)
+        table = self.coulomb_octant
         for axis in (2, 1, 0):
             table = np.fft.rfft(np.take(table, mirror, axis=axis), axis=axis).real
         return _read_only(table[np.ix_(mirror, mirror, np.arange(self.n + 1))])
@@ -102,8 +116,8 @@ def coulomb_kernel_octant(grid: GridSpec) -> np.ndarray:
     box, with the cell average at the origin; offset i stands for i and
     2N - i, the minimum image of both."""
     d = np.arange(grid.n + 1) * grid.h
-    r2 = d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2
-    with np.errstate(divide="ignore"):
-        octant = 1.0 / np.sqrt(r2)
+    octant = d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2
+    with np.errstate(divide="ignore"):  # in place: one table-sized array
+        np.divide(1.0, np.sqrt(octant, out=octant), out=octant)
     octant[0, 0, 0] = cell_averaged_inv_r(grid.h)
     return octant

@@ -188,7 +188,9 @@ def compare_models(
     "deviations_point_normalized" (general vs model, point-limit prefactor
     pinned), "deviations_fitted" (same with the overall constant fitted),
     "pairwise_deviations" (model vs model after prefactor normalisation),
-    "self_energies", "prefactor_ratios" and "skipped_models".
+    "self_energies" with their Monte-Carlo standard errors in
+    "self_energies_stderr" (zeros on the deterministic backends),
+    "prefactor_ratios" and "skipped_models".
     """
     if time < 0.0:
         raise ValueError("evolution time must be non-negative")
@@ -254,6 +256,8 @@ def compare_models(
     pref_self = -consts.kappa / (8.0 * math.pi)
     self_energies = {"A": (pref_self * pairs.self_a).tolist(),
                      "B": (pref_self * pairs.self_b).tolist()}
+    self_energies_stderr = {"A": (abs(pref_self) * pairs.self_a_stderr).tolist(),
+                            "B": (abs(pref_self) * pairs.self_b_stderr).tolist()}
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_nl = np.where(nl != 0.0, general.phases / nl, np.nan)
@@ -290,6 +294,7 @@ def compare_models(
         "deviations_fitted": fitted_deviations,
         "pairwise_deviations": pairwise_deviations,
         "self_energies": self_energies,
+        "self_energies_stderr": self_energies_stderr,
         "prefactor_ratios": prefactor_ratios,
         "skipped_models": skipped,
     }

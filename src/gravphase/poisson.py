@@ -29,11 +29,18 @@ Continuum fidelity is checked elsewhere against closed forms (point far
 field, mutual Gaussian energies) and the discrete Laplacian residual.
 
 Coulomb pair integrals int E_A E_B / |x - y| come in closed form, by grid
-quadrature (`coulomb_pair_grid`: the same Hockney convolution, summed in
-Fourier space with no potential formed), or by 6-D Monte Carlo
-(`coulomb_pair_mc`), one pair at a time (`mutual_coulomb`) or for two whole
-density families at once (`pair_integrals`, which computes each integral
-once).
+quadrature (`coulomb_pair_grid`), or by 6-D Monte Carlo (`coulomb_pair_mc`),
+one pair at a time (`mutual_coulomb`) or for two whole density families at
+once (`pair_integrals`, which computes each integral once).  The grid
+quadrature is the Hockney sum h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) with
+the lattice 1/r kernel K of the solvers.  An analytic (Gaussian or point)
+profile on the lattice is a product of three axis profiles, so for two of
+them the sum factorises into three length-N cross-correlations contracted
+with the (N+1)^3 octant of K: no density is sampled and no transform taken.
+Only an integral that involves a grid density sums the same quadrature in
+Fourier space, one k2 plane of the doubled box at a time, with no potential
+formed.  Each backend computes an integral the same way whichever others
+are computed with it.
 
 The Monte-Carlo stream is part of the contract, so a seed gives the same
 integrals on every version: chunk c holds the n <= MC_CHUNK samples from
@@ -55,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec, cell_averaged_inv_r
-from .sources import EnergyDensity, PhysicalConstants, effective_sigma, sample_on_grid
+from .sources import (EnergyDensity, PhysicalConstants, axis_profiles, effective_sigma,
+                      sample_on_grid)
 
 DIRECT_N_LIMIT = 48
 # Monte-Carlo samples per chunk: sets which seed draws which sample, so it
@@ -173,7 +181,7 @@ def mutual_coulomb(
     """int d^3x d^3y E_A(x) E_B(y) / |x - y|, returned as (value, stderr).
 
     backend: "analytic" (Gaussian/point closed form), "grid" (Hockney
-    quadrature in Fourier space), "mc" (6-D Monte Carlo), or "auto" which
+    quadrature, see `coulomb_pair_grid`), "mc" (6-D Monte Carlo), or "auto" which
     picks the closed form when both profiles are analytic and the grid route
     otherwise.
     stderr is zero for the deterministic backends.
@@ -183,12 +191,12 @@ def mutual_coulomb(
     if backend == "analytic":
         return coulomb_pair_analytic(e_a, e_b, consts, grid), 0.0
     if backend == "mc":
-        pairs = coulomb_pair_mc([e_a], [e_b], consts, samples=mc_samples, seed=seed, grid=grid)
-        return float(pairs.cross[0, 0]), float(pairs.stderr[0, 0])
+        val, err = _mc_pairs([e_a, e_b], [(0, 1)], consts, mc_samples, seed, grid)
+        return float(val[0]), float(err[0])
     if backend == "grid":
         if grid is None:
             raise ValueError("grid backend needs a GridSpec")
-        return float(coulomb_pair_grid([e_a], [e_b], consts, grid).cross[0, 0]), 0.0
+        return float(_grid_pairs([e_a, e_b], [(0, 1)], consts, grid)[0]), 0.0
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -196,13 +204,33 @@ def mutual_coulomb(
 class PairIntegrals:
     """Coulomb pair integrals of two density families A and B:
     cross[i, j] = int E_A,i(x) E_B,j(y) / |x - y| with its Monte-Carlo
-    standard error (zero on the deterministic backends), and the self
-    integral int E(x) E(y) / |x - y| of every density of A and of B."""
+    standard error, and the self integral int E(x) E(y) / |x - y| of every
+    density of A and of B with theirs.  The standard errors are zero on the
+    deterministic backends."""
 
     cross: np.ndarray
     stderr: np.ndarray
     self_a: np.ndarray
     self_b: np.ndarray
+    self_a_stderr: np.ndarray
+    self_b_stderr: np.ndarray
+
+
+def _family_pairs(dens_a, dens_b):
+    """Both families as one list, and the (x, y) indices into it of every
+    integral: the cross block row by row, then the self integrals of A and
+    of B."""
+    family = list(dens_a) + list(dens_b)
+    n_a, n_d = len(dens_a), len(family)
+    cross = [(i, j) for i in range(n_a) for j in range(n_a, n_d)]
+    return family, cross + [(k, k) for k in range(n_d)]
+
+
+def _split_family(val, err, n_a: int, n_b: int) -> PairIntegrals:
+    """PairIntegrals from per-integral arrays in `_family_pairs` order."""
+    m = n_a * n_b
+    return PairIntegrals(val[:m].reshape(n_a, n_b), err[:m].reshape(n_a, n_b),
+                         val[m:m + n_a], val[m + n_a:], err[m:m + n_a], err[m + n_a:])
 
 
 def _cpu_count() -> int:
@@ -213,58 +241,105 @@ def _cpu_count() -> int:
 
 
 def coulomb_pair_grid(dens_a, dens_b, consts: PhysicalConstants, grid: GridSpec) -> PairIntegrals:
-    """The grid backend of `pair_integrals`, by Parseval on the doubled box:
-    P_ij = h^6 / (2N)^3 sum_k w K^(k)
-    (Re A^_i Re B^_j + Im A^_i Im B^_j) over the rfft half-spectrum, w = 1
-    at k2 = 0 and N, else 2.  Each density is sampled once and held as its
-    axis-2 rfft, an (N, N, N+1) stage; then, one k2 plane at a time, every
-    slab is transformed along axes 1 and 0 and all sums of the plane taken.
-    No potential or full spectrum is built, and the product is symmetric,
-    so swapping the families transposes the cross block bit for bit."""
+    """The grid backend of `pair_integrals`: every cross and self integral of
+    the two families by the Hockney quadrature (module docstring), through
+    `_grid_pairs`.  Swapping the families transposes the cross block bit for
+    bit, and each entry equals its 1 x 1 `mutual_coulomb` call."""
+    family, pairs = _family_pairs(dens_a, dens_b)
+    val = _grid_pairs(family, pairs, consts, grid)
+    return _split_family(val, np.zeros_like(val), len(dens_a), len(family) - len(dens_a))
+
+
+def _grid_pairs(family, pairs, consts: PhysicalConstants, grid: GridSpec) -> np.ndarray:
+    """Hockney quadrature h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) of each
+    (i, j) of `pairs`, indices into `family`: the separable `_lattice_sum`
+    when both densities are analytic, else the Fourier `_fourier_sums`."""
+    out = np.empty(len(pairs))
+    fourier = [not (family[i].analytic and family[j].analytic) for i, j in pairs]
+    profiles = {k: axis_profiles(family[k], grid)
+                for pair, f in zip(pairs, fourier) if not f for k in pair}
+    for p, (i, j) in enumerate(pairs):
+        if not fourier[p]:
+            out[p] = (family[i].mass * family[j].mass * consts.c**4
+                      * _lattice_sum(profiles[i], profiles[j], grid.coulomb_octant))
+    if any(fourier):
+        out[fourier] = _fourier_sums(family, [pair for pair, f in zip(pairs, fourier) if f],
+                                     consts, grid)
+    return out
+
+
+def _lattice_sum(g_i: np.ndarray, g_j: np.ndarray, octant: np.ndarray) -> float:
+    """sum_{x,y} g_i(x) g_j(y) K(x - y) for two separable unit-mass profiles,
+    g(x) = g[0, x_0] g[1, x_1] g[2, x_2] (`axis_profiles`).
+
+    K depends on the displacement only, through |p|, |q|, |r| per axis, so
+    the sum is sum_{p,q,r >= 0} K[p, q, r] D_0[p] D_1[q] D_2[r], where D_a[p]
+    sums g_i[a, u] g_j[a, v] over |u - v| = p: the two cross-correlations
+    of the axis factors, added lag by lag, which is symmetric in i and j bit
+    for bit.  The octant's offset N is never reached (D_a[N] = 0)."""
+    n = g_i.shape[1]
+    d = np.zeros((3, n + 1))
+    for a in range(3):
+        d[a, :n] = (np.correlate(g_i[a], g_j[a], "full")
+                    + np.correlate(g_j[a], g_i[a], "full"))[n - 1:]
+    d[:, 0] *= 0.5  # lag 0 is counted by both correlations
+    return float(d[0] @ ((octant.reshape(-1, n + 1) @ d[2]).reshape(n + 1, n + 1) @ d[1]))
+
+
+def _fourier_sums(family, pairs, consts: PhysicalConstants, grid: GridSpec) -> np.ndarray:
+    """The quadrature by Parseval on the doubled box, for any densities:
+    P_ij = h^6 / (2N)^3 sum_k w K^(k) (Re A^_i Re B^_j + Im A^_i Im B^_j)
+    over the rfft half-spectrum, w = 1 at k2 = 0 and N, else 2.  Each
+    density the pairs read is sampled once and held as its axis-2 rfft, an
+    (N, N, N+1) stage; then, one k2 plane at a time, every slab is
+    transformed along axes 1 and 0 and the sum of every pair taken.  No
+    potential or full spectrum is built."""
     n, n2 = grid.n, 2 * grid.n
-    stages = [np.fft.rfft(sample_on_grid(e, grid, consts).values, n=n2, axis=2)
-              for e in dens_a + dens_b]
-    n_a, n_d = len(dens_a), len(stages)
-    cross, own = np.zeros((n_a, n_d - n_a)), np.zeros(n_d)
-
-    def sums(x, y, kernel):
-        return (kernel * (x.real * y.real + x.imag * y.imag)).sum(axis=(-2, -1))
-
-    for k2 in range(n + 1 if stages else 0):
+    used = sorted({k for pair in pairs for k in pair})
+    slot = {k: s for s, k in enumerate(used)}
+    stages = [np.fft.rfft(sample_on_grid(family[k], grid, consts).values, n=n2, axis=2)
+              for k in used]
+    out = np.zeros(len(pairs))
+    for k2 in range(n + 1):
         slabs = np.fft.fft2(np.stack([s[:, :, k2] for s in stages]), s=(n2, n2))  # axis 2, then 1
         kernel = grid.coulomb_kernel_hat[:, :, k2]
         weight = 1.0 if k2 in (0, n) else 2.0
-        cross += weight * sums(slabs[:n_a, None], slabs[None, n_a:], kernel)
-        own += weight * sums(slabs, slabs, kernel)
-    scale = grid.cell_volume**2 / n2**3
-    return PairIntegrals(cross * scale, np.zeros_like(cross), own[:n_a] * scale, own[n_a:] * scale)
+        for p, (i, j) in enumerate(pairs):
+            x, y = slabs[slot[i]], slabs[slot[j]]
+            out[p] += weight * (kernel * (x.real * y.real + x.imag * y.imag)).sum()
+    return out * (grid.cell_volume**2 / n2**3)
 
 
 def coulomb_pair_mc(dens_a, dens_b, consts: PhysicalConstants, samples: int = 1_000_000,
                     seed: int = 0, grid: GridSpec | None = None) -> PairIntegrals:
     """The Monte-Carlo backend of `pair_integrals`: 6-D estimates of every
-    integral with its standard error.  Positions are drawn exactly from the
-    (Gaussian) profiles, so each integral is the mean of m m' c^4 / |x - y|.
+    cross and self integral with its standard error (see `_mc_pairs`)."""
+    family, pairs = _family_pairs(dens_a, dens_b)
+    val, err = _mc_pairs(family, pairs, consts, samples, seed, grid)
+    return _split_family(val, err, len(dens_a), len(family) - len(dens_a))
 
-    Every cross and self integral reads the same chunks of the stream (see
-    the module docstring), so a self integral still pairs two independent
-    draws, and an entry equals its 1 x 1 call bit for bit.  The chunks run
-    on up to as many threads as the process has CPUs in its affinity mask
-    (os.cpu_count() where the OS has no mask), each holding one chunk's
-    work; the partial sums are added in chunk order, so the values do not
-    depend on the thread count.  Per chunk the squared distance is summed in
-    the order of np.linalg.norm(axis=0), and each sum over the chunk's
-    samples is numpy's pairwise sum."""
-    dens_a = list(dens_a)
-    family = dens_a + list(dens_b)
-    n_a, n_d = len(dens_a), len(family)
+
+def _mc_pairs(family, pairs, consts: PhysicalConstants, samples: int, seed: int,
+              grid: GridSpec | None):
+    """Monte-Carlo estimates of int E_i E_j / |x - y| and their standard
+    errors for each (i, j) of `pairs`, indices into `family`.  Positions are
+    drawn exactly from the (Gaussian) profiles, so each integral is the mean
+    of m m' c^4 / |x - y|.
+
+    Every integral reads the same chunks of the stream (see the module
+    docstring), so a self integral still pairs two independent draws, and
+    an integral's value does not depend on which others are computed with
+    it.  The chunks run on up to as many threads as the process has CPUs in
+    its affinity mask (os.cpu_count() where the OS has no mask), each
+    holding one chunk's work; the partial sums are added in chunk order, so
+    the values do not depend on the thread count.  Per chunk the squared
+    distance is summed in the order of np.linalg.norm(axis=0), and each sum
+    over the chunk's samples is numpy's pairwise sum."""
+    n_d = len(family)
     if not all(e.analytic for e in family):
         raise ValueError("mc backend needs point or gaussian profiles")
     if samples < 2:
         raise ValueError(f"mc backend needs at least 2 samples for a standard error, got {samples}")
-    # the x and y density of every integral: the cross block row by row, then
-    # the self integrals of A and of B
-    pairs = [(i, j) for i in range(n_a) for j in range(n_a, n_d)] + [(k, k) for k in range(n_d)]
     sigma = np.array([effective_sigma(e, grid) for e in family]).reshape(n_d, 1, 1)
     center = np.array([e.center for e in family], float).reshape(n_d, 3, 1)
 
@@ -298,11 +373,7 @@ def coulomb_pair_mc(dens_a, dens_b, consts: PhysicalConstants, samples: int = 1_
                 sums += part
     mean = sums[0] / samples
     scale = np.array([family[i].mass * family[j].mass for i, j in pairs]) * consts.c**4
-    val = scale * mean
-    err = scale * np.sqrt(np.maximum(sums[1] / samples - mean**2, 0.0) / samples)
-    m = n_a * (n_d - n_a)
-    return PairIntegrals(val[:m].reshape(n_a, n_d - n_a), err[:m].reshape(n_a, n_d - n_a),
-                         val[m:m + n_a], val[m + n_a:])
+    return scale * mean, scale * np.sqrt(np.maximum(sums[1] / samples - mean**2, 0.0) / samples)
 
 
 def pair_integrals(
@@ -319,10 +390,10 @@ def pair_integrals(
 
     "auto" takes the closed form when every density is analytic and the grid
     otherwise, so that all integrals share one quadrature.  The grid backend
-    (`coulomb_pair_grid`) takes one forward transform per density and sums
-    every integral in Fourier space; "mc" (`coulomb_pair_mc`) draws one
-    sample stream that every integral reads.  Two empty families give
-    empty arrays on every backend.
+    (`coulomb_pair_grid`) takes the separable lattice sum for two analytic
+    densities and the Fourier plane loop for an integral with a grid
+    density; "mc" (`coulomb_pair_mc`) draws one sample stream that every
+    integral reads.  Two empty families give empty arrays on every backend.
     """
     if backend not in ("auto", "analytic", "grid", "mc"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -341,8 +412,9 @@ def pair_integrals(
         return np.array([mutual_coulomb(x, y, consts, "analytic", grid)[0] for x, y in pairs])
 
     cross = closed([(x, y) for x in dens_a for y in dens_b]).reshape(len(dens_a), len(dens_b))
-    return PairIntegrals(cross, np.zeros_like(cross), closed(zip(dens_a, dens_a)),
-                         closed(zip(dens_b, dens_b)))
+    self_a, self_b = closed(zip(dens_a, dens_a)), closed(zip(dens_b, dens_b))
+    return PairIntegrals(cross, np.zeros_like(cross), self_a, self_b,
+                         np.zeros_like(self_a), np.zeros_like(self_b))
 
 
 def laplacian_residual(field: ScalarFieldX, e: EnergyDensity, consts: PhysicalConstants,

@@ -138,22 +138,44 @@ def sample_on_grid(
         if e.values.shape != (grid.n,) * 3 or not np.isclose(e.box, grid.box):
             raise ValueError("grid density does not match requested grid")
         return e
+    sigma, (dx2, dy2, dz2) = _fitted_offsets(e, grid)
+    r2 = dx2[:, None, None] + dy2[None, :, None] + dz2[None, None, :]
+    vals = np.exp(-r2 / (2.0 * sigma**2))
+    total = vals.sum() * grid.cell_volume
+    _require_support(total)
+    vals *= e.mass * consts.c**2 / total
+    return grid_density(vals, grid.box)
+
+
+def axis_profiles(e: EnergyDensity, grid: GridSpec) -> np.ndarray:
+    """The three axis factors of an analytic profile on the lattice, shape
+    (3, N), each normalised to unit sum: `sample_on_grid(e, grid, consts)`
+    is mass c^2 / h^3 times their outer product, up to rounding.  The
+    guards are those of `sample_on_grid`."""
+    sigma, offsets = _fitted_offsets(e, grid)
+    g = np.exp(-np.array(offsets) / (2.0 * sigma**2))
+    sums = g.sum(axis=1)
+    _require_support(float(np.prod(sums)))
+    return g / sums[:, None]
+
+
+def _fitted_offsets(e: EnergyDensity, grid: GridSpec):
+    """Width of an analytic profile and its squared node offsets per axis,
+    (x_a - c_a)^2.  Raises if the box cannot hold the profile (L <= 6
+    sigma), since the renormalisation would then hide a truncated tail."""
     sigma = effective_sigma(e, grid)
     if grid.box <= 6.0 * sigma:
         raise ValueError(
             f"profile truncated: box {grid.box} must exceed 6 sigma = {6 * sigma}"
         )
     ax = grid.axes()
-    dx2 = (ax - e.center[0]) ** 2
-    dy2 = (ax - e.center[1]) ** 2
-    dz2 = (ax - e.center[2]) ** 2
-    r2 = dx2[:, None, None] + dy2[None, :, None] + dz2[None, None, :]
-    vals = np.exp(-r2 / (2.0 * sigma**2))
-    total = vals.sum() * grid.cell_volume
+    return sigma, [(ax - c) ** 2 for c in e.center]
+
+
+def _require_support(total: float) -> None:
+    """Refuse a profile whose discrete integral vanishes on the grid."""
     if total == 0.0:
         raise ValueError("profile truncated: no support on the grid")
-    vals *= e.mass * consts.c**2 / total
-    return grid_density(vals, grid.box)
 
 
 @dataclass(frozen=True)

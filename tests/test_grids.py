@@ -3,7 +3,7 @@ import pytest
 
 from gravphase.grids import GridSpec
 
-TABLES = ("k_magnitude", "nonzero_mode_mask", "coulomb_kernel_hat")
+TABLES = ("k_magnitude", "nonzero_mode_mask", "coulomb_octant", "coulomb_kernel_hat")
 
 
 @pytest.mark.parametrize("name", TABLES)

@@ -107,6 +107,7 @@ def test_self_energy():
     rep = models(single(zero), single(e), 1.0)
     assert rep["self_energies"]["A"] == [0.0]
     assert rep["self_energies"]["B"] == [pref * s1]
+    assert rep["self_energies_stderr"] == {"A": [0.0], "B": [0.0]}
     # 6-D Monte-Carlo oracle
     smc = pair_integrals([e], [], CONSTS, backend="mc", mc_samples=2_000_000, seed=7).self_a[0]
     assert abs(smc - s1) < 0.02 * abs(s1)
@@ -374,8 +375,11 @@ def test_compare_models_computes_each_pair_integral_once(monkeypatch):
                                 centers=[[x, 2.0, 2.0], [x + 0.4, 2.0, 2.0]]) for x in (1.0, 2.6))
     samplings = _counting(monkeypatch, "sample_on_grid")
     solves = _counting(monkeypatch, "solve_hT_spectral")
-    models(a, b, 0.3, backend="grid", grid=GridSpec(16, 4.0))
-    assert len(samplings) == 4 and not solves  # one transform per density, no potential
+    grid = GridSpec(16, 4.0)
+    models(a, b, 0.3, backend="grid", grid=grid)
+    # Gaussians take the separable lattice sum: nothing sampled, no potential
+    # and no kernel spectrum
+    assert not samplings and not solves and "coulomb_kernel_hat" not in vars(grid)
     draws = _counting(monkeypatch, "coulomb_pair_mc")
     models(a, b, 0.3, backend="mc", mc_samples=1000)
     assert len(draws) == 1  # the 2x2 cross and 2 + 2 self integrals from one stream
@@ -389,3 +393,12 @@ def test_mc_models_share_one_sample_set():
         assert rep["prefactor_ratios"]["general_over_nonlocal"] == -4.0
         assert rep["pairwise_deviations"]["general|nonlocal"] == 0.0
         assert rep["matrices"]["general"].stderr.min() > 0.0
+    # the self-energies carry the standard errors of their self integrals,
+    # scaled by the same kappa / 8 pi
+    pairs = pair_integrals([a.branch_density(k) for k in range(2)],
+                           [b.branch_density(k) for k in range(2)],
+                           CONSTS, backend="mc", mc_samples=20_000, seed=4)
+    pref = CONSTS.kappa / (8.0 * np.pi)
+    assert rep["self_energies_stderr"] == {"A": (pref * pairs.self_a_stderr).tolist(),
+                                           "B": (pref * pairs.self_b_stderr).tolist()}
+    assert min(rep["self_energies_stderr"]["A"] + rep["self_energies_stderr"]["B"]) > 0.0

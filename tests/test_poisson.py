@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ def test_pair_integrals_match_the_single_pair_backends():
         assert pairs.cross[i, 0] == mutual_coulomb(e, dens_b[0], CONSTS, backend="grid", grid=grid)[0]
         assert pairs.self_a[i] == mutual_coulomb(e, e, CONSTS, backend="grid", grid=grid)[0]
     assert pairs.self_b[0] == mutual_coulomb(dens_b[0], dens_b[0], CONSTS, backend="grid", grid=grid)[0]
-    assert not pairs.stderr.any()
+    assert not (pairs.stderr.any() or pairs.self_a_stderr.any() or pairs.self_b_stderr.any())
 
     # mc: every entry equals its own 1 x 1 call, stderr included
     gauss = [gaussian_density(1.0, (0.3 * k, 0.0, 0.0), 0.2 + 0.1 * k) for k in range(3)]
@@ -346,9 +347,9 @@ def test_pair_integrals_match_the_single_pair_backends():
 
     for i, x in enumerate(gauss[:2]):
         assert (mc.cross[i, 0], mc.stderr[i, 0]) == single(x, gauss[2])
-        assert mc.self_a[i] == single(x, x)[0]
-    assert mc.self_b[0] == single(gauss[2], gauss[2])[0]
-    assert np.all(mc.stderr > 0.0)
+        assert (mc.self_a[i], mc.self_a_stderr[i]) == single(x, x)
+    assert (mc.self_b[0], mc.self_b_stderr[0]) == single(gauss[2], gauss[2])
+    assert np.all(mc.stderr > 0.0) and np.all(mc.self_a_stderr > 0.0)
     with pytest.raises(ValueError, match="GridSpec"):
         pair_integrals([dens_a[1]], [], CONSTS)
 
@@ -473,12 +474,71 @@ def test_mc_pair_integrals_agree_with_the_closed_form(dens_a, dens_b, seed):
     got = pair_integrals(dens_a, dens_b, CONSTS, backend="mc", mc_samples=3000, seed=seed)
     exact = pair_integrals(dens_a, dens_b, CONSTS, backend="analytic")
     assert np.all(np.abs(got.cross - exact.cross) <= 5.0 * got.stderr)
-    # PairIntegrals holds no stderr of a self integral; the 1 x 1 call with
-    # the density on both sides is the same estimate and carries one
-    for family, own, want in ((dens_a, got.self_a, exact.self_a),
-                              (dens_b, got.self_b, exact.self_b)):
-        err = [mutual_coulomb(e, e, CONSTS, "mc", None, 3000, seed)[1] for e in family]
-        assert np.all(np.abs(own - want) <= 5.0 * np.array(err))
+    assert np.all(np.abs(got.self_a - exact.self_a) <= 5.0 * got.self_a_stderr)
+    assert np.all(np.abs(got.self_b - exact.self_b) <= 5.0 * got.self_b_stderr)
+
+
+# Relative error of the grid quadrature against the closed form, per
+# (h / sigma)^2 with sigma the narrower width of the pair: measured on the
+# width ladder sigma / h = 2, 2.5, 3, 4, 6, 8 (N = 128, h = 1, six random
+# sub-cell centres per width, partners 0 to 3 sigma away at 1, 1.5 and 2.5
+# times the width, every centre 5 widths or more inside the box, cross and
+# self entries) as 0.0175, 0.0178, 0.0179, 0.0180, 0.0181, 0.0182.
+GRID_H2_RATE = 0.0183
+_FUZZ_GRIDS = {n: GridSpec(n, 8.0) for n in (16, 32, 64)}
+
+
+@st.composite
+def _grid_family(draw):
+    """A grid and 1-3 Gaussians per side, each at least 2 cells wide and at
+    most 8, with its +-3 sigma cube inside the box (the 6 sigma guard)."""
+    grid = _FUZZ_GRIDS[draw(st.sampled_from(sorted(_FUZZ_GRIDS)))]
+    h, box = grid.h, grid.box
+    sigma_max = min(8.0 * h, np.nextafter(box / 6.0, 0.0))
+
+    def gaussian():
+        sigma = draw(st.floats(2.0 * h, sigma_max))
+        lo, hi = 3.0 * sigma - h / 2, box - h / 2 - 3.0 * sigma
+        center = [draw(st.floats(lo, hi)) for _ in range(3)]
+        return gaussian_density(draw(st.floats(0.5, 2.0)), center, sigma)
+
+    families = [[gaussian() for _ in range(draw(st.integers(1, 3)))] for _ in range(2)]
+    return grid, *families
+
+
+def _lost_mass(e, grid):
+    """Share of a Gaussian's mass outside the cells of the grid, which
+    sample_on_grid's renormalisation puts back onto the cells."""
+    phi = NormalDist(0.0, e.sigma).cdf
+    kept = math.prod(phi(grid.box - grid.h / 2 - c) - phi(-grid.h / 2 - c) for c in e.center)
+    return 1.0 - kept
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_grid_family())
+def test_grid_pair_integrals_agree_with_the_closed_form(family):
+    # O(h^2) from the measured rate, plus the truncated tails: renormalising
+    # a Gaussian that lost a share tau of its mass moves it by 2 tau m c^2 in
+    # L1, and the other density's potential is at most m' c^2 sqrt(2/pi)/sigma'
+    grid, dens_a, dens_b = family
+    got = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
+    exact = pair_integrals(dens_a, dens_b, CONSTS, backend="analytic")
+
+    def bound(x, y, value):
+        rate = GRID_H2_RATE * (grid.h / min(x.sigma, y.sigma)) ** 2 * value
+        tails = _lost_mass(x, grid) / y.sigma + _lost_mass(y, grid) / x.sigma
+        return rate + 2.0 * math.sqrt(2.0 / math.pi) * x.mass * y.mass * CONSTS.c**4 * tails
+
+    for i, x in enumerate(dens_a):
+        for j, y in enumerate(dens_b):
+            assert abs(got.cross[i, j] - exact.cross[i, j]) <= bound(x, y, exact.cross[i, j])
+    for own, want, dens in ((got.self_a, exact.self_a, dens_a), (got.self_b, exact.self_b, dens_b)):
+        for value, closed, e in zip(own, want, dens):
+            assert abs(value - closed) <= bound(e, e, closed)
+
+
+def _as_grid_density(e, grid):
+    return grid_density(sample_on_grid(e, grid, CONSTS).values, grid.box)
 
 
 def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
@@ -496,8 +556,14 @@ def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
     dens_a = [gaussian_density(1.0, (2.5 + 0.4 * k, 3.0, 3.0), 0.5) for k in range(2)]
     dens_b = [gaussian_density(0.7, (3.5, 3.0 - 0.3 * k, 3.0), 0.6) for k in range(2)]
     got = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
-    # one sampling per density and no solve, so no grid density is sampled
-    assert sampled.count("gaussian") == 4 and sampled.count("grid") == 0
+    # an analytic family takes the separable sum: no sampling, no transform,
+    # no kernel spectrum
+    assert sampled == [] and "coulomb_kernel_hat" not in vars(grid)
+    # a grid density brings in the Fourier plane loop for its own integrals
+    # only, which samples each density they read once
+    lumpy = _as_grid_density(gaussian_density(0.9, (3.0, 3.2, 2.8), 0.5), grid)
+    pair_integrals(dens_a, [lumpy] + dens_b, CONSTS, backend="grid", grid=grid)
+    assert sorted(sampled) == ["gaussian", "gaussian", "grid"]
     monkeypatch.setattr(poisson, "sample_on_grid", real)
 
     def pair(x, y):  # position space: E_A contracted with the solved potential of E_B
@@ -511,9 +577,66 @@ def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
     np.testing.assert_allclose(got.self_b, [pair(y, y) for y in dens_b], rtol=1e-14, atol=0)
 
 
+_SEPARABLE_FAMILIES = {
+    # phase-grid's geometry: 2 x 2 branches 0.7 apart, sources 2.0 apart
+    "phase-grid": (GridSpec(64, 6.0),
+                   [gaussian_density(1.0, (1.65 + dx, 3.0, 3.0), 0.3) for dx in (0.0, 0.7)],
+                   [gaussian_density(1.0, (3.65 + dx, 3.05, 2.9), 0.3) for dx in (0.0, 0.7)]),
+    "mixed-widths": (GridSpec(32, 8.0),
+                     [gaussian_density(1.3, (3.1, 4.4, 2.9), 0.6),
+                      point_density(0.4, (5.2, 3.3, 4.1))],
+                     [gaussian_density(0.8, (4.0, 4.0, 4.0), 1.1)]),
+    "wide-and-narrow": (GridSpec(16, 8.0),
+                        [gaussian_density(1.0, (3.6, 4.3, 4.0), 1.2)],
+                        [gaussian_density(2.0, (4.5, 3.8, 4.2), 1.0),
+                         gaussian_density(0.5, (3.0, 5.0, 3.4), 1.25)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEPARABLE_FAMILIES))
+def test_separable_sum_equals_the_fourier_plane_loop(name):
+    # the same quadrature summed two ways: the separable lattice sum for the
+    # analytic densities, the Fourier plane loop for them passed as grid
+    # densities.  Rounding bound, in units of eps/2: the 3-D normalisation
+    # sum (pairwise, log2 N^3 + 8), three forward transforms of length 2N
+    # (log2 2N each, twice for the two densities) and the spectrum sum
+    # (pairwise per plane, log2 4N^2 + 8, then N + 1 planes in turn) on the
+    # Fourier side; the correlations (N) and the three contractions (N + 1
+    # each) on the separable side.  The spectrum terms can cancel, so the
+    # bound scales with sqrt(P_ii P_jj), which bounds sum |term| when the
+    # kernel spectrum is positive.
+    grid, dens_a, dens_b = _SEPARABLE_FAMILIES[name]
+    n = grid.n
+    terms = (3 * math.log2(n) + 8 + 6 * math.log2(2 * n) + math.log2(4 * n * n) + 8 + n + 1
+             + n + 3 * (n + 1))
+    tol = terms * np.finfo(float).eps / 2
+    sep = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
+    four = pair_integrals([_as_grid_density(e, grid) for e in dens_a],
+                          [_as_grid_density(e, grid) for e in dens_b],
+                          CONSTS, backend="grid", grid=grid)
+    scale = np.sqrt(np.outer(sep.self_a, sep.self_b))
+    assert np.all(np.abs(sep.cross - four.cross) <= tol * scale)
+    assert np.all(np.abs(sep.self_a - four.self_a) <= tol * sep.self_a)
+    assert np.all(np.abs(sep.self_b - four.self_b) <= tol * sep.self_b)
+
+
+def test_a_centre_far_outside_the_box_raises_on_both_grid_paths():
+    grid = GridSpec(16, 8.0)
+    inside = gaussian_density(1.0, (4.0, 4.0, 4.0), 0.6)
+    far = gaussian_density(1.0, (4.0, 4.0, 1e4), 0.6)
+    lumpy = smooth_density(grid, seed=14)
+    for dens_b in ([inside], [lumpy]):  # separable, then the Fourier loop
+        with pytest.raises(ValueError, match="no support on the grid"):
+            pair_integrals([far], dens_b, CONSTS, backend="grid", grid=grid)
+        with pytest.raises(ValueError, match="no support on the grid"):
+            mutual_coulomb(dens_b[0], far, CONSTS, backend="grid", grid=grid)
+
+
 def test_swapping_the_families_transposes_the_grid_pair_integrals():
     # a few random spikes per density spread the sums evenly over the modes,
-    # so that an asymmetric product such as (K a) b shows in the last bits
+    # so that an asymmetric product such as (K a) b shows in the last bits;
+    # Gaussians at off-node centres with unequal widths do the same for the
+    # separable sum
     grid = GridSpec(16, 8.0)
     rng = np.random.default_rng(12)
     spikes = []
@@ -521,31 +644,61 @@ def test_swapping_the_families_transposes_the_grid_pair_integrals():
         values = np.zeros((16,) * 3)
         values.flat[rng.choice(values.size, 5, replace=False)] = rng.uniform(0.5, 1.5, 5)
         spikes.append(grid_density(values, grid.box))
-    dens_a = [spikes[0], gaussian_density(1.0, (3.0, 4.0, 4.5), 0.6)]
-    dens_b = [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5), spikes[1], spikes[2]]
-    ab = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
-    ba = pair_integrals(dens_b, dens_a, CONSTS, backend="grid", grid=grid)
-    assert np.array_equal(ba.cross, ab.cross.T)
-    assert np.array_equal(ba.self_a, ab.self_b) and np.array_equal(ba.self_b, ab.self_a)
+    blobs = [gaussian_density(rng.uniform(0.5, 1.5), rng.uniform(3.0, 5.0, 3), rng.uniform(0.5, 1.2))
+             for _ in range(3)]
+    for dens in (spikes, blobs):  # a mixed family, then an all-analytic one
+        dens_a = [dens[0], gaussian_density(1.0, (3.0, 4.0, 4.5), 0.6)]
+        dens_b = [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5), dens[1], dens[2]]
+        ab = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
+        ba = pair_integrals(dens_b, dens_a, CONSTS, backend="grid", grid=grid)
+        assert np.array_equal(ba.cross, ab.cross.T)
+        assert np.array_equal(ba.self_a, ab.self_b) and np.array_equal(ba.self_b, ab.self_a)
+
+
+def _phase_grid_family():
+    dens_a = [gaussian_density(0.7, (1.65 + dx, 3.0, 3.0), 0.3) for dx in (0.0, 0.7)]
+    dens_b = [gaussian_density(0.7, (3.65 + dx, 3.0, 3.0), 0.3) for dx in (0.0, 0.7)]
+    return dens_a, dens_b
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_separable_pair_integrals_peak_memory_is_the_octant_and_planes_of_it():
+    n = 64
+    grid = GridSpec(n, 6.0)
+    dens_a, dens_b = _phase_grid_family()
+    peak = _traced_peak(lambda: pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid))
+    # the grid's octant table, built in place on first use; per integral,
+    # the (N+1)^2 partial contraction and O(N) lag sums; 128 KiB for numpy's
+    # ufunc buffers (64 KiB) and the call's bookkeeping.  No (N, N, N)
+    # density, stage or spectrum (measured 2.36 MB).
+    octant, plane = (n + 1) ** 3 * 8, (n + 1) ** 2 * 8
+    assert peak <= octant + 2 * plane + 2**17, peak
+    assert "coulomb_kernel_hat" not in vars(grid)
+    # with the octant built, what remains is per-integral work only
+    # (measured 44 kB)
+    peak = _traced_peak(lambda: pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid))
+    assert peak <= 2 * plane + 2**16, peak
 
 
 def test_grid_pair_integrals_peak_memory_is_the_stages_and_one_plane():
     n = 64
     grid = GridSpec(n, 6.0)
-    dens_a = [gaussian_density(0.7, (1.65 + dx, 3.0, 3.0), 0.3) for dx in (0.0, 0.7)]
-    dens_b = [gaussian_density(0.7, (3.65 + dx, 3.0, 3.0), 0.3) for dx in (0.0, 0.7)]
+    dens_a, dens_b = ([_as_grid_density(e, grid) for e in family]
+                      for family in _phase_grid_family())
     grid.coulomb_kernel_hat  # built once per grid, not part of the call
-    tracemalloc.start()
-    try:
-        pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid))
     # the four axis-2 stages, (N, N, N+1) complex each, and the work of one
     # k2 plane: the four (2N, 2N) complex slab transforms, at most three live
     # temporaries of the sums, each the four cross products (two planes'
     # worth), and two planes for the transform's intermediate and buffers
-    # (measured 19.9 MB)
     stage, plane = n * n * (n + 1) * 16, (2 * n) ** 2 * 16
     assert peak <= 4 * stage + (4 + 3 * 2 + 2) * plane, peak
 

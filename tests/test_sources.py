@@ -7,6 +7,7 @@ from gravphase.sources import (
     LocalizedSourceSpec,
     PhysicalConstants,
     QuantumSourceState,
+    axis_profiles,
     gaussian_density,
     point_density,
     sample_on_grid,
@@ -60,8 +61,26 @@ def test_refinement_study():
 
 
 def test_profile_truncation_guard():
-    with pytest.raises(ValueError, match="truncated"):
-        sample_on_grid(gaussian_density(1.0, (4.0, 4.0, 4.0), 2.0), GridSpec(16, 8.0), CONSTS)
+    # both builders share one guard: too wide for the box, or no support
+    for build in (lambda e, g: sample_on_grid(e, g, CONSTS), axis_profiles):
+        with pytest.raises(ValueError, match="box 8.0 must exceed 6 sigma"):
+            build(gaussian_density(1.0, (4.0, 4.0, 4.0), 2.0), GridSpec(16, 8.0))
+        with pytest.raises(ValueError, match="no support on the grid"):
+            build(gaussian_density(1.0, (4.0, -1e4, 4.0), 0.5), GridSpec(16, 8.0))
+
+
+@pytest.mark.parametrize("e", [gaussian_density(1.3, (3.1, 4.4, 2.2), 0.7),
+                               point_density(0.6, (5.0, 2.5, 4.0))])
+def test_axis_profiles_factor_the_sampled_density(e):
+    # sample_on_grid's density is m c^2 / h^3 times the outer product of the
+    # unit-sum axis factors; exp of a sum and a product of exps, and a 3-D
+    # sum and a product of 1-D sums, differ only by rounding
+    grid = GridSpec(32, 8.0)
+    g = axis_profiles(e, grid)
+    assert g.shape == (3, 32) and np.all(np.abs(g.sum(axis=1) - 1.0) <= 1e-15)
+    want = sample_on_grid(e, grid, CONSTS).values
+    got = np.einsum("i,j,k->ijk", *g) * e.mass * CONSTS.c**2 / grid.cell_volume
+    assert np.abs(got - want).max() <= 1e-13 * want.max()
 
 
 def test_total_mass_grid_refinement_invariance():
