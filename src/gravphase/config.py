@@ -7,6 +7,8 @@ constants block that either works in natural units (G = c = hbar = 1 by
 default) or takes SI inputs together with length/mass scales that map them
 onto well-conditioned internal units.  `validate_config` is the one judge
 of a config: a config it accepts is one every scenario runner can read.
+`to_internal_units` maps a config to internal units by the schema's
+"dimension" and "default" annotations, so no runner sees a scale.
 """
 
 from __future__ import annotations
@@ -27,9 +29,14 @@ SCENARIOS = ("phase-compare", "poisson", "overlap-sweep", "opalg-verify", "negat
 _NUM = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NON_NEGATIVE = {"type": "number", "minimum": 0}
+# "dimension" marks a number given in config units (SI under "system": "si")
+# that `to_internal_units` divides by its unit scale; JSON Schema ignores it
+_LENGTH = {**_POSITIVE, "dimension": "length"}
+_MASS = {**_NON_NEGATIVE, "dimension": "mass"}
 _VEC3 = {"type": "array", "items": _NUM, "minItems": 3, "maxItems": 3}
+_POINT = {**_VEC3, "items": {**_NUM, "dimension": "length"}}
 _NUMLIST = {"type": "array", "items": _NUM, "minItems": 1}
-_WIDTHS = {"type": "array", "items": _POSITIVE, "minItems": 1}
+_WIDTHS = {"type": "array", "items": _LENGTH, "minItems": 1}
 _BRANCH_LIST = {"type": "array", "items": _NUM, "minItems": 2}  # one entry per probe branch
 _MATRIX = {"type": "array", "items": _NUMLIST, "minItems": 1}
 # a real number or a [re, im] pair
@@ -39,8 +46,8 @@ _BRANCH = {
     "type": "object",
     "properties": {
         "amplitude": _AMPLITUDE,
-        "center": _VEC3,
-        "width": _POSITIVE,
+        "center": _POINT,
+        "width": _LENGTH,
     },
     "required": ["amplitude", "center", "width"],
     "additionalProperties": False,
@@ -50,9 +57,9 @@ _SOURCE = {
     "type": "object",
     "properties": {
         "type": {"enum": ["localized", "gaussian", "point", "grid-file"]},
-        "mass": _NON_NEGATIVE,
-        "center": _VEC3,
-        "sigma": _POSITIVE,
+        "mass": _MASS,
+        "center": _POINT,
+        "sigma": _LENGTH,
         "branches": {"type": "array", "items": _BRANCH, "minItems": 1},
         "path": {"type": "string"},
     },
@@ -79,11 +86,11 @@ CONFIG_SCHEMA = {
         },
         "grid": {
             "type": "object",
-            "properties": {"n": {"type": "integer", "minimum": 2}, "box": _POSITIVE},
+            "properties": {"n": {"type": "integer", "minimum": 2}, "box": _LENGTH},
             "required": ["n", "box"],
             "additionalProperties": False,
         },
-        "time": _NON_NEGATIVE,
+        "time": {**_NON_NEGATIVE, "dimension": "time", "default": 1.0},
         "backend": {"enum": ["auto", "analytic", "grid", "mc"]},
         "mc_samples": {"type": "integer", "minimum": 2},
         "sources": {
@@ -107,16 +114,16 @@ CONFIG_SCHEMA = {
         "overlap": {
             "type": "object",
             "properties": {
-                "position": _VEC3,
-                "epsilon": _VEC3,
+                "position": _POINT,
+                "epsilon": _POINT,
                 "epsilon_scales": _NUMLIST,
                 "w_start": _POSITIVE,
                 "w_halvings": {"type": "integer", "minimum": 0},
                 "grid_sizes": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-                "box": _POSITIVE,
-                "mass": _NON_NEGATIVE,
-                "sigma_reg": _POSITIVE,
-                "matter_width": _POSITIVE,
+                "box": _LENGTH,
+                "mass": {**_MASS, "default": 1.0},
+                "sigma_reg": _LENGTH,
+                "matter_width": _LENGTH,
                 "state_pairs": {"type": "integer", "minimum": 0},
             },
             "required": ["epsilon", "w_start", "w_halvings", "grid_sizes", "box"],
@@ -386,32 +393,43 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
     return out
 
 
-def build_constants(cfg: dict):
-    """Returns (consts, scales, units_label).
+def _internal(value, schema: dict, scales: dict):
+    """`value` with each default `schema` declares filled in where absent and
+    each number it gives a dimension divided by that dimension's scale."""
+    if "dimension" in schema:
+        return value / scales[schema["dimension"]]
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        value = {**{k: s["default"] for k, s in properties.items() if "default" in s}, **value}
+        return {k: _internal(v, properties.get(k, {}), scales) for k, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_internal(v, schema["items"], scales) for v in value]
+    return value
 
-    natural: constants taken verbatim (default 1).  si: SI constants plus
-    mandatory length/mass scales; dimensional config entries are interpreted
-    as SI and mapped to internal units by the scale functions in `scales`.
+
+def to_internal_units(cfg: dict):
+    """Returns (consts, internal_cfg, units_label) for a validated config.
+
+    natural: constants taken verbatim (default 1), every scale 1.0.  si: SI
+    constants (default CODATA) rescaled by the mandatory length and mass
+    scales L0 and M0, with the time scale L0/c.  `internal_cfg` is `cfg`
+    with each default the schema declares filled in and each number it
+    gives a "dimension" divided by its scale, in natural units too, so an
+    integer entry becomes a float.
     """
     block = cfg.get("constants", {})
-    system = block.get("system", "natural")
-    if system == "natural":
-        consts = PhysicalConstants(
-            G=block.get("G", 1.0), c=block.get("c", 1.0), hbar=block.get("hbar", 1.0)
-        )
+    natural = block.get("system", "natural") == "natural"
+    default = PhysicalConstants.natural() if natural else PhysicalConstants.si()
+    consts = PhysicalConstants(**{k: block.get(k, getattr(default, k)) for k in ("G", "c", "hbar")})
+    if natural:
         scales = {"length": 1.0, "mass": 1.0, "time": 1.0}
         label = "natural units (dimensional quantities in config units)"
-        return consts, scales, label
-    si = PhysicalConstants(
-        G=block.get("G", PhysicalConstants.si().G),
-        c=block.get("c", PhysicalConstants.si().c),
-        hbar=block.get("hbar", PhysicalConstants.si().hbar),
-    )
-    l0, m0 = float(block["length_scale"]), float(block["mass_scale"])
-    consts = si.rescaled(l0, m0)
-    scales = {"length": l0, "mass": m0, "time": l0 / si.c}
-    label = f"internal units (L0={l0} m, M0={m0} kg, T0=L0/c)"
-    return consts, scales, label
+    else:
+        l0, m0 = float(block["length_scale"]), float(block["mass_scale"])
+        scales = {"length": l0, "mass": m0, "time": l0 / consts.c}
+        consts = consts.rescaled(l0, m0)
+        label = f"internal units (L0={l0} m, M0={m0} kg, T0=L0/c)"
+    return consts, _internal(cfg, CONFIG_SCHEMA, scales), label
 
 
 PRESETS: dict[str, dict] = {

@@ -85,9 +85,8 @@ class GridSpec:
 
     @cached_property
     def coulomb_octant(self) -> np.ndarray:
-        """`coulomb_kernel_octant` of this grid, shape (n + 1,) * 3: the
-        separable pair sums read it directly, and `coulomb_kernel_hat` is
-        its transform."""
+        """`coulomb_kernel_octant` of this grid, shape (n + 1,) * 3, which
+        the separable pair sums read."""
         return _read_only(coulomb_kernel_octant(self))
 
     @cached_property
@@ -98,9 +97,10 @@ class GridSpec:
         mirrored in every axis and its transform is real and even.  Each axis
         is transformed as the real part of an rfft of the mirrored octant,
         and the (n+1)^3 result is mirrored into the first two axes; the full
-        (2n)^3 kernel is never formed."""
+        (2n)^3 kernel is never formed.  The octant is a temporary here, so a
+        grid that only solves does not keep it."""
         mirror = np.r_[0:self.n + 1, self.n - 1:0:-1]
-        table = self.coulomb_octant
+        table = coulomb_kernel_octant(self)
         for axis in (2, 1, 0):
             table = np.fft.rfft(np.take(table, mirror, axis=axis), axis=axis).real
         return _read_only(table[np.ix_(mirror, mirror, np.arange(self.n + 1))])

@@ -181,23 +181,29 @@ def mutual_coulomb(
     """int d^3x d^3y E_A(x) E_B(y) / |x - y|, returned as (value, stderr).
 
     backend: "analytic" (Gaussian/point closed form), "grid" (Hockney
-    quadrature, see `coulomb_pair_grid`), "mc" (6-D Monte Carlo), or "auto" which
-    picks the closed form when both profiles are analytic and the grid route
-    otherwise.
-    stderr is zero for the deterministic backends.
+    quadrature, see `coulomb_pair_grid`), "mc" (6-D Monte Carlo), or "auto"
+    (see `_resolve_backend`).  stderr is zero for the deterministic backends.
     """
-    if backend == "auto":
-        backend = "analytic" if (e_a.analytic and e_b.analytic) else "grid"
+    backend = _resolve_backend(backend, (e_a, e_b), grid)
     if backend == "analytic":
         return coulomb_pair_analytic(e_a, e_b, consts, grid), 0.0
     if backend == "mc":
         val, err = _mc_pairs([e_a, e_b], [(0, 1)], consts, mc_samples, seed, grid)
         return float(val[0]), float(err[0])
-    if backend == "grid":
-        if grid is None:
-            raise ValueError("grid backend needs a GridSpec")
-        return float(_grid_pairs([e_a, e_b], [(0, 1)], consts, grid)[0]), 0.0
-    raise ValueError(f"unknown backend {backend!r}")
+    return float(_grid_pairs([e_a, e_b], [(0, 1)], consts, grid)[0]), 0.0
+
+
+def _resolve_backend(backend: str, densities, grid: GridSpec | None) -> str:
+    """The pair-integral backend named by `backend` for `densities`: "auto"
+    takes the closed form when every density is analytic and the grid
+    otherwise, so that all integrals share one quadrature."""
+    if backend not in ("auto", "analytic", "grid", "mc"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "auto":
+        backend = "analytic" if all(e.analytic for e in densities) else "grid"
+    if backend == "grid" and grid is None:
+        raise ValueError("grid backend needs a GridSpec")
+    return backend
 
 
 @dataclass(frozen=True)
@@ -386,26 +392,19 @@ def pair_integrals(
     seed: int = 0,
 ) -> PairIntegrals:
     """Every pair integral between and within two density families, each
-    computed once.
+    computed once, on the backend `_resolve_backend` picks.
 
-    "auto" takes the closed form when every density is analytic and the grid
-    otherwise, so that all integrals share one quadrature.  The grid backend
-    (`coulomb_pair_grid`) takes the separable lattice sum for two analytic
-    densities and the Fourier plane loop for an integral with a grid
-    density; "mc" (`coulomb_pair_mc`) draws one sample stream that every
-    integral reads.  Two empty families give empty arrays on every backend.
+    The grid backend (`coulomb_pair_grid`) takes the separable lattice sum
+    for two analytic densities and the Fourier plane loop for an integral
+    with a grid density; "mc" (`coulomb_pair_mc`) draws one sample stream
+    that every integral reads.  Two empty families give empty arrays on
+    every backend.
     """
-    if backend not in ("auto", "analytic", "grid", "mc"):
-        raise ValueError(f"unknown backend {backend!r}")
     dens_a, dens_b = list(dens_a), list(dens_b)
-    if backend == "auto":
-        analytic = all(e.analytic for e in dens_a + dens_b)
-        backend = "analytic" if analytic else "grid"
+    backend = _resolve_backend(backend, dens_a + dens_b, grid)
     if backend == "mc":
         return coulomb_pair_mc(dens_a, dens_b, consts, samples=mc_samples, seed=seed, grid=grid)
     if backend == "grid":
-        if grid is None:
-            raise ValueError("grid backend needs a GridSpec")
         return coulomb_pair_grid(dens_a, dens_b, consts, grid)
 
     def closed(pairs):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gridio
-from .config import build_constants
+from .config import to_internal_units
 from .grids import GridSpec
 from .opalg import (
     c_number_probe_stress,
@@ -29,6 +29,7 @@ from .sources import (
     gaussian_density,
     grid_density,
     point_density,
+    sample_on_grid,
     source_overlap,
 )
 from .tensoralg import transverse_projector
@@ -70,51 +71,42 @@ def _amplitude(raw) -> complex:
     return complex(raw)
 
 
-def _scaled_vec(v, scales):
-    return tuple(float(x) / scales["length"] for x in v)
-
-
-def _build_source(block: dict, scales: dict):
+def _build_source(block: dict):
+    """The source of a config source block in internal units."""
     kind = block["type"]
     if kind == "localized":
         amps = np.array([_amplitude(b["amplitude"]) for b in block["branches"]])
         amps = amps / np.sqrt((np.abs(amps) ** 2).sum())
         return LocalizedSourceSpec(
-            mass=block["mass"] / scales["mass"],
+            mass=block["mass"],
             amplitudes=amps,
-            centers=np.array([_scaled_vec(b["center"], scales) for b in block["branches"]]),
-            widths=np.array([b["width"] / scales["length"] for b in block["branches"]]),
+            centers=np.array([b["center"] for b in block["branches"]]),
+            widths=np.array([b["width"] for b in block["branches"]]),
         )
     if kind == "gaussian":
         return LocalizedSourceSpec(
-            mass=block["mass"] / scales["mass"],
+            mass=block["mass"],
             amplitudes=np.array([1.0 + 0.0j]),
-            centers=np.array([_scaled_vec(block["center"], scales)]),
-            widths=np.array([block["sigma"] / scales["length"]]),
+            centers=np.array([block["center"]]),
+            widths=np.array([block["sigma"]]),
         )
     if kind == "point":
-        sigma = block.get("sigma")
-        if sigma is not None:
-            sigma /= scales["length"]
-        return point_density(block["mass"] / scales["mass"],
-                             _scaled_vec(block["center"], scales),
-                             sigma_reg=sigma)
+        return point_density(block["mass"], tuple(block["center"]), sigma_reg=block.get("sigma"))
     values, box, _ = gridio.load_scalar_grid(Path(block["path"]))  # grid-file
     return grid_density(values, box)
 
 
 def run_phase_compare(cfg: dict, outdir: Path) -> dict:
-    consts, scales, unit_label = build_constants(cfg)
-    spec_a = _build_source(cfg["sources"]["a"], scales)
-    spec_b = _build_source(cfg["sources"]["b"], scales)
+    consts, cfg, unit_label = to_internal_units(cfg)
+    spec_a = _build_source(cfg["sources"]["a"])
+    spec_b = _build_source(cfg["sources"]["b"])
     grid_cfg = cfg.get("grid")
-    grid = GridSpec(grid_cfg["n"], grid_cfg["box"] / scales["length"]) if grid_cfg else None
-    time = cfg.get("time", 1.0) / scales["time"]
+    grid = GridSpec(grid_cfg["n"], grid_cfg["box"]) if grid_cfg else None
+    time = cfg["time"]
     kw = dict(grid=grid, backend=cfg.get("backend", "auto"),
               mc_samples=cfg.get("mc_samples", 1_000_000), seed=cfg["seed"])
-    report = compare_models(
-        spec_a, spec_b, time, consts,
-        sigma_ladder=tuple(s / scales["length"] for s in cfg.get("sigma_ladder", ())), **kw)
+    report = compare_models(spec_a, spec_b, time, consts,
+                            sigma_ladder=tuple(cfg.get("sigma_ladder", ())), **kw)
     matrices, convergence = report.pop("matrices"), report.pop("convergence")
 
     write_csv(outdir / "tables" / "models.csv",
@@ -134,8 +126,7 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
     # so only a config that asks for the table computes it
     nw = newton_phase(spec_a, spec_b, time, consts).phases[0, 0] if widths else None
     width_rows = []
-    for width in widths:
-        sig = width / scales["length"]
+    for sig in widths:
         ea = gaussian_density(spec_a.mass, spec_a.centers[0], sig)
         eb = gaussian_density(spec_b.mass, spec_b.centers[0], sig)
         th, _ = theta_AB(ea, eb, time, consts, **kw)
@@ -161,13 +152,13 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
 
 
 def run_poisson(cfg: dict, outdir: Path) -> dict:
-    consts, scales, unit_label = build_constants(cfg)
-    block, grid_cfg = cfg["poisson"], cfg["grid"]
-    grid = GridSpec(grid_cfg["n"], grid_cfg["box"] / scales["length"])
-    profile_block = block["profile"]
-    src = _build_source(profile_block, scales)
+    consts, cfg, unit_label = to_internal_units(cfg)
+    block = cfg["poisson"]
+    grid = GridSpec(cfg["grid"]["n"], cfg["grid"]["box"])
+    src = _build_source(block["profile"])
     if isinstance(src, LocalizedSourceSpec):
         src = src.branch_density(0)
+    src = sample_on_grid(src, grid, consts)  # once: both solvers and the residual read it
 
     spectral = solve_hT_spectral(src, grid, consts)
     stride = block.get("stride", max(1, grid.n // 16))
@@ -207,19 +198,11 @@ def _random_state_pair(rng: random.Random, n_basis: int = 4):
 
 
 def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
-    consts, scales, unit_label = build_constants(cfg)
+    consts, cfg, unit_label = to_internal_units(cfg)
     block = cfg["overlap"]
-    box = block["box"] / scales["length"]
-    pos = np.asarray(block.get("position", [block["box"] / 2] * 3), dtype=float)
-    pos /= scales["length"]
-    eps0 = np.asarray(block["epsilon"], dtype=float) / scales["length"]
-    mass = block.get("mass", 1.0) / scales["mass"]
-    sigma_reg = block.get("sigma_reg")
-    if sigma_reg is not None:
-        sigma_reg /= scales["length"]
-    matter_width = block.get("matter_width")
-    if matter_width is not None:
-        matter_width /= scales["length"]
+    box = block["box"]
+    pos = np.asarray(block.get("position", [box / 2] * 3), dtype=float)
+    eps0 = np.asarray(block["epsilon"], dtype=float)
 
     ws = [block["w_start"] * 0.5**i for i in range(block["w_halvings"] + 1)]
     eps_stack = np.array([eps0 * scale for scale in block.get("epsilon_scales", [1.0])])
@@ -228,8 +211,8 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
     for grid in grids:
         # one call per grid: the mode sum of each displacement serves every width
         logs = semiclassical_overlap(pos, eps_stack, ws, grid, consts,
-                                     mass=mass, sigma_reg=sigma_reg,
-                                     matter_width=matter_width)
+                                     mass=block["mass"], sigma_reg=block.get("sigma_reg"),
+                                     matter_width=block.get("matter_width"))
         for eps, eps_logs in zip(eps_stack, logs):
             eps_norm = float(np.linalg.norm(eps))
             rows.extend((eps_norm, w, grid.n, overlap_from_log(log_ov), log_ov)
@@ -266,7 +249,7 @@ def _fit_slope(ts, values):
 
 
 def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
-    consts, _, unit_label = build_constants(cfg)
+    consts, cfg, unit_label = to_internal_units(cfg)
     block = cfg["opalg"]
     dim = block["dim"]
     system = make_single_mode_system(block["kvec"], dim, consts,

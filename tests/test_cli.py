@@ -20,6 +20,7 @@ from gravphase.config import (
     validate_config,
 )
 from gravphase.gridio import load_scalar_grid, save_scalar_grid
+from gravphase.sources import PhysicalConstants
 
 
 def test_presets_listed_and_valid():
@@ -41,11 +42,40 @@ def test_presets_command(capsys):
     assert main(["presets", "--emit", "nope"]) == 1
 
 
+def _dimensions(schema, path=()):
+    """(path, dimension) of every number the schema gives a unit; '*' stands
+    for the items of an array."""
+    if "dimension" in schema:
+        yield "/".join(path), schema["dimension"]
+    for key, sub in schema.get("properties", {}).items():
+        yield from _dimensions(sub, path + (key,))
+    if "items" in schema:
+        yield from _dimensions(schema["items"], path + ("*",))
+
+
 def test_schema_command(capsys):
     assert main(["schema"]) == 0
     schema = json.loads(capsys.readouterr().out)
     assert schema == CONFIG_SCHEMA
+    # the unit annotations are keywords JSON Schema ignores: still a valid schema
     jsonschema.validators.validator_for(schema).check_schema(schema)
+    assert schema["properties"]["time"]["default"] == 1.0
+    assert schema["properties"]["overlap"]["properties"]["mass"]["default"] == 1.0
+
+
+def test_the_schema_names_the_unit_of_every_scaled_key():
+    # the keys the README lists as read in config units, and no others:
+    # overlap/w_start and the opalg block stay in internal units
+    source = {"mass": "mass", "center/*": "length", "sigma": "length",
+              "branches/*/center/*": "length", "branches/*/width": "length"}
+    expected = {"grid/box": "length", "time": "time", "sigma_ladder/*": "length",
+                "width_variation/*": "length", "overlap/position/*": "length",
+                "overlap/epsilon/*": "length", "overlap/box": "length",
+                "overlap/mass": "mass", "overlap/sigma_reg": "length",
+                "overlap/matter_width": "length"}
+    for where in ("sources/a", "sources/b", "poisson/profile"):
+        expected.update((f"{where}/{key}", dim) for key, dim in source.items())
+    assert dict(_dimensions(CONFIG_SCHEMA)) == expected
 
 
 def test_malformed_config_exit_code(tmp_path, capsys):
@@ -223,6 +253,22 @@ def test_si_overlap_sweep_defaults_to_the_box_centre(tmp_path):
     out = tmp_path / "o"
     assert main(["run", str(path), "--out", str(out)]) == 0
     assert len((out / "tables" / "overlap_sweep.csv").read_text().splitlines()) == 3
+
+
+def test_si_overlap_mass_defaults_to_one_kilogram(tmp_path):
+    bodies = []
+    for tag, mass in (("default", None), ("explicit", 1.0)):
+        cfg = {"scenario": "overlap-sweep", "seed": 1,
+               "constants": {"system": "si", "length_scale": 1e-3, "mass_scale": 1e-14},
+               "overlap": {"epsilon": [5e-4, 0.0, 0.0], "w_start": 1.0, "w_halvings": 1,
+                           "grid_sizes": [8], "box": 8e-3}}
+        if mass is not None:
+            cfg["overlap"]["mass"] = mass
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / tag)]) == 0
+        bodies.append(_csv_bodies(tmp_path / tag))
+    assert bodies[0] and bodies[0] == bodies[1]
 
 
 def test_si_opalg_verify_reads_its_times_in_internal_units(tmp_path):
@@ -457,6 +503,26 @@ def test_poisson_scenario_writes_grid_files(tmp_path):
     assert "units" in report["result"]
 
 
+def test_a_poisson_run_samples_its_source_once(tmp_path, monkeypatch):
+    # the spectral solve, the direct oracle and the Laplacian residual all
+    # read the runner's one grid density, which sample_on_grid passes through
+    from gravphase import poisson, scenarios
+
+    kinds = []
+    real = scenarios.sample_on_grid
+
+    def recording(e, grid, consts):
+        kinds.append(e.kind)
+        return real(e, grid, consts)
+
+    for module in (scenarios, poisson):
+        monkeypatch.setattr(module, "sample_on_grid", recording)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_small_poisson()))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert kinds == ["gaussian", "grid", "grid", "grid"]
+
+
 def _csv_bodies(outdir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted((outdir / "tables").glob("*.csv"))}
 
@@ -500,7 +566,7 @@ def test_si_units_scenario_matches_natural_computation(tmp_path):
     phase = float(general[header.index("phase_rad")])
 
     from gravphase.phases import theta_AB
-    from gravphase.sources import PhysicalConstants, gaussian_density
+    from gravphase.sources import gaussian_density
     si = PhysicalConstants.si()
     expected, _ = theta_AB(gaussian_density(1e-14, (0, 0, 0), 1e-4),
                            gaussian_density(1e-14, (4.5e-4, 0, 0), 1e-4),
@@ -534,7 +600,8 @@ def _si_phase_compare(backend, length_scale, mass_scale):
 @pytest.mark.parametrize("backend, roundings", [
     ("analytic", 32), ("mc", 32 + math.log2(2000)), ("grid", 32 + 9 * math.log2(32))])
 def test_si_phases_do_not_depend_on_the_unit_choice(tmp_path, backend, roundings):
-    phases = []
+    eps, c = np.finfo(float).eps, PhysicalConstants.si().c
+    phases, negativities, self_energies = [], [], []
     for length_scale, mass_scale in ((1e-3, 1e-14), (1e-4, 1e-13), (1.0, 1.0)):
         path = tmp_path / f"{length_scale}.json"
         path.write_text(json.dumps(_si_phase_compare(backend, length_scale, mass_scale)))
@@ -543,10 +610,45 @@ def test_si_phases_do_not_depend_on_the_unit_choice(tmp_path, backend, roundings
         body = (out / "tables" / "models.csv").read_text().splitlines()
         column = body[0].split(",").index("phase_rad")
         phases.append(np.array([float(row.split(",")[column]) for row in body[1:]]))
+        result = json.loads((out / "report.json").read_text())["result"]
+        negativities.append(result["negativities"])
+        # internal energies are in units of M0 c^2, with c = 1 inside
+        self_energies.append(np.array(result["self_energies"]["A"] + result["self_energies"]["B"])
+                             * (mass_scale * c**2))
     assert np.abs(phases[0]).min() > 0.1  # no phase sits near zero, so relative is apt
-    bound = roundings * np.finfo(float).eps / 2
+    bound = roundings * eps / 2
     for other in phases[1:]:
         assert np.all(np.abs(other - phases[0]) <= bound * np.abs(phases[0]))
+    # A negativity is dimensionless.  Shifting the phases of a normalised
+    # n x m branch state by at most dt moves its coefficient matrix by at most
+    # dt in Frobenius norm, so (Mirsky) the sum of its singular values by at
+    # most sqrt(min(n, m)) dt and the negativity by at most min(n, m) dt; each
+    # run evaluates it once more (exp, norm, SVD and sums: 32 roundings)
+    assert max(negativities[0].values()) > 0.01
+    neg_bound = 2 * bound * np.abs(phases[0]).max() + 2 * 32 * eps / 2
+    for other in negativities[1:]:
+        assert other.keys() == negativities[0].keys()
+        assert all(abs(other[k] - v) <= neg_bound for k, v in negativities[0].items())
+    # a self-energy is a pair integral times constants, like a phase, and its
+    # conversion to joules adds three roundings (c^2, M0 and the product)
+    assert np.all(self_energies[0] < 0.0)
+    for other in self_energies[1:]:
+        assert np.all(np.abs(other - self_energies[0])
+                      <= (roundings + 3) * eps / 2 * np.abs(self_energies[0]))
+
+
+def test_si_time_defaults_to_one_second(tmp_path):
+    bodies = []
+    for tag, time in (("default", None), ("explicit", 1.0)):
+        cfg = _si_phase_compare("analytic", 1e-3, 1e-14)
+        cfg.pop("time")
+        if time is not None:
+            cfg["time"] = time
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / tag)]) == 0
+        bodies.append(_csv_bodies(tmp_path / tag))
+    assert bodies[0] and bodies[0] == bodies[1]
 
 
 def _si_poisson(length_scale, mass_scale):

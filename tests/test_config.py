@@ -21,8 +21,10 @@ from gravphase.config import (
     ConfigError,
     get_preset,
     schema_error,
+    to_internal_units,
     validate_config,
 )
+from gravphase.sources import PhysicalConstants
 
 # JSON has no integral floats: an integer is an int, as in the walker
 _Draft = jsonschema.validators.validator_for(CONFIG_SCHEMA)
@@ -213,3 +215,37 @@ def test_the_largest_accepted_dim_40_sweep_validates_and_the_next_exits_1(tmp_pa
                  "--out", str(out)]) == 1
     assert "config invalid at opalg: propagator sweep" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_to_internal_units_fills_the_defaults_and_divides_by_the_scales():
+    cfg = {"scenario": "overlap-sweep", "seed": 1,
+           "constants": {"system": "si", "length_scale": 1e-3, "mass_scale": 1e-14},
+           "overlap": {"epsilon": [5e-4, 0, 0], "w_start": 2.0, "w_halvings": 1,
+                       "grid_sizes": [8], "box": 8e-3, "sigma_reg": 1e-4}}
+    raw = copy.deepcopy(cfg)
+    consts, internal, label = to_internal_units(cfg)
+    assert cfg == raw  # the report echoes the config as given
+    assert consts == PhysicalConstants.si().rescaled(1e-3, 1e-14)
+    assert label.startswith("internal units (L0=0.001 m, M0=1e-14 kg")
+    block = internal["overlap"]
+    assert internal["time"] == 1.0 / (1e-3 / PhysicalConstants.si().c)
+    assert block["mass"] == 1.0 / 1e-14
+    assert block["box"] == 8e-3 / 1e-3 and block["sigma_reg"] == 1e-4 / 1e-3
+    assert block["epsilon"] == [5e-4 / 1e-3, 0.0, 0.0]
+    # not scaled: w_start, the integers and the constants block
+    assert block["w_start"] == 2.0 and block["grid_sizes"] == [8]
+    assert internal["constants"] == cfg["constants"]
+
+
+def test_natural_units_turn_dimensional_integers_into_floats_only():
+    cfg = {"scenario": "poisson", "seed": 0, "grid": {"n": 16, "box": 8},
+           "poisson": {"profile": {"type": "gaussian", "mass": 2, "center": [4, 4, 4],
+                                   "sigma": 1}, "stride": 2}}
+    consts, internal, _ = to_internal_units(cfg)
+    assert consts == PhysicalConstants.natural()
+    profile = internal["poisson"]["profile"]
+    assert [type(x) for x in (internal["grid"]["box"], profile["mass"], profile["sigma"],
+                              *profile["center"])] == [float] * 6
+    assert internal["grid"]["box"] == 8.0 and profile["center"] == [4.0, 4.0, 4.0]
+    assert [type(x) for x in (internal["grid"]["n"], internal["poisson"]["stride"],
+                              internal["seed"])] == [int] * 3

@@ -714,3 +714,17 @@ def test_empty_density_families_give_empty_pair_integrals(backend):
 def test_pair_integrals_refuse_an_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend 'fmm'"):
         pair_integrals([], [], CONSTS, backend="fmm")
+    e = gaussian_density(1.0, (3.0, 3.0, 3.0), 0.5)
+    with pytest.raises(ValueError, match="unknown backend 'fmm'"):
+        mutual_coulomb(e, e, CONSTS, backend="fmm")
+
+
+@pytest.mark.parametrize("backend, lumpy", [("grid", False), ("auto", True)])
+def test_both_pair_entry_points_need_a_grid_for_the_grid_backend(backend, lumpy):
+    # "auto" takes the grid for a grid density
+    e = gaussian_density(1.0, (3.0, 3.0, 3.0), 0.5)
+    other = _as_grid_density(e, GridSpec(8, 6.0)) if lumpy else e
+    with pytest.raises(ValueError, match="grid backend needs a GridSpec"):
+        pair_integrals([e], [other], CONSTS, backend=backend)
+    with pytest.raises(ValueError, match="grid backend needs a GridSpec"):
+        mutual_coulomb(e, other, CONSTS, backend=backend)
