@@ -34,8 +34,7 @@ class GridSpec:
     It owns the read-only tables built from (n, box) on first use: |k| and
     the nonzero-mode mask for the overlaps, the lattice 1/r octant that the
     separable pair sums contract, and the doubled-box kernel spectrum, made
-    from the octant, that the spectral solve and the Fourier pair sums
-    multiply by."""
+    from the octant, that the spectral solve multiplies by."""
 
     n: int
     box: float
@@ -91,7 +90,8 @@ class GridSpec:
 
     @cached_property
     def coulomb_kernel_hat(self) -> np.ndarray:
-        """rfftn of the doubled-box 1/r kernel, real, shape (2n, 2n, n + 1).
+        """rfftn of the doubled-box 1/r kernel, real, shape (2n, 2n, n + 1),
+        which `solve_hT_spectral` multiplies by.
 
         Offsets i and 2n - i have the same |d|, so the kernel is the octant
         mirrored in every axis and its transform is real and even.  Each axis

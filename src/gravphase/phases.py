@@ -155,16 +155,17 @@ def _point_normalized_deviation(theta_general: np.ndarray, theta_model: np.ndarr
 
 def _fitted_deviation(theta_general: np.ndarray, theta_model: np.ndarray) -> float:
     """Same comparison with the overall constant fitted by least squares
-    instead of pinned; degenerate (zero) for single-entry matrices."""
+    instead of pinned; degenerate (zero) for single-entry matrices and for a
+    zero general matrix."""
     g = theta_general.reshape(-1)
     m = theta_model.reshape(-1)
+    ref = np.abs(g).max()
+    if ref == 0.0:
+        return 0.0
     denom = float(m @ m)
     if denom == 0.0:
         return float("inf")
     scale = float(g @ m) / denom
-    ref = np.abs(g).max()
-    if ref == 0.0:
-        return 0.0
     return float(np.abs(g - scale * m).max() / ref)
 
 

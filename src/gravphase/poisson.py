@@ -37,10 +37,10 @@ the lattice 1/r kernel K of the solvers.  An analytic (Gaussian or point)
 profile on the lattice is a product of three axis profiles, so for two of
 them the sum factorises into three length-N cross-correlations contracted
 with the (N+1)^3 octant of K: no density is sampled and no transform taken.
-Only an integral that involves a grid density sums the same quadrature in
-Fourier space, one k2 plane of the doubled box at a time, with no potential
-formed.  Each backend computes an integral the same way whichever others
-are computed with it.
+An integral that involves a grid density contracts each density with the
+other's `solve_hT_spectral` potential and averages the two orders.  Each
+backend computes an integral the same way whichever others are computed
+with it.
 
 The Monte-Carlo stream is part of the contract, so a seed gives the same
 integrals on every version: chunk c holds the n <= MC_CHUNK samples from
@@ -58,6 +58,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -259,18 +260,29 @@ def coulomb_pair_grid(dens_a, dens_b, consts: PhysicalConstants, grid: GridSpec)
 def _grid_pairs(family, pairs, consts: PhysicalConstants, grid: GridSpec) -> np.ndarray:
     """Hockney quadrature h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) of each
     (i, j) of `pairs`, indices into `family`: the separable `_lattice_sum`
-    when both densities are analytic, else the Fourier `_fourier_sums`."""
+    when both densities are analytic.  Otherwise each density, sampled once,
+    is contracted with the other's `solve_hT_spectral` potential, rescaled by
+    4 pi / kappa, and the two orders are averaged, so the sum is symmetric in
+    i and j bit for bit."""
+
+    @cache
+    def profile(k):
+        return axis_profiles(family[k], grid)
+
+    @cache
+    def field(k):  # the sampled density and its potential, held per density
+        rho = sample_on_grid(family[k], grid, consts)
+        return rho.values, solve_hT_spectral(rho, grid, consts).values
+
     out = np.empty(len(pairs))
-    fourier = [not (family[i].analytic and family[j].analytic) for i, j in pairs]
-    profiles = {k: axis_profiles(family[k], grid)
-                for pair, f in zip(pairs, fourier) if not f for k in pair}
     for p, (i, j) in enumerate(pairs):
-        if not fourier[p]:
+        if family[i].analytic and family[j].analytic:
             out[p] = (family[i].mass * family[j].mass * consts.c**4
-                      * _lattice_sum(profiles[i], profiles[j], grid.coulomb_octant))
-    if any(fourier):
-        out[fourier] = _fourier_sums(family, [pair for pair, f in zip(pairs, fourier) if f],
-                                     consts, grid)
+                      * _lattice_sum(profile(i), profile(j), grid.coulomb_octant))
+        else:
+            (rho_i, pot_i), (rho_j, pot_j) = field(i), field(j)
+            out[p] = (0.5 * ((rho_i * pot_j).sum() + (rho_j * pot_i).sum())
+                      * grid.cell_volume * (4.0 * math.pi / consts.kappa))
     return out
 
 
@@ -290,30 +302,6 @@ def _lattice_sum(g_i: np.ndarray, g_j: np.ndarray, octant: np.ndarray) -> float:
                     + np.correlate(g_j[a], g_i[a], "full"))[n - 1:]
     d[:, 0] *= 0.5  # lag 0 is counted by both correlations
     return float(d[0] @ ((octant.reshape(-1, n + 1) @ d[2]).reshape(n + 1, n + 1) @ d[1]))
-
-
-def _fourier_sums(family, pairs, consts: PhysicalConstants, grid: GridSpec) -> np.ndarray:
-    """The quadrature by Parseval on the doubled box, for any densities:
-    P_ij = h^6 / (2N)^3 sum_k w K^(k) (Re A^_i Re B^_j + Im A^_i Im B^_j)
-    over the rfft half-spectrum, w = 1 at k2 = 0 and N, else 2.  Each
-    density the pairs read is sampled once and held as its axis-2 rfft, an
-    (N, N, N+1) stage; then, one k2 plane at a time, every slab is
-    transformed along axes 1 and 0 and the sum of every pair taken.  No
-    potential or full spectrum is built."""
-    n, n2 = grid.n, 2 * grid.n
-    used = sorted({k for pair in pairs for k in pair})
-    slot = {k: s for s, k in enumerate(used)}
-    stages = [np.fft.rfft(sample_on_grid(family[k], grid, consts).values, n=n2, axis=2)
-              for k in used]
-    out = np.zeros(len(pairs))
-    for k2 in range(n + 1):
-        slabs = np.fft.fft2(np.stack([s[:, :, k2] for s in stages]), s=(n2, n2))  # axis 2, then 1
-        kernel = grid.coulomb_kernel_hat[:, :, k2]
-        weight = 1.0 if k2 in (0, n) else 2.0
-        for p, (i, j) in enumerate(pairs):
-            x, y = slabs[slot[i]], slabs[slot[j]]
-            out[p] += weight * (kernel * (x.real * y.real + x.imag * y.imag)).sum()
-    return out * (grid.cell_volume**2 / n2**3)
 
 
 def coulomb_pair_mc(dens_a, dens_b, consts: PhysicalConstants, samples: int = 1_000_000,
@@ -394,9 +382,10 @@ def pair_integrals(
     """Every pair integral between and within two density families, each
     computed once, on the backend `_resolve_backend` picks.
 
-    The grid backend (`coulomb_pair_grid`) takes the separable lattice sum
-    for two analytic densities and the Fourier plane loop for an integral
-    with a grid density; "mc" (`coulomb_pair_mc`) draws one sample stream
+    The closed form (`coulomb_pair_analytic`) and the grid backend
+    (`coulomb_pair_grid`: the separable lattice sum for two analytic
+    densities, the spectral solve for an integral with a grid density) take
+    one integral at a time; "mc" (`coulomb_pair_mc`) draws one sample stream
     that every integral reads.  Two empty families give empty arrays on
     every backend.
     """
@@ -407,13 +396,9 @@ def pair_integrals(
     if backend == "grid":
         return coulomb_pair_grid(dens_a, dens_b, consts, grid)
 
-    def closed(pairs):
-        return np.array([mutual_coulomb(x, y, consts, "analytic", grid)[0] for x, y in pairs])
-
-    cross = closed([(x, y) for x in dens_a for y in dens_b]).reshape(len(dens_a), len(dens_b))
-    self_a, self_b = closed(zip(dens_a, dens_a)), closed(zip(dens_b, dens_b))
-    return PairIntegrals(cross, np.zeros_like(cross), self_a, self_b,
-                         np.zeros_like(self_a), np.zeros_like(self_b))
+    family, pairs = _family_pairs(dens_a, dens_b)
+    val = np.array([coulomb_pair_analytic(family[i], family[j], consts, grid) for i, j in pairs])
+    return _split_family(val, np.zeros_like(val), len(dens_a), len(dens_b))
 
 
 def laplacian_residual(field: ScalarFieldX, e: EnergyDensity, consts: PhysicalConstants,

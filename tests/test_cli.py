@@ -595,10 +595,11 @@ def _si_phase_compare(backend, length_scale, mass_scale):
 # dimensional entry and constant reaches internal units through a few
 # divisions, and a phase is a product of them and a pair integral: 32 in
 # all, generously.  The Monte-Carlo estimate adds the pairwise sum over its
-# samples (log2 of their count); the grid adds two forward transforms of
-# 3 log2 N each and a Parseval sum over N^3 modes (log2 N^3).
+# samples (log2 of their count).  The grid's separable lattice sum of two
+# Gaussians adds, per integral, the lag sums of the axis correlations (N
+# terms) and three contractions with the octant of N + 1 positive terms each.
 @pytest.mark.parametrize("backend, roundings", [
-    ("analytic", 32), ("mc", 32 + math.log2(2000)), ("grid", 32 + 9 * math.log2(32))])
+    ("analytic", 32), ("mc", 32 + math.log2(2000)), ("grid", 32 + 32 + 3 * (32 + 1))])
 def test_si_phases_do_not_depend_on_the_unit_choice(tmp_path, backend, roundings):
     eps, c = np.finfo(float).eps, PhysicalConstants.si().c
     phases, negativities, self_energies = [], [], []
@@ -705,8 +706,8 @@ def _phase_compare(backend):
 
 
 def test_grid_phase_compare_rerun_is_byte_identical(tmp_path):
-    # the grid pair integrals accumulate plane by plane in Fourier space in a
-    # fixed order, so a rerun writes the same models.csv, byte for byte
+    # the separable lattice sums run in a fixed order, so a rerun writes the
+    # same models.csv, byte for byte
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(_phase_compare("grid")()))
     bodies = []
@@ -715,6 +716,31 @@ def test_grid_phase_compare_rerun_is_byte_identical(tmp_path):
         assert main(["run", str(path), "--out", str(out)]) == 0
         bodies.append((out / "tables" / "models.csv").read_bytes())
     assert bodies[0] and bodies[0] == bodies[1]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("time, mass", [(0.0, 1.0), (0.3, 0.0)])
+def test_a_run_with_zero_phases_reports_zero_deviations(tmp_path, time, mass):
+    # at t = 0, or with massless sources, every phase matrix is zero: every
+    # model matches it, and the report stays standard JSON
+    def branches(x):
+        return [{"amplitude": 0.7071067811865476, "center": [x + dx, 3.0, 3.0], "width": 0.3}
+                for dx in (0.0, 0.7)]
+
+    cfg = {"scenario": "phase-compare", "seed": 0, "time": time, "backend": "analytic",
+           "sources": {"a": {"type": "localized", "mass": mass, "branches": branches(1.65)},
+                       "b": {"type": "localized", "mass": mass, "branches": branches(3.65)}}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    result = _strict_json((tmp_path / "o" / "report.json").read_text())["result"]
+    sections = ("deviations_point_normalized", "deviations_fitted", "pairwise_deviations")
+    assert all(result[name] and set(result[name].values()) == {0.0} for name in sections)
 
 
 def test_one_sample_mc_run_is_a_config_error(tmp_path, capsys):

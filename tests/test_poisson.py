@@ -145,13 +145,30 @@ def test_gaussian_profile_matches_erf_closed_form():
         assert abs(h.values[i, 16, 16] / predicted - 1.0) < 0.02
 
 
-def test_backends_agree_on_random_density():
-    grid = GridSpec(16, 8.0)
-    e = smooth_density(grid, seed=3)
-    spectral = solve_hT_spectral(e, grid, CONSTS)
-    direct = solve_hT_direct(e, grid, CONSTS)
-    dev = np.abs(spectral.values - direct.values).max() / np.abs(direct.values).max()
-    assert dev < 0.01
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 4, 8, 16]), box=st.floats(0.5, 10.0),
+       shape=st.sampled_from(["uniform", "spikes", "peaked"]), seed=st.integers(0, 2**32 - 1))
+def test_backends_agree_on_random_density(n, box, shape, seed):
+    # both solvers take the same discrete quadrature of a non-negative
+    # density, so they differ by rounding only.  Bound, in units of eps/2 of
+    # the largest value: log2(2N) per length-2N transform of the spectral
+    # solve, three forward, three inverse and three for the kernel spectrum,
+    # and three more for the product and the two rescales; the direct sum's
+    # matrix product over N^2 source columns and its diagonal sum over N
+    # nodes, whose terms are all non-negative
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, (n,) * 3)
+    if shape == "spikes":
+        values *= rng.uniform(size=values.shape) < 0.1
+    elif shape == "peaked":
+        values **= 8
+    grid = GridSpec(n, box)
+    e = grid_density(values, box)
+    spectral = solve_hT_spectral(e, grid, CONSTS).values
+    direct = solve_hT_direct(e, grid, CONSTS).values
+    tol = (9 * math.log2(2 * n) + 3 + n * n + n) * np.finfo(float).eps / 2
+    assert tol <= 1e-13
+    assert np.abs(spectral - direct).max() <= tol * np.abs(direct).max()
 
 
 def test_direct_stride_subsampling():
@@ -548,7 +565,7 @@ def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
     real = poisson.sample_on_grid
 
     def recording(e, grid, consts):
-        sampled.append(e.kind)
+        sampled.append(e)
         return real(e, grid, consts)
 
     monkeypatch.setattr(poisson, "sample_on_grid", recording)
@@ -559,11 +576,13 @@ def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
     # an analytic family takes the separable sum: no sampling, no transform,
     # no kernel spectrum
     assert sampled == [] and "coulomb_kernel_hat" not in vars(grid)
-    # a grid density brings in the Fourier plane loop for its own integrals
-    # only, which samples each density they read once
+    # a grid density brings in the spectral solve for its own integrals only:
+    # each analytic density they read is sampled once, and every other call
+    # is a grid density passing through
     lumpy = _as_grid_density(gaussian_density(0.9, (3.0, 3.2, 2.8), 0.5), grid)
     pair_integrals(dens_a, [lumpy] + dens_b, CONSTS, backend="grid", grid=grid)
-    assert sorted(sampled) == ["gaussian", "gaussian", "grid"]
+    assert sorted(id(e) for e in sampled if e.analytic) == sorted(map(id, dens_a))
+    assert all(e.kind == "grid" for e in sampled if not e.analytic)
     monkeypatch.setattr(poisson, "sample_on_grid", real)
 
     def pair(x, y):  # position space: E_A contracted with the solved potential of E_B
@@ -594,30 +613,36 @@ _SEPARABLE_FAMILIES = {
 
 
 @pytest.mark.parametrize("name", sorted(_SEPARABLE_FAMILIES))
-def test_separable_sum_equals_the_fourier_plane_loop(name):
+def test_separable_sum_equals_the_spectral_solve_route(name):
     # the same quadrature summed two ways: the separable lattice sum for the
-    # analytic densities, the Fourier plane loop for them passed as grid
-    # densities.  Rounding bound, in units of eps/2: the 3-D normalisation
-    # sum (pairwise, log2 N^3 + 8), three forward transforms of length 2N
-    # (log2 2N each, twice for the two densities) and the spectrum sum
-    # (pairwise per plane, log2 4N^2 + 8, then N + 1 planes in turn) on the
-    # Fourier side; the correlations (N) and the three contractions (N + 1
-    # each) on the separable side.  The spectrum terms can cancel, so the
-    # bound scales with sqrt(P_ii P_jj), which bounds sum |term| when the
-    # kernel spectrum is positive.
+    # analytic densities, and for them passed as grid densities each density
+    # contracted with the other's spectral potential.  Rounding bound, in
+    # units of eps/2: on the spectral side the 3-D normalisation sum of the
+    # sampling (pairwise, log2 N^3 + 8), log2(2N) for each of the three
+    # forward and three inverse transforms of length 2N and the three of the
+    # kernel spectrum, the contraction sum (pairwise, log2 N^3 + 8) and the
+    # rescales by kappa h^3 / 4 pi, h^3 4 pi / kappa and the average (8); on
+    # the separable side the correlations (N) and the three contractions
+    # (N + 1 each).  A transform's roundings are relative to the potential's
+    # largest value, so an entry's scale is m_i max phi_j (and the same with
+    # i and j swapped, averaged), which bounds the entry itself
     grid, dens_a, dens_b = _SEPARABLE_FAMILIES[name]
     n = grid.n
-    terms = (3 * math.log2(n) + 8 + 6 * math.log2(2 * n) + math.log2(4 * n * n) + 8 + n + 1
-             + n + 3 * (n + 1))
+    terms = 2 * (3 * math.log2(n) + 8) + 9 * math.log2(2 * n) + 8 + n + 3 * (n + 1)
     tol = terms * np.finfo(float).eps / 2
     sep = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
-    four = pair_integrals([_as_grid_density(e, grid) for e in dens_a],
-                          [_as_grid_density(e, grid) for e in dens_b],
-                          CONSTS, backend="grid", grid=grid)
-    scale = np.sqrt(np.outer(sep.self_a, sep.self_b))
-    assert np.all(np.abs(sep.cross - four.cross) <= tol * scale)
-    assert np.all(np.abs(sep.self_a - four.self_a) <= tol * sep.self_a)
-    assert np.all(np.abs(sep.self_b - four.self_b) <= tol * sep.self_b)
+    grid_a, grid_b = ([_as_grid_density(e, grid) for e in dens] for dens in (dens_a, dens_b))
+    spec = pair_integrals(grid_a, grid_b, CONSTS, backend="grid", grid=grid)
+
+    def peak(e):  # the largest value of phi = 4 pi h^T / kappa
+        return solve_hT_spectral(e, grid, CONSTS).values.max() * (4.0 * math.pi / KAPPA)
+
+    m_a, m_b = (np.array([e.mass * CONSTS.c**2 for e in dens]) for dens in (dens_a, dens_b))
+    peak_a, peak_b = (np.array([peak(e) for e in dens]) for dens in (grid_a, grid_b))
+    scale = 0.5 * (np.outer(m_a, peak_b) + np.outer(peak_a, m_b))
+    assert np.all(np.abs(sep.cross - spec.cross) <= tol * scale)
+    assert np.all(np.abs(sep.self_a - spec.self_a) <= tol * m_a * peak_a)
+    assert np.all(np.abs(sep.self_b - spec.self_b) <= tol * m_b * peak_b)
 
 
 def test_a_centre_far_outside_the_box_raises_on_both_grid_paths():
@@ -625,7 +650,7 @@ def test_a_centre_far_outside_the_box_raises_on_both_grid_paths():
     inside = gaussian_density(1.0, (4.0, 4.0, 4.0), 0.6)
     far = gaussian_density(1.0, (4.0, 4.0, 1e4), 0.6)
     lumpy = smooth_density(grid, seed=14)
-    for dens_b in ([inside], [lumpy]):  # separable, then the Fourier loop
+    for dens_b in ([inside], [lumpy]):  # separable, then the spectral solve
         with pytest.raises(ValueError, match="no support on the grid"):
             pair_integrals([far], dens_b, CONSTS, backend="grid", grid=grid)
         with pytest.raises(ValueError, match="no support on the grid"):
@@ -688,19 +713,19 @@ def test_separable_pair_integrals_peak_memory_is_the_octant_and_planes_of_it():
     assert peak <= 2 * plane + 2**16, peak
 
 
-def test_grid_pair_integrals_peak_memory_is_the_stages_and_one_plane():
+def test_grid_pair_integrals_peak_memory_is_the_potentials_and_one_solve():
     n = 64
     grid = GridSpec(n, 6.0)
     dens_a, dens_b = ([_as_grid_density(e, grid) for e in family]
                       for family in _phase_grid_family())
     grid.coulomb_kernel_hat  # built once per grid, not part of the call
     peak = _traced_peak(lambda: pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid))
-    # the four axis-2 stages, (N, N, N+1) complex each, and the work of one
-    # k2 plane: the four (2N, 2N) complex slab transforms, at most three live
-    # temporaries of the sums, each the four cross products (two planes'
-    # worth), and two planes for the transform's intermediate and buffers
-    stage, plane = n * n * (n + 1) * 16, (2 * n) ** 2 * 16
-    assert peak <= 4 * stage + (4 + 3 * 2 + 2) * plane, peak
+    # one held (N, N, N) potential per density read (the densities are the
+    # caller's), plus the bound of a solve in
+    # test_spectral_solve_peak_memory_is_two_spectra, whose density term
+    # also covers a contraction's product (measured 31.9 MB)
+    spectrum = (2 * n) ** 2 * (n + 1) * 16
+    assert peak <= 4 * n**3 * 8 + spectrum + spectrum // 2 + n**3 * 8 + 2**16, peak
 
 
 @pytest.mark.parametrize("backend", ["auto", "analytic", "grid", "mc"])
