@@ -10,8 +10,8 @@ normalise the overall constant away and compare shapes only.  The ratio is
 reported, never hidden.
 
 Every model matrix except Newton's, and the self-energies, is a fixed linear
-map of one set of Coulomb pair integrals, which `compare_models` computes
-once per source pair.
+map of one set of Coulomb pair integrals.  `compare_models` computes them,
+and the convergence ladder's, in one pair-integral call per source pair.
 """
 
 from __future__ import annotations
@@ -184,8 +184,9 @@ def compare_models(
     quantify how far each competing model is from the full density phase.
 
     Returns a dict: "matrices" (PhaseMatrix per model), "convergence" (the
-    narrow-width ladder rows, empty unless both sources are localised and
-    sigma_ladder is set), then the report sections "negativities",
+    narrow-width ladder rows, each phase and stderr equal to `theta_AB` of
+    its pair; empty unless both sources are localised and sigma_ladder is
+    set), then the report sections "negativities",
     "deviations_point_normalized" (general vs model, point-limit prefactor
     pinned), "deviations_fitted" (same with the overall constant fitted),
     "pairwise_deviations" (model vs model after prefactor normalisation),
@@ -199,18 +200,38 @@ def compare_models(
     b_loc = isinstance(source_b, LocalizedSourceSpec)
     psi_a = _as_state(source_a)
     psi_b = _as_state(source_b)
-    kw = dict(backend=backend, grid=grid, mc_samples=mc_samples, seed=seed)
 
     matrices = {}
     skipped = {}
 
-    # every model matrix and the self-energies are fixed linear maps of the
-    # same pair integrals, computed once
-    pairs = pair_integrals(psi_a.densities, psi_b.densities, consts, **kw)
+    # every Coulomb integral of the run from one pair list: the cross block
+    # row by row, the self integrals, then the ladder's point pair and one
+    # equal-width Gaussian pair per rung.  Every model matrix and the
+    # self-energies are fixed linear maps of the first two.
+    family = [*psi_a.densities, *psi_b.densities]
+    n_a, n_b = len(psi_a.densities), len(psi_b.densities)
+    n_f, n_cross = n_a + n_b, n_a * n_b
+    pairs = [(i, j) for i in range(n_a) for j in range(n_a, n_f)] + [(k, k) for k in range(n_f)]
+    ladder = a_loc and b_loc and sigma_ladder
+    if ladder:
+        m_a, m_b = source_a.mass, source_b.mass
+        c_a, c_b = source_a.centers[0], source_b.centers[0]
+        reg = min(sigma_ladder) / 4.0
+        rungs = [(point_density(m_a, c_a, sigma_reg=reg), point_density(m_b, c_b, sigma_reg=reg))]
+        rungs += [(gaussian_density(m_a, c_a, s), gaussian_density(m_b, c_b, s))
+                  for s in sigma_ladder]
+        for e_a, e_b in rungs:
+            pairs.append((len(family), len(family) + 1))
+            family += [e_a, e_b]
+    val, err = pair_integrals(family, pairs, consts, backend=backend, grid=grid,
+                              mc_samples=mc_samples, seed=seed)
+    cross, cross_err = val[:n_cross].reshape(n_a, n_b), err[:n_cross].reshape(n_a, n_b)
+    self_val, self_err = val[n_cross:n_cross + n_f], err[n_cross:n_cross + n_f]
+
     pref_nonlocal = _nonlocal_coupling(time, consts)
     pref_general = -4.0 * pref_nonlocal
-    stderr = abs(pref_general) * pairs.stderr
-    general = PhaseMatrix(model="general", theta=1j * (pref_general * pairs.cross),
+    stderr = abs(pref_general) * cross_err
+    general = PhaseMatrix(model="general", theta=1j * (pref_general * cross),
                           stderr=stderr if stderr.any() else None)
     matrices["general"] = general
 
@@ -223,14 +244,14 @@ def compare_models(
     # full state, u_i = pref sum_j |d_j|^2 P_ij and v_j = pref sum_i |c_i|^2 P_ij,
     # so theta_ij = u_i + v_j is separable and never entangles.  Both cross
     # couplings contribute, hence the point-limit ratio -2.
-    u = pref_nonlocal * (pairs.cross * np.abs(psi_b.amplitudes) ** 2).sum(axis=1)
-    v = pref_nonlocal * (np.abs(psi_a.amplitudes[:, None]) ** 2 * pairs.cross).sum(axis=0)
+    u = pref_nonlocal * (cross * np.abs(psi_b.amplitudes) ** 2).sum(axis=1)
+    v = pref_nonlocal * (np.abs(psi_a.amplitudes[:, None]) ** 2 * cross).sum(axis=0)
     matrices["schroedinger-newton"] = PhaseMatrix(model="schroedinger-newton",
                                                   theta=1j * (u[:, None] + v[None, :]))
 
     # ad-hoc nonlocal coupling V = -(G / c^4) int E_A E_B / |x-y|: the trace of
     # the stress tensor is energy-density dominated for static sources
-    nl = pref_nonlocal * pairs.cross
+    nl = pref_nonlocal * cross
     matrices["nonlocal"] = PhaseMatrix(model="nonlocal", theta=1j * nl)
 
     negativities = {name: negativity(psi_a.amplitudes, psi_b.amplitudes, pm)
@@ -255,10 +276,10 @@ def compare_models(
             pairwise_deviations[f"{m1}|{m2}"] = float(dev)
 
     pref_self = -consts.kappa / (8.0 * math.pi)
-    self_energies = {"A": (pref_self * pairs.self_a).tolist(),
-                     "B": (pref_self * pairs.self_b).tolist()}
-    self_energies_stderr = {"A": (abs(pref_self) * pairs.self_a_stderr).tolist(),
-                            "B": (abs(pref_self) * pairs.self_b_stderr).tolist()}
+    self_energies = {"A": (pref_self * self_val[:n_a]).tolist(),
+                     "B": (pref_self * self_val[n_a:]).tolist()}
+    self_energies_stderr = {"A": (abs(pref_self) * self_err[:n_a]).tolist(),
+                            "B": (abs(pref_self) * self_err[n_a:]).tolist()}
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_nl = np.where(nl != 0.0, general.phases / nl, np.nan)
@@ -268,23 +289,20 @@ def compare_models(
     }
 
     convergence = []
-    if a_loc and b_loc and sigma_ladder:
-        d = float(np.linalg.norm(source_a.centers[0] - source_b.centers[0]))
-        m_a, m_b = source_a.mass, source_b.mass
-        pt_a = point_density(m_a, source_a.centers[0], sigma_reg=min(sigma_ladder) / 4.0)
-        pt_b = point_density(m_b, source_b.centers[0], sigma_reg=min(sigma_ladder) / 4.0)
-        th_pt, _ = theta_AB(pt_a, pt_b, time, consts, **kw)
-        for sigma in sigma_ladder:
-            ea = gaussian_density(m_a, source_a.centers[0], sigma)
-            eb = gaussian_density(m_b, source_b.centers[0], sigma)
-            th, err = theta_AB(ea, eb, time, consts, **kw)
+    if ladder:
+        # theta_AB of each pair bit for bit, including its +0.0 at t = 0
+        pref = pref_general if time else 0.0
+        ths, errs = pref * val[n_cross + n_f:], abs(pref) * err[n_cross + n_f:]
+        th_pt = ths[0]  # the point pair, then one pair per rung
+        d = float(np.linalg.norm(c_a - c_b))
+        for sigma, th, e in zip(sigma_ladder, ths[1:], errs[1:]):
             convergence.append({
                 "sigma": float(sigma),
                 "sigma_over_d": float(sigma / d),
                 "phase": float(th),
                 "point_phase": float(th_pt),
-                "deviation": abs(th - th_pt) / abs(th_pt) if th_pt else float("nan"),
-                "stderr": float(err),
+                "deviation": float(abs(th - th_pt) / abs(th_pt)) if th_pt else float("nan"),
+                "stderr": float(e),
             })
 
     return {

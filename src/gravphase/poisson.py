@@ -28,26 +28,27 @@ average of 1/r):
 Continuum fidelity is checked elsewhere against closed forms (point far
 field, mutual Gaussian energies) and the discrete Laplacian residual.
 
-Coulomb pair integrals int E_A E_B / |x - y| come in closed form, by grid
-quadrature (`coulomb_pair_grid`), or by 6-D Monte Carlo (`coulomb_pair_mc`),
-one pair at a time (`mutual_coulomb`) or for two whole density families at
-once (`pair_integrals`, which computes each integral once).  The grid
-quadrature is the Hockney sum h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) with
-the lattice 1/r kernel K of the solvers.  An analytic (Gaussian or point)
-profile on the lattice is a product of three axis profiles, so for two of
-them the sum factorises into three length-N cross-correlations contracted
-with the (N+1)^3 octant of K: no density is sampled and no transform taken.
-An integral that involves a grid density contracts each density with the
-other's `solve_hT_spectral` potential and averages the two orders.  Each
-backend computes an integral the same way whichever others are computed
-with it.
+Coulomb pair integrals int E_i E_j / |x - y| come from one entry point,
+`pair_integrals(family, pairs, ...)`: a list of densities and the (i, j)
+indices into it of every integral wanted, each computed once, in closed
+form (`coulomb_pair_analytic`), by grid quadrature (`coulomb_pair_grid`) or
+by 6-D Monte Carlo (`coulomb_pair_mc`).  `mutual_coulomb` is its one-pair
+call.  The grid quadrature is the Hockney sum
+h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) with the lattice 1/r kernel K of
+the solvers.  An analytic (Gaussian or point) profile on the lattice is a
+product of three axis profiles, so for two of them the sum factorises into
+three length-N cross-correlations contracted with the (N+1)^3 octant of K:
+no density is sampled and no transform taken.  An integral that involves
+a grid density contracts each density with the other's `solve_hT_spectral`
+potential and averages the two orders.  Each backend computes an integral
+the same way whichever others are computed with it.
 
 The Monte-Carlo stream is part of the contract, so a seed gives the same
 integrals on every version: chunk c holds the n <= MC_CHUNK samples from
 c MC_CHUNK onwards, and its standard normals Z_x and Z_y, each drawn as a
 (3, n) array (axis, sample), come from the first and the second child of
-SeedSequence([seed, c]).  Every density of both families is drawn from
-the same chunk (common random numbers): density k sits at
+SeedSequence([seed, c]).  Every density of the family is drawn from the
+same chunk (common random numbers): density k sits at
 c_k + sigma_k Z_x on the x side and at c_k + sigma_k Z_y on the y side.
 Each integral stays an unbiased estimate with its own standard error; only
 the integrals' errors are correlated.
@@ -179,65 +180,10 @@ def mutual_coulomb(
     mc_samples: int = 1_000_000,
     seed: int = 0,
 ):
-    """int d^3x d^3y E_A(x) E_B(y) / |x - y|, returned as (value, stderr).
-
-    backend: "analytic" (Gaussian/point closed form), "grid" (Hockney
-    quadrature, see `coulomb_pair_grid`), "mc" (6-D Monte Carlo), or "auto"
-    (see `_resolve_backend`).  stderr is zero for the deterministic backends.
-    """
-    backend = _resolve_backend(backend, (e_a, e_b), grid)
-    if backend == "analytic":
-        return coulomb_pair_analytic(e_a, e_b, consts, grid), 0.0
-    if backend == "mc":
-        val, err = _mc_pairs([e_a, e_b], [(0, 1)], consts, mc_samples, seed, grid)
-        return float(val[0]), float(err[0])
-    return float(_grid_pairs([e_a, e_b], [(0, 1)], consts, grid)[0]), 0.0
-
-
-def _resolve_backend(backend: str, densities, grid: GridSpec | None) -> str:
-    """The pair-integral backend named by `backend` for `densities`: "auto"
-    takes the closed form when every density is analytic and the grid
-    otherwise, so that all integrals share one quadrature."""
-    if backend not in ("auto", "analytic", "grid", "mc"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "auto":
-        backend = "analytic" if all(e.analytic for e in densities) else "grid"
-    if backend == "grid" and grid is None:
-        raise ValueError("grid backend needs a GridSpec")
-    return backend
-
-
-@dataclass(frozen=True)
-class PairIntegrals:
-    """Coulomb pair integrals of two density families A and B:
-    cross[i, j] = int E_A,i(x) E_B,j(y) / |x - y| with its Monte-Carlo
-    standard error, and the self integral int E(x) E(y) / |x - y| of every
-    density of A and of B with theirs.  The standard errors are zero on the
-    deterministic backends."""
-
-    cross: np.ndarray
-    stderr: np.ndarray
-    self_a: np.ndarray
-    self_b: np.ndarray
-    self_a_stderr: np.ndarray
-    self_b_stderr: np.ndarray
-
-
-def _family_pairs(dens_a, dens_b):
-    """Both families as one list, and the (x, y) indices into it of every
-    integral: the cross block row by row, then the self integrals of A and
-    of B."""
-    family = list(dens_a) + list(dens_b)
-    n_a, n_d = len(dens_a), len(family)
-    cross = [(i, j) for i in range(n_a) for j in range(n_a, n_d)]
-    return family, cross + [(k, k) for k in range(n_d)]
-
-
-def _split_family(val, err, n_a: int, n_b: int) -> PairIntegrals:
-    """PairIntegrals from per-integral arrays in `_family_pairs` order."""
-    m = n_a * n_b
-    return PairIntegrals(val[:m].reshape(n_a, n_b), err[:m].reshape(n_a, n_b),
-                         val[m:m + n_a], val[m + n_a:], err[m:m + n_a], err[m + n_a:])
+    """int d^3x d^3y E_A(x) E_B(y) / |x - y|, returned as (value, stderr):
+    the one-pair call of `pair_integrals`, which it equals bit for bit."""
+    val, err = pair_integrals([e_a, e_b], [(0, 1)], consts, backend, grid, mc_samples, seed)
+    return float(val[0]), float(err[0])
 
 
 def _cpu_count() -> int:
@@ -247,17 +193,7 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def coulomb_pair_grid(dens_a, dens_b, consts: PhysicalConstants, grid: GridSpec) -> PairIntegrals:
-    """The grid backend of `pair_integrals`: every cross and self integral of
-    the two families by the Hockney quadrature (module docstring), through
-    `_grid_pairs`.  Swapping the families transposes the cross block bit for
-    bit, and each entry equals its 1 x 1 `mutual_coulomb` call."""
-    family, pairs = _family_pairs(dens_a, dens_b)
-    val = _grid_pairs(family, pairs, consts, grid)
-    return _split_family(val, np.zeros_like(val), len(dens_a), len(family) - len(dens_a))
-
-
-def _grid_pairs(family, pairs, consts: PhysicalConstants, grid: GridSpec) -> np.ndarray:
+def coulomb_pair_grid(family, pairs, consts: PhysicalConstants, grid: GridSpec) -> np.ndarray:
     """Hockney quadrature h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) of each
     (i, j) of `pairs`, indices into `family`: the separable `_lattice_sum`
     when both densities are analytic.  Otherwise each density, sampled once,
@@ -304,17 +240,8 @@ def _lattice_sum(g_i: np.ndarray, g_j: np.ndarray, octant: np.ndarray) -> float:
     return float(d[0] @ ((octant.reshape(-1, n + 1) @ d[2]).reshape(n + 1, n + 1) @ d[1]))
 
 
-def coulomb_pair_mc(dens_a, dens_b, consts: PhysicalConstants, samples: int = 1_000_000,
-                    seed: int = 0, grid: GridSpec | None = None) -> PairIntegrals:
-    """The Monte-Carlo backend of `pair_integrals`: 6-D estimates of every
-    cross and self integral with its standard error (see `_mc_pairs`)."""
-    family, pairs = _family_pairs(dens_a, dens_b)
-    val, err = _mc_pairs(family, pairs, consts, samples, seed, grid)
-    return _split_family(val, err, len(dens_a), len(family) - len(dens_a))
-
-
-def _mc_pairs(family, pairs, consts: PhysicalConstants, samples: int, seed: int,
-              grid: GridSpec | None):
+def coulomb_pair_mc(family, pairs, consts: PhysicalConstants, samples: int = 1_000_000,
+                    seed: int = 0, grid: GridSpec | None = None):
     """Monte-Carlo estimates of int E_i E_j / |x - y| and their standard
     errors for each (i, j) of `pairs`, indices into `family`.  Positions are
     drawn exactly from the (Gaussian) profiles, so each integral is the mean
@@ -371,34 +298,42 @@ def _mc_pairs(family, pairs, consts: PhysicalConstants, samples: int, seed: int,
 
 
 def pair_integrals(
-    dens_a,
-    dens_b,
+    family,
+    pairs,
     consts: PhysicalConstants,
     backend: str = "auto",
     grid: GridSpec | None = None,
     mc_samples: int = 1_000_000,
     seed: int = 0,
-) -> PairIntegrals:
-    """Every pair integral between and within two density families, each
-    computed once, on the backend `_resolve_backend` picks.
+):
+    """int E_i(x) E_j(y) / |x - y| for each (i, j) of `pairs`, indices into
+    the density list `family`, returned as (values, stderr) arrays in the
+    order of `pairs`, each integral computed once.  The standard errors are
+    zero on the deterministic backends.
 
-    The closed form (`coulomb_pair_analytic`) and the grid backend
-    (`coulomb_pair_grid`: the separable lattice sum for two analytic
-    densities, the spectral solve for an integral with a grid density) take
-    one integral at a time; "mc" (`coulomb_pair_mc`) draws one sample stream
-    that every integral reads.  Two empty families give empty arrays on
-    every backend.
+    backend: "analytic" (the Gaussian/point closed form,
+    `coulomb_pair_analytic`), "grid" (`coulomb_pair_grid`: the separable
+    lattice sum for two analytic densities, the spectral solve for an
+    integral with a grid density), "mc" (`coulomb_pair_mc`, one sample
+    stream that every integral reads), or "auto": the closed form when every
+    density is analytic and the grid otherwise, so that all integrals share
+    one quadrature.  An empty pair list gives empty arrays on every backend.
     """
-    dens_a, dens_b = list(dens_a), list(dens_b)
-    backend = _resolve_backend(backend, dens_a + dens_b, grid)
+    family = list(family)
+    if backend not in ("auto", "analytic", "grid", "mc"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "auto":
+        backend = "analytic" if all(e.analytic for e in family) else "grid"
+    if backend == "grid" and grid is None:
+        raise ValueError("grid backend needs a GridSpec")
     if backend == "mc":
-        return coulomb_pair_mc(dens_a, dens_b, consts, samples=mc_samples, seed=seed, grid=grid)
+        return coulomb_pair_mc(family, pairs, consts, samples=mc_samples, seed=seed, grid=grid)
     if backend == "grid":
-        return coulomb_pair_grid(dens_a, dens_b, consts, grid)
-
-    family, pairs = _family_pairs(dens_a, dens_b)
-    val = np.array([coulomb_pair_analytic(family[i], family[j], consts, grid) for i, j in pairs])
-    return _split_family(val, np.zeros_like(val), len(dens_a), len(dens_b))
+        val = coulomb_pair_grid(family, pairs, consts, grid)
+    else:
+        val = np.array([coulomb_pair_analytic(family[i], family[j], consts, grid)
+                        for i, j in pairs])
+    return val, np.zeros_like(val)
 
 
 def laplacian_residual(field: ScalarFieldX, e: EnergyDensity, consts: PhysicalConstants,

@@ -4,6 +4,7 @@ JSON report plus plot-ready CSV tables, return the report dict."""
 from __future__ import annotations
 
 import json
+import math
 import random
 from datetime import datetime, timezone
 from pathlib import Path
@@ -296,6 +297,18 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
                ("phase_residual", slope_resid, ts[0], ts[-1], 2.8, 3.2),
                ("damping", slope_damp, ts[0], ts[-1], 1.9, 2.1)])
 
+    # an undefined quantity is reported as null, its reason under
+    # "undefined", and fails its pass flag (NaN compares false)
+    undefined = {}
+
+    def defined(key, value, reason):
+        if math.isfinite(value):
+            return value
+        undefined[key] = reason
+        return None
+
+    no_slope = "fewer than two distinct times carry a nonzero value"
+    no_closed = "the closed-form difference is 0 (equal branches) or not finite at some time"
     flags = {
         "defect_slope_order3_in_[3.9,4.3]": bool(3.9 <= slope3 <= 4.3),
         "defect_slope_order2_in_[2.9,3.3]": bool(2.9 <= slope2 <= 3.3),
@@ -307,10 +320,15 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
         "scenario": "opalg-verify",
         "units": {"t": "time, " + unit_label, "defect": "operator 2-norm",
                   "phase": "rad", "damping": "log-magnitude"},
-        "slopes": {"defect_order3": slope3, "defect_order2": slope2,
-                   "phase_residual": slope_resid, "damping": slope_damp},
-        "t3_coefficient_rel_err": t3_rel_err,
-        "closed_form_max_rel_dev": closed_dev,
+        "slopes": {name: defined(f"slopes.{name}", value, no_slope) for name, value in
+                   (("defect_order3", slope3), ("defect_order2", slope2),
+                    ("phase_residual", slope_resid), ("damping", slope_damp))},
+        "t3_coefficient_rel_err": defined("t3_coefficient_rel_err", t3_rel_err,
+                                          "the predicted t^3 phase term is 0 or not finite"),
+        "closed_form_max_rel_dev": {
+            name: defined(f"closed_form_max_rel_dev.{name}", value, no_closed)
+            for name, value in closed_dev.items()},
+        "undefined": undefined,
         "pass_flags": flags,
         "tables": {"zassenhaus.csv": "per-t defects and phase/damping comparison"},
     }
@@ -354,5 +372,7 @@ def run_scenario(cfg: dict, outdir) -> dict:
         "config": cfg,
         "result": result,
     }
-    (outdir / "report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
+    # strict JSON: a non-finite number is a defect of its runner, not a token
+    text = json.dumps(report, indent=2, default=float, allow_nan=False)
+    (outdir / "report.json").write_text(text + "\n")
     return report

@@ -236,10 +236,6 @@ class QuantumSourceState:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("state amplitudes must be normalised")
 
-    @property
-    def n_components(self) -> int:
-        return len(self.amplitudes)
-
     @classmethod
     def from_localized(cls, spec: LocalizedSourceSpec, index_offset: int = 0) -> "QuantumSourceState":
         dens = [spec.branch_density(i) for i in range(spec.n_branches)]

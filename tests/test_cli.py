@@ -743,6 +743,38 @@ def test_a_run_with_zero_phases_reports_zero_deviations(tmp_path, time, mass):
     assert all(result[name] and set(result[name].values()) == {0.0} for name in sections)
 
 
+def test_equal_opalg_branches_report_null_with_a_reason(tmp_path):
+    # equal branches have no phase or damping difference: a slope of it, and
+    # a deviation relative to it, are undefined, not NaN in the report
+    out = tmp_path / "o"
+    assert main(["run", "preset:zassenhaus-t3", "--set", "opalg.tt_branch_amplitudes=[0.04,0.04]",
+                 "--set", "opalg.trace_branch_amplitudes=[0.05,0.05]", "--out", str(out)]) == 0
+    result = _strict_json((out / "report.json").read_text())["result"]
+    undefined = {"slopes.phase_residual", "slopes.damping", "t3_coefficient_rel_err",
+                 "closed_form_max_rel_dev.dphase", "closed_form_max_rel_dev.ddamping"}
+    assert set(result["undefined"]) == undefined and all(result["undefined"].values())
+    for key in undefined:
+        section, _, name = key.rpartition(".")
+        assert (result[section] if section else result)[name] is None, key
+    assert result["slopes"]["defect_order3"] > 0.0 and result["slopes"]["defect_order2"] > 0.0
+    assert result["pass_flags"] == {
+        "defect_slope_order3_in_[3.9,4.3]": True, "defect_slope_order2_in_[2.9,3.3]": True,
+        "phase_residual_slope_near_3": False, "t3_coefficient_within_5pct": False,
+        "damping_slope_in_[1.9,2.1]": False}
+
+
+def test_a_non_finite_result_is_a_numerical_guard_not_a_report(tmp_path, monkeypatch, capsys):
+    from gravphase import scenarios
+
+    monkeypatch.setitem(scenarios._RUNNERS, "negativity", lambda cfg, outdir: {"x": float("nan")})
+    out = tmp_path / "o"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_negativity()))
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_one_sample_mc_run_is_a_config_error(tmp_path, capsys):
     # a single draw has a sample variance of 0: the run would report an
     # exact value with stderr_rad 0 on every row

@@ -7,6 +7,7 @@ are run through the CLI, where every one must end in a documented exit code.
 
 import copy
 import json
+import os
 import tempfile
 import warnings
 
@@ -182,6 +183,10 @@ _VALID_CONFIGS = st.sampled_from(sorted(_BLOCKS)).flatmap(lambda scenario: st.tu
 )).map(lambda t: {"scenario": t[0], "seed": t[1], "constants": t[2], **t[3]})
 
 
+def _refuse_constant(token):
+    raise AssertionError(f"report.json holds the non-standard JSON token {token}")
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=_VALID_CONFIGS)
 def test_schema_valid_configs_end_in_an_exit_code(cfg):
@@ -191,7 +196,13 @@ def test_schema_valid_configs_end_in_an_exit_code(cfg):
         path = f"{tmp}/cfg.json"
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        assert main(["run", path, "--out", f"{tmp}/o"]) in (0, 1, 2, 3)
+        code = main(["run", path, "--out", f"{tmp}/o"])
+        assert code in (0, 1, 2, 3)
+        if code == 0:  # a report is standard JSON: no NaN or Infinity token
+            with open(f"{tmp}/o/report.json") as fh:
+                json.load(fh, parse_constant=_refuse_constant)
+        if code == 1:  # a config error is found before anything is written
+            assert not os.path.exists(f"{tmp}/o")
 
 
 @pytest.mark.parametrize("edit", [{"t_points": 10**6}, {"dim": 2048}])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from gravphase import poisson
+from gravphase import phases, poisson
 from gravphase.grids import GridSpec
 from gravphase.phases import (
     PhaseMatrix,
@@ -98,9 +98,8 @@ def test_self_energy():
     zero = gaussian_density(0.0, (0, 0, 0), 0.1)
     e = gaussian_density(1.0, (0, 0, 0), 0.3)
     e2 = gaussian_density(2.0, (0, 0, 0), 0.3)
-    pairs = pair_integrals([zero, e], [e2], CONSTS)
-    assert pairs.self_a[0] == 0.0
-    s1, s2 = pairs.self_a[1], pairs.self_b[0]
+    (s0, s1, s2), _ = pair_integrals([zero, e, e2], [(0, 0), (1, 1), (2, 2)], CONSTS)
+    assert s0 == 0.0
     assert abs(s2 - 4.0 * s1) < 1e-12 * abs(s2)
     # a Gaussian's self integral in closed form: m^2 c^4 / (sqrt(pi) sigma)
     assert abs(s1 - 1.0 / (np.sqrt(np.pi) * 0.3)) < 1e-12 * s1
@@ -109,7 +108,7 @@ def test_self_energy():
     assert rep["self_energies"]["B"] == [pref * s1]
     assert rep["self_energies_stderr"] == {"A": [0.0], "B": [0.0]}
     # 6-D Monte-Carlo oracle
-    smc = pair_integrals([e], [], CONSTS, backend="mc", mc_samples=2_000_000, seed=7).self_a[0]
+    (smc,), _ = pair_integrals([e], [(0, 0)], CONSTS, backend="mc", mc_samples=2_000_000, seed=7)
     assert abs(smc - s1) < 0.02 * abs(s1)
 
 
@@ -358,16 +357,19 @@ def test_pairwise_deviations_reported():
     assert "general|newton" in rep["pairwise_deviations"]
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=poisson):
     calls = []
-    original = getattr(poisson, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(poisson, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+LADDER = (0.2, 0.1, 0.05)
 
 
 def test_compare_models_computes_each_pair_integral_once(monkeypatch):
@@ -375,14 +377,44 @@ def test_compare_models_computes_each_pair_integral_once(monkeypatch):
                                 centers=[[x, 2.0, 2.0], [x + 0.4, 2.0, 2.0]]) for x in (1.0, 2.6))
     samplings = _counting(monkeypatch, "sample_on_grid")
     solves = _counting(monkeypatch, "solve_hT_spectral")
+    singles = _counting(monkeypatch, "mutual_coulomb", phases)
+    grid_sums = _counting(monkeypatch, "coulomb_pair_grid")
     grid = GridSpec(16, 4.0)
-    models(a, b, 0.3, backend="grid", grid=grid)
+    rep = models(a, b, 0.3, backend="grid", grid=grid, sigma_ladder=LADDER)
     # Gaussians take the separable lattice sum: nothing sampled, no potential
     # and no kernel spectrum
     assert not samplings and not solves and "coulomb_kernel_hat" not in vars(grid)
+    # the 2x2 cross, 2 + 2 self, the point pair and the 3 rungs in one list
+    assert len(grid_sums) == 1 and len(grid_sums[0][1]) == 4 + 4 + 1 + 3
+    assert len(rep["convergence"]) == 3
     draws = _counting(monkeypatch, "coulomb_pair_mc")
-    models(a, b, 0.3, backend="mc", mc_samples=1000)
-    assert len(draws) == 1  # the 2x2 cross and 2 + 2 self integrals from one stream
+    models(a, b, 0.3, backend="mc", mc_samples=1000, sigma_ladder=LADDER)
+    assert len(draws) == 1  # every integral, ladder included, from one stream
+    assert len(grid_sums) == 1 and not singles
+
+
+@pytest.mark.parametrize("backend", ["analytic", "grid", "mc"])
+@pytest.mark.parametrize("t", [0.3, 0.0])
+def test_convergence_rows_are_theta_ab_of_each_rung_bit_for_bit(backend, t):
+    # the ladder shares the run's one pair list, and every backend computes
+    # an integral independently of the others, so each row is the one-pair
+    # theta_AB, stderr included, down to the sign of a zero phase at t = 0
+    shift = [0.8, 1.5, 1.5]  # gie-2x2 moved into the grid's box
+    a, b = (LocalizedSourceSpec(mass=s.mass, amplitudes=s.amplitudes, widths=s.widths,
+                                centers=s.centers + shift) for s in gie_specs())
+    kw = dict(backend=backend, grid=GridSpec(32, 3.0), mc_samples=3000, seed=5)
+    rows = models(a, b, t, sigma_ladder=LADDER, **kw)["convergence"]
+
+    def theta(make, width):
+        ea, eb = (make(s.mass, s.centers[0], width) for s in (a, b))
+        return theta_AB(ea, eb, t, CONSTS, **kw)
+
+    point, _ = theta(point_density, LADDER[-1] / 4.0)
+    for row, sigma in zip(rows, LADDER, strict=True):
+        phase, err = theta(gaussian_density, sigma)
+        deviation = abs(phase - point) / abs(point) if point else float("nan")
+        got = (row["phase"], row["point_phase"], row["deviation"], row["stderr"])
+        assert [x.hex() for x in got] == [float(x).hex() for x in (phase, point, deviation, err)]
 
 
 def test_mc_models_share_one_sample_set():
@@ -395,10 +427,10 @@ def test_mc_models_share_one_sample_set():
         assert rep["matrices"]["general"].stderr.min() > 0.0
     # the self-energies carry the standard errors of their self integrals,
     # scaled by the same kappa / 8 pi
-    pairs = pair_integrals([a.branch_density(k) for k in range(2)],
-                           [b.branch_density(k) for k in range(2)],
-                           CONSTS, backend="mc", mc_samples=20_000, seed=4)
+    dens = [s.branch_density(k) for s in (a, b) for k in range(2)]
+    _, err = pair_integrals(dens, [(k, k) for k in range(4)], CONSTS, backend="mc",
+                            mc_samples=20_000, seed=4)
     pref = CONSTS.kappa / (8.0 * np.pi)
-    assert rep["self_energies_stderr"] == {"A": (pref * pairs.self_a_stderr).tolist(),
-                                           "B": (pref * pairs.self_b_stderr).tolist()}
+    assert rep["self_energies_stderr"] == {"A": (pref * err[:2]).tolist(),
+                                           "B": (pref * err[2:]).tolist()}
     assert min(rep["self_energies_stderr"]["A"] + rep["self_energies_stderr"]["B"]) > 0.0

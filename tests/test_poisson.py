@@ -344,31 +344,33 @@ def test_mc_oracle_narrow_gaussians_approach_point_pair():
     assert abs(val - exact) < 4.0 * err
 
 
+def _cross_and_self(dens_a, dens_b):
+    """Both families as one list, and the pair list of `compare_models`:
+    the cross block row by row, then the self integral of every density."""
+    n_a, n = len(dens_a), len(dens_a) + len(dens_b)
+    cross = [(i, j) for i in range(n_a) for j in range(n_a, n)]
+    return [*dens_a, *dens_b], cross + [(k, k) for k in range(n)]
+
+
 def test_pair_integrals_match_the_single_pair_backends():
     grid = GridSpec(16, 8.0)
-    dens_a = [gaussian_density(1.0, (3.0, 4.0, 4.0), 0.6), smooth_density(grid, seed=11)]
-    dens_b = [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5)]
-    pairs = pair_integrals(dens_a, dens_b, CONSTS, grid=grid)  # auto: one non-analytic -> grid
-    for i, e in enumerate(dens_a):
-        assert pairs.cross[i, 0] == mutual_coulomb(e, dens_b[0], CONSTS, backend="grid", grid=grid)[0]
-        assert pairs.self_a[i] == mutual_coulomb(e, e, CONSTS, backend="grid", grid=grid)[0]
-    assert pairs.self_b[0] == mutual_coulomb(dens_b[0], dens_b[0], CONSTS, backend="grid", grid=grid)[0]
-    assert not (pairs.stderr.any() or pairs.self_a_stderr.any() or pairs.self_b_stderr.any())
+    dens, pairs = _cross_and_self(
+        [gaussian_density(1.0, (3.0, 4.0, 4.0), 0.6), smooth_density(grid, seed=11)],
+        [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5)])
+    val, err = pair_integrals(dens, pairs, CONSTS, grid=grid)  # auto: one non-analytic -> grid
+    for value, (i, j) in zip(val, pairs, strict=True):
+        assert value == mutual_coulomb(dens[i], dens[j], CONSTS, backend="grid", grid=grid)[0]
+    assert not err.any()
 
     # mc: every entry equals its own 1 x 1 call, stderr included
     gauss = [gaussian_density(1.0, (0.3 * k, 0.0, 0.0), 0.2 + 0.1 * k) for k in range(3)]
-    mc = pair_integrals(gauss[:2], gauss[2:], CONSTS, backend="mc", mc_samples=500, seed=3)
-
-    def single(x, y):
-        return mutual_coulomb(x, y, CONSTS, backend="mc", mc_samples=500, seed=3)
-
-    for i, x in enumerate(gauss[:2]):
-        assert (mc.cross[i, 0], mc.stderr[i, 0]) == single(x, gauss[2])
-        assert (mc.self_a[i], mc.self_a_stderr[i]) == single(x, x)
-    assert (mc.self_b[0], mc.self_b_stderr[0]) == single(gauss[2], gauss[2])
-    assert np.all(mc.stderr > 0.0) and np.all(mc.self_a_stderr > 0.0)
+    val, err = pair_integrals(gauss, pairs, CONSTS, backend="mc", mc_samples=500, seed=3)
+    for value, stderr, (i, j) in zip(val, err, pairs, strict=True):
+        assert (value, stderr) == mutual_coulomb(gauss[i], gauss[j], CONSTS, backend="mc",
+                                                 mc_samples=500, seed=3)
+    assert np.all(err > 0.0)
     with pytest.raises(ValueError, match="GridSpec"):
-        pair_integrals([dens_a[1]], [], CONSTS)
+        pair_integrals([dens[1]], [], CONSTS)
 
 
 def _mc_reference(e_a, e_b, samples, seed, grid=None):
@@ -408,20 +410,21 @@ def test_mc_kernel_is_bit_identical_to_the_reference(pair):
     e_a, e_b, grid = _MC_PAIRS[pair]
     for samples in (2, 7, MC_CHUNK, MC_CHUNK + 1, 100_001):
         seed = samples % 5
-        got = coulomb_pair_mc([e_a], [e_b], CONSTS, samples=samples, seed=seed, grid=grid)
-        assert (got.cross[0, 0], got.stderr[0, 0]) == \
-            _mc_reference(e_a, e_b, samples, seed, grid), samples
-        assert got.self_a[0] == _mc_reference(e_a, e_a, samples, seed, grid)[0], samples
-        assert got.self_b[0] == _mc_reference(e_b, e_b, samples, seed, grid)[0], samples
+        val, err = coulomb_pair_mc([e_a, e_b], [(0, 1), (0, 0), (1, 1)], CONSTS,
+                                   samples=samples, seed=seed, grid=grid)
+        assert (val[0], err[0]) == _mc_reference(e_a, e_b, samples, seed, grid), samples
+        assert val[1] == _mc_reference(e_a, e_a, samples, seed, grid)[0], samples
+        assert val[2] == _mc_reference(e_b, e_b, samples, seed, grid)[0], samples
 
 
 def test_mc_kernel_peak_memory_is_bounded_per_worker():
     e_a, e_b, _ = _MC_PAIRS["gaussians"]
-    coulomb_pair_mc([e_a], [e_b], CONSTS, samples=2)  # imports the pool and the generator
+    pairs = [(0, 1), (0, 0), (1, 1)]
+    coulomb_pair_mc([e_a, e_b], pairs, CONSTS, samples=2)  # imports the pool and the generator
     for samples in (1_000_000, 2_500_000):
         tracemalloc.start()
         try:
-            coulomb_pair_mc([e_a], [e_b], CONSTS, samples=samples, seed=1)
+            coulomb_pair_mc([e_a, e_b], pairs, CONSTS, samples=samples, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -436,13 +439,13 @@ def test_mc_kernel_refuses_fewer_than_two_samples(samples):
     # one draw has a variance estimate of 0, which would claim an exact value
     e_a, e_b, _ = _MC_PAIRS["gaussians"]
     with pytest.raises(ValueError, match="at least 2 samples"):
-        coulomb_pair_mc([e_a], [e_b], CONSTS, samples=samples)
+        coulomb_pair_mc([e_a, e_b], [(0, 1)], CONSTS, samples=samples)
 
 
 def test_mc_kernel_refuses_a_non_analytic_profile():
     e_a, _, _ = _MC_PAIRS["gaussians"]
     with pytest.raises(ValueError, match="point or gaussian"):
-        coulomb_pair_mc([e_a], [grid_density(np.ones((4, 4, 4)), 2.0)], CONSTS, samples=10)
+        coulomb_pair_mc([e_a, grid_density(np.ones((4, 4, 4)), 2.0)], [(0, 1)], CONSTS, samples=10)
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
@@ -463,19 +466,18 @@ def test_mc_pair_integrals_do_not_depend_on_the_thread_count(cpus, monkeypatch):
     dens_a = [gaussian_density(1.0, (0.3 * k, 0.0, 0.1), 0.2 + 0.1 * k) for k in range(2)]
     dens_b = [gaussian_density(0.5, (1.0, 0.2 * k, 0.0), 0.3) for k in range(3)]
     samples = 4 * MC_CHUNK + 1  # five chunks, more than either mask's CPUs
-    got = pair_integrals(dens_a, dens_b, CONSTS, backend="mc", mc_samples=samples, seed=7)
+    dens, pairs = _cross_and_self(dens_a, dens_b)
+    val, err = pair_integrals(dens, pairs, CONSTS, backend="mc", mc_samples=samples, seed=7)
     assert workers == [cpus]
-    want = [[_mc_reference(x, y, samples, 7) for y in dens_b] for x in dens_a]
-    assert np.array_equal(got.cross, [[v for v, _ in row] for row in want])
-    assert np.array_equal(got.stderr, [[e for _, e in row] for row in want])
-    for own, family in ((got.self_a, dens_a), (got.self_b, dens_b)):
-        assert np.array_equal(own, [_mc_reference(e, e, samples, 7)[0] for e in family])
+    want = [_mc_reference(dens[i], dens[j], samples, 7) for i, j in pairs]
+    assert np.array_equal(val, [v for v, _ in want])
+    assert np.array_equal(err, [e for _, e in want])
 
 
 def test_mc_pair_integral_errors_reach_the_caller():
     e_a, e_b, _ = _MC_PAIRS["gaussians"]
     with pytest.raises(ValueError, match="at least 2 samples"):
-        pair_integrals([e_a], [e_b], CONSTS, backend="mc", mc_samples=1)
+        pair_integrals([e_a, e_b], [(0, 1)], CONSTS, backend="mc", mc_samples=1)
 
 
 _GAUSSIAN = st.builds(gaussian_density, st.floats(0.5, 2.0),
@@ -488,11 +490,10 @@ _GAUSSIAN = st.builds(gaussian_density, st.floats(0.5, 2.0),
 def test_mc_pair_integrals_agree_with_the_closed_form(dens_a, dens_b, seed):
     # every entry, cross and self, is an unbiased estimate with its own
     # standard error, although all of them read the same sample stream
-    got = pair_integrals(dens_a, dens_b, CONSTS, backend="mc", mc_samples=3000, seed=seed)
-    exact = pair_integrals(dens_a, dens_b, CONSTS, backend="analytic")
-    assert np.all(np.abs(got.cross - exact.cross) <= 5.0 * got.stderr)
-    assert np.all(np.abs(got.self_a - exact.self_a) <= 5.0 * got.self_a_stderr)
-    assert np.all(np.abs(got.self_b - exact.self_b) <= 5.0 * got.self_b_stderr)
+    dens, pairs = _cross_and_self(dens_a, dens_b)
+    got, err = pair_integrals(dens, pairs, CONSTS, backend="mc", mc_samples=3000, seed=seed)
+    exact, _ = pair_integrals(dens, pairs, CONSTS, backend="analytic")
+    assert np.all(np.abs(got - exact) <= 5.0 * err)
 
 
 # Relative error of the grid quadrature against the closed form, per
@@ -538,20 +539,17 @@ def test_grid_pair_integrals_agree_with_the_closed_form(family):
     # a Gaussian that lost a share tau of its mass moves it by 2 tau m c^2 in
     # L1, and the other density's potential is at most m' c^2 sqrt(2/pi)/sigma'
     grid, dens_a, dens_b = family
-    got = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
-    exact = pair_integrals(dens_a, dens_b, CONSTS, backend="analytic")
+    dens, pairs = _cross_and_self(dens_a, dens_b)
+    got, _ = pair_integrals(dens, pairs, CONSTS, backend="grid", grid=grid)
+    exact, _ = pair_integrals(dens, pairs, CONSTS, backend="analytic")
 
     def bound(x, y, value):
         rate = GRID_H2_RATE * (grid.h / min(x.sigma, y.sigma)) ** 2 * value
         tails = _lost_mass(x, grid) / y.sigma + _lost_mass(y, grid) / x.sigma
         return rate + 2.0 * math.sqrt(2.0 / math.pi) * x.mass * y.mass * CONSTS.c**4 * tails
 
-    for i, x in enumerate(dens_a):
-        for j, y in enumerate(dens_b):
-            assert abs(got.cross[i, j] - exact.cross[i, j]) <= bound(x, y, exact.cross[i, j])
-    for own, want, dens in ((got.self_a, exact.self_a, dens_a), (got.self_b, exact.self_b, dens_b)):
-        for value, closed, e in zip(own, want, dens):
-            assert abs(value - closed) <= bound(e, e, closed)
+    for value, closed, (i, j) in zip(got, exact, pairs, strict=True):
+        assert abs(value - closed) <= bound(dens[i], dens[j], closed)
 
 
 def _as_grid_density(e, grid):
@@ -572,7 +570,8 @@ def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
     grid = GridSpec(16, 6.0)
     dens_a = [gaussian_density(1.0, (2.5 + 0.4 * k, 3.0, 3.0), 0.5) for k in range(2)]
     dens_b = [gaussian_density(0.7, (3.5, 3.0 - 0.3 * k, 3.0), 0.6) for k in range(2)]
-    got = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
+    dens, pairs = _cross_and_self(dens_a, dens_b)
+    got, _ = pair_integrals(dens, pairs, CONSTS, backend="grid", grid=grid)
     # an analytic family takes the separable sum: no sampling, no transform,
     # no kernel spectrum
     assert sampled == [] and "coulomb_kernel_hat" not in vars(grid)
@@ -580,7 +579,7 @@ def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
     # each analytic density they read is sampled once, and every other call
     # is a grid density passing through
     lumpy = _as_grid_density(gaussian_density(0.9, (3.0, 3.2, 2.8), 0.5), grid)
-    pair_integrals(dens_a, [lumpy] + dens_b, CONSTS, backend="grid", grid=grid)
+    pair_integrals(*_cross_and_self(dens_a, [lumpy] + dens_b), CONSTS, backend="grid", grid=grid)
     assert sorted(id(e) for e in sampled if e.analytic) == sorted(map(id, dens_a))
     assert all(e.kind == "grid" for e in sampled if not e.analytic)
     monkeypatch.setattr(poisson, "sample_on_grid", real)
@@ -590,10 +589,7 @@ def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
         return float((sample_on_grid(x, grid, CONSTS).values * pot).sum() * grid.cell_volume)
 
     # the same quadrature summed in another order: equal to rounding
-    want = [[pair(x, y) for y in dens_b] for x in dens_a]
-    np.testing.assert_allclose(got.cross, want, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(got.self_a, [pair(x, x) for x in dens_a], rtol=1e-14, atol=0)
-    np.testing.assert_allclose(got.self_b, [pair(y, y) for y in dens_b], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got, [pair(dens[i], dens[j]) for i, j in pairs], rtol=1e-14, atol=0)
 
 
 _SEPARABLE_FAMILIES = {
@@ -630,19 +626,18 @@ def test_separable_sum_equals_the_spectral_solve_route(name):
     n = grid.n
     terms = 2 * (3 * math.log2(n) + 8) + 9 * math.log2(2 * n) + 8 + n + 3 * (n + 1)
     tol = terms * np.finfo(float).eps / 2
-    sep = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
-    grid_a, grid_b = ([_as_grid_density(e, grid) for e in dens] for dens in (dens_a, dens_b))
-    spec = pair_integrals(grid_a, grid_b, CONSTS, backend="grid", grid=grid)
+    dens, pairs = _cross_and_self(dens_a, dens_b)
+    sep, _ = pair_integrals(dens, pairs, CONSTS, backend="grid", grid=grid)
+    as_grid = [_as_grid_density(e, grid) for e in dens]
+    spec, _ = pair_integrals(as_grid, pairs, CONSTS, backend="grid", grid=grid)
 
     def peak(e):  # the largest value of phi = 4 pi h^T / kappa
         return solve_hT_spectral(e, grid, CONSTS).values.max() * (4.0 * math.pi / KAPPA)
 
-    m_a, m_b = (np.array([e.mass * CONSTS.c**2 for e in dens]) for dens in (dens_a, dens_b))
-    peak_a, peak_b = (np.array([peak(e) for e in dens]) for dens in (grid_a, grid_b))
-    scale = 0.5 * (np.outer(m_a, peak_b) + np.outer(peak_a, m_b))
-    assert np.all(np.abs(sep.cross - spec.cross) <= tol * scale)
-    assert np.all(np.abs(sep.self_a - spec.self_a) <= tol * m_a * peak_a)
-    assert np.all(np.abs(sep.self_b - spec.self_b) <= tol * m_b * peak_b)
+    m = [e.mass * CONSTS.c**2 for e in dens]
+    peaks = [peak(e) for e in as_grid]
+    scale = np.array([0.5 * (m[i] * peaks[j] + peaks[i] * m[j]) for i, j in pairs])
+    assert np.all(np.abs(sep - spec) <= tol * scale)
 
 
 def test_a_centre_far_outside_the_box_raises_on_both_grid_paths():
@@ -652,13 +647,14 @@ def test_a_centre_far_outside_the_box_raises_on_both_grid_paths():
     lumpy = smooth_density(grid, seed=14)
     for dens_b in ([inside], [lumpy]):  # separable, then the spectral solve
         with pytest.raises(ValueError, match="no support on the grid"):
-            pair_integrals([far], dens_b, CONSTS, backend="grid", grid=grid)
+            pair_integrals(*_cross_and_self([far], dens_b), CONSTS, backend="grid", grid=grid)
         with pytest.raises(ValueError, match="no support on the grid"):
             mutual_coulomb(dens_b[0], far, CONSTS, backend="grid", grid=grid)
 
 
 def test_swapping_the_families_transposes_the_grid_pair_integrals():
-    # a few random spikes per density spread the sums evenly over the modes,
+    # each (i, j) against its (j, i): the transpose of the cross block.  A
+    # few random spikes per density spread the sums evenly over the modes,
     # so that an asymmetric product such as (K a) b shows in the last bits;
     # Gaussians at off-node centres with unequal widths do the same for the
     # separable sum
@@ -674,10 +670,11 @@ def test_swapping_the_families_transposes_the_grid_pair_integrals():
     for dens in (spikes, blobs):  # a mixed family, then an all-analytic one
         dens_a = [dens[0], gaussian_density(1.0, (3.0, 4.0, 4.5), 0.6)]
         dens_b = [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5), dens[1], dens[2]]
-        ab = pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid)
-        ba = pair_integrals(dens_b, dens_a, CONSTS, backend="grid", grid=grid)
-        assert np.array_equal(ba.cross, ab.cross.T)
-        assert np.array_equal(ba.self_a, ab.self_b) and np.array_equal(ba.self_b, ab.self_a)
+        family, pairs = _cross_and_self(dens_a, dens_b)
+        ab, _ = pair_integrals(family, pairs, CONSTS, backend="grid", grid=grid)
+        ba, _ = pair_integrals(family, [(j, i) for i, j in pairs], CONSTS, backend="grid",
+                               grid=grid)
+        assert np.array_equal(ba, ab)
 
 
 def _phase_grid_family():
@@ -699,7 +696,8 @@ def test_separable_pair_integrals_peak_memory_is_the_octant_and_planes_of_it():
     n = 64
     grid = GridSpec(n, 6.0)
     dens_a, dens_b = _phase_grid_family()
-    peak = _traced_peak(lambda: pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid))
+    peak = _traced_peak(lambda: pair_integrals(*_cross_and_self(dens_a, dens_b), CONSTS,
+                                               backend="grid", grid=grid))
     # the grid's octant table, built in place on first use; per integral,
     # the (N+1)^2 partial contraction and O(N) lag sums; 128 KiB for numpy's
     # ufunc buffers (64 KiB) and the call's bookkeeping.  No (N, N, N)
@@ -709,7 +707,8 @@ def test_separable_pair_integrals_peak_memory_is_the_octant_and_planes_of_it():
     assert "coulomb_kernel_hat" not in vars(grid)
     # with the octant built, what remains is per-integral work only
     # (measured 44 kB)
-    peak = _traced_peak(lambda: pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid))
+    peak = _traced_peak(lambda: pair_integrals(*_cross_and_self(dens_a, dens_b), CONSTS,
+                                               backend="grid", grid=grid))
     assert peak <= 2 * plane + 2**16, peak
 
 
@@ -719,7 +718,8 @@ def test_grid_pair_integrals_peak_memory_is_the_potentials_and_one_solve():
     dens_a, dens_b = ([_as_grid_density(e, grid) for e in family]
                       for family in _phase_grid_family())
     grid.coulomb_kernel_hat  # built once per grid, not part of the call
-    peak = _traced_peak(lambda: pair_integrals(dens_a, dens_b, CONSTS, backend="grid", grid=grid))
+    peak = _traced_peak(lambda: pair_integrals(*_cross_and_self(dens_a, dens_b), CONSTS,
+                                               backend="grid", grid=grid))
     # one held (N, N, N) potential per density read (the densities are the
     # caller's), plus the bound of a solve in
     # test_spectral_solve_peak_memory_is_two_spectra, whose density term
@@ -731,9 +731,8 @@ def test_grid_pair_integrals_peak_memory_is_the_potentials_and_one_solve():
 @pytest.mark.parametrize("backend", ["auto", "analytic", "grid", "mc"])
 def test_empty_density_families_give_empty_pair_integrals(backend):
     got = pair_integrals([], [], CONSTS, backend=backend, grid=GridSpec(8, 6.0))
-    assert [a.shape for a in (got.cross, got.stderr, got.self_a, got.self_b)] == \
-        [(0, 0), (0, 0), (0,), (0,)]
-    assert all(a.dtype == np.float64 for a in (got.cross, got.stderr, got.self_a, got.self_b))
+    assert [a.shape for a in got] == [(0,), (0,)]
+    assert all(a.dtype == np.float64 for a in got)
 
 
 def test_pair_integrals_refuse_an_unknown_backend():
@@ -750,6 +749,6 @@ def test_both_pair_entry_points_need_a_grid_for_the_grid_backend(backend, lumpy)
     e = gaussian_density(1.0, (3.0, 3.0, 3.0), 0.5)
     other = _as_grid_density(e, GridSpec(8, 6.0)) if lumpy else e
     with pytest.raises(ValueError, match="grid backend needs a GridSpec"):
-        pair_integrals([e], [other], CONSTS, backend=backend)
+        pair_integrals([e, other], [(0, 1)], CONSTS, backend=backend)
     with pytest.raises(ValueError, match="grid backend needs a GridSpec"):
         mutual_coulomb(e, other, CONSTS, backend=backend)

@@ -137,7 +137,6 @@ def test_localized_spec_and_conversion():
     spec = LocalizedSourceSpec(mass=1.0, amplitudes=[s, s],
                                centers=[[0, 0, 0], [1, 0, 0]], widths=[0.1, 0.1])
     state = QuantumSourceState.from_localized(spec)
-    assert state.n_components == 2
     assert state.densities[0].kind == "gaussian"
     with pytest.raises(ValueError):
         LocalizedSourceSpec(mass=1.0, amplitudes=[1.0], centers=[[0, 0, 0]], widths=[0.0])
