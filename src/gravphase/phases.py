@@ -192,7 +192,9 @@ def compare_models(
     "pairwise_deviations" (model vs model after prefactor normalisation),
     "self_energies" with their Monte-Carlo standard errors in
     "self_energies_stderr" (zeros on the deterministic backends),
-    "prefactor_ratios" and "skipped_models".
+    "prefactor_ratios" and "skipped_models".  A ladder on the grid backend
+    adds "ladder_min_width_over_h": the point pair's regularisation width,
+    min(sigma_ladder) / 4, over the cell size.
     """
     if time < 0.0:
         raise ValueError("evolution time must be non-negative")
@@ -305,6 +307,9 @@ def compare_models(
                 "stderr": float(e),
             })
 
+    # a ladder on the grid converges to the lattice value of its point pair,
+    # not to the continuum one, once the regularisation is below a cell
+    on_grid = {"ladder_min_width_over_h": reg / grid.h} if ladder and backend == "grid" else {}
     return {
         "matrices": matrices,
         "convergence": convergence,
@@ -316,4 +321,5 @@ def compare_models(
         "self_energies_stderr": self_energies_stderr,
         "prefactor_ratios": prefactor_ratios,
         "skipped_models": skipped,
+        **on_grid,
     }

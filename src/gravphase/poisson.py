@@ -251,47 +251,63 @@ def coulomb_pair_mc(family, pairs, consts: PhysicalConstants, samples: int = 1_0
     docstring), so a self integral still pairs two independent draws, and
     an integral's value does not depend on which others are computed with
     it.  The chunks run on up to as many threads as the process has CPUs in
-    its affinity mask (os.cpu_count() where the OS has no mask), each
-    holding one chunk's work; the partial sums are added in chunk order, so
-    the values do not depend on the thread count.  Per chunk the squared
-    distance is summed in the order of np.linalg.norm(axis=0), and each sum
-    over the chunk's samples is numpy's pairwise sum."""
-    n_d = len(family)
+    its affinity mask (os.cpu_count() where the OS has no mask): worker w of
+    n_w takes chunks w, w + n_w, ... into buffers it allocates once, 13
+    doubles per chunk sample whatever the family size (the two draws, one
+    x side, the displacement and 1/r).  The chunks' partial sums are added
+    in chunk order, so the values do not depend on the thread count.  Per
+    chunk the squared distance is summed in the order of
+    np.linalg.norm(axis=0), and each sum over the chunk's samples is
+    numpy's pairwise sum."""
     if not all(e.analytic for e in family):
         raise ValueError("mc backend needs point or gaussian profiles")
     if samples < 2:
         raise ValueError(f"mc backend needs at least 2 samples for a standard error, got {samples}")
-    sigma = np.array([effective_sigma(e, grid) for e in family]).reshape(n_d, 1, 1)
-    center = np.array([e.center for e in family], float).reshape(n_d, 3, 1)
+    sigma = [effective_sigma(e, grid) for e in family]
+    center = np.array([e.center for e in family], float).reshape(len(family), 3, 1)
+    order = sorted(range(len(pairs)), key=lambda p: tuple(pairs[p]))  # x_i built once per i
+    n_chunks = -(-samples // MC_CHUNK)
+    parts = np.empty((n_chunks, 2, len(pairs)))
 
-    def chunk(c):
-        rows = min(MC_CHUNK, samples - c * MC_CHUNK)
-        x, y = (np.random.default_rng(s).standard_normal((3, rows)) * sigma
-                for s in np.random.SeedSequence([seed, c]).spawn(2))
-        x += center
-        y += center
-        d, inv, out = np.empty((3, rows)), np.empty(rows), np.empty((2, len(pairs)))
-        for p, (i, j) in enumerate(pairs):
-            np.subtract(x[i], y[j], out=d)
-            d *= d
-            np.add(d[0], d[1], out=inv)  # the order of np.linalg.norm(axis=0)
-            inv += d[2]
-            np.sqrt(inv, out=inv)
-            np.divide(1.0, inv, out=inv)
-            out[0, p] = inv.sum()
-            inv *= inv
-            out[1, p] = inv.sum()
-        return out
+    def work(w, n_w):
+        z_buf, x_buf, d_buf = np.empty(6 * MC_CHUNK), np.empty(3 * MC_CHUNK), np.empty(3 * MC_CHUNK)
+        inv_buf = np.empty(MC_CHUNK)
+        for c in range(w, n_chunks, n_w):
+            rows = min(MC_CHUNK, samples - c * MC_CHUNK)
+            z = z_buf[:6 * rows].reshape(2, 3, rows)
+            x, d = x_buf[:3 * rows].reshape(3, rows), d_buf[:3 * rows].reshape(3, rows)
+            inv = inv_buf[:rows]
+            for k, s in enumerate(np.random.SeedSequence([seed, c]).spawn(2)):
+                np.random.default_rng(s).standard_normal(out=z[k])
+            x_of = None
+            for p in order:
+                i, j = pairs[p]
+                if i != x_of:
+                    np.multiply(z[0], sigma[i], out=x)
+                    x += center[i]
+                    x_of = i
+                np.multiply(z[1], sigma[j], out=d)
+                d += center[j]
+                np.subtract(x, d, out=d)
+                d *= d
+                np.add(d[0], d[1], out=inv)  # the order of np.linalg.norm(axis=0)
+                inv += d[2]
+                np.sqrt(inv, out=inv)
+                np.divide(1.0, inv, out=inv)
+                parts[c, 0, p] = inv.sum()
+                inv *= inv
+                parts[c, 1, p] = inv.sum()
 
     sums = np.zeros((2, len(pairs)))
     if pairs:
         # numpy's generator and ufuncs release the GIL
         from concurrent.futures import ThreadPoolExecutor
 
-        n_chunks = -(-samples // MC_CHUNK)
-        with ThreadPoolExecutor(min(n_chunks, _cpu_count())) as pool:
-            for part in pool.map(chunk, range(n_chunks)):
-                sums += part
+        n_w = min(n_chunks, _cpu_count())
+        with ThreadPoolExecutor(n_w) as pool:
+            list(pool.map(work, range(n_w), [n_w] * n_w))  # re-raises a worker's error
+        for part in parts:
+            sums += part
     mean = sums[0] / samples
     scale = np.array([family[i].mass * family[j].mass for i, j in pairs]) * consts.c**4
     return scale * mean, scale * np.sqrt(np.maximum(sums[1] / samples - mean**2, 0.0) / samples)

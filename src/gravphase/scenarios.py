@@ -290,12 +290,14 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
         closed_dev = {
             "dphase": float(np.max(np.abs(comp.dphase_exact - phase) / np.abs(phase))),
             "ddamping": float(np.max(np.abs(comp.ddamping_exact - damping) / np.abs(damping)))}
+    # an undefined slope is an empty cell, as it is null in the report
     write_csv(outdir / "tables" / "slopes.csv",
               ["quantity", "slope", "window_lo", "window_hi", "target_lo", "target_hi"],
-              [("defect_order3", slope3, ts[0], ts[-1], 3.9, 4.3),
-               ("defect_order2", slope2, ts[0], ts[-1], 2.9, 3.3),
-               ("phase_residual", slope_resid, ts[0], ts[-1], 2.8, 3.2),
-               ("damping", slope_damp, ts[0], ts[-1], 1.9, 2.1)])
+              [(name, slope if math.isfinite(slope) else "", ts[0], ts[-1], lo, hi)
+               for name, slope, lo, hi in (("defect_order3", slope3, 3.9, 4.3),
+                                           ("defect_order2", slope2, 2.9, 3.3),
+                                           ("phase_residual", slope_resid, 2.8, 3.2),
+                                           ("damping", slope_damp, 1.9, 2.1))])
 
     # an undefined quantity is reported as null, its reason under
     # "undefined", and fails its pass flag (NaN compares false)

@@ -763,6 +763,37 @@ def test_equal_opalg_branches_report_null_with_a_reason(tmp_path):
         "damping_slope_in_[1.9,2.1]": False}
 
 
+def test_equal_opalg_branches_write_an_empty_slope_cell(tmp_path):
+    # the slopes the report gives as null are empty cells in slopes.csv,
+    # not a nan token
+    out = tmp_path / "o"
+    assert main(["run", "preset:zassenhaus-t3", "--set", "opalg.tt_branch_amplitudes=[0.04,0.04]",
+                 "--set", "opalg.trace_branch_amplitudes=[0.05,0.05]", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "tables" / "slopes.csv").read_text().splitlines()]
+    slopes = {row[0]: row[1] for row in rows[1:]}
+    assert slopes["phase_residual"] == slopes["damping"] == ""
+    assert float(slopes["defect_order3"]) > 0.0 and float(slopes["defect_order2"]) > 0.0
+    assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row[1:] if cell)
+
+
+def test_a_grid_ladder_reports_its_narrowest_width_in_cells(tmp_path):
+    # the gie-2x2-grid reference regularises its point pair at 0.025 / 4,
+    # far below its cell of 3.0 / 32, so its ladder converges to a lattice
+    # value; the report says so, the other backends have no cell
+    import reference_outputs as ref
+
+    cases = ref.cases()
+    for name in ("gie-2x2-grid", "gie-2x2-mc"):
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(cases[name]))
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        result = _strict_json((out / "report.json").read_text())["result"]
+        if name == "gie-2x2-grid":
+            assert result["ladder_min_width_over_h"] == 0.025 / 4 / (3.0 / 32) < 1.0
+        else:
+            assert "ladder_min_width_over_h" not in result
+
+
 def test_a_non_finite_result_is_a_numerical_guard_not_a_report(tmp_path, monkeypatch, capsys):
     from gravphase import scenarios
 

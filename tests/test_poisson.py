@@ -417,21 +417,62 @@ def test_mc_kernel_is_bit_identical_to_the_reference(pair):
         assert val[2] == _mc_reference(e_b, e_b, samples, seed, grid)[0], samples
 
 
+def _ladder_shaped_family():
+    """14 densities and the pair list of a phase-compare run with a 4-rung
+    ladder: two branches per source, the cross block and the self
+    integrals, then the point pair at min(ladder) / 4 and one equal-width
+    pair per rung."""
+    ladder = (0.2, 0.1, 0.05, 0.025)
+    c_a, c_b = np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.1, -0.2])
+    family = [gaussian_density(1.0, c_a + (0.0, 0.3 * k, 0.0), 0.1) for k in range(2)]
+    family += [gaussian_density(0.8, c_b + (0.0, 0.3 * k, 0.0), 0.1) for k in range(2)]
+    pairs = [(0, 2), (0, 3), (1, 2), (1, 3)] + [(k, k) for k in range(4)]
+    rungs = [(point_density(1.0, c_a, sigma_reg=min(ladder) / 4),
+              point_density(0.8, c_b, sigma_reg=min(ladder) / 4))]
+    for e_a, e_b in rungs + [(gaussian_density(1.0, c_a, s), gaussian_density(0.8, c_b, s))
+                             for s in ladder]:
+        pairs.append((len(family), len(family) + 1))
+        family += [e_a, e_b]
+    return family, pairs
+
+
+@pytest.mark.parametrize("samples", [2, MC_CHUNK, MC_CHUNK + 1, 4 * MC_CHUNK + 1])
+def test_mc_kernel_is_the_reference_on_any_pair_list_and_thread_count(samples, monkeypatch):
+    # the kernel builds each x side once per first index and visits the
+    # pairs sorted, but stores each result at its own place: an unsorted
+    # list with repeats, both orders of a pair and self pairs gives, entry
+    # by entry, the plain loop's value and stderr on every affinity mask
+    family, pairs = _ladder_shaped_family()
+    pairs = pairs + [(j, i) for i, j in pairs[:4]] + [(13, 12), (4, 5), (0, 2), (6, 6), (5, 0)]
+    pairs = [pairs[p] for p in np.random.default_rng(8).permutation(len(pairs))]
+    want = {(i, j): _mc_reference(family[i], family[j], samples, 5) for i, j in set(pairs)}
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        val, err = coulomb_pair_mc(family, pairs, CONSTS, samples=samples, seed=5)
+        for value, stderr, pair in zip(val, err, pairs, strict=True):
+            assert (value, stderr) == want[pair], (cpus, pair)
+
+
 def test_mc_kernel_peak_memory_is_bounded_per_worker():
     e_a, e_b, _ = _MC_PAIRS["gaussians"]
-    pairs = [(0, 1), (0, 0), (1, 1)]
-    coulomb_pair_mc([e_a, e_b], pairs, CONSTS, samples=2)  # imports the pool and the generator
-    for samples in (1_000_000, 2_500_000):
-        tracemalloc.start()
-        try:
-            coulomb_pair_mc([e_a, e_b], pairs, CONSTS, samples=samples, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # per worker, one chunk's doubles per sample: the x and y positions
-        # of the 2 densities (12), the squared distance (3) and 1/r (1); only
-        # the pool's bookkeeping, about 1 kB per chunk, grows with the count
-        assert peak <= _cpu_count() * 20 * 8 * MC_CHUNK, (samples, peak)
+    for family, pairs in (([e_a, e_b], [(0, 1), (0, 0), (1, 1)]), _ladder_shaped_family()):
+        coulomb_pair_mc(family, pairs, CONSTS, samples=2)  # imports the pool and the generator
+        for samples in (1_000_000, 2_500_000):
+            tracemalloc.start()
+            try:
+                coulomb_pair_mc(family, pairs, CONSTS, samples=samples, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # per worker, one chunk's doubles per sample whatever the family
+            # size: the two draws (6), one x side (3), the displacement (3)
+            # and 1/r (1); besides them only the partial sums and the pool's
+            # bookkeeping, under 1 kB per chunk, and each worker's thread and
+            # generators, under 16 kB
+            n_chunks = -(-samples // MC_CHUNK)
+            bound = _cpu_count() * (13 * 8 * MC_CHUNK + 16 * 1024) + n_chunks * 1024
+            assert peak <= bound, (len(family), samples, peak)
 
 
 @pytest.mark.parametrize("samples", [0, 1])
