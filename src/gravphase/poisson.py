@@ -11,10 +11,12 @@ average of 1/r):
 
 * `solve_hT_direct` sums the kernel in position space with no FFT anywhere,
   kept as the oracle.  Every source-target displacement is an integer offset
-  times h, so 1/r is tabulated once over the offsets 0..N-1 per axis; each
-  target column then gathers its slab of that table, contracts it with the
-  source weights in one matrix product and sums the Toeplitz diagonal along
-  the third axis.  The sum is exact: every source node meets every target.
+  times h, so 1/r is tabulated once, over the signed offsets -(N-1)..N-1 in
+  the first two axes and 0..N-1 in the third; each target column's slab of
+  that table is then a basic slice, which the column copies, contracts with
+  the source weights in one matrix product and whose Toeplitz diagonal it
+  sums along the third axis.  The sum is exact: every source node meets
+  every target.  The target planes run on the threads of `_run_workers`.
 * `solve_hT_spectral` performs the identical free-space convolution by
   zero-padded grid doubling (Hockney): the density's transform on the
   doubled box is multiplied by the grid's `coulomb_kernel_hat` (the real
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -115,11 +118,17 @@ def solve_hT_direct(
     into every target node.
 
     K[p, q, r] = 1 / (h sqrt(p^2 + q^2 + r^2)) is tabulated over the integer
-    offsets 0..N-1 (its own table, independent of the spectral kernel), with
-    the cell average of 1/r at the origin.  For the target column (x_a, y_b)
-    the slab K[|x_a - jx|, |y_b - jy|, :] is contracted over (jx, jy) with
-    the source weights, A[jz, r] = sum W[jx, jy, jz] K[.., .., r], and the
-    field at z_c is the diagonal sum over jz of A[jz, |z_c - jz|].
+    offsets (its own table, independent of the spectral kernel), with the
+    cell average of 1/r at the origin.  The table is unfolded in the first
+    two axes, shape (2N-1, 2N-1, N): entry [N-1-x+j] holds the offset |x - j|,
+    so the slab K[|x_a - jx|, |y_b - jy|, :] of the target column (x_a, y_b)
+    is the basic slice starting at [N-1-x_a, N-1-y_b], copied into one buffer
+    per worker.  It is contracted over (jx, jy) with the source weights,
+    A[jz, r] = sum W[jx, jy, jz] K[.., .., r], and the field at z_c is the
+    diagonal sum over jz of A[jz, |z_c - jz|].  Worker w of n_w (see
+    `_run_workers`) takes the target planes x_a with a = w, w + n_w, ...;
+    each column is summed the same way whichever worker takes it, so the
+    field does not depend on the thread count.
 
     With stride > 1 the field is evaluated on the coarser sub-lattice only
     (every stride-th node per axis); the returned field then lives on
@@ -132,19 +141,28 @@ def solve_hT_direct(
     n = grid.n
     weights = (sample_on_grid(e, grid, consts).values * grid.cell_volume).reshape(n * n, n)
     offsets = np.arange(n)
-    r2 = offsets[:, None, None] ** 2 + offsets[None, :, None] ** 2 + offsets[None, None, :] ** 2
+    signed = np.abs(np.arange(1 - n, n, dtype=float))  # exact small integers
+    table = signed[:, None, None] ** 2 + signed[None, :, None] ** 2 + signed[n - 1:] ** 2
+    np.sqrt(table, out=table)
+    table *= grid.h
     with np.errstate(divide="ignore"):
-        table = 1.0 / (grid.h * np.sqrt(r2))
-    table[0, 0, 0] = cell_averaged_inv_r(grid.h)
+        np.divide(1.0, table, out=table)
+    table[n - 1, n - 1, 0] = cell_averaged_inv_r(grid.h)
 
     targets = offsets[::stride]
     dist = np.abs(targets[:, None] - offsets[None, :])  # |target - source| per axis
     out = np.empty((len(targets),) * 3)
-    for a, dx in enumerate(dist):
-        slab_x = table[dx]
-        for b, dy in enumerate(dist):
-            contracted = weights.T @ slab_x[:, dy].reshape(n * n, n)
-            out[a, b] = contracted[offsets, dist].sum(axis=1)
+
+    def work(w, n_w):
+        slab, contracted = np.empty((n, n, n)), np.empty((n, n))
+        for a in range(w, len(targets), n_w):
+            plane = table[n - 1 - targets[a]:2 * n - 1 - targets[a]]
+            for b, y in enumerate(targets):
+                np.copyto(slab, plane[:, n - 1 - y:2 * n - 1 - y])
+                np.matmul(weights.T, slab.reshape(n * n, n), out=contracted)
+                out[a, b] = contracted[offsets, dist].sum(axis=1)
+
+    _run_workers(work, len(targets))
     out *= consts.kappa / (4.0 * math.pi)
     ngrid = GridSpec(grid.n // stride, grid.box) if stride > 1 else grid
     return ScalarFieldX(grid=ngrid, values=out)
@@ -191,6 +209,37 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _run_workers(work, tasks: int) -> None:
+    """Call work(w, n_w) for w = 0..n_w-1, each on its own thread, with
+    n_w = min(tasks, CPUs in the affinity mask); worker 0 runs on the calling
+    thread.  The workers share the process's arrays and split the tasks
+    among themselves by w.  Every thread is joined before the error of the
+    lowest-numbered worker that failed, if any, is raised here, so no worker
+    outlives the call and none reports through `threading.excepthook`."""
+    n_w = min(tasks, _cpu_count())
+    errors = [None] * n_w
+
+    def run(w):
+        try:
+            work(w, n_w)
+        except BaseException as exc:  # raised again below, on the calling thread
+            errors[w] = exc
+
+    threads = []
+    try:  # a failed start still joins the threads already started
+        for w in range(1, n_w):
+            thread = threading.Thread(target=run, args=(w,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def coulomb_pair_grid(family, pairs, consts: PhysicalConstants, grid: GridSpec) -> np.ndarray:
@@ -250,9 +299,8 @@ def coulomb_pair_mc(family, pairs, consts: PhysicalConstants, samples: int = 1_0
     Every integral reads the same chunks of the stream (see the module
     docstring), so a self integral still pairs two independent draws, and
     an integral's value does not depend on which others are computed with
-    it.  The chunks run on up to as many threads as the process has CPUs in
-    its affinity mask (os.cpu_count() where the OS has no mask): worker w of
-    n_w takes chunks w, w + n_w, ... into buffers it allocates once, 13
+    it.  The chunks run on the threads of `_run_workers`: worker w of n_w
+    takes chunks w, w + n_w, ... into buffers it allocates once, 13
     doubles per chunk sample whatever the family size (the two draws, one
     x side, the displacement and 1/r).  The chunks' partial sums are added
     in chunk order, so the values do not depend on the thread count.  Per
@@ -300,12 +348,7 @@ def coulomb_pair_mc(family, pairs, consts: PhysicalConstants, samples: int = 1_0
 
     sums = np.zeros((2, len(pairs)))
     if pairs:
-        # numpy's generator and ufuncs release the GIL
-        from concurrent.futures import ThreadPoolExecutor
-
-        n_w = min(n_chunks, _cpu_count())
-        with ThreadPoolExecutor(n_w) as pool:
-            list(pool.map(work, range(n_w), [n_w] * n_w))  # re-raises a worker's error
+        _run_workers(work, n_chunks)  # numpy's generator and ufuncs release the GIL
         for part in parts:
             sums += part
     mean = sums[0] / samples

@@ -681,8 +681,9 @@ def test_si_poisson_field_does_not_depend_on_the_unit_choice(tmp_path):
 
 
 def test_presets_import_no_thread_pool_and_no_random_generator(tmp_path):
-    # only the Monte-Carlo pair integrals start a thread pool and draw from
-    # numpy.random; no preset uses them, so neither may load at module level
+    # only the Monte-Carlo pair integrals draw from numpy.random, and no
+    # preset uses them, so it may not load at module level; no module loads
+    # concurrent.futures
     probe = ("import sys; from gravphase.cli import main; "
              "from gravphase.config import preset_names; "
              f"codes = [main(['run', 'preset:' + name, '--out', {str(tmp_path)!r} + '/' + name]) "
@@ -858,9 +859,44 @@ def test_scenarios_run_without_scipy(tmp_path, make_cfg):
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.returncode == 0, proc.stderr
-    # only the Monte-Carlo pair integrals start a thread pool and draw from numpy.random
+    # the worker threads come from threading, which numpy imports anyway, so
+    # no scenario pays for concurrent.futures; only the Monte-Carlo pair
+    # integrals draw from numpy.random
     mc = cfg.get("backend") == "mc"
-    assert proc.stdout.splitlines()[-1] == f"0 [] {mc} {mc}"
+    assert proc.stdout.splitlines()[-1] == f"0 [] False {mc}"
+
+
+@pytest.mark.parametrize("make_cfg", [
+    _small_poisson, lambda: {**_phase_compare("mc")(), "mc_samples": 40_000},  # three chunks
+], ids=["poisson", "phase-compare-mc"])
+def test_a_worker_thread_error_is_a_numerical_guard(tmp_path, make_cfg, monkeypatch, capsys):
+    # the direct oracle and the Monte-Carlo integrals run on worker threads;
+    # an error on one that is not the calling thread exits 2 like any other,
+    # with every thread joined and nothing printed by threading.excepthook
+    import threading
+
+    from gravphase import poisson
+
+    run_workers = poisson._run_workers
+
+    def failing(work, tasks):
+        def one(w, n_w):
+            if w == 1:
+                raise ValueError("worker 1 failed")
+            work(w, n_w)
+        run_workers(one, tasks)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(poisson, "_run_workers", failing)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    before = threading.active_count()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make_cfg()))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical guard: worker 1 failed" in err and "Traceback" not in err
+    assert threading.active_count() == before and hooked == []
 
 
 def _edited(make_cfg, edit):

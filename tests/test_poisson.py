@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from statistics import NormalDist
@@ -16,6 +18,7 @@ from gravphase.grids import GridSpec, cell_averaged_inv_r, coulomb_kernel_octant
 from gravphase.poisson import (
     MC_CHUNK,
     _cpu_count,
+    _run_workers,
     coulomb_pair_analytic,
     coulomb_pair_mc,
     laplacian_residual,
@@ -117,6 +120,105 @@ def test_direct_matches_pair_loop(stride):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _direct_reference(e, grid, stride):
+    """The oracle's per-column loop on one thread, with two gathers of the
+    folded offset table per column: the reference of the sliced, threaded
+    solve, whose arithmetic is the same."""
+    n = grid.n
+    weights = (sample_on_grid(e, grid, CONSTS).values * grid.cell_volume).reshape(n * n, n)
+    offsets = np.arange(n)
+    r2 = offsets[:, None, None] ** 2 + offsets[None, :, None] ** 2 + offsets[None, None, :] ** 2
+    with np.errstate(divide="ignore"):
+        table = 1.0 / (grid.h * np.sqrt(r2))
+    table[0, 0, 0] = cell_averaged_inv_r(grid.h)
+    targets = offsets[::stride]
+    dist = np.abs(targets[:, None] - offsets[None, :])
+    out = np.empty((len(targets),) * 3)
+    for a, dx in enumerate(dist):
+        slab_x = table[dx]
+        for b, dy in enumerate(dist):
+            contracted = weights.T @ slab_x[:, dy].reshape(n * n, n)
+            out[a, b] = contracted[offsets, dist].sum(axis=1)
+    return out * (CONSTS.kappa / (4.0 * math.pi))
+
+
+def _random_grid_density(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, (n,) * 3)
+    if shape == "sparse":
+        values *= rng.uniform(size=values.shape) < 0.1
+    elif shape == "peaked":
+        values **= 8
+    return values
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_direct_equals_its_reference_loop_on_every_stride_and_thread_count(n, monkeypatch):
+    # the same table entries, matrix products and diagonal sums as the
+    # single-threaded gather loop, so the field is equal, not close; a mask
+    # of 3 CPUs splits the target planes unevenly
+    grid = GridSpec(n, 3.0 + n / 7)
+    for stride in [s for s in range(1, n) if n % s == 0 and n // s >= 2]:
+        for shape in ("uniform", "sparse", "peaked"):
+            e = grid_density(_random_grid_density(n, shape, n + stride), grid.box)
+            want = _direct_reference(e, grid, stride)
+            for cpus in (1, 2, 3, 4):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)),
+                                    raising=False)
+                got = solve_hT_direct(e, grid, CONSTS, stride=stride).values
+                assert np.array_equal(got, want), (stride, shape, cpus)
+
+
+def test_direct_peak_memory_is_the_table_and_one_slab_per_worker(monkeypatch):
+    # the unfolded 1/r table, the weights and the returned field, plus per
+    # worker one slab and one contracted block, N^3 + N^2 doubles; besides
+    # them under 16 kB per worker (its thread, its diagonal gather of
+    # (N / stride) x N doubles and the index temporaries) and 64 kB in all.
+    # Batching a plane's columns into one product would hold N / stride
+    # slabs per worker instead
+    n = 32
+    grid = GridSpec(n, 4.0)
+    e = grid_density(_random_grid_density(n, "uniform", 3), grid.box)
+    solve_hT_direct(e, grid, CONSTS, stride=2)
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)),
+                            raising=False)
+        for stride in (1, 2):
+            tracemalloc.start()
+            try:
+                solve_hT_direct(e, grid, CONSTS, stride=stride)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            shared = 8 * ((2 * n - 1) ** 2 * n + n**3 + (n // stride) ** 3)
+            bound = shared + cpus * (8 * (n**3 + n**2) + 16 * 1024) + 64 * 1024
+            assert peak <= bound, (cpus, stride, peak, bound)
+
+
+def test_a_worker_error_reaches_the_caller_after_every_thread_joined(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    before = threading.active_count()
+    done, raising = [], threading.Event()
+
+    def work(w, n_w):
+        if w == 2:
+            raising.set()
+            raise ValueError(f"worker {w} of {n_w}")
+        if w == 0:  # the caller finishes its own share only once worker 2 failed
+            assert raising.wait(timeout=10)
+        if w == 3:  # still running then: the error must wait for it
+            time.sleep(0.2)
+        done.append(w)
+
+    with pytest.raises(ValueError, match="worker 2 of 4"):
+        _run_workers(work, 7)
+    assert threading.active_count() == before
+    assert sorted(done) == [0, 1, 3]
+    assert hooked == []
+
+
 def test_zero_density_zero_field():
     grid = GridSpec(16, 8.0)
     e = grid_density(np.zeros((16, 16, 16)), 8.0)
@@ -147,7 +249,7 @@ def test_gaussian_profile_matches_erf_closed_form():
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(n=st.sampled_from([2, 4, 8, 16]), box=st.floats(0.5, 10.0),
-       shape=st.sampled_from(["uniform", "spikes", "peaked"]), seed=st.integers(0, 2**32 - 1))
+       shape=st.sampled_from(["uniform", "sparse", "peaked"]), seed=st.integers(0, 2**32 - 1))
 def test_backends_agree_on_random_density(n, box, shape, seed):
     # both solvers take the same discrete quadrature of a non-negative
     # density, so they differ by rounding only.  Bound, in units of eps/2 of
@@ -156,14 +258,8 @@ def test_backends_agree_on_random_density(n, box, shape, seed):
     # and three more for the product and the two rescales; the direct sum's
     # matrix product over N^2 source columns and its diagonal sum over N
     # nodes, whose terms are all non-negative
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(0.0, 1.0, (n,) * 3)
-    if shape == "spikes":
-        values *= rng.uniform(size=values.shape) < 0.1
-    elif shape == "peaked":
-        values **= 8
     grid = GridSpec(n, box)
-    e = grid_density(values, box)
+    e = grid_density(_random_grid_density(n, shape, seed), box)
     spectral = solve_hT_spectral(e, grid, CONSTS).values
     direct = solve_hT_direct(e, grid, CONSTS).values
     tol = (9 * math.log2(2 * n) + 3 + n * n + n) * np.finfo(float).eps / 2
@@ -493,23 +589,22 @@ def test_mc_kernel_refuses_a_non_analytic_profile():
 def test_mc_pair_integrals_do_not_depend_on_the_thread_count(cpus, monkeypatch):
     # the chunks' partial sums are added in chunk order whatever thread ran
     # them, so every affinity mask gives the arrays of the plain per-pair loop
-    import concurrent.futures
+    started = []
 
-    workers = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(threading, "Thread", Recording)
     dens_a = [gaussian_density(1.0, (0.3 * k, 0.0, 0.1), 0.2 + 0.1 * k) for k in range(2)]
     dens_b = [gaussian_density(0.5, (1.0, 0.2 * k, 0.0), 0.3) for k in range(3)]
     samples = 4 * MC_CHUNK + 1  # five chunks, more than either mask's CPUs
     dens, pairs = _cross_and_self(dens_a, dens_b)
     val, err = pair_integrals(dens, pairs, CONSTS, backend="mc", mc_samples=samples, seed=7)
-    assert workers == [cpus]
+    assert len(started) == cpus - 1  # worker 0 runs on the calling thread
+    assert not any(thread.is_alive() for thread in started)
     want = [_mc_reference(dens[i], dens[j], samples, 7) for i, j in pairs]
     assert np.array_equal(val, [v for v, _ in want])
     assert np.array_equal(err, [e for _, e in want])
