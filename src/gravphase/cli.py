@@ -64,8 +64,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
-        print(f"numerical guard: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"numerical guard: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -7,8 +7,8 @@ constants block that either works in natural units (G = c = hbar = 1 by
 default) or takes SI inputs together with length/mass scales that map them
 onto well-conditioned internal units.  `validate_config` is the one judge
 of a config: a config it accepts is one every scenario runner can read.
-`to_internal_units` maps a config to internal units by the schema's
-"dimension" and "default" annotations, so no runner sees a scale.
+`with_defaults` fills in the schema's "default" annotations and four derived
+defaults; `to_internal_units` then divides by the "dimension" scales.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
         },
         "time": {**_NON_NEGATIVE, "dimension": "time", "default": 1.0},
-        "backend": {"enum": ["auto", "analytic", "grid", "mc"]},
-        "mc_samples": {"type": "integer", "minimum": 2},
+        "backend": {"enum": ["auto", "analytic", "grid", "mc"], "default": "auto"},
+        "mc_samples": {"type": "integer", "minimum": 2, "default": 1000000},
         "sources": {
             "type": "object",
             "properties": {"a": _SOURCE, "b": _SOURCE},
@@ -106,7 +106,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "profile": _SOURCE,
                 "stride": {"type": "integer", "minimum": 1},
-                "save_fields": {"type": "boolean"},
+                "save_fields": {"type": "boolean", "default": True},
             },
             "required": ["profile"],
             "additionalProperties": False,
@@ -116,7 +116,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "position": _POINT,
                 "epsilon": _POINT,
-                "epsilon_scales": _NUMLIST,
+                "epsilon_scales": {**_NUMLIST, "default": [1.0]},
                 "w_start": _POSITIVE,
                 "w_halvings": {"type": "integer", "minimum": 0},
                 "grid_sizes": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
@@ -124,7 +124,7 @@ CONFIG_SCHEMA = {
                 "mass": {**_MASS, "default": 1.0},
                 "sigma_reg": _LENGTH,
                 "matter_width": _LENGTH,
-                "state_pairs": {"type": "integer", "minimum": 0},
+                "state_pairs": {"type": "integer", "minimum": 0, "default": 0},
             },
             "required": ["epsilon", "w_start", "w_halvings", "grid_sizes", "box"],
             "additionalProperties": False,
@@ -134,14 +134,14 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kvec": _VEC3,
                 "dim": {"type": "integer", "minimum": 4},
-                "weight": _POSITIVE,
+                "weight": {**_POSITIVE, "default": 1.0},
                 "tt_branch_amplitudes": _BRANCH_LIST,
                 "trace_branch_amplitudes": _BRANCH_LIST,
-                "hT_shift": _NUM,
+                "hT_shift": {**_NUM, "default": 0.0},
                 "t_start": _POSITIVE,
                 "t_stop": _POSITIVE,
-                "t_points": {"type": "integer", "minimum": 4},
-                "n_low": {"type": "integer", "minimum": 2},
+                "t_points": {"type": "integer", "minimum": 4, "default": 10},
+                "n_low": {"type": "integer", "minimum": 2, "default": 8},
             },
             "required": ["kvec", "dim", "tt_branch_amplitudes", "t_start", "t_stop"],
             "additionalProperties": False,
@@ -259,6 +259,7 @@ def validate_config(cfg: dict) -> None:
     if error is not None:
         path, message = error
         raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
+    cfg = with_defaults(cfg)
     scenario = cfg["scenario"]
     for key in _SCENARIO_BLOCKS[scenario]:
         if key not in cfg:
@@ -288,17 +289,15 @@ def validate_config(cfg: dict) -> None:
         if n < 2 or n & (n - 1):
             raise ConfigError(f"config invalid at {path}: grid size must be a power of two "
                               f">= 2, got {n}")
-    stride = cfg.get("poisson", {}).get("stride")
-    if stride is not None and "grid" in cfg and cfg["grid"]["n"] % stride:
+    if "poisson" in cfg and "grid" in cfg and cfg["grid"]["n"] % cfg["poisson"]["stride"]:
         raise ConfigError(f"config invalid at poisson/stride: stride must divide grid/n = "
-                          f"{cfg['grid']['n']}, got {stride}")
+                          f"{cfg['grid']['n']}, got {cfg['poisson']['stride']}")
     if overlap:
-        box = overlap["box"]
-        position = overlap.get("position", [box / 2] * 3)
+        box, position = overlap["box"], overlap["position"]
         if not all(0.0 <= x <= box for x in position):
             raise ConfigError(f"config invalid at overlap/position: {position} lies outside "
                               f"the box [0, {box!r}]")
-        for scale in overlap.get("epsilon_scales", [1.0]):
+        for scale in overlap["epsilon_scales"]:
             end = [x + scale * e for x, e in zip(position, overlap["epsilon"])]
             if not all(0.0 <= x <= box for x in end):
                 raise ConfigError(f"config invalid at overlap/epsilon: position + {scale!r} * "
@@ -308,19 +307,17 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("config invalid at opalg/kvec: wavevector must be nonzero")
     if opalg:
         try:
-            check_sweep_size(opalg.get("t_points", 10), len(opalg["tt_branch_amplitudes"]),
-                             opalg["dim"], min(opalg.get("n_low", 8), opalg["dim"]))
+            check_sweep_size(opalg["t_points"], len(opalg["tt_branch_amplitudes"]),
+                             opalg["dim"], min(opalg["n_low"], opalg["dim"]))
         except ValueError as exc:
             raise ConfigError(f"config invalid at opalg: {exc}") from None
-    tr_amps = opalg.get("trace_branch_amplitudes")
-    if tr_amps is not None and len(tr_amps) != len(opalg["tt_branch_amplitudes"]):
-        raise ConfigError("branch amplitude lists must have matching length")
+        if len(opalg["trace_branch_amplitudes"]) != len(opalg["tt_branch_amplitudes"]):
+            raise ConfigError("branch amplitude lists must have matching length")
     negativity = cfg.get("negativity", {})
     if negativity:
         shape = (len(negativity["amplitudes_a"]), len(negativity["amplitudes_b"]))
         for key in ("phases", "dampings"):
-            rows = negativity.get(key)
-            if rows is not None and [len(r) for r in rows] != [shape[1]] * shape[0]:
+            if [len(r) for r in negativity[key]] != [shape[1]] * shape[0]:
                 raise ConfigError(f"config invalid at negativity/{key}: expected a {shape[0]} x "
                                   f"{shape[1]} matrix (amplitudes_a x amplitudes_b)")
     # amplitudes whose squared norm is 0 or inf in double precision cannot be
@@ -393,10 +390,10 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
     return out
 
 
-def _internal(value, schema: dict, scales: dict):
+def _internal(value, schema: dict, scales: dict | None = None):
     """`value` with each default `schema` declares filled in where absent and
-    each number it gives a dimension divided by that dimension's scale."""
-    if "dimension" in schema:
+    each number it gives a dimension divided by that dimension's `scales`."""
+    if "dimension" in schema and scales:
         return value / scales[schema["dimension"]]
     if isinstance(value, dict):
         properties = schema.get("properties", {})
@@ -407,15 +404,31 @@ def _internal(value, schema: dict, scales: dict):
     return value
 
 
+def with_defaults(cfg: dict) -> dict:
+    """A schema-valid `cfg`, copied, with every default filled in, in config units."""
+    cfg = _internal(cfg, CONFIG_SCHEMA)
+    poisson, overlap, opalg, negativity = (
+        cfg.get(key, {}) for key in ("poisson", "overlap", "opalg", "negativity"))
+    if poisson and "grid" in cfg:
+        poisson.setdefault("stride", max(1, cfg["grid"]["n"] // 16))
+    if overlap:
+        overlap.setdefault("position", [overlap["box"] / 2] * 3)
+    if opalg:
+        opalg.setdefault("trace_branch_amplitudes", [0.0] * len(opalg["tt_branch_amplitudes"]))
+    if negativity:
+        negativity.setdefault("dampings", [[0.0] * len(row) for row in negativity["phases"]])
+    return cfg
+
+
 def to_internal_units(cfg: dict):
     """Returns (consts, internal_cfg, units_label) for a validated config.
 
     natural: constants taken verbatim (default 1), every scale 1.0.  si: SI
     constants (default CODATA) rescaled by the mandatory length and mass
-    scales L0 and M0, with the time scale L0/c.  `internal_cfg` is `cfg`
-    with each default the schema declares filled in and each number it
-    gives a "dimension" divided by its scale, in natural units too, so an
-    integer entry becomes a float.
+    scales L0 and M0, with the time scale L0/c.  `internal_cfg` is
+    `with_defaults(cfg)` with each number the schema gives a "dimension"
+    divided by its scale, in natural units too, so an integer entry becomes
+    a float.
     """
     block = cfg.get("constants", {})
     natural = block.get("system", "natural") == "natural"
@@ -429,7 +442,7 @@ def to_internal_units(cfg: dict):
         scales = {"length": l0, "mass": m0, "time": l0 / consts.c}
         consts = consts.rescaled(l0, m0)
         label = f"internal units (L0={l0} m, M0={m0} kg, T0=L0/c)"
-    return consts, _internal(cfg, CONFIG_SCHEMA, scales), label
+    return consts, _internal(with_defaults(cfg), CONFIG_SCHEMA, scales), label
 
 
 PRESETS: dict[str, dict] = {

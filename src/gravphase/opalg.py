@@ -143,19 +143,19 @@ class TruncatedModeSystem:
         low = self.modes[m].dim - 2
         return float(np.abs(c[:low, :low]).max())
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         for m in range(self.n_modes):
             h, pi = self.h_op(m), self.pi_op(m)
             if np.abs(h - h.conj().T).max() > 1e-12 or np.abs(pi - pi.conj().T).max() > 1e-12:
                 raise ValueError("mode operators must be self-adjoint")
-            if self.commutator_defect(m) > tol * self.consts.hbar:
-                raise ValueError(f"mode {m}: commutator defect exceeds {tol} hbar")
+            if self.commutator_defect(m) > 1e-10 * self.consts.hbar:
+                raise ValueError(f"mode {m}: commutator defect exceeds 1e-10 hbar")
 
 
 def make_single_mode_system(kvec, dim: int, consts: PhysicalConstants,
-                            weight: float = 1.0, polarization: int = 0) -> TruncatedModeSystem:
+                            weight: float = 1.0) -> TruncatedModeSystem:
     return TruncatedModeSystem(
-        modes=(ModeSpec(kvec=tuple(float(x) for x in kvec), polarization=polarization, dim=dim),),
+        modes=(ModeSpec(kvec=tuple(float(x) for x in kvec), polarization=0, dim=dim),),
         consts=consts, weight=weight,
     )
 
@@ -402,8 +402,8 @@ class PropagatorComparison:
     """The exact-vs-factorised comparison over a sweep, time axis first:
     the per-branch vacuum amplitudes <0|U_b|0> of the exact propagators,
     shape (times, d_P), the restricted operator-norm defects of the order-3
-    and order-2 products, the extracted interference data of a branch pair
-    and the commutator-ordered predictions for it."""
+    and order-2 products, the extracted interference data of branches 0
+    and 1 and the commutator-ordered predictions for it."""
 
     times: np.ndarray
     amplitudes: np.ndarray
@@ -412,7 +412,6 @@ class PropagatorComparison:
     dphase_exact: np.ndarray
     ddamping_exact: np.ndarray
     prediction: ThetaPrediction
-    branch_pair: tuple[int, int]
 
     def __post_init__(self):
         if min(self.defect_order3.min(), self.defect_order2.min()) < 0.0:
@@ -420,15 +419,13 @@ class PropagatorComparison:
 
     @property
     def dphase_predicted(self) -> np.ndarray:
-        a, b = self.branch_pair
         p = self.prediction
         total = p.phase0 + p.phase1 + p.phase2
-        return total[..., b] - total[..., a]
+        return total[..., 1] - total[..., 0]
 
     @property
     def ddamping_predicted(self) -> np.ndarray:
-        a, b = self.branch_pair
-        return self.prediction.damping0[..., b] - self.prediction.damping0[..., a]
+        return self.prediction.damping0[..., 1] - self.prediction.damping0[..., 0]
 
 
 def check_sweep_size(n_times: int, n_branches: int, field_dim: int, n_columns: int) -> None:
@@ -445,12 +442,11 @@ def check_sweep_size(n_times: int, n_branches: int, field_dim: int, n_columns: i
 
 
 def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
-                        hT_shift, times, n_low: int = 8,
-                        branch_pair: tuple[int, int] = (0, 1)) -> PropagatorComparison:
+                        hT_shift, times, n_low: int = 8) -> PropagatorComparison:
     """Evolve every branch exactly and through the order-3 and order-2
     ordered-exponential factorisations over a 1-D array of times, measure
-    their deviations on the low-lying subspace and extract the branch-pair
-    interference data.  H_G and every H_I,b are built once, and each
+    their deviations on the low-lying subspace and extract the interference
+    data of branches 0 and 1.  H_G and every H_I,b are built once, and each
     propagator function is called once for all times.
 
     Every propagator is applied only to the columns the comparison reads:
@@ -473,21 +469,21 @@ def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
                         for u_z in (u_z3, u_z2))
     # the amplitudes are copied, so that no view keeps the column stack alive
     return PropagatorComparison(
-        times, u_x[..., 0, 0].copy(), defect3, defect2, *extract_relative_phase(u_x, branch_pair),
-        predict_theta(system, probe, hT_shift, times), branch_pair)
+        times, u_x[..., 0, 0].copy(), defect3, defect2, *extract_relative_phase(u_x),
+        predict_theta(system, probe, hT_shift, times))
 
 
-def extract_relative_phase(u: np.ndarray, branch_pair: tuple[int, int]):
-    """Interference data between two probe branches from the per-branch
+def extract_relative_phase(u: np.ndarray):
+    """Interference data between probe branches 0 and 1 from the per-branch
     propagators u, shape (..., d_P, D, D) with any leading time axes, or
     from them applied to columns of which the first is the field vacuum.
 
     Per branch x the vacuum amplitude is A_x = <0|U_x|0> (the field vacuum
     is the first kron-basis vector); returns (arg, log magnitude) of
-    A_b / A_a, the relative phase and damping that an interference
+    A_1 / A_0, the relative phase and damping that an interference
     measurement on the probe reads out.
     """
-    amps = u[..., list(branch_pair), 0, 0]
+    amps = u[..., :2, 0, 0]
     weakest = float(np.abs(amps).min())
     if weakest < BRANCH_AMP_FLOOR:
         raise ValueError(f"branch suppressed: |amplitude| = {weakest:.2e}")

@@ -395,11 +395,11 @@ def pair_integrals(
     return val, np.zeros_like(val)
 
 
-def laplacian_residual(field: ScalarFieldX, e: EnergyDensity, consts: PhysicalConstants,
-                       margin: int = 3):
+def laplacian_residual(field: ScalarFieldX, e: EnergyDensity, consts: PhysicalConstants):
     """RMS of the 7-point discrete Laplacian residual del^2 h + kappa E,
-    relative to RMS(kappa E), both evaluated away from boundary cells."""
-    grid = field.grid
+    relative to RMS(kappa E), both evaluated away from the margin of 3
+    boundary cells."""
+    grid, margin = field.grid, 3
     if grid.n <= 2 * margin:
         raise ValueError(f"Laplacian residual needs N > {2 * margin} (margin {margin})")
     vals = field.values

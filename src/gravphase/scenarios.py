@@ -101,11 +101,9 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
     consts, cfg, unit_label = to_internal_units(cfg)
     spec_a = _build_source(cfg["sources"]["a"])
     spec_b = _build_source(cfg["sources"]["b"])
-    grid_cfg = cfg.get("grid")
-    grid = GridSpec(grid_cfg["n"], grid_cfg["box"]) if grid_cfg else None
+    grid = GridSpec(**cfg["grid"]) if "grid" in cfg else None
     time = cfg["time"]
-    kw = dict(grid=grid, backend=cfg.get("backend", "auto"),
-              mc_samples=cfg.get("mc_samples", 1_000_000), seed=cfg["seed"])
+    kw = dict(grid=grid, backend=cfg["backend"], mc_samples=cfg["mc_samples"], seed=cfg["seed"])
     report = compare_models(spec_a, spec_b, time, consts,
                             sigma_ladder=tuple(cfg.get("sigma_ladder", ())), **kw)
     matrices, convergence = report.pop("matrices"), report.pop("convergence")
@@ -155,21 +153,21 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
 def run_poisson(cfg: dict, outdir: Path) -> dict:
     consts, cfg, unit_label = to_internal_units(cfg)
     block = cfg["poisson"]
-    grid = GridSpec(cfg["grid"]["n"], cfg["grid"]["box"])
+    grid = GridSpec(**cfg["grid"])
     src = _build_source(block["profile"])
     if isinstance(src, LocalizedSourceSpec):
         src = src.branch_density(0)
     src = sample_on_grid(src, grid, consts)  # once: both solvers and the residual read it
 
     spectral = solve_hT_spectral(src, grid, consts)
-    stride = block.get("stride", max(1, grid.n // 16))
+    stride = block["stride"]
     direct = solve_hT_direct(src, grid, consts, stride=stride)
     sub = spectral.values[::stride, ::stride, ::stride]
     scale = np.abs(direct.values).max()  # zero for a massless profile
     backend_dev = float(np.abs(sub - direct.values).max() / scale) if scale else 0.0
     rms_res, rms_src = laplacian_residual(spectral, src, consts)
 
-    if block.get("save_fields", True):
+    if block["save_fields"]:
         fields = outdir / "fields"
         fields.mkdir(parents=True, exist_ok=True)
         gridio.save_scalar_grid(fields / "hT.f64", spectral.values, grid.box,
@@ -183,14 +181,14 @@ def run_poisson(cfg: dict, outdir: Path) -> dict:
         "grid": {"n": grid.n, "box": grid.box},
         "backend_deviation_max_rel": backend_dev,
         "laplacian_residual_rms_over_source_rms": rms_res / rms_src if rms_src else 0.0,
-        "field_files": ["fields/hT.f64", "fields/hT.f64.json"] if block.get("save_fields", True) else [],
+        "field_files": ["fields/hT.f64", "fields/hT.f64.json"] if block["save_fields"] else [],
     }
 
 
-def _random_state_pair(rng: random.Random, n_basis: int = 4):
+def _random_state_pair(rng: random.Random):
     def one():
-        k = rng.randint(1, n_basis)
-        idx = tuple(sorted(rng.sample(range(n_basis), k)))
+        k = rng.randint(1, 4)
+        idx = tuple(sorted(rng.sample(range(4), k)))
         amps = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in idx])
         amps /= np.linalg.norm(amps)
         dens = [gaussian_density(1.0, (2.0 + 0.5 * i, 2.0, 2.0), 0.25 + 0.05 * i) for i in idx]
@@ -201,13 +199,12 @@ def _random_state_pair(rng: random.Random, n_basis: int = 4):
 def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
     consts, cfg, unit_label = to_internal_units(cfg)
     block = cfg["overlap"]
-    box = block["box"]
-    pos = np.asarray(block.get("position", [box / 2] * 3), dtype=float)
+    pos = np.asarray(block["position"], dtype=float)
     eps0 = np.asarray(block["epsilon"], dtype=float)
 
     ws = [block["w_start"] * 0.5**i for i in range(block["w_halvings"] + 1)]
-    eps_stack = np.array([eps0 * scale for scale in block.get("epsilon_scales", [1.0])])
-    grids = [GridSpec(int(n), box) for n in block["grid_sizes"]]
+    eps_stack = np.array([eps0 * scale for scale in block["epsilon_scales"]])
+    grids = [GridSpec(n, block["box"]) for n in block["grid_sizes"]]
     rows = []
     for grid in grids:
         # one call per grid: the mode sum of each displacement serves every width
@@ -223,7 +220,7 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
 
     # every pair in one call, on the first sweep grid, whose |k| table is built
     rng = random.Random(cfg["seed"])
-    pairs = [_random_state_pair(rng) for _ in range(int(block.get("state_pairs", 0)))]
+    pairs = [_random_state_pair(rng) for _ in range(block["state_pairs"])]
     joint = exact_joint_overlap([a for a, _ in pairs], [b for _, b in pairs], grids[0], consts)
     max_identity_dev = max((float(abs(j - source_overlap(a, b)))
                             for j, (a, b) in zip(joint, pairs)), default=0.0)
@@ -252,21 +249,17 @@ def _fit_slope(ts, values):
 def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     consts, cfg, unit_label = to_internal_units(cfg)
     block = cfg["opalg"]
-    dim = block["dim"]
-    system = make_single_mode_system(block["kvec"], dim, consts,
-                                     weight=block.get("weight", 1.0))
+    system = make_single_mode_system(block["kvec"], block["dim"], consts, weight=block["weight"])
     system.validate()
-    tt_amps = block["tt_branch_amplitudes"]
-    tr_amps = block.get("trace_branch_amplitudes", [0.0] * len(tt_amps))
     e_plus, _ = polarization_tensors(block["kvec"])
     trans = transverse_projector(block["kvec"])  # trace amplitude b gives P:T = b
-    branch_tensors = [a * e_plus + 0.5 * b * trans for a, b in zip(tt_amps, tr_amps)]
+    branch_tensors = [a * e_plus + 0.5 * b * trans for a, b in
+                      zip(block["tt_branch_amplitudes"], block["trace_branch_amplitudes"])]
     probe = c_number_probe_stress(system, branch_tensors)
-    hT = np.array([block.get("hT_shift", 0.0)])
-    n_low = block.get("n_low", 8)
+    hT = np.array([block["hT_shift"]])
 
-    ts = np.geomspace(block["t_start"], block["t_stop"], block.get("t_points", 10))
-    comp = compare_propagators(system, probe, hT, ts, n_low=n_low)
+    ts = np.geomspace(block["t_start"], block["t_stop"], block["t_points"])
+    comp = compare_propagators(system, probe, hT, ts, n_low=block["n_low"])
     pred = comp.prediction
     resid = comp.dphase_exact - (pred.phase0[:, 1] - pred.phase0[:, 0])
     write_csv(outdir / "tables" / "zassenhaus.csv",
@@ -337,12 +330,11 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
 
 
 def run_negativity(cfg: dict, outdir: Path) -> dict:
-    block = cfg["negativity"]
+    block = to_internal_units(cfg)[1]["negativity"]
     amps_a = np.array([_amplitude(a) for a in block["amplitudes_a"]])
     amps_b = np.array([_amplitude(a) for a in block["amplitudes_b"]])
-    phases = np.asarray(block["phases"], dtype=float)
-    dampings = np.asarray(block.get("dampings", np.zeros_like(phases)), dtype=float)
-    pm = PhaseMatrix(model="explicit", theta=dampings + 1j * phases)
+    pm = PhaseMatrix(model="explicit", theta=np.asarray(block["dampings"], dtype=float)
+                     + 1j * np.asarray(block["phases"], dtype=float))
     value = negativity(amps_a / np.linalg.norm(amps_a), amps_b / np.linalg.norm(amps_b), pm)
     write_csv(outdir / "tables" / "negativity.csv", ["negativity"], [(value,)])
     return {

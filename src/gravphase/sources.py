@@ -237,10 +237,9 @@ class QuantumSourceState:
             raise ValueError("state amplitudes must be normalised")
 
     @classmethod
-    def from_localized(cls, spec: LocalizedSourceSpec, index_offset: int = 0) -> "QuantumSourceState":
+    def from_localized(cls, spec: LocalizedSourceSpec) -> "QuantumSourceState":
         dens = [spec.branch_density(i) for i in range(spec.n_branches)]
-        idx = tuple(index_offset + i for i in range(spec.n_branches))
-        return cls(amplitudes=spec.amplitudes, densities=dens, indices=idx)
+        return cls(amplitudes=spec.amplitudes, densities=dens, indices=range(spec.n_branches))
 
 
 def source_overlap(psi: QuantumSourceState, phi: QuantumSourceState) -> complex:

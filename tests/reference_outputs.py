@@ -1,27 +1,41 @@
-"""Reference outputs: the CSV tables of a fixed set of runs, committed under
-tests/reference/ so that any change to the bytes a run writes shows in the
-test suite (tests/test_reference_outputs.py).
+"""Reference outputs: the CSV tables of a fixed set of runs, and a sha256 of
+each field file they write, committed under tests/reference/ so that any
+change to the bytes a run writes shows in the test suite
+(tests/test_reference_outputs.py).
 
 Regenerate them, after a change that moves an output on purpose, with
 
     PYTHONPATH=src python tests/reference_outputs.py
 
-and say in CHANGES.md which tables moved and by how much.  The manifest
-records the numpy version and BLAS the references were made with: on
-another stack the last bits may differ.
+and say in CHANGES.md which tables moved and by how much.
+
+    PYTHONPATH=src python tests/reference_outputs.py --check
+
+reruns every case without writing anything and prints, for each table that
+moved, the largest relative shift of each column (the number a CHANGES.md
+entry quotes), and each field file whose hash moved; it exits 1 if anything
+moved.  The manifest records the numpy version and BLAS the references were
+made with: on another stack the last bits may differ.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import hashlib
+import importlib.util
+import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 REFERENCE = Path(__file__).resolve().parent / "reference"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 PRESETS = ("gie-2x2", "semiclassical-overlap", "sn-vs-full", "wide-gaussian-pair",
            "zassenhaus-t3")
+SOLVER_SEEDS = (0, 1)
 
 
 def _gie(**edits) -> dict:
@@ -42,15 +56,41 @@ def _gie_on_grid() -> dict:
     return cfg
 
 
+def _workloads():
+    """The benchmark's workload module, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location("reference_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _solver_configs(names: tuple) -> dict[str, dict]:
+    """The benchmark's `solvers` configs of `names` at SOLVER_SEEDS, each
+    with the seed its benchmark run sets."""
+    wl = _workloads()
+    make = {"phase-grid": lambda seed: wl.phase_config(seed, "grid"),
+            "phase-mc": lambda seed: wl.phase_config(seed, "mc"),
+            "poisson-oracle": wl.poisson_config}
+    return {f"{name}-{seed}": {**make[name](seed), "seed": seed}
+            for seed in SOLVER_SEEDS for name in names}
+
+
 def cases() -> dict[str, dict]:
-    """Config of each reference case by name."""
+    """Config of each reference case that writes tables, by name."""
     from gravphase.config import get_preset
 
     out = {name: get_preset(name) for name in PRESETS}
     out["gie-2x2-mc"] = _gie(backend="mc", mc_samples=20_000)
     out["gie-2x2-grid"] = _gie_on_grid()
     out["gie-2x2-time-0"] = _gie(time=0.0)
+    out.update(_solver_configs(("phase-grid", "phase-mc")))
     return out
+
+
+def field_cases() -> dict[str, dict]:
+    """Config of each reference case that writes field files only, by name."""
+    return _solver_configs(("poisson-oracle",))
 
 
 def stack() -> dict:
@@ -62,14 +102,23 @@ def stack() -> dict:
 
 
 def run_tables(cfg: dict, workdir: Path) -> dict[str, bytes]:
-    """The tables a `gravphase run` of `cfg` writes, by file name."""
+    """The tables a `gravphase run` of `cfg` writes, by file name; the run's
+    other outputs stay under workdir/out."""
     from gravphase.cli import main
 
     path, out = workdir / "cfg.json", workdir / "out"
     path.write_text(json.dumps(cfg))
-    if main(["run", str(path), "--out", str(out)]) != 0:
+    with contextlib.redirect_stdout(io.StringIO()):  # the run's summary line
+        code = main(["run", str(path), "--out", str(out)])
+    if code != 0:
         raise RuntimeError(f"run of {cfg['scenario']} config did not exit 0")
     return {p.name: p.read_bytes() for p in sorted((out / "tables").glob("*.csv"))}
+
+
+def field_hashes(workdir: Path) -> dict[str, str]:
+    """sha256 of each field file the run in `workdir` wrote, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((workdir / "out" / "fields").glob("*"))}
 
 
 def recorded(name: str) -> dict[str, bytes]:
@@ -80,22 +129,84 @@ def manifest() -> dict:
     return json.loads((REFERENCE / "manifest.json").read_text())
 
 
-def regenerate() -> None:
-    tables = {}
-    for name, cfg in cases().items():
+def _run_all():
+    """(tables, field hashes) of every case, by case name."""
+    tables, fields = {}, {}
+    for name, cfg in {**cases(), **field_cases()}.items():
         with tempfile.TemporaryDirectory() as tmp:
-            got = run_tables(copy.deepcopy(cfg), Path(tmp))
+            tables[name] = run_tables(copy.deepcopy(cfg), Path(tmp))
+            fields[name] = field_hashes(Path(tmp))
+    return tables, fields
+
+
+def regenerate() -> None:
+    tables, fields = _run_all()
+    for name, got in tables.items():
         target = REFERENCE / name
-        target.mkdir(parents=True, exist_ok=True)
         for stale in target.glob("*.csv"):
             stale.unlink()
         for table, body in got.items():
+            target.mkdir(parents=True, exist_ok=True)
             (target / table).write_bytes(body)
-        tables[name] = sorted(got)
-    (REFERENCE / "manifest.json").write_text(
-        json.dumps({"stack": stack(), "tables": tables}, indent=2) + "\n")
+    (REFERENCE / "manifest.json").write_text(json.dumps(
+        {"stack": stack(), "tables": {name: sorted(got) for name, got in tables.items() if got},
+         "fields": {name: got for name, got in fields.items() if got}}, indent=2) + "\n")
+
+
+def _shift(new: str, old: str) -> float:
+    """|new - old| / |old| of two numeric cells, 0 for equal cells, inf for a
+    number that left 0 or a text cell that changed."""
+    if new == old:
+        return 0.0
+    try:
+        a, b = float(new), float(old)
+    except ValueError:
+        return math.inf
+    return abs(a - b) / abs(b) if b else math.inf
+
+
+def column_shifts(new: bytes, old: bytes) -> dict[str, float]:
+    """The largest relative shift of each column from table `old` to `new`;
+    a header or row count that changed reads inf in every column."""
+    new_rows = [line.split(",") for line in new.decode().splitlines()]
+    old_rows = [line.split(",") for line in old.decode().splitlines()]
+    header = old_rows[0]
+    if new_rows[0] != header or len(new_rows) != len(old_rows):
+        return dict.fromkeys(header, math.inf)
+    return {col: max((_shift(n[k], o[k]) for n, o in zip(new_rows[1:], old_rows[1:])),
+                     default=0.0) for k, col in enumerate(header)}
+
+
+def check() -> int:
+    """Print what moved from the committed references; the count of files
+    that moved."""
+    tables, fields = _run_all()
+    want_fields = manifest().get("fields", {})
+    moved = 0
+    for name, got in tables.items():
+        want = recorded(name)
+        for table in sorted(set(got) | set(want)):
+            if got.get(table) == want.get(table):
+                continue
+            moved += 1
+            if table not in got or table not in want:
+                print(f"{name}/{table}: {'not written' if table in want else 'not recorded'}")
+                continue
+            shifts = column_shifts(got[table], want[table])
+            print(f"{name}/{table}: " + ", ".join(f"{col} {shift:.3g}"
+                                                  for col, shift in shifts.items()))
+        for field in sorted(set(fields[name]) | set(want_fields.get(name, {}))):
+            if fields[name].get(field) != want_fields.get(name, {}).get(field):
+                moved += 1
+                print(f"{name}/fields/{field}: sha256 moved")
+    if moved:
+        print(f"{moved} file(s) moved; references recorded on {manifest()['stack']}, "
+              f"running on {stack()}")
+    return moved
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(1 if check() else 0)
     regenerate()
     print(f"wrote {REFERENCE}", file=sys.stderr)

@@ -312,7 +312,7 @@ def test_criterion_7_commutator_phase_verification():
     resid, damp = [], []
     for t in ts:
         u = exact_propagator(hg + hi, t, consts.hbar)
-        dphase, dmag = extract_relative_phase(u, (0, 1))
+        dphase, dmag = extract_relative_phase(u)
         pred = predict_theta(system, probe, hT, t)
         resid.append(dphase - float(pred.phase0[1] - pred.phase0[0]))
         damp.append(abs(dmag))

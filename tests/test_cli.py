@@ -807,6 +807,24 @@ def test_a_non_finite_result_is_a_numerical_guard_not_a_report(tmp_path, monkeyp
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8.00 GiB")])
+def test_running_out_of_memory_is_a_numerical_guard(tmp_path, monkeypatch, capsys, error):
+    # a schema-valid config can ask for more memory than the host has (a
+    # phase-compare grid of n = 1024 does); the run exits 2 on one line
+    from gravphase import scenarios
+
+    def runner(cfg, outdir):
+        raise error
+
+    monkeypatch.setitem(scenarios._RUNNERS, "negativity", runner)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_negativity()))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"numerical guard: {error if str(error) else 'MemoryError'}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_one_sample_mc_run_is_a_config_error(tmp_path, capsys):
     # a single draw has a sample variance of 0: the run would report an
     # exact value with stderr_rad 0 on every row

@@ -28,6 +28,7 @@ from gravphase.config import (
     schema_error,
     to_internal_units,
     validate_config,
+    with_defaults,
 )
 from gravphase.sources import PhysicalConstants
 
@@ -276,3 +277,93 @@ def test_natural_units_turn_dimensional_integers_into_floats_only():
     assert internal["grid"]["box"] == 8.0 and profile["center"] == [4.0, 4.0, 4.0]
     assert [type(x) for x in (internal["grid"]["n"], internal["poisson"]["stride"],
                               internal["seed"])] == [int] * 3
+
+
+def _schema_defaults(schema: dict, path: tuple = ()):
+    """(path, value) of every "default" CONFIG_SCHEMA declares."""
+    if "default" in schema:
+        yield path, schema["default"]
+    for key, sub in schema.get("properties", {}).items():
+        yield from _schema_defaults(sub, path + (key,))
+
+
+# the reference case (tests/reference_outputs.py) that reads each block's defaults
+_DEFAULTS_CASE = {(): "phase-mc-0", ("poisson",): "poisson-oracle-0",
+                  ("overlap",): "semiclassical-overlap", ("opalg",): "zassenhaus-t3"}
+SCHEMA_DEFAULTS = list(_schema_defaults(CONFIG_SCHEMA))
+
+
+def test_the_schema_declares_every_static_default():
+    assert {"/".join(path): value for path, value in SCHEMA_DEFAULTS} == {
+        "time": 1.0, "backend": "auto", "mc_samples": 1_000_000, "poisson/save_fields": True,
+        "overlap/epsilon_scales": [1.0], "overlap/mass": 1.0, "overlap/state_pairs": 0,
+        "opalg/weight": 1.0, "opalg/hT_shift": 0.0, "opalg/t_points": 10, "opalg/n_low": 8}
+
+
+@pytest.mark.parametrize("path,default", SCHEMA_DEFAULTS,
+                         ids=["/".join(path) for path, _ in SCHEMA_DEFAULTS])
+def test_an_absent_key_runs_as_its_schema_default(path, default, tmp_path):
+    # the run without the key and the run with the key set to the schema's
+    # default write the same bytes, and the runners read the filled value
+    import reference_outputs as ref
+
+    cfg = {**ref.cases(), **ref.field_cases()}[_DEFAULTS_CASE[path[:-1]]]
+    outputs = []
+    for tag in ("absent", "given"):
+        run = copy.deepcopy(cfg)
+        block = run
+        for key in path[:-1]:
+            block = block[key]
+        block.pop(path[-1], None)
+        if tag == "given":
+            block[path[-1]] = default
+        internal = to_internal_units(run)[1]
+        for key in path:
+            internal = internal[key]
+        assert internal == default  # natural units: every scale is 1
+        (tmp_path / tag).mkdir()
+        ref.run_tables(run, tmp_path / tag)
+        out = tmp_path / tag / "out"
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                        if p.is_file() and p.name != "report.json"})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_the_derived_defaults_follow_the_fields_they_derive_from():
+    overlap = get_preset("semiclassical-overlap")
+    del overlap["overlap"]["position"]
+    opalg = get_preset("zassenhaus-t3")
+    del opalg["opalg"]["trace_branch_amplitudes"]
+    negativity = {"scenario": "negativity", "seed": 0, "negativity": {
+        "amplitudes_a": [1.0, 1.0, 1.0], "amplitudes_b": [1.0, 1.0], "phases": [[0, 1]] * 3}}
+    poisson = {"scenario": "poisson", "seed": 0, "grid": {"n": 64, "box": 8},
+               "poisson": {"profile": {"type": "gaussian", "mass": 1.0, "center": [4, 4, 4],
+                                       "sigma": 1.0}}}
+    raw = copy.deepcopy([overlap, opalg, negativity, poisson])
+    assert with_defaults(overlap)["overlap"]["position"] == [4.0, 4.0, 4.0]
+    assert with_defaults(opalg)["opalg"]["trace_branch_amplitudes"] == [0.0, 0.0]
+    assert with_defaults(negativity)["negativity"]["dampings"] == [[0.0, 0.0]] * 3
+    assert with_defaults(poisson)["poisson"]["stride"] == 4
+    assert with_defaults({**poisson, "grid": {"n": 8, "box": 8}})["poisson"]["stride"] == 1
+    assert [overlap, opalg, negativity, poisson] == raw  # the report echoes the config as given
+
+
+def test_no_runner_and_no_cross_field_check_restates_a_default():
+    # an absent key reads as None or as nothing to do; every other default
+    # is the schema's or with_defaults'
+    import ast
+    import inspect
+    import textwrap
+
+    from gravphase import scenarios
+
+    for owner in (scenarios, validate_config):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(owner)))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and len(node.args) == 2):
+                fallback = node.args[1]
+                empty = (isinstance(fallback, ast.Constant) and fallback.value is None
+                         or isinstance(fallback, ast.Dict) and not fallback.keys
+                         or isinstance(fallback, (ast.Tuple, ast.List)) and not fallback.elts)
+                assert empty, f"{owner.__name__}: {ast.unparse(node)} restates a default"

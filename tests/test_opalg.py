@@ -223,13 +223,13 @@ def test_predict_theta_zero_and_term_selection():
 
 def test_extract_relative_phase_identity_and_free():
     identity = np.broadcast_to(np.eye(40), (2, 40, 40))
-    dphase, dmag = extract_relative_phase(identity, (0, 1))
+    dphase, dmag = extract_relative_phase(identity)
     assert dphase == 0.0 and dmag == 0.0
     gap = 0.8
     t = 0.37
     # H_b = b * gap on the field space: branch 1 picks up e^{-i gap t}
     u = np.stack([expm(-1j * t * b * gap * np.eye(40)) for b in (0, 1)])
-    dphase, dmag = extract_relative_phase(u, (0, 1))
+    dphase, dmag = extract_relative_phase(u)
     assert abs(dphase + gap * t) < 1e-12
     assert abs(dmag) < 1e-12
 
@@ -239,7 +239,7 @@ def test_extract_relative_phase_suppressed_branch():
     u[:, 1, 0] = 1.0  # moves everything out of the vacuum
     u += 1e-15 * np.eye(40)
     with pytest.raises(ValueError, match="suppressed"):
-        extract_relative_phase(u, (0, 1))
+        extract_relative_phase(u)
 
 
 def test_full_evolution_matches_closed_form_and_predictions():
@@ -256,7 +256,7 @@ def test_full_evolution_matches_closed_form_and_predictions():
     hi = build_HI(sys1, probe, hT)
     for t in (0.05, 0.1, 0.2):
         u = exact_propagator(hg + hi, t, 1.0)
-        dphase, dmag = extract_relative_phase(u, (0, 1))
+        dphase, dmag = extract_relative_phase(u)
         pred = predict_theta(sys1, probe, hT, t)
         # trace coupling: c-number branch phase, exact at all orders
         phase0 = pred.phase0[1] - pred.phase0[0]
@@ -321,7 +321,7 @@ def test_damping_t2_scaling():
     mags = []
     for t in ts:
         u = exact_propagator(hg + hi, t, 1.0)
-        _, dmag = extract_relative_phase(u, (0, 1))
+        _, dmag = extract_relative_phase(u)
         mags.append(abs(dmag))
     slope = np.polyfit(np.log(ts), np.log(mags), 1)[0]
     assert 1.9 <= slope <= 2.1
@@ -454,8 +454,7 @@ def test_sweep_is_bit_identical_to_single_time_calls():
             dense = max(float(np.linalg.norm((ub - zb) @ proj, 2))
                         for ub, zb in zip(u_exact, u_z))
             assert abs(defect - dense) <= full_bound
-        assert (comp.dphase_exact[k], comp.ddamping_exact[k]) == extract_relative_phase(
-            u_x, (0, 1))
+        assert (comp.dphase_exact[k], comp.ddamping_exact[k]) == extract_relative_phase(u_x)
         single = compare_propagators(system, probe, hT, [t])
         assert np.array_equal(single.amplitudes[0], comp.amplitudes[k])
         assert (single.defect_order3[0], single.defect_order2[0]) == (

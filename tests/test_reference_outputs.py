@@ -34,3 +34,20 @@ def test_tables_match_the_references_byte_for_byte(name, tmp_path):
             line, (new, old) = next(((k, p) for k, p in enumerate(lines, 1) if p[0] != p[1]),
                                     ("end", ("", "")))
             pytest.fail(f"{name}/{table} line {line}: {new!r}, reference {old!r} ({_stacks()})")
+
+
+@pytest.mark.parametrize("name", sorted(ref.field_cases()))
+def test_field_files_match_their_recorded_sha256(name, tmp_path):
+    want = ref.manifest()["fields"][name]
+    assert ref.run_tables(ref.field_cases()[name], tmp_path) == {}
+    assert ref.field_hashes(tmp_path) == want, f"{name}: field files moved ({_stacks()})"
+
+
+def test_column_shifts_read_the_largest_relative_change_of_each_column():
+    old = b"model,i,phase_rad\ngeneral,0,2.0\ngeneral,1,-4.0\n"
+    new = b"model,i,phase_rad\ngeneral,0,2.0000000000000004\ngeneral,1,-4.5\n"
+    assert ref.column_shifts(new, new) == {"model": 0.0, "i": 0.0, "phase_rad": 0.0}
+    assert ref.column_shifts(new, old) == {"model": 0.0, "i": 0.0, "phase_rad": 0.125}
+    renamed = b"model,i,phase_rad\nnewton,0,2.0\ngeneral,1,-4.0\n"
+    assert ref.column_shifts(renamed, old)["model"] == float("inf")
+    assert set(ref.column_shifts(old + b"general,2,1.0\n", old).values()) == {float("inf")}
