@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gridio
+from .grids import LATTICE_BYTES_LIMIT
 from .opalg import check_sweep_size
 from .sources import PhysicalConstants
 
@@ -227,29 +228,23 @@ _SOURCE_KEYS = {"localized": ("mass", "branches"), "gaussian": ("mass", "center"
 
 
 def _check_grid_file(where: str, path: str, cfg: dict) -> None:
-    """Check a grid-file source from its sidecar header and payload size,
-    without reading the payload: N and L against `grid` as `sample_on_grid`
-    will check them."""
-    def refuse(message):
-        return ConfigError(f"config invalid at {where}: {message}")
-
-    if not Path(path).exists():
-        raise refuse(f"referenced grid file not found: {path}")
-    if cfg.get("constants", {}).get("system") == "si":
-        raise refuse("a grid file records no unit system and cannot be read under si constants")
-    try:
-        header = gridio.read_header(path)
-        n, box = int(header["N"]), float(header["L"])
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise refuse(f"unreadable grid header {path}{gridio.HEADER_SUFFIX}: {exc!r}") from None
+    """Check a grid-file source by `gridio.read_header`, without reading the
+    payload, then its N and L against `grid` as `sample_on_grid` will check
+    them; the rule it breaks is a ConfigError."""
     grid = cfg.get("grid")
-    if grid is not None and n != grid["n"]:
-        raise refuse(f"grid file has N = {n}, grid/n is {grid['n']}")
-    size = Path(path).stat().st_size
-    if size != 8 * n**3:
-        raise refuse(f"grid file payload has {size} bytes, header N = {n} needs {8 * n**3}")
-    if grid is not None and not np.isclose(box, grid["box"]):
-        raise refuse(f"grid file has L = {box!r}, grid/box is {grid['box']!r}")
+    try:
+        if not Path(path).exists():
+            raise ValueError(f"referenced grid file not found: {path}")
+        if cfg.get("constants", {}).get("system") == "si":
+            raise ValueError("a grid file records no unit system and cannot be read under si "
+                             "constants")
+        n, box, _ = gridio.read_header(path)
+        if grid is not None and n != grid["n"]:
+            raise ValueError(f"grid file has N = {n}, grid/n is {grid['n']}")
+        if grid is not None and not np.isclose(box, grid["box"]):
+            raise ValueError(f"grid file has L = {box!r}, grid/box is {grid['box']!r}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config invalid at {where}: {exc}") from None
 
 
 def validate_config(cfg: dict) -> None:
@@ -280,15 +275,23 @@ def validate_config(cfg: dict) -> None:
     if scenario == "phase-compare" and any(
             cfg["sources"][k]["type"] not in ("localized", "gaussian") for k in "ab"):
         raise ConfigError("phase-compare sources must be localized or gaussian")
-    grid_sizes = {"grid/n": cfg["grid"]["n"]} if "grid" in cfg else {}
+    # each grid size and the bytes of the largest lattice table the run builds
+    # on it: the (n+1)^3 octant of the grid pair sums, or the (n, n, n, 3) wavevectors
+    grid_sizes = {}
+    if "grid" in cfg:
+        n, pair_sums = cfg["grid"]["n"], scenario == "phase-compare" and cfg["backend"] == "grid"
+        grid_sizes["grid/n"] = n, (8 * (n + 1) ** 3 if pair_sums else 0)
     overlap = cfg.get("overlap")
     if overlap:
-        grid_sizes.update((f"overlap/grid_sizes/{i}", n)
+        grid_sizes.update((f"overlap/grid_sizes/{i}", (n, 24 * n**3))
                           for i, n in enumerate(overlap["grid_sizes"]))
-    for path, n in grid_sizes.items():
+    for path, (n, table) in grid_sizes.items():
         if n < 2 or n & (n - 1):
             raise ConfigError(f"config invalid at {path}: grid size must be a power of two "
                               f">= 2, got {n}")
+        if table > LATTICE_BYTES_LIMIT:
+            raise ConfigError(f"config invalid at {path}: N = {n} needs a lattice table of "
+                              f"{table} bytes, above the limit of {LATTICE_BYTES_LIMIT}")
     if "poisson" in cfg and "grid" in cfg and cfg["grid"]["n"] % cfg["poisson"]["stride"]:
         raise ConfigError(f"config invalid at poisson/stride: stride must divide grid/n = "
                           f"{cfg['grid']['n']}, got {cfg['poisson']['stride']}")

@@ -30,18 +30,23 @@ def save_scalar_grid(path, values: np.ndarray, box: float, units: str = "", mass
     Path(str(path) + HEADER_SUFFIX).write_text(json.dumps(header, indent=2) + "\n")
 
 
-def read_header(path) -> dict:
-    """The JSON sidecar header of the grid file at `path`."""
-    return json.loads(Path(str(path) + HEADER_SUFFIX).read_text())
+def read_header(path) -> tuple[int, float, dict]:
+    """(N, L, header) of the grid file at `path`, from its JSON sidecar header,
+    once the payload, which is not read, holds N^3 float64 values.  Raises
+    ValueError naming the rule a file breaks."""
+    try:
+        header = json.loads(Path(str(path) + HEADER_SUFFIX).read_text())
+        n, box = int(header["N"]), float(header["L"])
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"unreadable grid header {path}{HEADER_SUFFIX}: {exc!r}") from None
+    size = Path(path).stat().st_size
+    if size != 8 * n**3:
+        raise ValueError(f"grid file payload has {size} bytes, header N = {n} needs {8 * n**3}")
+    return n, box, header
 
 
 def load_scalar_grid(path):
-    """Returns (values, box, header_dict)."""
-    path = Path(path)
-    header = read_header(path)
-    n = int(header["N"])
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if raw.size != n**3:
-        raise ValueError(f"payload has {raw.size} values, header says {n ** 3}")
-    values = raw.reshape((n, n, n), order="F").copy()
-    return values, float(header["L"]), header
+    """Returns (values, box, header_dict), after the checks of `read_header`."""
+    n, box, header = read_header(path)
+    raw = np.frombuffer(Path(path).read_bytes(), dtype="<f8")
+    return raw.reshape((n, n, n), order="F").copy(), box, header

@@ -1,13 +1,13 @@
 """Cubic periodic grid bookkeeping shared by the spectral modules.
 
 `GridSpec` owns the tables every spectral computation on a grid reads: the
-mode magnitudes |k|, the mask of the nonzero modes, the lattice 1/r kernel
-over the non-negative offsets (the octant) and, built from it, the spectrum
-of the doubled-box kernel of the free-space (Hockney) convolution, real as
-the kernel is even.  Each is built on first use, once per grid object, and
-is read-only; equality and hashing still go by (n, box) alone.  The wavevector
-lattice stays an uncached method: its (n, n, n, 3) array is read once per
-overlap call.
+mode magnitudes |k|, the lattice 1/r kernel over the non-negative offsets
+(the octant) and, built from it, the spectrum of the doubled-box kernel of
+the free-space (Hockney) convolution, real as the kernel is even.  Each is
+built on first use, once per grid object, and is read-only; equality and
+hashing still go by (n, box) alone.  The wavevector lattice stays an
+uncached method: its (n, n, n, 3) array is read once per overlap call.  In
+the FFT layout k = 0 is element 0 of every flattened mode table.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ import numpy as np
 # Average of 1/|r| over the unit cube centred at the origin, in closed form.
 _UNIT_CUBE_INV_R_AVERAGE = 3.0 * math.log(2.0 + math.sqrt(3.0)) - math.pi / 2.0
 
+# bytes of the largest lattice table a run may build, checked at load: the
+# octant of the grid pair sums or the wavevector lattice of the overlap sweep
+LATTICE_BYTES_LIMIT = 2**27
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -31,10 +35,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class GridSpec:
     """N^3 lattice on a cubic box of side `box`; nodes sit at i*h, i = 0..n-1.
 
-    It owns the read-only tables built from (n, box) on first use: |k| and
-    the nonzero-mode mask for the overlaps, the lattice 1/r octant that the
-    separable pair sums contract, and the doubled-box kernel spectrum, made
-    from the octant, that the spectral solve multiplies by."""
+    It owns the read-only tables built from (n, box) on first use: |k| for
+    the overlaps, the lattice 1/r octant that the separable pair sums
+    contract, and the doubled-box kernel spectrum, made from the octant,
+    that the spectral solve multiplies by."""
 
     n: int
     box: float
@@ -65,8 +69,7 @@ class GridSpec:
     def k_lattice(self) -> np.ndarray:
         """Wavevectors, shape (n, n, n, 3), FFT layout."""
         k = self.k_axis()
-        kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
-        return np.stack([kx, ky, kz], axis=-1)
+        return np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1)
 
     @cached_property
     def k_magnitude(self) -> np.ndarray:
@@ -74,13 +77,6 @@ class GridSpec:
         squared axis wavenumbers without forming the lattice."""
         k2 = self.k_axis() ** 2
         return _read_only(np.sqrt(k2[:, None, None] + k2[None, :, None] + k2[None, None, :]))
-
-    @cached_property
-    def nonzero_mode_mask(self) -> np.ndarray:
-        """True on every mode but k = 0."""
-        mask = np.ones((self.n,) * 3, dtype=bool)
-        mask[0, 0, 0] = False
-        return _read_only(mask)
 
     @cached_property
     def coulomb_octant(self) -> np.ndarray:

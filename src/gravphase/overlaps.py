@@ -10,10 +10,11 @@ inner product collapses onto the matter overlap alone: the per-mode shift
 phases cancel exactly for equal eigen-densities and orthogonal eigenstates
 drop out (`exact_joint_overlap`).
 
-Mode data live on the FFT lattice, whose |k| and nonzero-mode mask are the
-grid's own tables; Fourier amplitudes carry the cell-volume factor h^3
-(physical convention, stable under grid refinement) and the k = 0 mode never
-enters a product.  Only transverse-traceless vacuum factors and trace-part
+Mode data live on the FFT lattice, whose |k| is the grid's own table;
+Fourier amplitudes carry the cell-volume factor h^3 (physical convention,
+stable under grid refinement).  The k = 0 mode is element 0 of a flattened
+mode table and never enters a product: every function reads
+`.reshape(-1)[1:]`.  Only transverse-traceless vacuum factors and trace-part
 shift phases matter: the longitudinal and trace momentum integrations are
 common normalisation between bra and ket.
 """
@@ -32,6 +33,7 @@ from .sources import (
     effective_sigma,
     point_density,
     sample_on_grid,
+    source_overlap,
 )
 
 SHIFT_CANCEL_TOL = 1e-14
@@ -52,12 +54,10 @@ def build_field_state(e: EnergyDensity, consts: PhysicalConstants, grid: GridSpe
     stable under grid refinement.
     """
     vals = sample_on_grid(e, grid, consts).values
-    ek = np.fft.fftn(vals) * grid.cell_volume
-    kmag = grid.k_magnitude
-    mask = grid.nonzero_mode_mask
+    ek = (np.fft.fftn(vals) * grid.cell_volume).reshape(-1)
     hk = np.zeros_like(ek)
-    hk[mask] = consts.kappa * ek[mask] / kmag[mask] ** 2
-    return hk / (2.0 * consts.hbar)
+    hk[1:] = consts.kappa * ek[1:] / grid.k_magnitude.reshape(-1)[1:] ** 2
+    return hk.reshape(vals.shape) / (2.0 * consts.hbar)
 
 
 def exact_joint_overlap(psi_a, psi_b, grid: GridSpec, consts: PhysicalConstants):
@@ -68,7 +68,7 @@ def exact_joint_overlap(psi_a, psi_b, grid: GridSpec, consts: PhysicalConstants)
     verified to cancel mode by mode (gravity factor exactly 1); an index only
     one state carries meets the matter factor <E'|E> = 0, so its field state
     is never built.  The result therefore equals the bare matter overlap,
-    which is what this function returns after the checks.
+    `source_overlap`, which this function returns after the checks.
 
     `psi_a` and `psi_b` may also be equal-length sequences of states, paired
     element by element; the result is then a complex array, one entry per
@@ -90,25 +90,19 @@ def exact_joint_overlap(psi_a, psi_b, grid: GridSpec, consts: PhysicalConstants)
             field_states[key] = build_field_state(dens, consts, grid)
         return field_states[key]
 
-    result = np.zeros(len(pairs_a), dtype=complex)
-    for k, (a, b) in enumerate(zip(pairs_a, pairs_b)):
-        amp_b = dict(zip(b.indices, b.amplitudes))
+    for a, b in zip(pairs_a, pairs_b):
         dens_b = dict(zip(b.indices, b.densities))
-        out = 0.0 + 0.0j
-        for idx, amp, dens in zip(a.indices, a.amplitudes, a.densities):
-            if idx not in amp_b:
+        for idx, dens in zip(a.indices, a.densities):
+            if idx not in dens_b:
                 continue
             da, db = field_state(dens), field_state(dens_b[idx])
             if da is not db:
                 scale = max(np.abs(da).max(), 1.0)
                 defect = np.abs(da - db).max() / scale
                 if defect > SHIFT_CANCEL_TOL:
-                    raise ValueError(
-                        f"eigenstate index {idx} carries inconsistent densities "
-                        f"(per-mode shift mismatch {defect:.2e})"
-                    )
-            out += np.conj(amp) * amp_b[idx]
-        result[k] = out
+                    raise ValueError(f"eigenstate index {idx} carries inconsistent densities "
+                                     f"(per-mode shift mismatch {defect:.2e})")
+    result = np.array([source_overlap(a, b) for a, b in zip(pairs_a, pairs_b)], dtype=complex)
     return complex(result[0]) if single else result
 
 
@@ -122,12 +116,10 @@ def analytic_point_amplitudes(mass: float, sigma: float, grid: GridSpec,
     changes a mode product only by adding modes.  The grid-solve transform
     agrees with these values mode by mode up to discretisation (tested).
     """
-    kmag = grid.k_magnitude
-    mask = grid.nonzero_mode_mask
-    out = np.zeros_like(kmag)
-    k2 = kmag[mask] ** 2
-    out[mask] = consts.kappa * mass * consts.c**2 * np.exp(-0.5 * sigma**2 * k2) / k2
-    return out
+    k2 = grid.k_magnitude.reshape(-1)[1:] ** 2
+    out = np.zeros(grid.n**3)
+    out[1:] = consts.kappa * mass * consts.c**2 * np.exp(-0.5 * sigma**2 * k2) / k2
+    return out.reshape((grid.n,) * 3)
 
 
 def overlap_from_log(log_overlap: float) -> float:
@@ -182,10 +174,14 @@ def semiclassical_overlap(
         raise ValueError("matter width must be positive")
     hk2 = analytic_point_amplitudes(mass, sigma_reg, grid, consts) ** 2
     kvec = grid.k_lattice()
-    mask = grid.nonzero_mode_mask
     rows = eps.reshape(-1, 3)
-    # |1 - e^{-i k.eps}|^2 = 2 (1 - cos k.eps)
-    mode_sums = np.array([(2.0 * (1.0 - np.cos(kvec @ e)) * hk2)[mask].sum() for e in rows])
+    buf, mode_sums = np.empty(hk2.shape), np.empty(len(rows))
+    for r, e in enumerate(rows):  # |1 - e^{-i k.eps}|^2 = 2 (1 - cos k.eps), in one buffer
+        np.cos(np.matmul(kvec, e, out=buf), out=buf)
+        np.subtract(1.0, buf, out=buf)
+        buf *= 2.0
+        buf *= hk2
+        mode_sums[r] = buf.reshape(-1)[1:].sum()
     # each width's 4 w^2 in Python floats, as a scalar call has always formed it
     log_overlap = -(mode_sums[:, None] / np.array([4.0 * v**2 for v in w.reshape(-1).tolist()]))
     if matter_width is not None:

@@ -36,7 +36,6 @@ from .sources import (
 # each model matrix is multiplied by before functional forms are compared.
 # kappa c^4/(4 pi) = 4 G with the sign of e^{-iVt/hbar} folded in; the
 # mean-field model double counts the cross coupling, hence the extra 2.
-POINT_LIMIT_PREFACTOR_RATIO = -4.0
 POINT_LIMIT_RATIOS = {"newton": -4.0, "nonlocal": -4.0, "schroedinger-newton": -2.0}
 
 EIGENVALUE_FLOOR = 1e-12  # relative floor below which Schmidt coefficients count as zero
@@ -68,8 +67,8 @@ class PhaseMatrix:
 
 def _nonlocal_coupling(time: float, consts: PhysicalConstants) -> float:
     """G t / (hbar c^4), the nonlocal model's phase per unit pair integral.
-    The density phase is -4 times it (kappa / 4 pi = 4 G / c^4); a factor
-    of -4 is exact in floating point, so the two stay in exact ratio."""
+    The density phase is POINT_LIMIT_RATIOS["nonlocal"] = -4 times it (kappa
+    / 4 pi = 4 G / c^4), a factor exact in floating point."""
     return consts.G * time / (consts.hbar * consts.c**4)
 
 
@@ -94,7 +93,7 @@ def theta_AB(
         return 0.0, 0.0
     val, err = mutual_coulomb(e_a, e_b, consts, backend=backend, grid=grid,
                               mc_samples=mc_samples, seed=seed)
-    pref = -4.0 * _nonlocal_coupling(time, consts)
+    pref = POINT_LIMIT_RATIOS["nonlocal"] * _nonlocal_coupling(time, consts)
     return pref * val, abs(pref) * err
 
 
@@ -231,7 +230,7 @@ def compare_models(
     self_val, self_err = val[n_cross:n_cross + n_f], err[n_cross:n_cross + n_f]
 
     pref_nonlocal = _nonlocal_coupling(time, consts)
-    pref_general = -4.0 * pref_nonlocal
+    pref_general = POINT_LIMIT_RATIOS["nonlocal"] * pref_nonlocal
     stderr = abs(pref_general) * cross_err
     general = PhaseMatrix(model="general", theta=1j * (pref_general * cross),
                           stderr=stderr if stderr.any() else None)
@@ -286,7 +285,7 @@ def compare_models(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_nl = np.where(nl != 0.0, general.phases / nl, np.nan)
     prefactor_ratios = {
-        "general_over_newton_point_limit": POINT_LIMIT_PREFACTOR_RATIO,
+        "general_over_newton_point_limit": POINT_LIMIT_RATIOS["newton"],
         "general_over_nonlocal": float(np.nanmean(ratio_nl)) if np.isfinite(ratio_nl).any() else None,
     }
 

@@ -22,7 +22,7 @@ from .opalg import (
     polarization_tensors,
 )
 from .overlaps import exact_joint_overlap, overlap_from_log, semiclassical_overlap
-from .phases import PhaseMatrix, compare_models, negativity, newton_phase, theta_AB
+from .phases import PhaseMatrix, compare_models, negativity, theta_AB
 from .poisson import laplacian_residual, solve_hT_direct, solve_hT_spectral
 from .sources import (
     LocalizedSourceSpec,
@@ -120,12 +120,9 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
                   [(c["sigma"], c["sigma_over_d"], c["phase"], c["point_phase"],
                     c["deviation"], c["stderr"]) for c in convergence])
 
-    widths = cfg.get("width_variation", ())
-    # one width-independent Newton phase; it raises on coincident centres,
-    # so only a config that asks for the table computes it
-    nw = newton_phase(spec_a, spec_b, time, consts).phases[0, 0] if widths else None
+    nw = matrices["newton"].phases[0, 0]  # of the branch centres: width-independent
     width_rows = []
-    for sig in widths:
+    for sig in cfg.get("width_variation", ()):
         ea = gaussian_density(spec_a.mass, spec_a.centers[0], sig)
         eb = gaussian_density(spec_b.mass, spec_b.centers[0], sig)
         th, _ = theta_AB(ea, eb, time, consts, **kw)
@@ -159,9 +156,9 @@ def run_poisson(cfg: dict, outdir: Path) -> dict:
         src = src.branch_density(0)
     src = sample_on_grid(src, grid, consts)  # once: both solvers and the residual read it
 
-    spectral = solve_hT_spectral(src, grid, consts)
     stride = block["stride"]
-    direct = solve_hT_direct(src, grid, consts, stride=stride)
+    direct = solve_hT_direct(src, grid, consts, stride=stride)  # first, to refuse a large N early
+    spectral = solve_hT_spectral(src, grid, consts)
     sub = spectral.values[::stride, ::stride, ::stride]
     scale = np.abs(direct.values).max()  # zero for a massless profile
     backend_dev = float(np.abs(sub - direct.values).max() / scale) if scale else 0.0
@@ -235,6 +232,17 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
     }
 
 
+# the pass flag of each opalg-verify quantity, named from the window
+# [lo, hi] it must fall in; a slope's window is also its slopes.csv target
+PASS_WINDOWS = {
+    "defect_order3": ("defect_slope_order3_in_[{},{}]", 3.9, 4.3),
+    "defect_order2": ("defect_slope_order2_in_[{},{}]", 2.9, 3.3),
+    "phase_residual": ("phase_residual_slope_near_3", 2.8, 3.2),
+    "t3_coefficient_rel_err": ("t3_coefficient_within_5pct", 0.0, 0.05),
+    "damping": ("damping_slope_in_[{},{}]", 1.9, 2.1),
+}
+
+
 def _fit_slope(ts, values):
     """Log-log slope, or nan where fewer than two distinct times carry a
     positive value."""
@@ -268,12 +276,12 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
               zip(ts, comp.defect_order3, comp.defect_order2, comp.dphase_exact,
                   comp.dphase_predicted, comp.ddamping_exact, comp.ddamping_predicted))
 
-    slope3 = _fit_slope(ts, comp.defect_order3)
-    slope2 = _fit_slope(ts, comp.defect_order2)
-    slope_resid = _fit_slope(ts, np.abs(resid))
+    slopes = {"defect_order3": _fit_slope(ts, comp.defect_order3),
+              "defect_order2": _fit_slope(ts, comp.defect_order2),
+              "phase_residual": _fit_slope(ts, np.abs(resid)),
+              "damping": _fit_slope(ts, np.abs(comp.ddamping_exact))}
     t3_pred = float(pred.phase_t3[0, 1] - pred.phase_t3[0, 0])
     t3_rel_err = abs(resid[0] - t3_pred) / abs(t3_pred) if t3_pred else float("nan")
-    slope_damp = _fit_slope(ts, np.abs(comp.ddamping_exact))
     # the displaced-oscillator closed form, exact to all orders in t: a
     # closed form that under- or overflows reads as nan
     with np.errstate(all="ignore"):
@@ -286,11 +294,8 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     # an undefined slope is an empty cell, as it is null in the report
     write_csv(outdir / "tables" / "slopes.csv",
               ["quantity", "slope", "window_lo", "window_hi", "target_lo", "target_hi"],
-              [(name, slope if math.isfinite(slope) else "", ts[0], ts[-1], lo, hi)
-               for name, slope, lo, hi in (("defect_order3", slope3, 3.9, 4.3),
-                                           ("defect_order2", slope2, 2.9, 3.3),
-                                           ("phase_residual", slope_resid, 2.8, 3.2),
-                                           ("damping", slope_damp, 1.9, 2.1))])
+              [(name, slope if math.isfinite(slope) else "", ts[0], ts[-1],
+                *PASS_WINDOWS[name][1:]) for name, slope in slopes.items()])
 
     # an undefined quantity is reported as null, its reason under
     # "undefined", and fails its pass flag (NaN compares false)
@@ -304,20 +309,15 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
 
     no_slope = "fewer than two distinct times carry a nonzero value"
     no_closed = "the closed-form difference is 0 (equal branches) or not finite at some time"
-    flags = {
-        "defect_slope_order3_in_[3.9,4.3]": bool(3.9 <= slope3 <= 4.3),
-        "defect_slope_order2_in_[2.9,3.3]": bool(2.9 <= slope2 <= 3.3),
-        "phase_residual_slope_near_3": bool(2.8 <= slope_resid <= 3.2),
-        "t3_coefficient_within_5pct": bool(t3_rel_err <= 0.05),
-        "damping_slope_in_[1.9,2.1]": bool(1.9 <= slope_damp <= 2.1),
-    }
+    values = {**slopes, "t3_coefficient_rel_err": t3_rel_err}
+    flags = {flag.format(lo, hi): bool(lo <= values[name] <= hi)
+             for name, (flag, lo, hi) in PASS_WINDOWS.items()}
     return {
         "scenario": "opalg-verify",
         "units": {"t": "time, " + unit_label, "defect": "operator 2-norm",
                   "phase": "rad", "damping": "log-magnitude"},
-        "slopes": {name: defined(f"slopes.{name}", value, no_slope) for name, value in
-                   (("defect_order3", slope3), ("defect_order2", slope2),
-                    ("phase_residual", slope_resid), ("damping", slope_damp))},
+        "slopes": {name: defined(f"slopes.{name}", value, no_slope)
+                   for name, value in slopes.items()},
         "t3_coefficient_rel_err": defined("t3_coefficient_rel_err", t3_rel_err,
                                           "the predicted t^3 phase term is 0 or not finite"),
         "closed_form_max_rel_dev": {

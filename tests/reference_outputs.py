@@ -1,5 +1,6 @@
-"""Reference outputs: the CSV tables of a fixed set of runs, and a sha256 of
-each field file they write, committed under tests/reference/ so that any
+"""Reference outputs: the CSV tables of a fixed set of runs, a sha256 of
+each field file they write and each run's report.json without its
+`meta.generated_at` line, committed under tests/reference/ so that any
 change to the bytes a run writes shows in the test suite
 (tests/test_reference_outputs.py).
 
@@ -13,9 +14,10 @@ and say in CHANGES.md which tables moved and by how much.
 
 reruns every case without writing anything and prints, for each table that
 moved, the largest relative shift of each column (the number a CHANGES.md
-entry quotes), and each field file whose hash moved; it exits 1 if anything
-moved.  The manifest records the numpy version and BLAS the references were
-made with: on another stack the last bits may differ.
+entry quotes), each field file whose hash moved and the path of each
+report entry that moved; it exits 1 if anything moved.  The manifest
+records the numpy version and BLAS the references were made with: on
+another stack the last bits may differ.
 """
 
 from __future__ import annotations
@@ -121,8 +123,21 @@ def field_hashes(workdir: Path) -> dict[str, str]:
             for p in sorted((workdir / "out" / "fields").glob("*"))}
 
 
+def run_report(workdir: Path) -> bytes:
+    """The report.json of the run in `workdir`, without the timestamp that
+    differs between runs."""
+    report = json.loads((workdir / "out" / "report.json").read_text())
+    del report["meta"]["generated_at"]
+    return (json.dumps(report, indent=2, allow_nan=False) + "\n").encode()
+
+
 def recorded(name: str) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted((REFERENCE / name).glob("*.csv"))}
+
+
+def recorded_report(name: str) -> bytes | None:
+    path = REFERENCE / name / "report.json"
+    return path.read_bytes() if path.exists() else None
 
 
 def manifest() -> dict:
@@ -130,24 +145,26 @@ def manifest() -> dict:
 
 
 def _run_all():
-    """(tables, field hashes) of every case, by case name."""
-    tables, fields = {}, {}
+    """(tables, field hashes, reports) of every case, by case name."""
+    tables, fields, reports = {}, {}, {}
     for name, cfg in {**cases(), **field_cases()}.items():
         with tempfile.TemporaryDirectory() as tmp:
             tables[name] = run_tables(copy.deepcopy(cfg), Path(tmp))
             fields[name] = field_hashes(Path(tmp))
-    return tables, fields
+            reports[name] = run_report(Path(tmp))
+    return tables, fields, reports
 
 
 def regenerate() -> None:
-    tables, fields = _run_all()
+    tables, fields, reports = _run_all()
     for name, got in tables.items():
         target = REFERENCE / name
+        target.mkdir(parents=True, exist_ok=True)
         for stale in target.glob("*.csv"):
             stale.unlink()
         for table, body in got.items():
-            target.mkdir(parents=True, exist_ok=True)
             (target / table).write_bytes(body)
+        (target / "report.json").write_bytes(reports[name])
     (REFERENCE / "manifest.json").write_text(json.dumps(
         {"stack": stack(), "tables": {name: sorted(got) for name, got in tables.items() if got},
          "fields": {name: got for name, got in fields.items() if got}}, indent=2) + "\n")
@@ -177,10 +194,18 @@ def column_shifts(new: bytes, old: bytes) -> dict[str, float]:
                      default=0.0) for k, col in enumerate(header)}
 
 
+def report_moves(new, old, path: str = "") -> list[str]:
+    """The dotted paths of the entries that differ between two parsed reports."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        return [move for key in sorted(set(new) | set(old), key=str)
+                for move in report_moves(new.get(key), old.get(key), f"{path}.{key}")]
+    return [] if new == old else [path.lstrip(".") or "<root>"]
+
+
 def check() -> int:
     """Print what moved from the committed references; the count of files
     that moved."""
-    tables, fields = _run_all()
+    tables, fields, reports = _run_all()
     want_fields = manifest().get("fields", {})
     moved = 0
     for name, got in tables.items():
@@ -199,6 +224,12 @@ def check() -> int:
             if fields[name].get(field) != want_fields.get(name, {}).get(field):
                 moved += 1
                 print(f"{name}/fields/{field}: sha256 moved")
+        want_report = recorded_report(name)
+        if reports[name] != want_report:
+            moved += 1
+            moves = (report_moves(json.loads(reports[name]), json.loads(want_report))
+                     if want_report else ["not recorded"])
+            print(f"{name}/report.json: " + ", ".join(moves or ["formatting"]))
     if moved:
         print(f"{moved} file(s) moved; references recorded on {manifest()['stack']}, "
               f"running on {stack()}")

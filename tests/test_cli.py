@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from gravphase.config import (
     validate_config,
 )
 from gravphase.gridio import load_scalar_grid, save_scalar_grid
+from gravphase.grids import LATTICE_BYTES_LIMIT
 from gravphase.sources import PhysicalConstants
 
 
@@ -336,15 +338,69 @@ def test_override_paths():
         apply_overrides(cfg, ["garbage"])
 
 
-def test_numerical_guard_exit_code(tmp_path):
+def test_numerical_guard_exit_code(tmp_path, monkeypatch, capsys):
+    # the direct solver is guarded above N=48, and its guard comes first: at
+    # N = 64 the spectral solve would take ~37 MB only to be thrown away
+    from gravphase import scenarios
+
+    calls = []
+    monkeypatch.setattr(scenarios, "solve_hT_spectral", lambda *args: calls.append(args))
     cfg = get_preset("gie-2x2")
     cfg["scenario"] = "poisson"
-    cfg["grid"] = {"n": 64, "box": 8.0}  # direct solver is guarded above N=48
+    cfg["grid"] = {"n": 64, "box": 8.0}
     cfg["poisson"] = {"profile": {"type": "gaussian", "mass": 1.0,
                                   "center": [4.0, 4.0, 4.0], "sigma": 1.2}}
     path = tmp_path / "guard.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "numerical guard: direct solver guarded to N <= 48\n"
+    assert calls == []
+
+
+def _oversized_overlap_sweep():
+    cfg = _small_overlap_sweep()
+    cfg["overlap"]["grid_sizes"] = [8, 1024]
+    return cfg
+
+
+@pytest.mark.parametrize("make_cfg, where, table", [
+    (lambda: {**_phase_compare("grid")(), "grid": {"n": 1024, "box": 6.0}}, "grid/n",
+     8 * 1025**3),
+    (_oversized_overlap_sweep, "overlap/grid_sizes/1", 24 * 1024**3),
+], ids=["phase-compare-grid", "overlap-sweep"])
+def test_an_oversized_lattice_is_refused_at_load(tmp_path, capsys, make_cfg, where, table):
+    # the (N+1)^3 octant (8.02 GiB) or the (N, N, N, 3) wavevector lattice
+    # (24 GiB) at N = 1024 is refused before any table is built
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(make_cfg()))
+    tracemalloc.start()
+    try:
+        code = main(["run", str(path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"config error: config invalid at {where}: N = 1024 needs a lattice table of "
+        f"{table} bytes, above the limit of {LATTICE_BYTES_LIMIT}\n")
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+def test_the_lattice_bound_admits_every_shipped_grid(n):
+    # the presets' 8/16/32 and the benchmark's 64 are admitted; the bound
+    # falls between 128 and 256 for both tables, and an analytic
+    # phase-compare, which builds none, takes any grid
+    configs = {"grid/n": {**_phase_compare("grid")(), "grid": {"n": n, "box": 6.0}},
+               "overlap/grid_sizes/0": _small_overlap_sweep()}
+    configs["overlap/grid_sizes/0"]["overlap"]["grid_sizes"] = [n]
+    for where, cfg in configs.items():
+        if n <= 128:
+            validate_config(cfg)
+        else:
+            with pytest.raises(ConfigError, match=f"at {where}: N = {n} needs a lattice table"):
+                validate_config(cfg)
+    validate_config({**_phase_compare("analytic")(), "grid": {"n": 2 * n, "box": 6.0}})
 
 
 def test_negativity_scenario_matches_direct_computation(tmp_path):
@@ -809,8 +865,8 @@ def test_a_non_finite_result_is_a_numerical_guard_not_a_report(tmp_path, monkeyp
 
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8.00 GiB")])
 def test_running_out_of_memory_is_a_numerical_guard(tmp_path, monkeypatch, capsys, error):
-    # a schema-valid config can ask for more memory than the host has (a
-    # phase-compare grid of n = 1024 does); the run exits 2 on one line
+    # a schema-valid config can ask for more memory than the host has; the
+    # run exits 2 on one line
     from gravphase import scenarios
 
     def runner(cfg, outdir):

@@ -5,7 +5,7 @@ from gravphase.grids import GridSpec, coulomb_kernel_octant
 from gravphase.poisson import solve_hT_spectral
 from gravphase.sources import PhysicalConstants, gaussian_density
 
-TABLES = ("k_magnitude", "nonzero_mode_mask", "coulomb_octant", "coulomb_kernel_hat")
+TABLES = ("k_magnitude", "coulomb_octant", "coulomb_kernel_hat")
 
 
 @pytest.mark.parametrize("name", TABLES)

@@ -46,11 +46,10 @@ def test_fft_shift_theorem_for_displaced_source():
     eps = cells * GRID.h
     s0 = build_field_state(gaussian_density(1.0, (3.0, 4, 4), 0.4), CONSTS, GRID)
     s1 = build_field_state(gaussian_density(1.0, (3.0 + eps, 4, 4), 0.4), CONSTS, GRID)
-    kx = GRID.k_lattice()[..., 0]
-    mask = GRID.nonzero_mode_mask
-    expected = s0[mask] * np.exp(-1j * kx[mask] * eps)
+    kx = GRID.k_lattice()[..., 0].reshape(-1)[1:]  # every mode but k = 0
+    expected = s0.reshape(-1)[1:] * np.exp(-1j * kx * eps)
     scale = np.abs(s0).max()
-    np.testing.assert_allclose(s1[mask], expected, rtol=1e-10, atol=1e-12 * scale)
+    np.testing.assert_allclose(s1.reshape(-1)[1:], expected, rtol=1e-10, atol=1e-12 * scale)
 
 
 def _state(amps, indices, grid=GRID):
@@ -174,10 +173,64 @@ def _scalar_reference(x, eps, w, grid, mass, sigma_reg, matter_width):
     """The log overlap as the scalar form has always computed it."""
     hk = analytic_point_amplitudes(mass, sigma_reg, grid, CONSTS)
     dh2 = 2.0 * (1.0 - np.cos(grid.k_lattice() @ np.asarray(eps, float))) * hk**2
-    log_overlap = -float(dh2[grid.nonzero_mode_mask].sum() / (4.0 * w**2))
+    log_overlap = -float(dh2.reshape(-1)[1:].sum() / (4.0 * w**2))
     if matter_width is not None:
         log_overlap += -float((np.asarray(eps, float) ** 2).sum() / (8.0 * matter_width**2))
     return log_overlap
+
+
+def _masked_reference(grid):
+    """The boolean mask of every mode but k = 0, as the overlaps once
+    gathered and scattered through it."""
+    mask = np.ones((grid.n,) * 3, dtype=bool)
+    mask[0, 0, 0] = False
+    return mask
+
+
+def _masked_point_amplitudes(mass, sigma, grid):
+    kmag, mask = grid.k_magnitude, _masked_reference(grid)
+    out = np.zeros_like(kmag)
+    k2 = kmag[mask] ** 2
+    out[mask] = CONSTS.kappa * mass * CONSTS.c**2 * np.exp(-0.5 * sigma**2 * k2) / k2
+    return out
+
+
+def _masked_field_state(e, grid):
+    ek = np.fft.fftn(sample_on_grid(e, grid, CONSTS).values) * grid.cell_volume
+    kmag, mask = grid.k_magnitude, _masked_reference(grid)
+    hk = np.zeros_like(ek)
+    hk[mask] = CONSTS.kappa * ek[mask] / kmag[mask] ** 2
+    return hk / (2.0 * CONSTS.hbar)
+
+
+def _masked_log_overlaps(eps, ws, grid, mass, sigma_reg, matter_width):
+    hk2 = _masked_point_amplitudes(mass, sigma_reg, grid) ** 2
+    kvec, mask = grid.k_lattice(), _masked_reference(grid)
+    mode_sums = np.array([(2.0 * (1.0 - np.cos(kvec @ e)) * hk2)[mask].sum() for e in eps])
+    log_overlap = -(mode_sums[:, None] / np.array([4.0 * v**2 for v in ws]))
+    matter = np.array([(e**2).sum() / (8.0 * matter_width**2) for e in eps])
+    return log_overlap + -matter[:, None]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_the_flat_k0_slice_equals_the_masked_forms(n):
+    # k = 0 is element 0 of the flattened FFT-layout lattice, so reading
+    # `.reshape(-1)[1:]` gives the masked gathers and scatters bit for bit
+    rng = np.random.default_rng(n)
+    grid = GridSpec(n, float(rng.uniform(0.5, 20.0)))
+    for _ in range(3):
+        mass, sigma = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.01, 2.0)) * grid.h
+        assert np.array_equal(analytic_point_amplitudes(mass, sigma, grid, CONSTS),
+                              _masked_point_amplitudes(mass, sigma, grid))
+        e = grid_density(rng.exponential(size=(n,) * 3), grid.box)
+        assert np.array_equal(build_field_state(e, CONSTS, grid), _masked_field_state(e, grid))
+        pos = rng.uniform(0.3, 0.7, 3) * grid.box
+        eps = rng.uniform(-0.3, 0.3, (4, 3)) * grid.box
+        ws = rng.uniform(0.01, 100.0, 3)
+        matter_width = float(rng.uniform(0.1, 2.0))
+        got = semiclassical_overlap(pos, eps, ws, grid, CONSTS, mass=mass, sigma_reg=sigma,
+                                    matter_width=matter_width)
+        assert np.array_equal(got, _masked_log_overlaps(eps, ws, grid, mass, sigma, matter_width))
 
 
 @pytest.mark.parametrize("matter_width", [None, 0.25])
