@@ -276,15 +276,22 @@ def validate_config(cfg: dict) -> None:
             cfg["sources"][k]["type"] not in ("localized", "gaussian") for k in "ab"):
         raise ConfigError("phase-compare sources must be localized or gaussian")
     # each grid size and the bytes of the largest lattice table the run builds
-    # on it: the (n+1)^3 octant of the grid pair sums, or the (n, n, n, 3) wavevectors
+    # on it: the (n+1)^3 octant of the grid pair sums, the (n/2+1)^3 weight
+    # octant of the overlap mode sums, or, on the smallest sweep grid when
+    # state pairs are checked, the n^3 |k| table and complex transform of a
+    # field state
     grid_sizes = {}
     if "grid" in cfg:
         n, pair_sums = cfg["grid"]["n"], scenario == "phase-compare" and cfg["backend"] == "grid"
         grid_sizes["grid/n"] = n, (8 * (n + 1) ** 3 if pair_sums else 0)
     overlap = cfg.get("overlap")
     if overlap:
-        grid_sizes.update((f"overlap/grid_sizes/{i}", (n, 24 * n**3))
-                          for i, n in enumerate(overlap["grid_sizes"]))
+        sizes = overlap["grid_sizes"]
+        grid_sizes.update((f"overlap/grid_sizes/{i}", (n, 8 * (n // 2 + 1) ** 3))
+                          for i, n in enumerate(sizes))
+        if overlap["state_pairs"]:
+            i = sizes.index(min(sizes))
+            grid_sizes[f"overlap/grid_sizes/{i}"] = sizes[i], 24 * sizes[i] ** 3
     for path, (n, table) in grid_sizes.items():
         if n < 2 or n & (n - 1):
             raise ConfigError(f"config invalid at {path}: grid size must be a power of two "

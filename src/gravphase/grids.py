@@ -5,9 +5,10 @@ mode magnitudes |k|, the lattice 1/r kernel over the non-negative offsets
 (the octant) and, built from it, the spectrum of the doubled-box kernel of
 the free-space (Hockney) convolution, real as the kernel is even.  Each is
 built on first use, once per grid object, and is read-only; equality and
-hashing still go by (n, box) alone.  The wavevector lattice stays an
-uncached method: its (n, n, n, 3) array is read once per overlap call.  In
-the FFT layout k = 0 is element 0 of every flattened mode table.
+hashing still go by (n, box) alone.  No (n, n, n, 3) wavevector lattice is
+ever formed: |k| is summed from squared axis wavenumbers, and the overlap
+mode sums read the folded axis `k_folded`.  In the FFT layout k = 0 is
+element 0 of every flattened mode table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 _UNIT_CUBE_INV_R_AVERAGE = 3.0 * math.log(2.0 + math.sqrt(3.0)) - math.pi / 2.0
 
 # bytes of the largest lattice table a run may build, checked at load: the
-# octant of the grid pair sums or the wavevector lattice of the overlap sweep
+# octant of the grid pair sums, the folded weight octant of the overlap mode
+# sums, or the |k| table and transform of a field state
 LATTICE_BYTES_LIMIT = 2**27
 
 
@@ -36,7 +38,7 @@ class GridSpec:
     """N^3 lattice on a cubic box of side `box`; nodes sit at i*h, i = 0..n-1.
 
     It owns the read-only tables built from (n, box) on first use: |k| for
-    the overlaps, the lattice 1/r octant that the separable pair sums
+    the field states, the lattice 1/r octant that the separable pair sums
     contract, and the doubled-box kernel spectrum, made from the octant,
     that the spectral solve multiplies by."""
 
@@ -66,10 +68,11 @@ class GridSpec:
         """Wavenumbers along one axis, FFT layout."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
-    def k_lattice(self) -> np.ndarray:
-        """Wavevectors, shape (n, n, n, 3), FFT layout."""
-        k = self.k_axis()
-        return np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1)
+    def k_folded(self) -> np.ndarray:
+        """|k_j| for j = 0..n/2, the axis folded onto its non-negative
+        indices: the same values as `k_axis`, whose Nyquist entry is the
+        one wavenumber -pi/h, without importing numpy.fft."""
+        return 2.0 * np.pi * (np.arange(self.n // 2 + 1) * (1.0 / (self.n * self.h)))
 
     @cached_property
     def k_magnitude(self) -> np.ndarray:

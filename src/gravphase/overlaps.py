@@ -10,13 +10,16 @@ inner product collapses onto the matter overlap alone: the per-mode shift
 phases cancel exactly for equal eigen-densities and orthogonal eigenstates
 drop out (`exact_joint_overlap`).
 
-Mode data live on the FFT lattice, whose |k| is the grid's own table;
+A field state lives on the FFT lattice, whose |k| is the grid's own table;
+the closed-form point amplitudes, which depend on |k| alone, live on the
+lattice folded onto its non-negative indices, the (n/2+1)^3 octant.
 Fourier amplitudes carry the cell-volume factor h^3 (physical convention,
-stable under grid refinement).  The k = 0 mode is element 0 of a flattened
-mode table and never enters a product: every function reads
-`.reshape(-1)[1:]`.  Only transverse-traceless vacuum factors and trace-part
-shift phases matter: the longitudinal and trace momentum integrations are
-common normalisation between bra and ket.
+stable under grid refinement).  The k = 0 mode never enters a product: it is
+element 0 of a flattened field state, which `build_field_state` skips
+through `.reshape(-1)[1:]`, and the zeroed corner of the octant.  Only
+transverse-traceless vacuum factors and trace-part shift phases matter: the
+longitudinal and trace momentum integrations are common normalisation
+between bra and ket.
 """
 
 from __future__ import annotations
@@ -108,18 +111,68 @@ def exact_joint_overlap(psi_a, psi_b, grid: GridSpec, consts: PhysicalConstants)
 
 def analytic_point_amplitudes(mass: float, sigma: float, grid: GridSpec,
                               consts: PhysicalConstants) -> np.ndarray:
-    """Exact h^T(k) of a Gaussian-regularised point source on the mode
-    lattice: kappa m c^2 exp(-sigma^2 k^2 / 2) / k^2, zero at k = 0.
+    """Exact h^T(k) of a Gaussian-regularised point source on the folded
+    mode octant: kappa m c^2 exp(-sigma^2 k^2 / 2) / k^2, zero at k = 0.
 
-    Taking the closed form rather than the grid solve keeps the per-mode
-    values independent of the lattice resolution, so refining the grid
-    changes a mode product only by adding modes.  The grid-solve transform
-    agrees with these values mode by mode up to discretisation (tested).
+    The value depends on |k| alone, so the (n/2+1)^3 octant of the indices
+    j = 0..n/2 per axis (`GridSpec.k_folded`) holds every value of the FFT
+    lattice: entry (a, b, c) stands for each sign choice of its three
+    wavenumbers.  Taking the closed form rather than the grid solve keeps
+    the per-mode values independent of the lattice resolution, so refining
+    the grid changes a mode product only by adding modes.  The grid-solve
+    transform agrees with these values mode by mode up to discretisation
+    (tested).
     """
-    k2 = grid.k_magnitude.reshape(-1)[1:] ** 2
-    out = np.zeros(grid.n**3)
-    out[1:] = consts.kappa * mass * consts.c**2 * np.exp(-0.5 * sigma**2 * k2) / k2
-    return out.reshape((grid.n,) * 3)
+    k2 = grid.k_folded() ** 2
+    k2 = k2[:, None, None] + k2[None, :, None] + k2[None, None, :]
+    out = np.multiply(k2, -0.5 * sigma**2)
+    np.exp(out, out=out)
+    out *= consts.kappa * mass * consts.c**2
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at k = 0
+        np.divide(out, k2, out=out)
+    out[0, 0, 0] = 0.0
+    return out
+
+
+def _folded_mode_sums(weight: np.ndarray, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """S(eps) = sum over k != 0 of 2 weight(k) (1 - cos k.eps) for each row
+    eps, from a weight even in each axis, given on the folded octant (zero
+    at k = 0), and the folded axis `k`.
+
+    Summed over the signs of one axis, an even factor gives its value times
+    the multiplicity (1 at j = 0 and at Nyquist, 2 between) and an odd one
+    gives 0, except at Nyquist, whose one wavenumber has no partner.  With
+    u = 2 sin^2(theta/2), c = cos theta and s = sin theta per axis,
+
+        1 - cos(a + b + c) = u_a + c_a u_b + c_a c_b u_c
+                             + c_a s_b s_c + s_a c_b s_c + s_a s_b c_c,
+
+    so the sum is a few contractions of the octant with folded per-axis
+    factors, and the s terms live on the Nyquist slices alone.  Every term
+    carries a u or two s, so eps = 0 gives exactly 0.  Each row is
+    contracted alone, in arrays of one shape, so its rounding does not
+    depend on how many rows there are.
+    """
+    m = len(k)
+    mult = np.full(m, 2.0)
+    mult[0] = mult[-1] = 1.0
+    flat = weight.reshape(m * m, m)
+    over_z = (flat @ mult).reshape(m, m)
+    over_yz = over_z @ mult
+    nyquist = weight[:, -1, -1], weight[-1, :, -1], weight[-1, -1, :]
+    sums = np.empty(len(rows))
+    for r, e in enumerate(rows):
+        theta = np.multiply.outer(e, k)
+        u = 2.0 * np.sin(0.5 * theta) ** 2 * mult
+        c = np.cos(theta) * mult
+        # the Nyquist wavenumber is -pi/h, but its sines enter in pairs
+        sx, sy, sz = np.sin(theta[:, -1]).tolist()
+        terms = (u[0] @ over_yz, c[0] @ (over_z @ u[1]),
+                 c[0] @ ((flat @ u[2]).reshape(m, m) @ c[1]),
+                 sy * sz * (c[0] @ nyquist[0]), sx * sz * (c[1] @ nyquist[1]),
+                 sx * sy * (c[2] @ nyquist[2]))
+        sums[r] = 2.0 * sum(terms)
+    return sums
 
 
 def overlap_from_log(log_overlap: float) -> float:
@@ -172,16 +225,10 @@ def semiclassical_overlap(
         raise ValueError("source regularisation width must be positive")
     if matter_width is not None and matter_width <= 0.0:
         raise ValueError("matter width must be positive")
-    hk2 = analytic_point_amplitudes(mass, sigma_reg, grid, consts) ** 2
-    kvec = grid.k_lattice()
+    hk = analytic_point_amplitudes(mass, sigma_reg, grid, consts)
     rows = eps.reshape(-1, 3)
-    buf, mode_sums = np.empty(hk2.shape), np.empty(len(rows))
-    for r, e in enumerate(rows):  # |1 - e^{-i k.eps}|^2 = 2 (1 - cos k.eps), in one buffer
-        np.cos(np.matmul(kvec, e, out=buf), out=buf)
-        np.subtract(1.0, buf, out=buf)
-        buf *= 2.0
-        buf *= hk2
-        mode_sums[r] = buf.reshape(-1)[1:].sum()
+    # |1 - e^{-i k.eps}|^2 = 2 (1 - cos k.eps), summed on the octant
+    mode_sums = _folded_mode_sums(np.square(hk, out=hk), grid.k_folded(), rows)
     # each width's 4 w^2 in Python floats, as a scalar call has always formed it
     log_overlap = -(mode_sums[:, None] / np.array([4.0 * v**2 for v in w.reshape(-1).tolist()]))
     if matter_width is not None:

@@ -117,8 +117,10 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
         write_csv(outdir / "tables" / "convergence.csv",
                   ["sigma", "sigma_over_d", "phase_rad", "point_phase_rad",
                    "deviation", "stderr_rad"],
+                  # an undefined deviation (point phase 0) is an empty cell
                   [(c["sigma"], c["sigma_over_d"], c["phase"], c["point_phase"],
-                    c["deviation"], c["stderr"]) for c in convergence])
+                    c["deviation"] if math.isfinite(c["deviation"]) else "", c["stderr"])
+                   for c in convergence])
 
     nw = matrices["newton"].phases[0, 0]  # of the branch centres: width-independent
     width_rows = []
@@ -215,10 +217,12 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
     write_csv(outdir / "tables" / "overlap_sweep.csv",
               ["epsilon", "w", "N", "overlap", "log_overlap"], rows)
 
-    # every pair in one call, on the first sweep grid, whose |k| table is built
+    # every pair in one call, on the smallest sweep grid: the field states
+    # are full n^3 tables, which the load-time lattice bound counts there
     rng = random.Random(cfg["seed"])
     pairs = [_random_state_pair(rng) for _ in range(block["state_pairs"])]
-    joint = exact_joint_overlap([a for a, _ in pairs], [b for _, b in pairs], grids[0], consts)
+    joint = exact_joint_overlap([a for a, _ in pairs], [b for _, b in pairs],
+                                min(grids, key=lambda g: g.n), consts)
     max_identity_dev = max((float(abs(j - source_overlap(a, b)))
                             for j, (a, b) in zip(joint, pairs)), default=0.0)
 

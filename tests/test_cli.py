@@ -366,11 +366,12 @@ def _oversized_overlap_sweep():
 @pytest.mark.parametrize("make_cfg, where, table", [
     (lambda: {**_phase_compare("grid")(), "grid": {"n": 1024, "box": 6.0}}, "grid/n",
      8 * 1025**3),
-    (_oversized_overlap_sweep, "overlap/grid_sizes/1", 24 * 1024**3),
+    (_oversized_overlap_sweep, "overlap/grid_sizes/1", 8 * 513**3),
 ], ids=["phase-compare-grid", "overlap-sweep"])
 def test_an_oversized_lattice_is_refused_at_load(tmp_path, capsys, make_cfg, where, table):
-    # the (N+1)^3 octant (8.02 GiB) or the (N, N, N, 3) wavevector lattice
-    # (24 GiB) at N = 1024 is refused before any table is built
+    # the (N+1)^3 octant of the pair sums (8.02 GiB) or the (N/2+1)^3 octant
+    # of the overlap mode sums (1.01 GiB) at N = 1024 is refused before any
+    # table is built
     path, out = tmp_path / "cfg.json", tmp_path / "o"
     path.write_text(json.dumps(make_cfg()))
     tracemalloc.start()
@@ -386,21 +387,56 @@ def test_an_oversized_lattice_is_refused_at_load(tmp_path, capsys, make_cfg, whe
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
 def test_the_lattice_bound_admits_every_shipped_grid(n):
     # the presets' 8/16/32 and the benchmark's 64 are admitted; the bound
-    # falls between 128 and 256 for both tables, and an analytic
-    # phase-compare, which builds none, takes any grid
-    configs = {"grid/n": {**_phase_compare("grid")(), "grid": {"n": n, "box": 6.0}},
-               "overlap/grid_sizes/0": _small_overlap_sweep()}
-    configs["overlap/grid_sizes/0"]["overlap"]["grid_sizes"] = [n]
-    for where, cfg in configs.items():
-        if n <= 128:
+    # falls between 128 and 256 for the pair-sum octant and for a field
+    # state's n^3 tables, and between 256 and 512 for the overlap mode sums'
+    # (n/2+1)^3 octant; an analytic phase-compare, which builds none, takes
+    # any grid
+    sweep, states = _small_overlap_sweep(), _small_overlap_sweep()
+    sweep["overlap"].update(grid_sizes=[n], state_pairs=0)
+    states["overlap"].update(grid_sizes=[n])
+    limits = [("grid/n", {**_phase_compare("grid")(), "grid": {"n": n, "box": 6.0}}, 128),
+              ("overlap/grid_sizes/0", sweep, 256), ("overlap/grid_sizes/0", states, 128)]
+    for where, cfg, largest in limits:
+        if n <= largest:
             validate_config(cfg)
         else:
             with pytest.raises(ConfigError, match=f"at {where}: N = {n} needs a lattice table"):
                 validate_config(cfg)
     validate_config({**_phase_compare("analytic")(), "grid": {"n": 2 * n, "box": 6.0}})
+
+
+@pytest.mark.parametrize("sizes, state_pairs, refused", [
+    ([256], 0, None),
+    ([8, 256], 20, None),
+    ([256, 16], 3, None),
+    ([256, 8, 512], 0, (2, 8 * 257**3)),
+    ([256], 1, (0, 24 * 256**3)),
+])
+def test_an_n256_overlap_sweep_runs_and_its_state_pairs_take_the_smallest_grid(
+        tmp_path, capsys, sizes, state_pairs, refused):
+    # the mode sums run on the folded octant up to N = 256; the state pairs'
+    # field states are full n^3 tables, built on the smallest sweep grid only
+    cfg = _small_overlap_sweep()
+    cfg["overlap"].update(grid_sizes=sizes, state_pairs=state_pairs, w_halvings=0)
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(cfg))
+    code = main(["run", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if refused is None:
+        assert code == 0 and err == ""
+        report = json.loads((out / "report.json").read_text())["result"]
+        assert report["state_pairs_checked"] == state_pairs
+        rows = (out / "tables" / "overlap_sweep.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[2]) for r in rows] == [n for n in sizes for _ in range(2)]
+    else:
+        i, table = refused
+        assert code == 1 and not out.exists()
+        assert err == (f"config error: config invalid at overlap/grid_sizes/{i}: N = {sizes[i]} "
+                       f"needs a lattice table of {table} bytes, above the limit of "
+                       f"{LATTICE_BYTES_LIMIT}\n")
 
 
 def test_negativity_scenario_matches_direct_computation(tmp_path):

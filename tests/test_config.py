@@ -213,6 +213,10 @@ def test_schema_valid_configs_end_in_an_exit_code(cfg):
         if code == 0:  # a report is standard JSON: no NaN or Infinity token
             with open(f"{tmp}/o/report.json") as fh:
                 json.load(fh, parse_constant=_refuse_constant)
+            # and a table writes an undefined value as an empty cell
+            for name, body in _tables(f"{tmp}/o").items():
+                cells = {c for line in body.decode().splitlines() for c in line.split(",")}
+                assert not cells & {"nan", "inf", "-inf"}, f"{name} holds a non-finite cell"
             # criterion 8 on a half of them, chosen by the config's bytes: a
             # rerun writes every table again byte for byte
             if zlib.crc32(json.dumps(cfg, sort_keys=True).encode()) % 2 == 0:

@@ -42,4 +42,16 @@ def test_a_grid_that_only_solves_keeps_no_octant():
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_k_magnitude_equals_the_lattice_norm(n, box):
     grid = GridSpec(n, box)
-    assert np.array_equal(grid.k_magnitude, np.sqrt((grid.k_lattice() ** 2).sum(axis=-1)))
+    k = grid.k_axis()
+    lattice = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1)
+    assert np.array_equal(grid.k_magnitude, np.sqrt((lattice**2).sum(axis=-1)))
+
+
+@pytest.mark.parametrize("box", [1.0, 8.0, 0.013, 1e5, 3.7])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 256])
+def test_the_folded_axis_is_the_non_negative_half_of_the_fft_axis(n, box):
+    # indices 0..n/2 of the FFT layout, the Nyquist one at -pi/h
+    grid = GridSpec(n, box)
+    k = grid.k_axis()
+    assert k[n // 2] < 0.0
+    assert np.array_equal(grid.k_folded(), np.abs(k[:n // 2 + 1]))

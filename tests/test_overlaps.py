@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ from gravphase.sources import (
 
 CONSTS = PhysicalConstants.natural()
 GRID = GridSpec(16, 8.0)
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _k_lattice(grid):
+    """The (n, n, n, 3) wavevectors in FFT layout: the oracle's lattice,
+    which the package never forms."""
+    k = grid.k_axis()
+    return np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1)
 
 
 def test_build_field_state_zero_source():
@@ -46,7 +55,7 @@ def test_fft_shift_theorem_for_displaced_source():
     eps = cells * GRID.h
     s0 = build_field_state(gaussian_density(1.0, (3.0, 4, 4), 0.4), CONSTS, GRID)
     s1 = build_field_state(gaussian_density(1.0, (3.0 + eps, 4, 4), 0.4), CONSTS, GRID)
-    kx = GRID.k_lattice()[..., 0].reshape(-1)[1:]  # every mode but k = 0
+    kx = _k_lattice(GRID)[..., 0].reshape(-1)[1:]  # every mode but k = 0
     expected = s0.reshape(-1)[1:] * np.exp(-1j * kx * eps)
     scale = np.abs(s0).max()
     np.testing.assert_allclose(s1.reshape(-1)[1:], expected, rtol=1e-10, atol=1e-12 * scale)
@@ -169,16 +178,6 @@ def test_semiclassical_refuses_width_arrays_with_a_non_positive_entry(w):
         semiclassical_overlap((4.0, 4.0, 4.0), [(0.5, 0, 0), (0, 0.5, 0)], w, GRID, CONSTS)
 
 
-def _scalar_reference(x, eps, w, grid, mass, sigma_reg, matter_width):
-    """The log overlap as the scalar form has always computed it."""
-    hk = analytic_point_amplitudes(mass, sigma_reg, grid, CONSTS)
-    dh2 = 2.0 * (1.0 - np.cos(grid.k_lattice() @ np.asarray(eps, float))) * hk**2
-    log_overlap = -float(dh2.reshape(-1)[1:].sum() / (4.0 * w**2))
-    if matter_width is not None:
-        log_overlap += -float((np.asarray(eps, float) ** 2).sum() / (8.0 * matter_width**2))
-    return log_overlap
-
-
 def _masked_reference(grid):
     """The boolean mask of every mode but k = 0, as the overlaps once
     gathered and scattered through it."""
@@ -188,9 +187,11 @@ def _masked_reference(grid):
 
 
 def _masked_point_amplitudes(mass, sigma, grid):
-    kmag, mask = grid.k_magnitude, _masked_reference(grid)
-    out = np.zeros_like(kmag)
-    k2 = kmag[mask] ** 2
+    """The closed form on every lattice mode, |k|^2 summed from the lattice
+    components in the order the octant sums its axes."""
+    kvec, mask = _k_lattice(grid), _masked_reference(grid)
+    k2 = (kvec[..., 0] ** 2 + kvec[..., 1] ** 2 + kvec[..., 2] ** 2)[mask]
+    out = np.zeros((grid.n,) * 3)
     out[mask] = CONSTS.kappa * mass * CONSTS.c**2 * np.exp(-0.5 * sigma**2 * k2) / k2
     return out
 
@@ -203,24 +204,59 @@ def _masked_field_state(e, grid):
     return hk / (2.0 * CONSTS.hbar)
 
 
-def _masked_log_overlaps(eps, ws, grid, mass, sigma_reg, matter_width):
-    hk2 = _masked_point_amplitudes(mass, sigma_reg, grid) ** 2
-    kvec, mask = grid.k_lattice(), _masked_reference(grid)
-    mode_sums = np.array([(2.0 * (1.0 - np.cos(kvec @ e)) * hk2)[mask].sum() for e in eps])
-    log_overlap = -(mode_sums[:, None] / np.array([4.0 * v**2 for v in ws]))
-    matter = np.array([(e**2).sum() / (8.0 * matter_width**2) for e in eps])
-    return log_overlap + -matter[:, None]
+def _lattice_mode_sums(eps, grid, mass, sigma):
+    """S(eps) = sum over k != 0 of 2 h^2(k) (1 - cos k.eps), one cosine per
+    lattice mode, and the bound within which the folded contraction must
+    agree with it.
+
+    The bound is the unit roundoff times sum_k 2 h^2(k) times the rounding
+    steps each form takes; the amplitudes are equal bit for bit (tested), so
+    only the mode factor and the sums differ.  The lattice form sums terms
+    of at most 2 sum_k 2 h^2 pairwise, log2(n^3) + 6 roundings deep with its
+    cosine counted as 4.  The folded form sums six products of folded
+    factors (|u| <= 2, |c|, |s| <= 1 per signed mode, at most 9 sum_k 2 h^2
+    in all) through three nested dot products of n/2 + 1 terms, 3 (n/2 + 1)
+    + 16 roundings deep with each sine and cosine counted as 4.  The phase
+    k.eps carries 3 roundings on the lattice and 1 per axis when folded,
+    and 1 - cos moves by at most the phase error.
+    """
+    hk2 = _masked_point_amplitudes(mass, sigma, grid) ** 2
+    kvec = _k_lattice(grid)
+    m = grid.n // 2 + 1
+    steps = 2.0 * (math.log2(grid.n**3) + 6) + 9.0 * (3 * m + 16)
+    sums, bounds = [], []
+    for e in np.asarray(eps, float).reshape(-1, 3):
+        sums.append((2.0 * (1.0 - np.cos(kvec @ e)) * hk2).sum())
+        bounds.append(UNIT_ROUNDOFF * (2.0 * hk2 * (steps + 4.0 * np.abs(kvec * e).sum(-1))).sum())
+    return np.array(sums), np.array(bounds)
+
+
+def _lattice_log_overlaps(eps, ws, grid, mass, sigma_reg, matter_width):
+    """The log overlaps of the lattice mode sums, shape (len(eps), len(ws)),
+    and their bound: the mode sum's over 4 w^2, plus a few roundings of the
+    division and the matter term."""
+    eps = np.asarray(eps, float).reshape(-1, 3)
+    sums, bounds = _lattice_mode_sums(eps, grid, mass, sigma_reg)
+    four_w2 = 4.0 * np.asarray(ws, float) ** 2
+    log_overlap = -(sums[:, None] / four_w2)
+    if matter_width is not None:
+        log_overlap -= ((eps**2).sum(-1) / (8.0 * matter_width**2))[:, None]
+    return log_overlap, bounds[:, None] / four_w2 + 8 * UNIT_ROUNDOFF * np.abs(log_overlap)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_the_flat_k0_slice_equals_the_masked_forms(n):
     # k = 0 is element 0 of the flattened FFT-layout lattice, so reading
-    # `.reshape(-1)[1:]` gives the masked gathers and scatters bit for bit
+    # `.reshape(-1)[1:]` gives the masked gathers and scatters bit for bit;
+    # the point amplitudes are its octant, which unfolds onto every mode
     rng = np.random.default_rng(n)
     grid = GridSpec(n, float(rng.uniform(0.5, 20.0)))
+    fold = np.minimum(np.arange(n), n - np.arange(n))
     for _ in range(3):
         mass, sigma = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.01, 2.0)) * grid.h
-        assert np.array_equal(analytic_point_amplitudes(mass, sigma, grid, CONSTS),
+        octant = analytic_point_amplitudes(mass, sigma, grid, CONSTS)
+        assert octant.shape == (n // 2 + 1,) * 3
+        assert np.array_equal(octant[np.ix_(fold, fold, fold)],
                               _masked_point_amplitudes(mass, sigma, grid))
         e = grid_density(rng.exponential(size=(n,) * 3), grid.box)
         assert np.array_equal(build_field_state(e, CONSTS, grid), _masked_field_state(e, grid))
@@ -230,7 +266,45 @@ def test_the_flat_k0_slice_equals_the_masked_forms(n):
         matter_width = float(rng.uniform(0.1, 2.0))
         got = semiclassical_overlap(pos, eps, ws, grid, CONSTS, mass=mass, sigma_reg=sigma,
                                     matter_width=matter_width)
-        assert np.array_equal(got, _masked_log_overlaps(eps, ws, grid, mass, sigma, matter_width))
+        want, bound = _lattice_log_overlaps(eps, ws, grid, mass, sigma, matter_width)
+        assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128])
+def test_the_folded_mode_sum_matches_the_lattice_oracle(n):
+    # random boxes, masses, widths and displacements off the h lattice, so
+    # that every Nyquist sine is far from 0 and its terms count
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(3 if n < 128 else 1):
+        grid = GridSpec(n, float(rng.uniform(0.5, 20.0)))
+        mass, sigma = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.01, 2.0)) * grid.h
+        pos = np.full(3, 0.5 * grid.box)
+        eps = rng.uniform(-0.4, 0.4, (3, 3)) * grid.box
+        assert np.abs(np.sin(np.pi * eps / grid.h)).min() > 1e-3
+        ws = rng.uniform(0.01, 100.0, 2)
+        got = semiclassical_overlap(pos, eps, ws, grid, CONSTS, mass=mass, sigma_reg=sigma)
+        want, bound = _lattice_log_overlaps(eps, ws, grid, mass, sigma, None)
+        assert np.all(np.abs(got - want) <= bound)
+        # no mode contributes at eps = 0: the sum is 0, not a rounding residue
+        assert semiclassical_overlap(pos, np.zeros(3), ws, grid, CONSTS, mass=mass,
+                                     sigma_reg=sigma).tolist() == [0.0, 0.0]
+
+
+def test_an_n256_overlap_holds_two_octants_at_most():
+    # the (n/2+1)^3 squared wavenumbers and the amplitudes, squared in
+    # place, are the only octant-sized arrays; the per-displacement tables
+    # are (n/2+1)^2, a few of them at once
+    grid = GridSpec(256, 8.0)
+    m = grid.n // 2 + 1
+    tracemalloc.start()
+    try:
+        logs = semiclassical_overlap((4.0, 4.0, 4.0), [(0.5, 0.0, 0.0), (-0.3, 0.7, 0.1)],
+                                     [1.0, 2.0], grid, CONSTS, sigma_reg=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert logs.shape == (2, 2) and np.all(logs < 0.0)
+    assert peak <= 2 * 8 * m**3 + 8 * 8 * m**2
 
 
 @pytest.mark.parametrize("matter_width", [None, 0.25])
@@ -246,10 +320,11 @@ def test_semiclassical_array_forms_equal_scalar_calls(n, matter_width):
     assert logs.shape == (len(eps), len(ws))
     values = np.array([overlaps.overlap_from_log(v) for v in logs.flat]).reshape(logs.shape)
     assert (values == 0.0).any() and (values == 1.0).any() and ((0 < values) & (values < 1)).any()
+    lattice, bound = _lattice_log_overlaps(eps, ws, grid, **kw)
+    assert np.all(np.abs(logs - lattice) <= bound)
     for i, e in enumerate(eps):
         for j, w in enumerate(ws):
-            log_ij = semiclassical_overlap(pos, e, w, grid, CONSTS, **kw)
-            assert logs[i, j] == log_ij == _scalar_reference(pos, e, w, grid, **kw)
+            assert logs[i, j] == semiclassical_overlap(pos, e, w, grid, CONSTS, **kw)
         row = semiclassical_overlap(pos, e, ws, grid, CONSTS, **kw)
         assert row.shape == (len(ws),) and np.array_equal(row, logs[i])
     column = semiclassical_overlap(pos, eps, ws[2], grid, CONSTS, **kw)
@@ -321,9 +396,10 @@ def test_analytic_amplitudes_match_mode_solve():
     e = point_density(1.0, (4.0, 4.0, 4.0), sigma_reg=sigma)
     hk_grid = 2.0 * CONSTS.hbar * np.abs(build_field_state(e, CONSTS, grid))
     hk_exact = analytic_point_amplitudes(1.0, sigma, grid, CONSTS)
-    kmag = grid.k_magnitude
+    octant = (slice(0, grid.n // 2 + 1),) * 3
+    kmag = grid.k_magnitude[octant]
     sel = (kmag > 0) & (kmag < 4.0)
-    rel = np.abs(hk_grid[sel] - hk_exact[sel]) / hk_exact[sel]
+    rel = np.abs(hk_grid[octant][sel] - hk_exact[sel]) / hk_exact[sel]
     assert rel.max() < 0.01
 
 
