@@ -190,8 +190,8 @@ def compare_models(
     pinned), "deviations_fitted" (same with the overall constant fitted),
     "pairwise_deviations" (model vs model after prefactor normalisation),
     "self_energies" with their Monte-Carlo standard errors in
-    "self_energies_stderr" (zeros on the deterministic backends),
-    "prefactor_ratios" and "skipped_models".  A ladder on the grid backend
+    "self_energies_stderr" (zeros on the deterministic backends) and
+    "skipped_models".  A ladder on the grid backend
     adds "ladder_min_width_over_h": the point pair's regularisation width,
     min(sigma_ladder) / 4, over the cell size.
     """
@@ -252,8 +252,7 @@ def compare_models(
 
     # ad-hoc nonlocal coupling V = -(G / c^4) int E_A E_B / |x-y|: the trace of
     # the stress tensor is energy-density dominated for static sources
-    nl = pref_nonlocal * cross
-    matrices["nonlocal"] = PhaseMatrix(model="nonlocal", theta=1j * nl)
+    matrices["nonlocal"] = PhaseMatrix(model="nonlocal", theta=1j * (pref_nonlocal * cross))
 
     negativities = {name: negativity(psi_a.amplitudes, psi_b.amplitudes, pm)
                     for name, pm in matrices.items()}
@@ -281,13 +280,6 @@ def compare_models(
                      "B": (pref_self * self_val[n_a:]).tolist()}
     self_energies_stderr = {"A": (abs(pref_self) * self_err[:n_a]).tolist(),
                             "B": (abs(pref_self) * self_err[n_a:]).tolist()}
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_nl = np.where(nl != 0.0, general.phases / nl, np.nan)
-    prefactor_ratios = {
-        "general_over_newton_point_limit": POINT_LIMIT_RATIOS["newton"],
-        "general_over_nonlocal": float(np.nanmean(ratio_nl)) if np.isfinite(ratio_nl).any() else None,
-    }
 
     convergence = []
     if ladder:
@@ -318,7 +310,6 @@ def compare_models(
         "pairwise_deviations": pairwise_deviations,
         "self_energies": self_energies,
         "self_energies_stderr": self_energies_stderr,
-        "prefactor_ratios": prefactor_ratios,
         "skipped_models": skipped,
         **on_grid,
     }

@@ -31,19 +31,17 @@ Continuum fidelity is checked elsewhere against closed forms (point far
 field, mutual Gaussian energies) and the discrete Laplacian residual.
 
 Coulomb pair integrals int E_i E_j / |x - y| come from one entry point,
-`pair_integrals(family, pairs, ...)`: a list of densities and the (i, j)
-indices into it of every integral wanted, each computed once, in closed
-form (`coulomb_pair_analytic`), by grid quadrature (`coulomb_pair_grid`) or
-by 6-D Monte Carlo (`coulomb_pair_mc`).  `mutual_coulomb` is its one-pair
-call.  The grid quadrature is the Hockney sum
-h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) with the lattice 1/r kernel K of
-the solvers.  An analytic (Gaussian or point) profile on the lattice is a
-product of three axis profiles, so for two of them the sum factorises into
-three length-N cross-correlations contracted with the (N+1)^3 octant of K:
-no density is sampled and no transform taken.  An integral that involves
-a grid density contracts each density with the other's `solve_hT_spectral`
-potential and averages the two orders.  Each backend computes an integral
-the same way whichever others are computed with it.
+`pair_integrals(family, pairs, ...)`: a list of point or Gaussian densities
+and the (i, j) indices into it of every integral wanted, each computed
+once, in closed form (`coulomb_pair_analytic`), by grid quadrature
+(`coulomb_pair_grid`) or by 6-D Monte Carlo (`coulomb_pair_mc`).
+`mutual_coulomb` is its one-pair call.  The grid quadrature is the Hockney
+sum h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) with the lattice 1/r kernel K
+of the solvers.  A point or Gaussian profile on the lattice is a product of
+three axis profiles, so the sum factorises into three length-N
+cross-correlations contracted with the (N+1)^3 octant of K: no density is
+sampled and no transform taken.  Each backend computes an integral the same
+way whichever others are computed with it.
 
 The Monte-Carlo stream is part of the contract, so a seed gives the same
 integrals on every version: chunk c holds the n <= MC_CHUNK samples from
@@ -177,8 +175,6 @@ def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity, consts: Physic
     with s^2 = sigma_A^2 + sigma_B^2 (and the d -> 0 limit for coincident
     centers).
     """
-    if not (e_a.analytic and e_b.analytic):
-        raise ValueError("analytic backend needs point or gaussian profiles")
     sa = effective_sigma(e_a, grid)
     sb = effective_sigma(e_b, grid)
     s = math.sqrt(sa**2 + sb**2)
@@ -244,31 +240,15 @@ def _run_workers(work, tasks: int) -> None:
 
 def coulomb_pair_grid(family, pairs, consts: PhysicalConstants, grid: GridSpec) -> np.ndarray:
     """Hockney quadrature h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) of each
-    (i, j) of `pairs`, indices into `family`: the separable `_lattice_sum`
-    when both densities are analytic.  Otherwise each density, sampled once,
-    is contracted with the other's `solve_hT_spectral` potential, rescaled by
-    4 pi / kappa, and the two orders are averaged, so the sum is symmetric in
-    i and j bit for bit."""
+    (i, j) of `pairs`, indices into `family`, by the separable `_lattice_sum`."""
 
     @cache
     def profile(k):
         return axis_profiles(family[k], grid)
 
-    @cache
-    def field(k):  # the sampled density and its potential, held per density
-        rho = sample_on_grid(family[k], grid, consts)
-        return rho.values, solve_hT_spectral(rho, grid, consts).values
-
-    out = np.empty(len(pairs))
-    for p, (i, j) in enumerate(pairs):
-        if family[i].analytic and family[j].analytic:
-            out[p] = (family[i].mass * family[j].mass * consts.c**4
-                      * _lattice_sum(profile(i), profile(j), grid.coulomb_octant))
-        else:
-            (rho_i, pot_i), (rho_j, pot_j) = field(i), field(j)
-            out[p] = (0.5 * ((rho_i * pot_j).sum() + (rho_j * pot_i).sum())
-                      * grid.cell_volume * (4.0 * math.pi / consts.kappa))
-    return out
+    return np.array([family[i].mass * family[j].mass * consts.c**4
+                     * _lattice_sum(profile(i), profile(j), grid.coulomb_octant)
+                     for i, j in pairs], dtype=float)
 
 
 def _lattice_sum(g_i: np.ndarray, g_j: np.ndarray, octant: np.ndarray) -> float:
@@ -307,8 +287,6 @@ def coulomb_pair_mc(family, pairs, consts: PhysicalConstants, samples: int = 1_0
     chunk the squared distance is summed in the order of
     np.linalg.norm(axis=0), and each sum over the chunk's samples is
     numpy's pairwise sum."""
-    if not all(e.analytic for e in family):
-        raise ValueError("mc backend needs point or gaussian profiles")
     if samples < 2:
         raise ValueError(f"mc backend needs at least 2 samples for a standard error, got {samples}")
     sigma = [effective_sigma(e, grid) for e in family]
@@ -366,23 +344,22 @@ def pair_integrals(
     seed: int = 0,
 ):
     """int E_i(x) E_j(y) / |x - y| for each (i, j) of `pairs`, indices into
-    the density list `family`, returned as (values, stderr) arrays in the
-    order of `pairs`, each integral computed once.  The standard errors are
-    zero on the deterministic backends.
+    the list `family` of point or Gaussian densities, returned as (values,
+    stderr) arrays in the order of `pairs`, each integral computed once.  The
+    standard errors are zero on the deterministic backends.
 
-    backend: "analytic" (the Gaussian/point closed form,
-    `coulomb_pair_analytic`), "grid" (`coulomb_pair_grid`: the separable
-    lattice sum for two analytic densities, the spectral solve for an
-    integral with a grid density), "mc" (`coulomb_pair_mc`, one sample
-    stream that every integral reads), or "auto": the closed form when every
-    density is analytic and the grid otherwise, so that all integrals share
-    one quadrature.  An empty pair list gives empty arrays on every backend.
+    backend: "analytic" (the closed form, `coulomb_pair_analytic`), "grid"
+    (the separable lattice sum, `coulomb_pair_grid`), "mc"
+    (`coulomb_pair_mc`, one sample stream that every integral reads), or
+    "auto", which is "analytic".  An empty pair list gives empty arrays on
+    every backend.
     """
     family = list(family)
+    if not all(e.analytic for e in family):
+        raise ValueError("pair integrals need point or gaussian profiles")
     if backend not in ("auto", "analytic", "grid", "mc"):
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "auto":
-        backend = "analytic" if all(e.analytic for e in family) else "grid"
+    backend = "analytic" if backend == "auto" else backend
     if backend == "grid" and grid is None:
         raise ValueError("grid backend needs a GridSpec")
     if backend == "mc":

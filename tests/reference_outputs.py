@@ -58,6 +58,40 @@ def _gie_on_grid() -> dict:
     return cfg
 
 
+# table-top SI numbers (Bose et al., PRL 119, 240401, 2017): masses of
+# 1e-14 kg a few hundred micrometres apart, times of seconds
+_SI = {"system": "si", "length_scale": 1e-4, "mass_scale": 1e-14}
+
+
+def _si_gie() -> dict:
+    """gie-2x2's two-branch geometry in SI on the closed form: branches
+    250 um apart, sources 450 um apart, t = 2.5 s."""
+    def source(x0):
+        return {"type": "localized", "mass": 1e-14, "branches": [
+            {"amplitude": 0.7071067811865476, "center": [x, 0.0, 0.0], "width": 1e-5}
+            for x in (x0, x0 + 2.5e-4)]}
+
+    return {"scenario": "phase-compare", "seed": 7, "constants": {**_SI}, "time": 2.5,
+            "backend": "analytic", "sources": {"a": source(0.0), "b": source(4.5e-4)},
+            "sigma_ladder": [1e-4, 5e-5, 2.5e-5]}
+
+
+def _si_poisson() -> dict:
+    """An N=16 poisson run in SI: a 1e-14 kg Gaussian of width 200 um in a
+    box of 2 mm."""
+    return {"scenario": "poisson", "seed": 0, "constants": {**_SI}, "grid": {"n": 16, "box": 2e-3},
+            "poisson": {"profile": {"type": "gaussian", "mass": 1e-14,
+                                    "center": [1e-3, 1e-3, 1e-3], "sigma": 2e-4}}}
+
+
+def _negativity() -> dict:
+    """Explicit 2 x 2 amplitudes, phases and non-zero dampings."""
+    return {"scenario": "negativity", "seed": 0, "negativity": {
+        "amplitudes_a": [0.6, [0.0, 0.8]],
+        "amplitudes_b": [0.7071067811865476, -0.7071067811865476],
+        "phases": [[0.0, 0.4], [0.4, 1.1]], "dampings": [[0.0, -0.05], [-0.05, -0.2]]}}
+
+
 def _workloads():
     """The benchmark's workload module, loaded read-only from its file."""
     spec = importlib.util.spec_from_file_location("reference_workloads", WORKLOADS)
@@ -86,13 +120,15 @@ def cases() -> dict[str, dict]:
     out["gie-2x2-mc"] = _gie(backend="mc", mc_samples=20_000)
     out["gie-2x2-grid"] = _gie_on_grid()
     out["gie-2x2-time-0"] = _gie(time=0.0)
+    out["gie-2x2-si"] = _si_gie()
+    out["negativity-2x2"] = _negativity()
     out.update(_solver_configs(("phase-grid", "phase-mc")))
     return out
 
 
 def field_cases() -> dict[str, dict]:
     """Config of each reference case that writes field files only, by name."""
-    return _solver_configs(("poisson-oracle",))
+    return {**_solver_configs(("poisson-oracle",)), "poisson-si": _si_poisson()}
 
 
 def stack() -> dict:

@@ -19,6 +19,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.special import erfc
 
 from gravphase.cli import main as cli_main
@@ -242,6 +243,12 @@ def test_criterion_5_overlap_identities():
         psi, phi = one(), one()
         worst = max(worst, abs(exact_joint_overlap(psi, phi, grid, CONSTS)
                                - source_overlap(psi, phi)))
+    # the check behind that identity: a shared index whose two states carry
+    # different Gaussians has field shifts that do not cancel
+    moved = QuantumSourceState(amplitudes=[1.0], indices=psi.indices[:1],
+                               densities=[gaussian_density(1.0, (5.0, 3.0, 4.0), 0.45)])
+    with pytest.raises(ValueError, match="inconsistent"):
+        exact_joint_overlap(psi, moved, grid, CONSTS)
 
     pos, eps, sigma_reg = (4.0, 4.0, 4.0), (0.5, 0.0, 0.0), 0.1
     w_logs = [semiclassical_overlap(pos, eps, 700.0 * 0.5**i, grid, CONSTS,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gravphase.cli import main
@@ -196,8 +196,23 @@ def _refuse_constant(token):
     raise AssertionError(f"report.json holds the non-standard JSON token {token}")
 
 
+def _ladder_at_time_zero(backend: str) -> dict:
+    """A phase-compare run whose ladder has a zero point phase, so every
+    `deviation` of convergence.csv is undefined: a corner the random draws
+    do not reliably reach."""
+    def source(x):
+        return {"type": "localized", "mass": 1.0,
+                "branches": [{"amplitude": 1.0, "center": [x, 2.0, 2.0], "width": 0.3}]}
+
+    return {"scenario": "phase-compare", "seed": 0, "constants": {}, "mc_samples": 2,
+            "sources": {"a": source(1.5), "b": source(2.5)}, "grid": {"n": 16, "box": 4.0},
+            "time": 0.0, "backend": backend, "sigma_ladder": [0.4, 0.3]}
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=_VALID_CONFIGS)
+@example(cfg=_ladder_at_time_zero("analytic"))
+@example(cfg=_ladder_at_time_zero("grid"))
 def test_schema_valid_configs_end_in_an_exit_code(cfg):
     assert schema_error(cfg, CONFIG_SCHEMA) is None
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():

@@ -136,7 +136,6 @@ def test_overlap_sweep_builds_one_field_state_per_density(tmp_path, monkeypatch)
     cfg = get_preset("semiclassical-overlap")
     report = scenarios.run_overlap_sweep(cfg, tmp_path)
     assert report["state_pairs_checked"] == cfg["overlap"]["state_pairs"] == 20
-    assert report["joint_overlap_identity_max_dev"] == 0.0
     keys = {(dens, grid) for dens, _, grid in calls}
     assert 0 < len(calls) == len(keys) <= 4
 

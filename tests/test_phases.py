@@ -17,7 +17,6 @@ from gravphase.sources import (
     PhysicalConstants,
     QuantumSourceState,
     gaussian_density,
-    grid_density,
     point_density,
 )
 
@@ -69,13 +68,13 @@ def test_theta_point_pair_value():
 
 def test_theta_bilinear_and_time_linear():
     grid = GridSpec(16, 8.0)
-    from gravphase.sources import sample_on_grid
-    va = sample_on_grid(gaussian_density(1.0, (3.5, 4, 4), 0.6), grid, CONSTS).values
-    vb = sample_on_grid(gaussian_density(1.0, (4.5, 4, 4), 0.5), grid, CONSTS).values
-    base, _ = theta_AB(grid_density(va, 8.0), grid_density(vb, 8.0), 1.0, CONSTS,
-                       backend="grid", grid=grid)
-    scaled, _ = theta_AB(grid_density(2.5 * va, 8.0), grid_density(0.5 * vb, 8.0), 3.0, CONSTS,
-                         backend="grid", grid=grid)
+
+    def theta(m_a, m_b, t):
+        return theta_AB(gaussian_density(m_a, (3.5, 4, 4), 0.6),
+                        gaussian_density(m_b, (4.5, 4, 4), 0.5), t, CONSTS,
+                        backend="grid", grid=grid)[0]
+
+    base, scaled = theta(1.0, 1.0, 1.0), theta(2.5, 0.5, 3.0)
     assert abs(scaled - 2.5 * 0.5 * 3.0 * base) < 1e-10 * abs(base)
 
 
@@ -284,7 +283,8 @@ def test_compare_models_gie_and_wide():
     assert rep["deviations_point_normalized"]["newton"] < 0.02
     assert rep["negativities"]["schroedinger-newton"] == 0.0
     assert rep["negativities"]["general"] > 0.0
-    assert abs(rep["prefactor_ratios"]["general_over_nonlocal"] + 4.0) < 1e-9
+    assert np.array_equal(rep["matrices"]["general"].phases,
+                          -4.0 * rep["matrices"]["nonlocal"].phases)
     assert len(rep["self_energies"]["A"]) == 2
 
     wa, wb = pair_spec(d=1.0, width=0.5)
@@ -422,7 +422,8 @@ def test_mc_models_share_one_sample_set():
     a, b = gie_specs(width=0.3)
     for t in (0.3, 0.17):
         rep = models(a, b, t, backend="mc", mc_samples=20_000, seed=4)
-        assert rep["prefactor_ratios"]["general_over_nonlocal"] == -4.0
+        assert np.array_equal(rep["matrices"]["general"].phases,
+                              -4.0 * rep["matrices"]["nonlocal"].phases)
         assert rep["pairwise_deviations"]["general|nonlocal"] == 0.0
         assert rep["matrices"]["general"].stderr.min() > 0.0
     # the self-energies carry the standard errors of their self integrals,

@@ -406,12 +406,14 @@ def test_mutual_coulomb_point_pair():
 
 
 def test_mutual_coulomb_zero_and_symmetry():
+    # off-node centres and unequal widths, so that an asymmetric sum would
+    # show in the last bits
     grid = GridSpec(16, 8.0)
-    zero = grid_density(np.zeros((16,) * 3), 8.0)
-    e = smooth_density(grid, seed=9)
+    zero = gaussian_density(0.0, (4.0, 4.0, 4.0), 0.6)
+    e = gaussian_density(1.2, (3.7, 4.1, 4.3), 0.9)
     val, _ = mutual_coulomb(e, zero, CONSTS, backend="grid", grid=grid)
     assert val == 0.0
-    e2 = smooth_density(grid, seed=10)
+    e2 = gaussian_density(0.8, (4.6, 3.9, 4.2), 1.1)
     ab, _ = mutual_coulomb(e, e2, CONSTS, backend="grid", grid=grid)
     ba, _ = mutual_coulomb(e2, e, CONSTS, backend="grid", grid=grid)
     assert ab == ba
@@ -451,12 +453,16 @@ def _cross_and_self(dens_a, dens_b):
 def test_pair_integrals_match_the_single_pair_backends():
     grid = GridSpec(16, 8.0)
     dens, pairs = _cross_and_self(
-        [gaussian_density(1.0, (3.0, 4.0, 4.0), 0.6), smooth_density(grid, seed=11)],
+        [gaussian_density(1.0, (3.0, 4.0, 4.0), 0.6),
+         point_density(0.9, (4.2, 3.6, 4.1), sigma_reg=0.3)],
         [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5)])
-    val, err = pair_integrals(dens, pairs, CONSTS, grid=grid)  # auto: one non-analytic -> grid
+    val, err = pair_integrals(dens, pairs, CONSTS, backend="grid", grid=grid)
     for value, (i, j) in zip(val, pairs, strict=True):
         assert value == mutual_coulomb(dens[i], dens[j], CONSTS, backend="grid", grid=grid)[0]
     assert not err.any()
+    # auto is the closed form, and needs no grid
+    auto, closed = (pair_integrals(dens, pairs, CONSTS, backend=b)[0] for b in ("auto", "analytic"))
+    assert np.array_equal(auto, closed)
 
     # mc: every entry equals its own 1 x 1 call, stderr included
     gauss = [gaussian_density(1.0, (0.3 * k, 0.0, 0.0), 0.2 + 0.1 * k) for k in range(3)]
@@ -466,7 +472,7 @@ def test_pair_integrals_match_the_single_pair_backends():
                                                  mc_samples=500, seed=3)
     assert np.all(err > 0.0)
     with pytest.raises(ValueError, match="GridSpec"):
-        pair_integrals([dens[1]], [], CONSTS)
+        pair_integrals([dens[1]], [], CONSTS, backend="grid")
 
 
 def _mc_reference(e_a, e_b, samples, seed, grid=None):
@@ -579,10 +585,16 @@ def test_mc_kernel_refuses_fewer_than_two_samples(samples):
         coulomb_pair_mc([e_a, e_b], [(0, 1)], CONSTS, samples=samples)
 
 
-def test_mc_kernel_refuses_a_non_analytic_profile():
+@pytest.mark.parametrize("backend", ["auto", "analytic", "grid", "mc"])
+def test_pair_integrals_refuse_a_grid_density(backend):
+    # one rule on every backend, checked before any integral
     e_a, _, _ = _MC_PAIRS["gaussians"]
-    with pytest.raises(ValueError, match="point or gaussian"):
-        coulomb_pair_mc([e_a, grid_density(np.ones((4, 4, 4)), 2.0)], [(0, 1)], CONSTS, samples=10)
+    lumpy = grid_density(np.ones((4, 4, 4)), 2.0)
+    kw = dict(backend=backend, grid=GridSpec(4, 2.0), mc_samples=10)
+    with pytest.raises(ValueError, match="^pair integrals need point or gaussian profiles$"):
+        pair_integrals([e_a, lumpy], [(0, 1)], CONSTS, **kw)
+    with pytest.raises(ValueError, match="^pair integrals need point or gaussian profiles$"):
+        mutual_coulomb(lumpy, e_a, CONSTS, **kw)
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
@@ -688,10 +700,6 @@ def test_grid_pair_integrals_agree_with_the_closed_form(family):
         assert abs(value - closed) <= bound(dens[i], dens[j], closed)
 
 
-def _as_grid_density(e, grid):
-    return grid_density(sample_on_grid(e, grid, CONSTS).values, grid.box)
-
-
 def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
     from gravphase import poisson
 
@@ -708,24 +716,12 @@ def test_grid_pair_integrals_sample_each_density_once(monkeypatch):
     dens_b = [gaussian_density(0.7, (3.5, 3.0 - 0.3 * k, 3.0), 0.6) for k in range(2)]
     dens, pairs = _cross_and_self(dens_a, dens_b)
     got, _ = pair_integrals(dens, pairs, CONSTS, backend="grid", grid=grid)
-    # an analytic family takes the separable sum: no sampling, no transform,
-    # no kernel spectrum
+    # the separable sum: no sampling, no transform, no kernel spectrum
     assert sampled == [] and "coulomb_kernel_hat" not in vars(grid)
-    # a grid density brings in the spectral solve for its own integrals only:
-    # each analytic density they read is sampled once, and every other call
-    # is a grid density passing through
-    lumpy = _as_grid_density(gaussian_density(0.9, (3.0, 3.2, 2.8), 0.5), grid)
-    pair_integrals(*_cross_and_self(dens_a, [lumpy] + dens_b), CONSTS, backend="grid", grid=grid)
-    assert sorted(id(e) for e in sampled if e.analytic) == sorted(map(id, dens_a))
-    assert all(e.kind == "grid" for e in sampled if not e.analytic)
     monkeypatch.setattr(poisson, "sample_on_grid", real)
-
-    def pair(x, y):  # position space: E_A contracted with the solved potential of E_B
-        pot = solve_hT_spectral(y, grid, CONSTS).values * (4.0 * math.pi / KAPPA)
-        return float((sample_on_grid(x, grid, CONSTS).values * pot).sum() * grid.cell_volume)
-
     # the same quadrature summed in another order: equal to rounding
-    np.testing.assert_allclose(got, [pair(dens[i], dens[j]) for i, j in pairs], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got, _spectral_pair_integrals(dens, pairs, grid)[0], rtol=1e-14,
+                               atol=0)
 
 
 _SEPARABLE_FAMILIES = {
@@ -744,12 +740,23 @@ _SEPARABLE_FAMILIES = {
 }
 
 
+def _spectral_pair_integrals(dens, pairs, grid):
+    """The Hockney sum of each pair by the spectral solve: each sampled
+    density contracted with the other's `solve_hT_spectral` potential,
+    rescaled by 4 pi / kappa, the two orders averaged; and the largest value
+    of each density's potential phi = 4 pi h^T / kappa."""
+    rho = [sample_on_grid(e, grid, CONSTS).values for e in dens]
+    pot = [solve_hT_spectral(e, grid, CONSTS).values for e in dens]
+    sums = [0.5 * ((rho[i] * pot[j]).sum() + (rho[j] * pot[i]).sum())
+            * grid.cell_volume * (4.0 * math.pi / KAPPA) for i, j in pairs]
+    return np.array(sums), [p.max() * (4.0 * math.pi / KAPPA) for p in pot]
+
+
 @pytest.mark.parametrize("name", sorted(_SEPARABLE_FAMILIES))
 def test_separable_sum_equals_the_spectral_solve_route(name):
-    # the same quadrature summed two ways: the separable lattice sum for the
-    # analytic densities, and for them passed as grid densities each density
-    # contracted with the other's spectral potential.  Rounding bound, in
-    # units of eps/2: on the spectral side the 3-D normalisation sum of the
+    # the same quadrature summed two ways: the separable lattice sum, and
+    # each density contracted with the other's spectral potential.
+    # Rounding bound, in units of eps/2: on the spectral side the 3-D normalisation sum of the
     # sampling (pairwise, log2 N^3 + 8), log2(2N) for each of the three
     # forward and three inverse transforms of length 2N and the three of the
     # kernel spectrum, the contraction sum (pairwise, log2 N^3 + 8) and the
@@ -764,53 +771,37 @@ def test_separable_sum_equals_the_spectral_solve_route(name):
     tol = terms * np.finfo(float).eps / 2
     dens, pairs = _cross_and_self(dens_a, dens_b)
     sep, _ = pair_integrals(dens, pairs, CONSTS, backend="grid", grid=grid)
-    as_grid = [_as_grid_density(e, grid) for e in dens]
-    spec, _ = pair_integrals(as_grid, pairs, CONSTS, backend="grid", grid=grid)
-
-    def peak(e):  # the largest value of phi = 4 pi h^T / kappa
-        return solve_hT_spectral(e, grid, CONSTS).values.max() * (4.0 * math.pi / KAPPA)
-
+    spec, peaks = _spectral_pair_integrals(dens, pairs, grid)
     m = [e.mass * CONSTS.c**2 for e in dens]
-    peaks = [peak(e) for e in as_grid]
     scale = np.array([0.5 * (m[i] * peaks[j] + peaks[i] * m[j]) for i, j in pairs])
     assert np.all(np.abs(sep - spec) <= tol * scale)
 
 
 def test_a_centre_far_outside_the_box_raises_on_both_grid_paths():
+    # the pair list and the one-pair call
     grid = GridSpec(16, 8.0)
     inside = gaussian_density(1.0, (4.0, 4.0, 4.0), 0.6)
     far = gaussian_density(1.0, (4.0, 4.0, 1e4), 0.6)
-    lumpy = smooth_density(grid, seed=14)
-    for dens_b in ([inside], [lumpy]):  # separable, then the spectral solve
-        with pytest.raises(ValueError, match="no support on the grid"):
-            pair_integrals(*_cross_and_self([far], dens_b), CONSTS, backend="grid", grid=grid)
-        with pytest.raises(ValueError, match="no support on the grid"):
-            mutual_coulomb(dens_b[0], far, CONSTS, backend="grid", grid=grid)
+    with pytest.raises(ValueError, match="no support on the grid"):
+        pair_integrals(*_cross_and_self([far], [inside]), CONSTS, backend="grid", grid=grid)
+    with pytest.raises(ValueError, match="no support on the grid"):
+        mutual_coulomb(inside, far, CONSTS, backend="grid", grid=grid)
 
 
 def test_swapping_the_families_transposes_the_grid_pair_integrals():
-    # each (i, j) against its (j, i): the transpose of the cross block.  A
-    # few random spikes per density spread the sums evenly over the modes,
-    # so that an asymmetric product such as (K a) b shows in the last bits;
-    # Gaussians at off-node centres with unequal widths do the same for the
-    # separable sum
+    # each (i, j) against its (j, i): the transpose of the cross block.
+    # Gaussians at off-node centres with unequal widths spread the sums, so
+    # that an asymmetric sum shows in the last bits
     grid = GridSpec(16, 8.0)
     rng = np.random.default_rng(12)
-    spikes = []
-    for _ in range(3):
-        values = np.zeros((16,) * 3)
-        values.flat[rng.choice(values.size, 5, replace=False)] = rng.uniform(0.5, 1.5, 5)
-        spikes.append(grid_density(values, grid.box))
     blobs = [gaussian_density(rng.uniform(0.5, 1.5), rng.uniform(3.0, 5.0, 3), rng.uniform(0.5, 1.2))
              for _ in range(3)]
-    for dens in (spikes, blobs):  # a mixed family, then an all-analytic one
-        dens_a = [dens[0], gaussian_density(1.0, (3.0, 4.0, 4.5), 0.6)]
-        dens_b = [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5), dens[1], dens[2]]
-        family, pairs = _cross_and_self(dens_a, dens_b)
-        ab, _ = pair_integrals(family, pairs, CONSTS, backend="grid", grid=grid)
-        ba, _ = pair_integrals(family, [(j, i) for i, j in pairs], CONSTS, backend="grid",
-                               grid=grid)
-        assert np.array_equal(ba, ab)
+    dens_a = [blobs[0], gaussian_density(1.0, (3.0, 4.0, 4.5), 0.6)]
+    dens_b = [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5), blobs[1], blobs[2]]
+    family, pairs = _cross_and_self(dens_a, dens_b)
+    ab, _ = pair_integrals(family, pairs, CONSTS, backend="grid", grid=grid)
+    ba, _ = pair_integrals(family, [(j, i) for i, j in pairs], CONSTS, backend="grid", grid=grid)
+    assert np.array_equal(ba, ab)
 
 
 def _phase_grid_family():
@@ -848,22 +839,6 @@ def test_separable_pair_integrals_peak_memory_is_the_octant_and_planes_of_it():
     assert peak <= 2 * plane + 2**16, peak
 
 
-def test_grid_pair_integrals_peak_memory_is_the_potentials_and_one_solve():
-    n = 64
-    grid = GridSpec(n, 6.0)
-    dens_a, dens_b = ([_as_grid_density(e, grid) for e in family]
-                      for family in _phase_grid_family())
-    grid.coulomb_kernel_hat  # built once per grid, not part of the call
-    peak = _traced_peak(lambda: pair_integrals(*_cross_and_self(dens_a, dens_b), CONSTS,
-                                               backend="grid", grid=grid))
-    # one held (N, N, N) potential per density read (the densities are the
-    # caller's), plus the bound of a solve in
-    # test_spectral_solve_peak_memory_is_two_spectra, whose density term
-    # also covers a contraction's product (measured 31.9 MB)
-    spectrum = (2 * n) ** 2 * (n + 1) * 16
-    assert peak <= 4 * n**3 * 8 + spectrum + spectrum // 2 + n**3 * 8 + 2**16, peak
-
-
 @pytest.mark.parametrize("backend", ["auto", "analytic", "grid", "mc"])
 def test_empty_density_families_give_empty_pair_integrals(backend):
     got = pair_integrals([], [], CONSTS, backend=backend, grid=GridSpec(8, 6.0))
@@ -879,12 +854,9 @@ def test_pair_integrals_refuse_an_unknown_backend():
         mutual_coulomb(e, e, CONSTS, backend="fmm")
 
 
-@pytest.mark.parametrize("backend, lumpy", [("grid", False), ("auto", True)])
-def test_both_pair_entry_points_need_a_grid_for_the_grid_backend(backend, lumpy):
-    # "auto" takes the grid for a grid density
+def test_both_pair_entry_points_need_a_grid_for_the_grid_backend():
     e = gaussian_density(1.0, (3.0, 3.0, 3.0), 0.5)
-    other = _as_grid_density(e, GridSpec(8, 6.0)) if lumpy else e
     with pytest.raises(ValueError, match="grid backend needs a GridSpec"):
-        pair_integrals([e, other], [(0, 1)], CONSTS, backend=backend)
+        pair_integrals([e, e], [(0, 1)], CONSTS, backend="grid")
     with pytest.raises(ValueError, match="grid backend needs a GridSpec"):
-        mutual_coulomb(e, other, CONSTS, backend=backend)
+        mutual_coulomb(e, e, CONSTS, backend="grid")
