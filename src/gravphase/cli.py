@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical guard violation,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -38,8 +39,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    from .config import (ConfigError, CONFIG_SCHEMA, apply_overrides,
-                         get_preset, load_config, preset_names)
+    # numpy and the layers live until exit: import them with the cyclic
+    # collector paused, then freeze them, so that neither the run's
+    # collections nor the interpreter's shutdown rescan them
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        from .config import (ConfigError, CONFIG_SCHEMA, apply_overrides,
+                             get_preset, load_config, preset_names)
+        if args.command == "run":
+            from .scenarios import run_scenario
+    finally:
+        if collecting:
+            gc.enable()
+    gc.freeze()
 
     if args.command == "schema":
         print(json.dumps(CONFIG_SCHEMA, indent=2))
@@ -59,7 +72,6 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args.sets)
         outdir = args.out or cfg.get("output_dir", "out")
-        from .scenarios import run_scenario
         run_scenario(cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -338,13 +339,7 @@ def test_override_paths():
         apply_overrides(cfg, ["garbage"])
 
 
-def test_numerical_guard_exit_code(tmp_path, monkeypatch, capsys):
-    # the direct solver is guarded above N=48, and its guard comes first: at
-    # N = 64 the spectral solve would take ~37 MB only to be thrown away
-    from gravphase import scenarios
-
-    calls = []
-    monkeypatch.setattr(scenarios, "solve_hT_spectral", lambda *args: calls.append(args))
+def _poisson_at_n64(tmp_path):
     cfg = get_preset("gie-2x2")
     cfg["scenario"] = "poisson"
     cfg["grid"] = {"n": 64, "box": 8.0}
@@ -352,7 +347,17 @@ def test_numerical_guard_exit_code(tmp_path, monkeypatch, capsys):
                                   "center": [4.0, 4.0, 4.0], "sigma": 1.2}}
     path = tmp_path / "guard.json"
     path.write_text(json.dumps(cfg))
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    return path
+
+
+def test_numerical_guard_exit_code(tmp_path, monkeypatch, capsys):
+    # the direct solver is guarded above N=48, and its guard comes first: at
+    # N = 64 the spectral solve would take ~37 MB only to be thrown away
+    from gravphase import scenarios
+
+    calls = []
+    monkeypatch.setattr(scenarios, "solve_hT_spectral", lambda *args: calls.append(args))
+    assert main(["run", str(_poisson_at_n64(tmp_path)), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "numerical guard: direct solver guarded to N <= 48\n"
     assert calls == []
 
@@ -563,6 +568,60 @@ def test_importing_the_cli_loads_no_layer():
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['gravphase', 'gravphase.cli']"
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, collecting):
+    # main pauses the cyclic collector while it imports the layers; a pause
+    # that leaked would switch collection off for every in-process caller
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    commands = [(["run", "preset:gie-2x2", "--out", str(tmp_path / "o")], 0),
+                (["run", "preset:gie-2x2", "--set", "nope=1"], 1),
+                (["run", str(_poisson_at_n64(tmp_path)), "--out", str(tmp_path / "g")], 2),
+                (["run", "preset:gie-2x2", "--out", str(a_file)], 3),
+                (["schema"], 0), (["presets"], 0)]
+    was_collecting = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, code in commands:
+            assert main(argv) == code, argv
+            assert gc.isenabled() is collecting, argv
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+
+
+def test_a_run_freezes_the_import_time_heap(tmp_path):
+    # numpy and the layers are imported before main freezes the heap, so
+    # neither the run's collections nor the interpreter's shutdown rescan
+    # them; a heavy import moved after the freeze leaves its module tracked
+    probe = ("import gc, sys; from gravphase.cli import main; "
+             f"code = main(['run', 'preset:gie-2x2', '--out', {str(tmp_path / 'o')!r}]); "
+             "tracked = {id(o) for o in gc.get_objects()}; "
+             "print(code, gc.get_freeze_count(), len(tracked), sorted("
+             "name for name, m in list(sys.modules.items()) "
+             "if name.split('.')[0] in ('gravphase', 'numpy') and id(vars(m)) in tracked))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    code, frozen, tracked, unfrozen_modules = proc.stdout.splitlines()[-1].split(" ", 3)
+    assert code == "0"
+    assert int(frozen) > int(tracked)
+    assert unfrozen_modules == "[]"
+
+
+def test_schema_and_presets_do_not_import_the_scenarios():
+    # the freeze covers what a command imports, and only `run` needs the
+    # layers behind gravphase.scenarios
+    probe = ("import sys; from gravphase.cli import main; "
+             "codes = [main(['schema']), main(['presets']), main(['presets', '--emit', 'gie-2x2'])]; "
+             "print(codes, 'gravphase.scenarios' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_gie_report_carries_the_static_rows(tmp_path):
