@@ -23,6 +23,7 @@ import numpy as np
 from . import gridio
 from .grids import LATTICE_BYTES_LIMIT
 from .opalg import check_sweep_size
+from .poisson import RESIDUAL_MARGIN
 from .sources import PhysicalConstants
 
 SCENARIOS = ("phase-compare", "poisson", "overlap-sweep", "opalg-verify", "negativity")
@@ -272,6 +273,9 @@ def validate_config(cfg: dict) -> None:
                                   f"needs {key!r}")
         if block["type"] == "grid-file":
             _check_grid_file(path, block["path"], cfg)
+    if "poisson" in cfg and len(cfg["poisson"]["profile"].get("branches", ())) > 1:
+        raise ConfigError("config invalid at poisson/profile/branches: a poisson profile is one "
+                          f"density, got {len(cfg['poisson']['profile']['branches'])} branches")
     if scenario == "phase-compare" and any(
             cfg["sources"][k]["type"] not in ("localized", "gaussian") for k in "ab"):
         raise ConfigError("phase-compare sources must be localized or gaussian")
@@ -299,6 +303,10 @@ def validate_config(cfg: dict) -> None:
         if table > LATTICE_BYTES_LIMIT:
             raise ConfigError(f"config invalid at {path}: N = {n} needs a lattice table of "
                               f"{table} bytes, above the limit of {LATTICE_BYTES_LIMIT}")
+    if scenario == "poisson" and cfg["grid"]["n"] <= 2 * RESIDUAL_MARGIN:
+        raise ConfigError(f"config invalid at grid/n: the Laplacian residual reads the cells "
+                          f"more than a margin of {RESIDUAL_MARGIN} from each face, so N must "
+                          f"exceed {2 * RESIDUAL_MARGIN}, got {cfg['grid']['n']}")
     if "poisson" in cfg and "grid" in cfg and cfg["grid"]["n"] % cfg["poisson"]["stride"]:
         raise ConfigError(f"config invalid at poisson/stride: stride must divide grid/n = "
                           f"{cfg['grid']['n']}, got {cfg['poisson']['stride']}")

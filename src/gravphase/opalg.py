@@ -389,12 +389,13 @@ def closed_form_branch_amplitude(system: TruncatedModeSystem, probe: ProbeStress
 
 
 def low_level_projector(system: TruncatedModeSystem, n_low: int) -> np.ndarray:
-    """Diagonal projector onto per-mode number states below n_low; restricts
-    defect norms to the subspace where truncation is clean."""
-    keep = np.ones(1)
+    """Boolean keep mask of the kron basis, the diagonal of the projector P
+    onto per-mode number states below n_low; restricts defect norms to the
+    subspace where truncation is clean.  np.diag(mask) is P."""
+    keep = np.ones(1, dtype=bool)
     for spec in system.modes:
         keep = np.kron(keep, np.arange(spec.dim) < n_low)
-    return np.diag(keep)
+    return keep
 
 
 @dataclass(frozen=True)
@@ -450,10 +451,10 @@ def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
     propagator function is called once for all times.
 
     Every propagator is applied only to the columns the comparison reads:
-    the n_low^M number states X that the diagonal low_level_projector P
-    keeps, the field vacuum first.  A defect is the largest per-branch
-    ||(U_b - U_Z,b) X||_2, which equals ||(U_b - U_Z,b) P||_2 because
-    P = X X^T with X orthonormal, and is the operator norm on the
+    the n_low^M number states X that the mask `low_level_projector` keeps,
+    the field vacuum first.  A defect is the largest per-branch
+    ||(U_b - U_Z,b) X||_2, which equals ||(U_b - U_Z,b) P||_2 for the
+    projector P = X X^T with X orthonormal, and is the operator norm on the
     block-diagonal field (x) probe space.  The vacuum amplitudes are column
     0 of U_b X.  A sweep over SWEEP_BYTES_LIMIT is refused first."""
     hbar = system.consts.hbar
@@ -462,7 +463,7 @@ def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
                      math.prod(min(n_low, m.dim) for m in system.modes))
     h_g = build_HG(system)
     h_i = build_HI(system, probe, hT_shift)
-    x = np.eye(system.field_dim)[:, np.diagonal(low_level_projector(system, n_low)) == 1.0]
+    x = np.eye(system.field_dim)[:, low_level_projector(system, n_low)]
     u_x = exact_propagator(h_g + h_i, times, hbar, x)
     u_z2, u_z3 = zassenhaus_product(h_g, h_i, times, hbar, x)
     defect3, defect2 = (np.linalg.norm(u_x - u_z, 2, axis=(-2, -1)).max(axis=-1)

@@ -25,7 +25,6 @@ from .grids import GridSpec
 from .poisson import mutual_coulomb, pair_integrals
 from .sources import (
     EnergyDensity,
-    LocalizedSourceSpec,
     PhysicalConstants,
     QuantumSourceState,
     gaussian_density,
@@ -97,15 +96,21 @@ def theta_AB(
     return pref * val, abs(pref) * err
 
 
-def newton_phase(spec_a: LocalizedSourceSpec, spec_b: LocalizedSourceSpec,
+def newton_phase(psi_a: QuantumSourceState, psi_b: QuantumSourceState,
                  time: float, consts: PhysicalConstants) -> PhaseMatrix:
-    """Branch-center phase matrix of the pairwise 1/r potential:
-    theta_ij = + G m_A m_B t / (hbar |x_i - y_j|), the phase of
-    e^{-i V t / hbar} with V = -G m_A m_B / r.  Pure phase, no damping."""
-    d = np.linalg.norm(spec_a.centers[:, None, :] - spec_b.centers[None, :, :], axis=-1)
+    """Density-center phase matrix of the pairwise 1/r potential:
+    theta_ij = + G m_i m_j t / (hbar |x_i - y_j|), with m_i, x_i the mass
+    and center of density i of psi_a and m_j, y_j those of psi_b, the phase
+    of e^{-i V t / hbar} with V = -G m_i m_j / r.  Pure phase, no damping."""
+    if not all(e.analytic for psi in (psi_a, psi_b) for e in psi.densities):
+        raise ValueError("the 1/r potential needs point or gaussian densities (a center)")
+    (m_a, x), (m_b, y) = ((np.array([e.mass for e in psi.densities], float),
+                           np.array([e.center for e in psi.densities], float))
+                          for psi in (psi_a, psi_b))
+    d = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
     if np.any(d == 0.0):
-        raise ValueError("coincident branch centers: 1/r potential undefined")
-    theta = consts.G * spec_a.mass * spec_b.mass * time / (consts.hbar * d)
+        raise ValueError("coincident density centers: 1/r potential undefined")
+    theta = consts.G * m_a[:, None] * m_b[None, :] * time / (consts.hbar * d)
     return PhaseMatrix(model="newton", theta=1j * theta)
 
 
@@ -132,12 +137,6 @@ def negativity(amps_a, amps_b, matrix: PhaseMatrix) -> float:
     s = s[s > EIGENVALUE_FLOOR * s[0]]
     sq = float((s * s).sum())
     return (float(s.sum()) ** 2 - sq) / (2.0 * sq)
-
-
-def _as_state(source) -> QuantumSourceState:
-    if isinstance(source, QuantumSourceState):
-        return source
-    return QuantumSourceState.from_localized(source)
 
 
 def _point_normalized_deviation(theta_general: np.ndarray, theta_model: np.ndarray,
@@ -169,8 +168,8 @@ def _fitted_deviation(theta_general: np.ndarray, theta_model: np.ndarray) -> flo
 
 
 def compare_models(
-    source_a: LocalizedSourceSpec | QuantumSourceState,
-    source_b: LocalizedSourceSpec | QuantumSourceState,
+    psi_a: QuantumSourceState,
+    psi_b: QuantumSourceState,
     time: float,
     consts: PhysicalConstants,
     grid: GridSpec | None = None,
@@ -179,31 +178,23 @@ def compare_models(
     seed: int = 0,
     sigma_ladder=(),
 ) -> dict:
-    """Evaluate all applicable model phase matrices for one source pair and
-    quantify how far each competing model is from the full density phase.
+    """Evaluate every model phase matrix for one source pair and quantify
+    how far each competing model is from the full density phase.
 
     Returns a dict: "matrices" (PhaseMatrix per model), "convergence" (the
-    narrow-width ladder rows, each phase and stderr equal to `theta_AB` of
-    its pair; empty unless both sources are localised and sigma_ladder is
-    set), then the report sections "negativities",
+    narrow-width ladder rows on the first density of each state, each
+    phase and stderr equal to `theta_AB` of its pair; empty unless
+    sigma_ladder is set), then the report sections "negativities",
     "deviations_point_normalized" (general vs model, point-limit prefactor
     pinned), "deviations_fitted" (same with the overall constant fitted),
     "pairwise_deviations" (model vs model after prefactor normalisation),
     "self_energies" with their Monte-Carlo standard errors in
-    "self_energies_stderr" (zeros on the deterministic backends) and
-    "skipped_models".  A ladder on the grid backend
-    adds "ladder_min_width_over_h": the point pair's regularisation width,
-    min(sigma_ladder) / 4, over the cell size.
+    "self_energies_stderr" (zeros on the deterministic backends).  A ladder
+    on the grid backend adds "ladder_min_width_over_h": the point pair's
+    regularisation width, min(sigma_ladder) / 4, over the cell size.
     """
     if time < 0.0:
         raise ValueError("evolution time must be non-negative")
-    a_loc = isinstance(source_a, LocalizedSourceSpec)
-    b_loc = isinstance(source_b, LocalizedSourceSpec)
-    psi_a = _as_state(source_a)
-    psi_b = _as_state(source_b)
-
-    matrices = {}
-    skipped = {}
 
     # every Coulomb integral of the run from one pair list: the cross block
     # row by row, the self integrals, then the ladder's point pair and one
@@ -213,13 +204,12 @@ def compare_models(
     n_a, n_b = len(psi_a.densities), len(psi_b.densities)
     n_f, n_cross = n_a + n_b, n_a * n_b
     pairs = [(i, j) for i in range(n_a) for j in range(n_a, n_f)] + [(k, k) for k in range(n_f)]
-    ladder = a_loc and b_loc and sigma_ladder
-    if ladder:
-        m_a, m_b = source_a.mass, source_b.mass
-        c_a, c_b = source_a.centers[0], source_b.centers[0]
+    if sigma_ladder:
+        a0, b0 = psi_a.densities[0], psi_b.densities[0]
         reg = min(sigma_ladder) / 4.0
-        rungs = [(point_density(m_a, c_a, sigma_reg=reg), point_density(m_b, c_b, sigma_reg=reg))]
-        rungs += [(gaussian_density(m_a, c_a, s), gaussian_density(m_b, c_b, s))
+        rungs = [(point_density(a0.mass, a0.center, sigma_reg=reg),
+                  point_density(b0.mass, b0.center, sigma_reg=reg))]
+        rungs += [(gaussian_density(a0.mass, a0.center, s), gaussian_density(b0.mass, b0.center, s))
                   for s in sigma_ladder]
         for e_a, e_b in rungs:
             pairs.append((len(family), len(family) + 1))
@@ -234,12 +224,7 @@ def compare_models(
     stderr = abs(pref_general) * cross_err
     general = PhaseMatrix(model="general", theta=1j * (pref_general * cross),
                           stderr=stderr if stderr.any() else None)
-    matrices["general"] = general
-
-    if a_loc and b_loc:
-        matrices["newton"] = newton_phase(source_a, source_b, time, consts)
-    else:
-        skipped["newton"] = "needs localized branch specs (center-based potential)"
+    matrices = {"general": general, "newton": newton_phase(psi_a, psi_b, time, consts)}
 
     # mean field: each particle evolves in the averaged field of the other's
     # full state, u_i = pref sum_j |d_j|^2 P_ij and v_j = pref sum_i |c_i|^2 P_ij,
@@ -282,12 +267,12 @@ def compare_models(
                             "B": (abs(pref_self) * self_err[n_a:]).tolist()}
 
     convergence = []
-    if ladder:
+    if sigma_ladder:
         # theta_AB of each pair bit for bit, including its +0.0 at t = 0
         pref = pref_general if time else 0.0
         ths, errs = pref * val[n_cross + n_f:], abs(pref) * err[n_cross + n_f:]
         th_pt = ths[0]  # the point pair, then one pair per rung
-        d = float(np.linalg.norm(c_a - c_b))
+        d = float(np.linalg.norm(np.subtract(a0.center, b0.center)))
         for sigma, th, e in zip(sigma_ladder, ths[1:], errs[1:]):
             convergence.append({
                 "sigma": float(sigma),
@@ -300,7 +285,8 @@ def compare_models(
 
     # a ladder on the grid converges to the lattice value of its point pair,
     # not to the continuum one, once the regularisation is below a cell
-    on_grid = {"ladder_min_width_over_h": reg / grid.h} if ladder and backend == "grid" else {}
+    on_grid = ({"ladder_min_width_over_h": reg / grid.h}
+               if sigma_ladder and backend == "grid" else {})
     return {
         "matrices": matrices,
         "convergence": convergence,
@@ -310,6 +296,5 @@ def compare_models(
         "pairwise_deviations": pairwise_deviations,
         "self_energies": self_energies,
         "self_energies_stderr": self_energies_stderr,
-        "skipped_models": skipped,
         **on_grid,
     }

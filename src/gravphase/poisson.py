@@ -69,6 +69,7 @@ from .sources import (EnergyDensity, PhysicalConstants, axis_profiles, effective
                       sample_on_grid)
 
 DIRECT_N_LIMIT = 48
+RESIDUAL_MARGIN = 3  # boundary cells the Laplacian residual leaves out on each face
 # Monte-Carlo samples per chunk: sets which seed draws which sample, so it
 # is part of the stream contract, not a tuning knob.
 MC_CHUNK = 16_384
@@ -374,9 +375,9 @@ def pair_integrals(
 
 def laplacian_residual(field: ScalarFieldX, e: EnergyDensity, consts: PhysicalConstants):
     """RMS of the 7-point discrete Laplacian residual del^2 h + kappa E,
-    relative to RMS(kappa E), both evaluated away from the margin of 3
-    boundary cells."""
-    grid, margin = field.grid, 3
+    relative to RMS(kappa E), both evaluated away from the margin of
+    RESIDUAL_MARGIN boundary cells."""
+    grid, margin = field.grid, RESIDUAL_MARGIN
     if grid.n <= 2 * margin:
         raise ValueError(f"Laplacian residual needs N > {2 * margin} (margin {margin})")
     vals = field.values

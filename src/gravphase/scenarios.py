@@ -25,7 +25,7 @@ from .overlaps import exact_joint_overlap, overlap_from_log, semiclassical_overl
 from .phases import PhaseMatrix, compare_models, negativity, theta_AB
 from .poisson import laplacian_residual, solve_hT_direct, solve_hT_spectral
 from .sources import (
-    LocalizedSourceSpec,
+    EnergyDensity,
     QuantumSourceState,
     gaussian_density,
     grid_density,
@@ -71,25 +71,25 @@ def _amplitude(raw) -> complex:
     return complex(raw)
 
 
-def _build_source(block: dict):
-    """The source of a config source block in internal units."""
+def _build_state(block: dict) -> QuantumSourceState:
+    """The state of a "localized" or "gaussian" source block in internal
+    units: one Gaussian density of the block's mass per branch, a
+    "gaussian" block being one branch."""
+    branches = block.get("branches") or [
+        {"amplitude": 1.0, "center": block["center"], "width": block["sigma"]}]
+    amps = np.array([_amplitude(b["amplitude"]) for b in branches])
+    return QuantumSourceState(
+        amplitudes=amps / np.sqrt((np.abs(amps) ** 2).sum()),
+        densities=[gaussian_density(block["mass"], b["center"], b["width"]) for b in branches],
+        indices=range(len(branches)))
+
+
+def _build_density(block: dict) -> EnergyDensity:
+    """The energy density of a poisson profile block in internal units; a
+    "localized" profile has one branch (checked at load)."""
     kind = block["type"]
-    if kind == "localized":
-        amps = np.array([_amplitude(b["amplitude"]) for b in block["branches"]])
-        amps = amps / np.sqrt((np.abs(amps) ** 2).sum())
-        return LocalizedSourceSpec(
-            mass=block["mass"],
-            amplitudes=amps,
-            centers=np.array([b["center"] for b in block["branches"]]),
-            widths=np.array([b["width"] for b in block["branches"]]),
-        )
-    if kind == "gaussian":
-        return LocalizedSourceSpec(
-            mass=block["mass"],
-            amplitudes=np.array([1.0 + 0.0j]),
-            centers=np.array([block["center"]]),
-            widths=np.array([block["sigma"]]),
-        )
+    if kind in ("localized", "gaussian"):
+        return _build_state(block).densities[0]
     if kind == "point":
         return point_density(block["mass"], tuple(block["center"]), sigma_reg=block.get("sigma"))
     values, box, _ = gridio.load_scalar_grid(Path(block["path"]))  # grid-file
@@ -98,12 +98,12 @@ def _build_source(block: dict):
 
 def run_phase_compare(cfg: dict, outdir: Path) -> dict:
     consts, cfg, unit_label = to_internal_units(cfg)
-    spec_a = _build_source(cfg["sources"]["a"])
-    spec_b = _build_source(cfg["sources"]["b"])
+    psi_a = _build_state(cfg["sources"]["a"])
+    psi_b = _build_state(cfg["sources"]["b"])
     grid = GridSpec(**cfg["grid"]) if "grid" in cfg else None
     time = cfg["time"]
     kw = dict(grid=grid, backend=cfg["backend"], mc_samples=cfg["mc_samples"], seed=cfg["seed"])
-    report = compare_models(spec_a, spec_b, time, consts,
+    report = compare_models(psi_a, psi_b, time, consts,
                             sigma_ladder=tuple(cfg.get("sigma_ladder", ())), **kw)
     matrices, convergence = report.pop("matrices"), report.pop("convergence")
 
@@ -121,11 +121,12 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
                     c["deviation"] if math.isfinite(c["deviation"]) else "", c["stderr"])
                    for c in convergence])
 
-    nw = matrices["newton"].phases[0, 0]  # of the branch centres: width-independent
+    nw = matrices["newton"].phases[0, 0]  # of the density centres: width-independent
+    a0, b0 = psi_a.densities[0], psi_b.densities[0]
     width_rows = []
     for sig in cfg.get("width_variation", ()):
-        ea = gaussian_density(spec_a.mass, spec_a.centers[0], sig)
-        eb = gaussian_density(spec_b.mass, spec_b.centers[0], sig)
+        ea = gaussian_density(a0.mass, a0.center, sig)
+        eb = gaussian_density(b0.mass, b0.center, sig)
         th, _ = theta_AB(ea, eb, time, consts, **kw)
         width_rows.append((sig, th, nw))
     if width_rows:
@@ -152,10 +153,8 @@ def run_poisson(cfg: dict, outdir: Path) -> dict:
     consts, cfg, unit_label = to_internal_units(cfg)
     block = cfg["poisson"]
     grid = GridSpec(**cfg["grid"])
-    src = _build_source(block["profile"])
-    if isinstance(src, LocalizedSourceSpec):
-        src = src.branch_density(0)
-    src = sample_on_grid(src, grid, consts)  # once: both solvers and the residual read it
+    # sampled once: both solvers and the residual read it
+    src = sample_on_grid(_build_density(block["profile"]), grid, consts)
 
     stride = block["stride"]
     direct = solve_hT_direct(src, grid, consts, stride=stride)  # first, to refuse a large N early

@@ -82,8 +82,8 @@ class EnergyDensity:
         else:
             if self.mass is None or self.mass < 0.0:
                 raise ValueError("analytic profile needs a non-negative mass")
-            if self.center is None:
-                raise ValueError("analytic profile needs a center")
+            if self.center is None or not all(map(math.isfinite, self.center)):
+                raise ValueError("analytic profile needs a finite center")
             if self.kind == "gaussian" and not (self.sigma and self.sigma > 0.0):
                 raise ValueError("gaussian profile needs sigma > 0")
 
@@ -179,39 +179,6 @@ def _require_support(total: float) -> None:
 
 
 @dataclass(frozen=True)
-class LocalizedSourceSpec:
-    """Superposition of localised branches of one source of mass `mass`:
-    amplitudes c_i, branch centers x_i and widths sigma_i."""
-
-    mass: float
-    amplitudes: np.ndarray
-    centers: np.ndarray
-    widths: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        centers = np.asarray(self.centers, dtype=float).reshape(-1, 3)
-        widths = np.asarray(self.widths, dtype=float)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "widths", widths)
-        if not (len(amps) == len(centers) == len(widths)) or len(amps) == 0:
-            raise ValueError("need matching, non-empty branch lists")
-        if not np.all(np.isfinite(centers)) or not np.all(widths > 0.0):
-            raise ValueError("branch centers and widths must be finite, widths > 0")
-        norm = float((np.abs(amps) ** 2).sum())
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("branch amplitudes must be normalised")
-
-    @property
-    def n_branches(self) -> int:
-        return len(self.amplitudes)
-
-    def branch_density(self, i: int) -> EnergyDensity:
-        return gaussian_density(self.mass, self.centers[i], float(self.widths[i]))
-
-
-@dataclass(frozen=True)
 class QuantumSourceState:
     """Finite decomposition sum_i c_i |E_i> over energy-density eigenstates.
 
@@ -233,13 +200,8 @@ class QuantumSourceState:
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("eigenbasis indices must be distinct within a state")
         norm = float((np.abs(amps) ** 2).sum())
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # also refuses NaN
             raise ValueError("state amplitudes must be normalised")
-
-    @classmethod
-    def from_localized(cls, spec: LocalizedSourceSpec) -> "QuantumSourceState":
-        dens = [spec.branch_density(i) for i in range(spec.n_branches)]
-        return cls(amplitudes=spec.amplitudes, densities=dens, indices=range(spec.n_branches))
 
 
 def source_overlap(psi: QuantumSourceState, phi: QuantumSourceState) -> complex:

@@ -41,7 +41,6 @@ from gravphase.overlaps import exact_joint_overlap, semiclassical_overlap
 from gravphase.phases import compare_models, newton_phase, theta_AB
 from gravphase.poisson import laplacian_residual, solve_hT_direct, solve_hT_spectral
 from gravphase.sources import (
-    LocalizedSourceSpec,
     PhysicalConstants,
     QuantumSourceState,
     gaussian_density,
@@ -50,10 +49,10 @@ from gravphase.sources import (
 )
 from gravphase.tensoralg import decompose, transverse_projector, tt_project
 
+from test_phases import branch_state
 from test_poisson import smooth_density
 
 CONSTS = PhysicalConstants.natural()
-S2 = 1 / math.sqrt(2)
 
 
 def _report(num, name, ok, detail=""):
@@ -188,16 +187,13 @@ def test_criterion_3_narrow_limit_slope_window():
 def test_criterion_4_model_discrimination():
     t = 0.2
     # wide pair, sigma = d / 2
-    wa = LocalizedSourceSpec(mass=1.0, amplitudes=[1.0], centers=[[0, 0, 0]], widths=[0.5])
-    wb = LocalizedSourceSpec(mass=1.0, amplitudes=[1.0], centers=[[1.0, 0, 0]], widths=[0.5])
+    wa, wb = branch_state([[0, 0, 0]], 0.5), branch_state([[1.0, 0, 0]], 0.5)
     wide = compare_models(wa, wb, t, CONSTS)
     newton_dev = wide["deviations_point_normalized"]["newton"]
 
     # 2x2 branches for the negativity statements
-    ga = LocalizedSourceSpec(mass=1.0, amplitudes=[S2, S2],
-                             centers=[[0, 0, 0], [0.4, 0, 0]], widths=[0.05, 0.05])
-    gb = LocalizedSourceSpec(mass=1.0, amplitudes=[S2, S2],
-                             centers=[[1.0, 0, 0], [1.4, 0, 0]], widths=[0.05, 0.05])
+    ga = branch_state([[0, 0, 0], [0.4, 0, 0]], 0.05)
+    gb = branch_state([[1.0, 0, 0], [1.4, 0, 0]], 0.05)
     gie = compare_models(ga, gb, t, CONSTS)
     sn_neg = gie["negativities"]["schroedinger-newton"]
     full_neg = gie["negativities"]["general"]
@@ -205,11 +201,10 @@ def test_criterion_4_model_discrimination():
 
     # functional-form invariance under width change
     n1 = newton_phase(wa, wb, t, CONSTS).phases[0, 0]
-    wa2 = LocalizedSourceSpec(mass=1.0, amplitudes=[1.0], centers=[[0, 0, 0]], widths=[0.75])
-    wb2 = LocalizedSourceSpec(mass=1.0, amplitudes=[1.0], centers=[[1.0, 0, 0]], widths=[0.75])
+    wa2, wb2 = branch_state([[0, 0, 0]], 0.75), branch_state([[1.0, 0, 0]], 0.75)
     n2 = newton_phase(wa2, wb2, t, CONSTS).phases[0, 0]
-    t1, _ = theta_AB(wa.branch_density(0), wb.branch_density(0), t, CONSTS)
-    t2, _ = theta_AB(wa2.branch_density(0), wb2.branch_density(0), t, CONSTS)
+    t1, _ = theta_AB(wa.densities[0], wb.densities[0], t, CONSTS)
+    t2, _ = theta_AB(wa2.densities[0], wb2.densities[0], t, CONSTS)
     theta_change = abs(t2 - t1) / abs(t1)
 
     ok = (newton_dev > 0.10 and sn_neg == 0.0 and full_neg > 0.0
@@ -288,7 +283,7 @@ def test_criterion_6_zassenhaus_order_certification():
     consts, system, probe, hT = _verification_arena()
     hg = build_HG(system)
     hi = build_HI(system, probe, hT)
-    proj = low_level_projector(system, 8)
+    proj = np.diag(low_level_projector(system, 8))
     ts = np.geomspace(0.02, 0.2, 10)
     d3, d2 = [], []
     for t in ts:

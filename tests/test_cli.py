@@ -171,6 +171,16 @@ def test_source_type_keys_are_required_at_load(kind, dropped):
         "a": {"type": "point", "mass": 1.0, "center": [0.0, 0.0, 0.0]},
         "b": {"type": "gaussian", "mass": 1.0, "center": [1.0, 0.0, 0.0], "sigma": 0.2}}),
      "phase-compare sources must be localized or gaussian"),
+    # a poisson run solves for one density: a second branch would be ignored
+    (lambda c: c["poisson"].update(profile={
+        "type": "localized", "mass": 1.0, "branches": get_preset("gie-2x2")["sources"]["a"][
+            "branches"]}),
+     "config invalid at poisson/profile/branches: a poisson profile is one density, "
+     "got 2 branches"),
+    # found before the two solves, not by laplacian_residual after them
+    *((lambda c, n=n: c["grid"].update(n=n),
+       "config invalid at grid/n: the Laplacian residual reads the cells more than a margin "
+       f"of 3 from each face, so N must exceed 6, got {n}") for n in (2, 4)),
 ])
 def test_cross_field_checks_run_at_load(edit, message):
     cfg = _small_poisson()
@@ -1080,8 +1090,11 @@ def _edited(make_cfg, edit):
     # a slope fit over one time is undefined: nan, not a RankWarning
     (_edited(lambda: get_preset("zassenhaus-t3"),
              lambda c: c["opalg"].update(t_start=0.1, t_stop=0.1, t_points=4)), 0),
-    # no interior cells for the Laplacian residual
-    (_edited(_small_poisson, lambda c: c["grid"].update(n=4, box=8.0)), 2),
+    # no interior cells for the Laplacian residual: refused at load; N = 8
+    # is the smallest grid that has them
+    (_edited(_small_poisson, lambda c: c["grid"].update(n=4, box=8.0)), 1),
+    (_edited(_small_poisson, lambda c: c.update(grid={"n": 8, "box": 8.0}, poisson={
+        **c["poisson"], "stride": 1})), 0),
     # a massless profile has a zero field on both backends
     (_edited(_small_poisson, lambda c: c["poisson"]["profile"].update(mass=0.0)), 0),
     # exp(710) overflows before the normalisation guard
@@ -1090,7 +1103,7 @@ def _edited(make_cfg, edit):
     # the squared norm underflows to zero
     (_edited(_small_negativity, lambda c: c["negativity"].update(
         amplitudes_b=[0.0, 1e-200])), 1),
-], ids=["opalg-one-time", "poisson-n4", "poisson-massless", "negativity-overflow",
+], ids=["opalg-one-time", "poisson-n4", "poisson-n8", "poisson-massless", "negativity-overflow",
         "amplitude-underflow"])
 def test_degenerate_configs_end_in_an_exit_code(tmp_path, make_cfg, code):
     path = tmp_path / "cfg.json"

@@ -85,6 +85,18 @@ def test_hg_two_mode_minkowski_sum():
     np.testing.assert_allclose(evals[:8], summed[:8], rtol=1e-8)
 
 
+def test_low_level_mask_is_the_kron_of_per_mode_masks():
+    # a 1-D mask over the kron basis, mode 0 slowest: no D^M x D^M matrix
+    system = TruncatedModeSystem(
+        modes=(ModeSpec(kvec=(0, 0, 1.0), polarization=0, dim=6),
+               ModeSpec(kvec=(0, 1.7, 0), polarization=1, dim=5)),
+        consts=CONSTS, weight=1.0)
+    mask = low_level_projector(system, 3)
+    assert mask.dtype == bool and mask.shape == (30,)
+    kept = [(i, j) for i in range(6) for j in range(5) if mask[5 * i + j]]
+    assert kept == [(i, j) for i in range(3) for j in range(3)]
+
+
 def test_hg_spectrum_kappa_invariant():
     strong = PhysicalConstants(G=270.0 / (16 * np.pi), c=1.0, hbar=1.0)
     e1 = np.sort(np.linalg.eigvalsh(build_HG(single_system())))[:10]
@@ -142,7 +154,7 @@ def test_double_commutator_is_pure_probe():
     hg = build_HG(sys1)
     hi = build_HI(sys1, probe, [0.0])
     kappa = CONSTS.kappa
-    proj = low_level_projector(sys1, 38)
+    proj = np.diag(low_level_projector(sys1, 38))
     for hib, amp in zip(hi, (amp_a, amp_b)):
         igi = nested_commutators(hg, hib)["IGI"]
         # predicted c-number per branch: (kappa hbar^2 / 2) (w tau_b)^2
@@ -173,7 +185,7 @@ def test_zassenhaus_defect_slopes():
     probe = tt_probe(sys1, 0.3)
     hg = build_HG(sys1)
     hi = build_HI(sys1, probe, [0.0])
-    proj = low_level_projector(sys1, 8)
+    proj = np.diag(low_level_projector(sys1, 8))
     ts = np.geomspace(0.03, 0.3, 8)
     d3, d2 = [], []
     for t in ts:
@@ -410,7 +422,7 @@ def test_branch_blocks_match_dense_field_probe_space():
     big_i = sum(np.kron(hib, np.outer(ket[b], ket[b])) for b, hib in enumerate(hi))
     gi = big_g @ big_i - big_i @ big_g
     t3_gen = (big_g @ gi - gi @ big_g) + 2.0 * (big_i @ gi - gi @ big_i)
-    big_proj = np.kron(low_level_projector(system, 8), np.eye(n_b))
+    big_proj = np.kron(np.diag(low_level_projector(system, 8)), np.eye(n_b))
     ts = np.geomspace(0.02, 0.2, 4)
     comp = compare_propagators(system, probe, hT, ts, n_low=8)
     for k, t in enumerate(ts):
@@ -430,7 +442,7 @@ def test_branch_blocks_match_dense_field_probe_space():
 def test_sweep_is_bit_identical_to_single_time_calls():
     system, probe, hT, hg, hi = zassenhaus_t3_arena()
     hbar = system.consts.hbar
-    proj = low_level_projector(system, 8)
+    proj = np.diag(low_level_projector(system, 8))
     x = proj[:, :8]  # the eight low columns compare_propagators reads, vacuum first
     # a defect read from the columns against one read from the full
     # matrices: both evaluations round, and a defect is 1-Lipschitz in each
@@ -509,7 +521,7 @@ def test_time_arrays_equal_the_scalar_calls(which):
         z2, z3 = zassenhaus_product(hg, hi, float(t), hbar)
         assert np.array_equal(u_z2[k], z2) and np.array_equal(u_z3[k], z3)
     # so do the low columns
-    x = low_level_projector(system, 8)[:, :8]
+    x = np.diag(low_level_projector(system, 8))[:, :8]
     u_x = exact_propagator(hg + hi, ts, hbar, x)
     x2, x3 = zassenhaus_product(hg, hi, ts, hbar, x)
     assert u_x.shape == x2.shape == x3.shape == (len(ts),) + hi.shape[:2] + (8,)

@@ -13,10 +13,10 @@ from gravphase.phases import (
 )
 from gravphase.poisson import pair_integrals
 from gravphase.sources import (
-    LocalizedSourceSpec,
     PhysicalConstants,
     QuantumSourceState,
     gaussian_density,
+    grid_density,
     point_density,
 )
 
@@ -24,18 +24,22 @@ CONSTS = PhysicalConstants.natural()
 S2 = 1 / np.sqrt(2)
 
 
-def pair_spec(d=1.0, width=0.05, mass=1.0):
-    a = LocalizedSourceSpec(mass=mass, amplitudes=[1.0], centers=[[0.0, 0.0, 0.0]], widths=[width])
-    b = LocalizedSourceSpec(mass=mass, amplitudes=[1.0], centers=[[d, 0.0, 0.0]], widths=[width])
-    return a, b
+def branch_state(centers, width=0.05, mass=1.0):
+    """Equal superposition of one Gaussian density of `mass` and `width`
+    per branch center, the branches indexed in order."""
+    amps = np.full(len(centers), 1 / np.sqrt(len(centers)))
+    return QuantumSourceState(amplitudes=amps, indices=range(len(centers)),
+                              densities=[gaussian_density(mass, c, width) for c in centers])
 
 
-def gie_specs(x0=0.0, dx=0.4, d=1.0, width=0.05, mass=1.0):
-    a = LocalizedSourceSpec(mass=mass, amplitudes=[S2, S2],
-                            centers=[[x0, 0, 0], [x0 + dx, 0, 0]], widths=[width, width])
-    b = LocalizedSourceSpec(mass=mass, amplitudes=[S2, S2],
-                            centers=[[x0 + d, 0, 0], [x0 + d + dx, 0, 0]], widths=[width, width])
-    return a, b
+def pair_states(d=1.0, width=0.05, mass=1.0):
+    return (branch_state([[0.0, 0.0, 0.0]], width, mass),
+            branch_state([[d, 0.0, 0.0]], width, mass))
+
+
+def gie_states(x0=0.0, dx=0.4, d=1.0, width=0.05, mass=1.0):
+    return (branch_state([[x0, 0, 0], [x0 + dx, 0, 0]], width, mass),
+            branch_state([[x0 + d, 0, 0], [x0 + d + dx, 0, 0]], width, mass))
 
 
 def single(e):
@@ -79,8 +83,8 @@ def test_theta_bilinear_and_time_linear():
 
 
 def test_theta_symmetry_and_screening():
-    a, b = pair_spec(d=1.0, width=0.2)
-    ea, eb = a.branch_density(0), b.branch_density(0)
+    a, b = pair_states(d=1.0, width=0.2)
+    ea, eb = a.densities[0], b.densities[0]
     tab, _ = theta_AB(ea, eb, 1.0, CONSTS)
     tba, _ = theta_AB(eb, ea, 1.0, CONSTS)
     assert abs(tab - tba) < 1e-12 * abs(tab)
@@ -95,7 +99,7 @@ def test_theta_symmetry_and_screening():
 def test_self_energy():
     pref = -CONSTS.kappa / (8.0 * np.pi)
     zero = gaussian_density(0.0, (0, 0, 0), 0.1)
-    e = gaussian_density(1.0, (0, 0, 0), 0.3)
+    e = gaussian_density(1.0, (1.0, 0, 0), 0.3)  # off A's center: Newton needs distinct centers
     e2 = gaussian_density(2.0, (0, 0, 0), 0.3)
     (s0, s1, s2), _ = pair_integrals([zero, e, e2], [(0, 0), (1, 1), (2, 2)], CONSTS)
     assert s0 == 0.0
@@ -113,19 +117,19 @@ def test_self_energy():
 
 def test_newton_phase_values():
     t, d = 0.5, 2.0
-    a, b = pair_spec(d=d)
+    a, b = pair_states(d=d)
     pm = newton_phase(a, b, t, CONSTS)
     assert pm.theta.shape == (1, 1)
     assert np.all(pm.damping == 0.0)
     expected = CONSTS.G * t / (CONSTS.hbar * d)
     assert abs(pm.phases[0, 0] - expected) < 1e-14 * expected
-    far_a, far_b = pair_spec(d=1e9)
+    far_a, far_b = pair_states(d=1e9)
     assert newton_phase(far_a, far_b, t, CONSTS).phases[0, 0] < 1e-8 * expected
 
 
 def test_newton_gie_relative_phase_hand_value():
     t, dx, d = 0.3, 0.4, 1.0
-    a, b = gie_specs(dx=dx, d=d)
+    a, b = gie_states(dx=dx, d=d)
     pm = newton_phase(a, b, t, CONSTS)
     # scalar arithmetic oracle over the four center distances
     pref = CONSTS.G * t / CONSTS.hbar
@@ -137,9 +141,12 @@ def test_newton_gie_relative_phase_hand_value():
 
 
 def test_newton_coincident_centers_error():
-    a, _ = pair_spec()
+    a, _ = pair_states()
     with pytest.raises(ValueError, match="oincident"):
         newton_phase(a, a, 1.0, CONSTS)
+    # a grid density has no center
+    with pytest.raises(ValueError, match="point or gaussian densities"):
+        newton_phase(single(grid_density(np.ones((4, 4, 4)), 4.0)), a, 1.0, CONSTS)
 
 
 def test_nonlocal_reduction_and_ratio():
@@ -164,11 +171,11 @@ def test_nonlocal_reduction_and_ratio():
 
 def test_sn_phase_point_limit_and_separability():
     t, d = 0.7, 2.0
-    a, b = pair_spec(d=d, width=0.02)
+    a, b = pair_states(d=d, width=0.02)
     pm = models(a, b, t)["matrices"]["schroedinger-newton"]
     expected = 2.0 * CONSTS.G * t / (CONSTS.hbar * d)
     assert abs(pm.phases[0, 0] - expected) < 0.02 * expected
-    a2, b2 = gie_specs(width=0.2)
+    a2, b2 = gie_states(width=0.2)
     rep = models(a2, b2, t)
     assert rep["negativities"]["schroedinger-newton"] == 0.0
     assert negativity(a2.amplitudes, b2.amplitudes, rep["matrices"]["schroedinger-newton"]) == 0.0
@@ -180,25 +187,23 @@ def test_sn_phase_point_limit_and_separability():
 
 def test_sn_differs_from_full_phase_on_wide_gaussians():
     t, d, sigma = 1.0, 1.0, 0.5
-    a, b = pair_spec(d=d, width=sigma)
+    a, b = pair_states(d=d, width=sigma)
     pm = models(a, b, t)["matrices"]["schroedinger-newton"]
-    th, _ = theta_AB(a.branch_density(0), b.branch_density(0), t, CONSTS)
+    th, _ = theta_AB(a.densities[0], b.densities[0], t, CONSTS)
     # quadrature error here is ~0: analytic backend; difference is structural
     assert abs(pm.phases[0, 0] - th) > 0.5 * abs(th)
 
 
 def test_phase_matrix_general_structure():
     t = 0.2
-    a, b = gie_specs()
-    psi_a = QuantumSourceState.from_localized(a)
-    psi_b = QuantumSourceState.from_localized(b)
-    pm = models(psi_a, psi_b, t)["matrices"]["general"]
+    a, b = gie_states()
+    pm = models(a, b, t)["matrices"]["general"]
     assert pm.theta.shape == (2, 2)
-    one = models(single(a.branch_density(0)), single(b.branch_density(0)), t)["matrices"]
+    one = models(single(a.densities[0]), single(b.densities[0]), t)["matrices"]
     one = one["general"]
-    th, _ = theta_AB(a.branch_density(0), b.branch_density(0), t, CONSTS)
+    th, _ = theta_AB(a.densities[0], b.densities[0], t, CONSTS)
     assert abs(one.phases[0, 0] - th) < 1e-14 * abs(th)
-    swapped = models(psi_b, psi_a, t)["matrices"]["general"]
+    swapped = models(b, a, t)["matrices"]["general"]
     np.testing.assert_allclose(swapped.phases, pm.phases.T, rtol=1e-12)
     # narrow limit: equals the Newton matrix up to the constant -4
     newt = newton_phase(a, b, t, CONSTS)
@@ -278,7 +283,7 @@ def test_negativity_from_schmidt_coefficients():
 
 def test_compare_models_gie_and_wide():
     t = 0.2
-    a, b = gie_specs()
+    a, b = gie_states()
     rep = compare_models(a, b, t, CONSTS)
     assert rep["deviations_point_normalized"]["newton"] < 0.02
     assert rep["negativities"]["schroedinger-newton"] == 0.0
@@ -287,7 +292,7 @@ def test_compare_models_gie_and_wide():
                           -4.0 * rep["matrices"]["nonlocal"].phases)
     assert len(rep["self_energies"]["A"]) == 2
 
-    wa, wb = pair_spec(d=1.0, width=0.5)
+    wa, wb = pair_states(d=1.0, width=0.5)
     wide = compare_models(wa, wb, t, CONSTS)
     expected_dev = (1.0 - erf(1.0)) / erf(1.0)
     assert abs(wide["deviations_point_normalized"]["newton"] - expected_dev) < 1e-6
@@ -295,32 +300,61 @@ def test_compare_models_gie_and_wide():
 
 
 def test_compare_models_refuses_negative_time():
-    a, b = gie_specs()
+    a, b = gie_states()
     with pytest.raises(ValueError, match="non-negative"):
         compare_models(a, b, -0.1, CONSTS)
 
 
-def test_compare_models_skips_for_state_inputs():
-    t = 0.2
-    a, _ = gie_specs()
-    psi_a = QuantumSourceState.from_localized(a)
-    psi_b = QuantumSourceState(amplitudes=[1.0],
-                               densities=[gaussian_density(1.0, (2.0, 0, 0), 0.3)],
-                               indices=(0,))
+def _generic_state_pair():
+    """Two states of unequal component counts, masses, widths and kinds,
+    with complex amplitudes and no shared center."""
+    rng = np.random.default_rng(17)
+
+    def state(n, offset):
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        dens = [gaussian_density(rng.uniform(0.5, 2.0), offset + rng.uniform(-0.5, 0.5, 3),
+                                 rng.uniform(0.1, 0.4)) for _ in range(n - 1)]
+        dens.append(point_density(rng.uniform(0.5, 2.0), offset + rng.uniform(-0.5, 0.5, 3),
+                                  sigma_reg=0.05))
+        return QuantumSourceState(amplitudes=amps / np.linalg.norm(amps), densities=dens,
+                                  indices=range(n))
+
+    return state(3, np.zeros(3)), state(2, np.array([2.0, 0.5, 0.0]))
+
+
+def test_newton_is_the_center_formula_for_any_state_pair():
+    t = 0.35
+    psi_a, psi_b = _generic_state_pair()
     rep = compare_models(psi_a, psi_b, t, CONSTS)
-    assert "newton" in rep["skipped_models"] and "newton" not in rep["matrices"]
-    assert "general" in rep["matrices"]
+    want = np.array([[CONSTS.G * ea.mass * eb.mass * t
+                      / (CONSTS.hbar * np.sqrt(sum((p - q) * (p - q)
+                                                   for p, q in zip(ea.center, eb.center))))
+                      for eb in psi_b.densities] for ea in psi_a.densities])
+    for pm in (rep["matrices"]["newton"], newton_phase(psi_a, psi_b, t, CONSTS)):
+        assert [x.hex() for x in pm.phases.ravel()] == [x.hex() for x in want.ravel()]
+        assert np.all(pm.damping == 0.0)
+    assert list(rep["matrices"]) == ["general", "newton", "schroedinger-newton", "nonlocal"]
+
+
+def test_coincident_state_centers_raise():
+    psi_a, psi_b = _generic_state_pair()
+    shared = gaussian_density(1.0, psi_a.densities[1].center, 0.2)
+    psi_b = QuantumSourceState(amplitudes=psi_b.amplitudes, indices=psi_b.indices,
+                               densities=(psi_b.densities[0], shared))
+    for build in (compare_models, newton_phase):
+        with pytest.raises(ValueError, match="coincident density centers"):
+            build(psi_a, psi_b, 0.2, CONSTS)
 
 
 def test_functional_form_discrimination():
     t, d = 0.2, 1.0
-    a1, b1 = pair_spec(d=d, width=0.5)
-    a2, b2 = pair_spec(d=d, width=0.75)
+    a1, b1 = pair_states(d=d, width=0.5)
+    a2, b2 = pair_states(d=d, width=0.75)
     n1 = newton_phase(a1, b1, t, CONSTS).phases[0, 0]
     n2 = newton_phase(a2, b2, t, CONSTS).phases[0, 0]
     assert n1 == n2  # center-based potential ignores the width, exactly
-    t1, _ = theta_AB(a1.branch_density(0), b1.branch_density(0), t, CONSTS)
-    t2, _ = theta_AB(a2.branch_density(0), b2.branch_density(0), t, CONSTS)
+    t1, _ = theta_AB(a1.densities[0], b1.densities[0], t, CONSTS)
+    t2, _ = theta_AB(a2.densities[0], b2.densities[0], t, CONSTS)
     assert abs(t2 - t1) > 0.05 * abs(t1)
 
 
@@ -338,18 +372,9 @@ def test_phase_invariant_under_unit_rescaling():
     assert abs(th_si - th_nat) < 1e-12 * abs(th_si)
 
 
-def test_sn_phase_accepts_quantum_states():
-    t = 0.3
-    a, b = gie_specs(width=0.2)
-    from_spec = models(a, b, t)["matrices"]["schroedinger-newton"]
-    from_state = models(QuantumSourceState.from_localized(a),
-                        QuantumSourceState.from_localized(b), t)["matrices"]["schroedinger-newton"]
-    np.testing.assert_allclose(from_state.phases, from_spec.phases, rtol=1e-12)
-
-
 def test_pairwise_deviations_reported():
     t = 0.2
-    a, b = gie_specs()
+    a, b = gie_states()
     rep = compare_models(a, b, t, CONSTS)
     # nonlocal carries the identical kernel, so it normalises onto general
     assert rep["pairwise_deviations"]["general|nonlocal"] < 1e-12
@@ -373,8 +398,7 @@ LADDER = (0.2, 0.1, 0.05)
 
 
 def test_compare_models_computes_each_pair_integral_once(monkeypatch):
-    a, b = (LocalizedSourceSpec(mass=1.0, amplitudes=[S2, S2], widths=[0.3, 0.3],
-                                centers=[[x, 2.0, 2.0], [x + 0.4, 2.0, 2.0]]) for x in (1.0, 2.6))
+    a, b = (branch_state([[x, 2.0, 2.0], [x + 0.4, 2.0, 2.0]], 0.3) for x in (1.0, 2.6))
     samplings = _counting(monkeypatch, "sample_on_grid")
     solves = _counting(monkeypatch, "solve_hT_spectral")
     singles = _counting(monkeypatch, "mutual_coulomb", phases)
@@ -400,13 +424,13 @@ def test_convergence_rows_are_theta_ab_of_each_rung_bit_for_bit(backend, t):
     # an integral independently of the others, so each row is the one-pair
     # theta_AB, stderr included, down to the sign of a zero phase at t = 0
     shift = [0.8, 1.5, 1.5]  # gie-2x2 moved into the grid's box
-    a, b = (LocalizedSourceSpec(mass=s.mass, amplitudes=s.amplitudes, widths=s.widths,
-                                centers=s.centers + shift) for s in gie_specs())
+    a, b = (branch_state(np.add(centers, shift)) for centers in
+            ([[0.0, 0, 0], [0.4, 0, 0]], [[1.0, 0, 0], [1.4, 0, 0]]))
     kw = dict(backend=backend, grid=GridSpec(32, 3.0), mc_samples=3000, seed=5)
     rows = models(a, b, t, sigma_ladder=LADDER, **kw)["convergence"]
 
     def theta(make, width):
-        ea, eb = (make(s.mass, s.centers[0], width) for s in (a, b))
+        ea, eb = (make(s.densities[0].mass, s.densities[0].center, width) for s in (a, b))
         return theta_AB(ea, eb, t, CONSTS, **kw)
 
     point, _ = theta(point_density, LADDER[-1] / 4.0)
@@ -419,7 +443,7 @@ def test_convergence_rows_are_theta_ab_of_each_rung_bit_for_bit(backend, t):
 
 def test_mc_models_share_one_sample_set():
     # every t: the density and nonlocal prefactors are in exact ratio -4
-    a, b = gie_specs(width=0.3)
+    a, b = gie_states(width=0.3)
     for t in (0.3, 0.17):
         rep = models(a, b, t, backend="mc", mc_samples=20_000, seed=4)
         assert np.array_equal(rep["matrices"]["general"].phases,
@@ -428,7 +452,7 @@ def test_mc_models_share_one_sample_set():
         assert rep["matrices"]["general"].stderr.min() > 0.0
     # the self-energies carry the standard errors of their self integrals,
     # scaled by the same kappa / 8 pi
-    dens = [s.branch_density(k) for s in (a, b) for k in range(2)]
+    dens = [*a.densities, *b.densities]
     _, err = pair_integrals(dens, [(k, k) for k in range(4)], CONSTS, backend="mc",
                             mc_samples=20_000, seed=4)
     pref = CONSTS.kappa / (8.0 * np.pi)

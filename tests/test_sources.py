@@ -4,7 +4,6 @@ import pytest
 from gravphase.grids import GridSpec
 from gravphase.gridio import load_scalar_grid, save_scalar_grid
 from gravphase.sources import (
-    LocalizedSourceSpec,
     PhysicalConstants,
     QuantumSourceState,
     axis_profiles,
@@ -126,20 +125,20 @@ def test_overlap_conjugate_symmetry_and_bound():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError, match="normalised"):
-        _state([1.0, 1.0], (0, 1))
+    for amps in ([1.0, 1.0], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="normalised"):
+            _state(amps, (0, 1))
     with pytest.raises(ValueError, match="distinct"):
         _state([1 / np.sqrt(2), 1 / np.sqrt(2)], (0, 0))
-
-
-def test_localized_spec_and_conversion():
-    s = 1 / np.sqrt(2)
-    spec = LocalizedSourceSpec(mass=1.0, amplitudes=[s, s],
-                               centers=[[0, 0, 0], [1, 0, 0]], widths=[0.1, 0.1])
-    state = QuantumSourceState.from_localized(spec)
-    assert state.densities[0].kind == "gaussian"
-    with pytest.raises(ValueError):
-        LocalizedSourceSpec(mass=1.0, amplitudes=[1.0], centers=[[0, 0, 0]], widths=[0.0])
+    with pytest.raises(ValueError, match="non-empty"):
+        QuantumSourceState(amplitudes=[], densities=[], indices=())
+    # a component's density: a finite center and, for a Gaussian, a width > 0
+    for center in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0)):
+        for build in (lambda c: gaussian_density(1.0, c, 0.1), lambda c: point_density(1.0, c)):
+            with pytest.raises(ValueError, match="finite center"):
+                build(center)
+    with pytest.raises(ValueError, match="sigma > 0"):
+        gaussian_density(1.0, (0.0, 0.0, 0.0), 0.0)
 
 
 def test_gridio_roundtrip(tmp_path):
