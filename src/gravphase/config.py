@@ -7,7 +7,7 @@ constants block that either works in natural units (G = c = hbar = 1 by
 default) or takes SI inputs together with length/mass scales that map them
 onto well-conditioned internal units.  `validate_config` is the one judge
 of a config: a config it accepts is one every scenario runner can read.
-`with_defaults` fills in the schema's "default" annotations and four derived
+`with_defaults` fills in the schema's "default" annotations and five derived
 defaults; `to_internal_units` then divides by the "dimension" scales.
 """
 
@@ -24,7 +24,7 @@ from . import gridio
 from .grids import LATTICE_BYTES_LIMIT
 from .opalg import check_sweep_size
 from .poisson import RESIDUAL_MARGIN
-from .sources import PhysicalConstants
+from .sources import POINT_SIGMA_CELLS, PhysicalConstants
 
 SCENARIOS = ("phase-compare", "poisson", "overlap-sweep", "opalg-verify", "negativity")
 
@@ -220,12 +220,14 @@ def schema_error(instance, schema: dict, path: tuple = ()):
     return None
 
 
-# the blocks each scenario reads, and the keys each source type reads
+# the blocks each scenario reads, the keys each source type needs, and the
+# one key a type reads without needing it (a point's width)
 _SCENARIO_BLOCKS = {"phase-compare": ("sources",), "poisson": ("poisson", "grid"),
                     "overlap-sweep": ("overlap",), "opalg-verify": ("opalg",),
                     "negativity": ("negativity",)}
 _SOURCE_KEYS = {"localized": ("mass", "branches"), "gaussian": ("mass", "center", "sigma"),
                 "point": ("mass", "center"), "grid-file": ("path",)}
+_OPTIONAL_SOURCE_KEYS = {"point": ("sigma",)}
 
 
 def _check_grid_file(where: str, path: str, cfg: dict) -> None:
@@ -267,11 +269,16 @@ def validate_config(cfg: dict) -> None:
     if "poisson" in cfg:
         sources["poisson/profile"] = cfg["poisson"]["profile"]
     for path, block in sources.items():
-        for key in _SOURCE_KEYS[block["type"]]:
+        kind = block["type"]
+        for key in _SOURCE_KEYS[kind]:
             if key not in block:
-                raise ConfigError(f"config invalid at {path}: a {block['type']!r} source "
-                                  f"needs {key!r}")
-        if block["type"] == "grid-file":
+                raise ConfigError(f"config invalid at {path}: a {kind!r} source needs {key!r}")
+        unread = sorted(block.keys() - {"type", *_SOURCE_KEYS[kind],
+                                        *_OPTIONAL_SOURCE_KEYS.get(kind, ())})
+        if unread:
+            raise ConfigError(f"config invalid at {path}: a {kind!r} source does not read "
+                              + ", ".join(map(repr, unread)))
+        if kind == "grid-file":
             _check_grid_file(path, block["path"], cfg)
     if "poisson" in cfg and len(cfg["poisson"]["profile"].get("branches", ())) > 1:
         raise ConfigError("config invalid at poisson/profile/branches: a poisson profile is one "
@@ -429,6 +436,9 @@ def with_defaults(cfg: dict) -> dict:
         cfg.get(key, {}) for key in ("poisson", "overlap", "opalg", "negativity"))
     if poisson and "grid" in cfg:
         poisson.setdefault("stride", max(1, cfg["grid"]["n"] // 16))
+        if poisson["profile"]["type"] == "point":  # a point is a Gaussian this many cells wide
+            poisson["profile"].setdefault(
+                "sigma", POINT_SIGMA_CELLS * cfg["grid"]["box"] / cfg["grid"]["n"])
     if overlap:
         overlap.setdefault("position", [overlap["box"] / 2] * 3)
     if opalg:

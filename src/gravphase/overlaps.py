@@ -30,11 +30,10 @@ import numpy as np
 
 from .grids import GridSpec
 from .sources import (
+    POINT_SIGMA_CELLS,
     EnergyDensity,
     PhysicalConstants,
     QuantumSourceState,
-    effective_sigma,
-    point_density,
     sample_on_grid,
     source_overlap,
 )
@@ -219,8 +218,8 @@ def semiclassical_overlap(
     if (np.any(x < 0.0) or np.any(x > grid.box)
             or np.any(ends < 0.0) or np.any(ends > grid.box)):
         raise ValueError("displacement leaves the box")
-    if sigma_reg is None:  # the width any unregularised point source gets on this grid
-        sigma_reg = effective_sigma(point_density(0.0), grid)
+    if sigma_reg is None:  # the width of a point source that declares none on this grid
+        sigma_reg = POINT_SIGMA_CELLS * grid.h
     elif sigma_reg <= 0.0:
         raise ValueError("source regularisation width must be positive")
     if matter_width is not None and matter_width <= 0.0:

@@ -28,7 +28,6 @@ from .sources import (
     PhysicalConstants,
     QuantumSourceState,
     gaussian_density,
-    point_density,
 )
 
 # point-limit ratios of the density phase to each model phase: the constant
@@ -102,7 +101,7 @@ def newton_phase(psi_a: QuantumSourceState, psi_b: QuantumSourceState,
     theta_ij = + G m_i m_j t / (hbar |x_i - y_j|), with m_i, x_i the mass
     and center of density i of psi_a and m_j, y_j those of psi_b, the phase
     of e^{-i V t / hbar} with V = -G m_i m_j / r.  Pure phase, no damping."""
-    if not all(e.analytic for psi in (psi_a, psi_b) for e in psi.densities):
+    if not all(e.kind == "gaussian" for psi in (psi_a, psi_b) for e in psi.densities):
         raise ValueError("the 1/r potential needs point or gaussian densities (a center)")
     (m_a, x), (m_b, y) = ((np.array([e.mass for e in psi.densities], float),
                            np.array([e.center for e in psi.densities], float))
@@ -195,6 +194,8 @@ def compare_models(
     """
     if time < 0.0:
         raise ValueError("evolution time must be non-negative")
+    # first, so that coincident centers are refused before any pair integral
+    newton = newton_phase(psi_a, psi_b, time, consts)
 
     # every Coulomb integral of the run from one pair list: the cross block
     # row by row, the self integrals, then the ladder's point pair and one
@@ -207,13 +208,10 @@ def compare_models(
     if sigma_ladder:
         a0, b0 = psi_a.densities[0], psi_b.densities[0]
         reg = min(sigma_ladder) / 4.0
-        rungs = [(point_density(a0.mass, a0.center, sigma_reg=reg),
-                  point_density(b0.mass, b0.center, sigma_reg=reg))]
-        rungs += [(gaussian_density(a0.mass, a0.center, s), gaussian_density(b0.mass, b0.center, s))
-                  for s in sigma_ladder]
-        for e_a, e_b in rungs:
+        for s in (reg, *sigma_ladder):
             pairs.append((len(family), len(family) + 1))
-            family += [e_a, e_b]
+            family += [gaussian_density(a0.mass, a0.center, s),
+                       gaussian_density(b0.mass, b0.center, s)]
     val, err = pair_integrals(family, pairs, consts, backend=backend, grid=grid,
                               mc_samples=mc_samples, seed=seed)
     cross, cross_err = val[:n_cross].reshape(n_a, n_b), err[:n_cross].reshape(n_a, n_b)
@@ -224,7 +222,7 @@ def compare_models(
     stderr = abs(pref_general) * cross_err
     general = PhaseMatrix(model="general", theta=1j * (pref_general * cross),
                           stderr=stderr if stderr.any() else None)
-    matrices = {"general": general, "newton": newton_phase(psi_a, psi_b, time, consts)}
+    matrices = {"general": general, "newton": newton}
 
     # mean field: each particle evolves in the averaged field of the other's
     # full state, u_i = pref sum_j |d_j|^2 P_ij and v_j = pref sum_i |c_i|^2 P_ij,

@@ -31,13 +31,15 @@ Continuum fidelity is checked elsewhere against closed forms (point far
 field, mutual Gaussian energies) and the discrete Laplacian residual.
 
 Coulomb pair integrals int E_i E_j / |x - y| come from one entry point,
-`pair_integrals(family, pairs, ...)`: a list of point or Gaussian densities
+`pair_integrals(family, pairs, ...)`: a list of Gaussian densities (a point
+source is a Gaussian of its regularisation width, fixed where it is built)
 and the (i, j) indices into it of every integral wanted, each computed
 once, in closed form (`coulomb_pair_analytic`), by grid quadrature
-(`coulomb_pair_grid`) or by 6-D Monte Carlo (`coulomb_pair_mc`).
+(`coulomb_pair_grid`) or by 6-D Monte Carlo (`coulomb_pair_mc`).  Only the
+grid quadrature reads a grid.
 `mutual_coulomb` is its one-pair call.  The grid quadrature is the Hockney
 sum h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) with the lattice 1/r kernel K
-of the solvers.  A point or Gaussian profile on the lattice is a product of
+of the solvers.  A Gaussian profile on the lattice is a product of
 three axis profiles, so the sum factorises into three length-N
 cross-correlations contracted with the (N+1)^3 octant of K: no density is
 sampled and no transform taken.  Each backend computes an integral the same
@@ -65,8 +67,7 @@ from functools import cache
 import numpy as np
 
 from .grids import GridSpec, cell_averaged_inv_r
-from .sources import (EnergyDensity, PhysicalConstants, axis_profiles, effective_sigma,
-                      sample_on_grid)
+from .sources import EnergyDensity, PhysicalConstants, axis_profiles, sample_on_grid
 
 DIRECT_N_LIMIT = 48
 RESIDUAL_MARGIN = 3  # boundary cells the Laplacian residual leaves out on each face
@@ -167,18 +168,16 @@ def solve_hT_direct(
     return ScalarFieldX(grid=ngrid, values=out)
 
 
-def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity, consts: PhysicalConstants,
-                          grid: GridSpec | None = None) -> float:
-    """Closed form of int E_A(x) E_B(y) / |x-y| for Gaussian/point profiles.
+def coulomb_pair_analytic(e_a: EnergyDensity, e_b: EnergyDensity,
+                          consts: PhysicalConstants) -> float:
+    """Closed form of int E_A(x) E_B(y) / |x-y| for Gaussian profiles.
 
     The displacement of two Gaussian clouds is Gaussian with summed
     covariance, so the pair integral is m_A m_B c^4 erf(d / sqrt(2) s) / d
     with s^2 = sigma_A^2 + sigma_B^2 (and the d -> 0 limit for coincident
     centers).
     """
-    sa = effective_sigma(e_a, grid)
-    sb = effective_sigma(e_b, grid)
-    s = math.sqrt(sa**2 + sb**2)
+    s = math.sqrt(e_a.sigma**2 + e_b.sigma**2)
     d = float(np.linalg.norm(np.subtract(e_a.center, e_b.center)))
     m2c4 = e_a.mass * e_b.mass * consts.c**4
     if d == 0.0:
@@ -271,7 +270,7 @@ def _lattice_sum(g_i: np.ndarray, g_j: np.ndarray, octant: np.ndarray) -> float:
 
 
 def coulomb_pair_mc(family, pairs, consts: PhysicalConstants, samples: int = 1_000_000,
-                    seed: int = 0, grid: GridSpec | None = None):
+                    seed: int = 0):
     """Monte-Carlo estimates of int E_i E_j / |x - y| and their standard
     errors for each (i, j) of `pairs`, indices into `family`.  Positions are
     drawn exactly from the (Gaussian) profiles, so each integral is the mean
@@ -290,7 +289,7 @@ def coulomb_pair_mc(family, pairs, consts: PhysicalConstants, samples: int = 1_0
     numpy's pairwise sum."""
     if samples < 2:
         raise ValueError(f"mc backend needs at least 2 samples for a standard error, got {samples}")
-    sigma = [effective_sigma(e, grid) for e in family]
+    sigma = [e.sigma for e in family]
     center = np.array([e.center for e in family], float).reshape(len(family), 3, 1)
     order = sorted(range(len(pairs)), key=lambda p: tuple(pairs[p]))  # x_i built once per i
     n_chunks = -(-samples // MC_CHUNK)
@@ -345,7 +344,7 @@ def pair_integrals(
     seed: int = 0,
 ):
     """int E_i(x) E_j(y) / |x - y| for each (i, j) of `pairs`, indices into
-    the list `family` of point or Gaussian densities, returned as (values,
+    the list `family` of Gaussian densities, returned as (values,
     stderr) arrays in the order of `pairs`, each integral computed once.  The
     standard errors are zero on the deterministic backends.
 
@@ -356,7 +355,7 @@ def pair_integrals(
     every backend.
     """
     family = list(family)
-    if not all(e.analytic for e in family):
+    if not all(e.kind == "gaussian" for e in family):
         raise ValueError("pair integrals need point or gaussian profiles")
     if backend not in ("auto", "analytic", "grid", "mc"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -364,12 +363,11 @@ def pair_integrals(
     if backend == "grid" and grid is None:
         raise ValueError("grid backend needs a GridSpec")
     if backend == "mc":
-        return coulomb_pair_mc(family, pairs, consts, samples=mc_samples, seed=seed, grid=grid)
+        return coulomb_pair_mc(family, pairs, consts, samples=mc_samples, seed=seed)
     if backend == "grid":
         val = coulomb_pair_grid(family, pairs, consts, grid)
     else:
-        val = np.array([coulomb_pair_analytic(family[i], family[j], consts, grid)
-                        for i, j in pairs])
+        val = np.array([coulomb_pair_analytic(family[i], family[j], consts) for i, j in pairs])
     return val, np.zeros_like(val)
 
 

@@ -29,7 +29,6 @@ from .sources import (
     QuantumSourceState,
     gaussian_density,
     grid_density,
-    point_density,
     sample_on_grid,
 )
 from .tensoralg import transverse_projector
@@ -72,9 +71,9 @@ def _amplitude(raw) -> complex:
 
 
 def _build_state(block: dict) -> QuantumSourceState:
-    """The state of a "localized" or "gaussian" source block in internal
-    units: one Gaussian density of the block's mass per branch, a
-    "gaussian" block being one branch."""
+    """The state of a "localized", "gaussian" or "point" source block in
+    internal units: one Gaussian density of the block's mass per branch, a
+    "gaussian" or "point" block being one branch."""
     branches = block.get("branches") or [
         {"amplitude": 1.0, "center": block["center"], "width": block["sigma"]}]
     amps = np.array([_amplitude(b["amplitude"]) for b in branches])
@@ -85,15 +84,14 @@ def _build_state(block: dict) -> QuantumSourceState:
 
 
 def _build_density(block: dict) -> EnergyDensity:
-    """The energy density of a poisson profile block in internal units; a
-    "localized" profile has one branch (checked at load)."""
-    kind = block["type"]
-    if kind in ("localized", "gaussian"):
-        return _build_state(block).densities[0]
-    if kind == "point":
-        return point_density(block["mass"], tuple(block["center"]), sigma_reg=block.get("sigma"))
-    values, box, _ = gridio.load_scalar_grid(Path(block["path"]))  # grid-file
-    return grid_density(values, box)
+    """The energy density of a poisson profile block in internal units: a
+    grid file's array, else the one Gaussian of a "localized" (one branch,
+    checked at load), "gaussian" or "point" block, a point's width
+    defaulting to POINT_SIGMA_CELLS cells (`config.with_defaults`)."""
+    if block["type"] == "grid-file":
+        values, box, _ = gridio.load_scalar_grid(Path(block["path"]))
+        return grid_density(values, box)
+    return _build_state(block).densities[0]
 
 
 def run_phase_compare(cfg: dict, outdir: Path) -> dict:

@@ -1,10 +1,13 @@
 """Energy densities (local eigenvalues of the energy-density operator) and
 quantum source states given as finite spectral decompositions over them.
 
-Profiles carry masses in the active unit system; a "point" source is
-regularised as a narrow Gaussian when it is put on a grid, because a true
-delta function cannot be sampled.  Eigenbasis identity between states is
-decided by a declared integer index, never by comparing density values.
+A density is a Gaussian (mass, center, width) or a sampled grid; profiles
+carry masses in the active unit system.  A point source is a Gaussian of
+its regularisation width, fixed where the density is built, because a true
+delta function can be neither sampled nor integrated against 1/r; a point
+that declares no width is POINT_SIGMA_CELLS cells of the grid it is used
+on.  Eigenbasis identity between states is decided by a declared integer
+index, never by comparing density values.
 """
 
 from __future__ import annotations
@@ -59,9 +62,8 @@ class PhysicalConstants:
 class EnergyDensity:
     """Static energy density E(x) with total integral mass * c^2.
 
-    kind is one of "point", "gaussian", "grid".  Analytic profiles store
-    mass/center/width; grids store the sampled array plus box length.  A
-    point profile keeps sigma = None until it is regularised on a grid.
+    kind is "gaussian" (mass, center and width sigma > 0) or "grid" (the
+    sampled array plus box length).
     """
 
     kind: str
@@ -72,7 +74,7 @@ class EnergyDensity:
     box: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("point", "gaussian", "grid"):
+        if self.kind not in ("gaussian", "grid"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind == "grid":
             if self.values is None or self.box is None:
@@ -84,18 +86,8 @@ class EnergyDensity:
                 raise ValueError("analytic profile needs a non-negative mass")
             if self.center is None or not all(map(math.isfinite, self.center)):
                 raise ValueError("analytic profile needs a finite center")
-            if self.kind == "gaussian" and not (self.sigma and self.sigma > 0.0):
+            if not (self.sigma and self.sigma > 0.0):
                 raise ValueError("gaussian profile needs sigma > 0")
-
-    @property
-    def analytic(self) -> bool:
-        return self.kind in ("point", "gaussian")
-
-
-def point_density(mass: float, center=(0.0, 0.0, 0.0), sigma_reg: float | None = None) -> EnergyDensity:
-    """Point source; regularised as a Gaussian of width sigma_reg on grids
-    (default: POINT_SIGMA_CELLS grid cells, fixed at sampling time)."""
-    return EnergyDensity(kind="point", mass=mass, center=tuple(center), sigma=sigma_reg)
 
 
 def gaussian_density(mass: float, center, sigma: float) -> EnergyDensity:
@@ -106,21 +98,7 @@ def grid_density(values: np.ndarray, box: float) -> EnergyDensity:
     return EnergyDensity(kind="grid", values=np.asarray(values, dtype=float), box=float(box))
 
 
-POINT_SIGMA_CELLS = 2.0  # width of an unregularised point source, in grid cells
-
-
-def effective_sigma(e: EnergyDensity, grid: GridSpec | None) -> float:
-    """Width of an analytic profile: a Gaussian's sigma, a point source's
-    regularisation width, or POINT_SIGMA_CELLS cells of `grid` for a point
-    source that declares none."""
-    if e.kind == "grid":
-        raise ValueError("grid profiles have no analytic width")
-    if e.sigma:
-        return float(e.sigma)
-    if grid is None:
-        raise ValueError("point profile needs an explicit regularisation width "
-                         "when no grid is given")
-    return POINT_SIGMA_CELLS * grid.h
+POINT_SIGMA_CELLS = 2.0  # width of a point source that declares none, in grid cells
 
 
 def sample_on_grid(
@@ -163,7 +141,7 @@ def _fitted_offsets(e: EnergyDensity, grid: GridSpec):
     """Width of an analytic profile and its squared node offsets per axis,
     (x_a - c_a)^2.  Raises if the box cannot hold the profile (L <= 6
     sigma), since the renormalisation would then hide a truncated tail."""
-    sigma = effective_sigma(e, grid)
+    sigma = float(e.sigma)
     if grid.box <= 6.0 * sigma:
         raise ValueError(
             f"profile truncated: box {grid.box} must exceed 6 sigma = {6 * sigma}"

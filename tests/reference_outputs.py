@@ -84,6 +84,25 @@ def _si_poisson() -> dict:
                                     "center": [1e-3, 1e-3, 1e-3], "sigma": 2e-4}}}
 
 
+def _poisson_point() -> dict:
+    """An N=16 poisson run of a point profile that declares no width, so
+    it takes the default of POINT_SIGMA_CELLS cells."""
+    return {"scenario": "poisson", "seed": 0, "grid": {"n": 16, "box": 4.0},
+            "poisson": {"profile": {"type": "point", "mass": 1.0, "center": [2.0, 1.9, 2.1]}}}
+
+
+def _overlap_default_reg() -> dict:
+    """semiclassical-overlap without sigma_reg, so the source takes the
+    default point width of each sweep grid, on N = 8 and 16 with 3 state
+    pairs."""
+    from gravphase.config import get_preset
+
+    cfg = get_preset("semiclassical-overlap")
+    del cfg["output_dir"], cfg["overlap"]["sigma_reg"]
+    cfg["overlap"].update(grid_sizes=[8, 16], state_pairs=3)
+    return cfg
+
+
 def _negativity() -> dict:
     """Explicit 2 x 2 amplitudes, phases and non-zero dampings."""
     return {"scenario": "negativity", "seed": 0, "negativity": {
@@ -122,13 +141,15 @@ def cases() -> dict[str, dict]:
     out["gie-2x2-time-0"] = _gie(time=0.0)
     out["gie-2x2-si"] = _si_gie()
     out["negativity-2x2"] = _negativity()
+    out["overlap-default-reg"] = _overlap_default_reg()
     out.update(_solver_configs(("phase-grid", "phase-mc")))
     return out
 
 
 def field_cases() -> dict[str, dict]:
     """Config of each reference case that writes field files only, by name."""
-    return {**_solver_configs(("poisson-oracle",)), "poisson-si": _si_poisson()}
+    return {**_solver_configs(("poisson-oracle",)), "poisson-si": _si_poisson(),
+            "poisson-point": _poisson_point()}
 
 
 def stack() -> dict:

@@ -41,10 +41,10 @@ from gravphase.overlaps import exact_joint_overlap, semiclassical_overlap
 from gravphase.phases import compare_models, newton_phase, theta_AB
 from gravphase.poisson import laplacian_residual, solve_hT_direct, solve_hT_spectral
 from gravphase.sources import (
+    POINT_SIGMA_CELLS,
     PhysicalConstants,
     QuantumSourceState,
     gaussian_density,
-    point_density,
     source_overlap,
 )
 from gravphase.tensoralg import decompose, transverse_projector, tt_project
@@ -96,7 +96,7 @@ def test_criterion_2_poisson_oracle_equivalence():
     sub = spectral.values[::2, ::2, ::2]
     backend_dev = float(np.abs(sub - direct.values).max() / np.abs(direct.values).max())
 
-    point = point_density(1.0, (4.0, 4.0, 4.0))
+    point = gaussian_density(1.0, (4.0, 4.0, 4.0), POINT_SIGMA_CELLS * grid.h)
     h_pt = solve_hT_spectral(point, grid, CONSTS)
     r = 2.0
     i = int((4.0 + r) / grid.h)
@@ -120,8 +120,8 @@ def _narrow_limit_ladder(backend, mc_samples=0):
     d, t = 1.0, 0.2
     sigmas = [0.2, 0.1, 0.05, 0.025]
     sigma_reg = 0.005
-    pt_a = point_density(1.0, (0, 0, 0), sigma_reg=sigma_reg)
-    pt_b = point_density(1.0, (d, 0, 0), sigma_reg=sigma_reg)
+    pt_a = gaussian_density(1.0, (0, 0, 0), sigma_reg)
+    pt_b = gaussian_density(1.0, (d, 0, 0), sigma_reg)
     kw = {} if backend == "analytic" else {"mc_samples": mc_samples}
     th_pt, err_pt = theta_AB(pt_a, pt_b, t, CONSTS, backend=backend, seed=33, **kw)
     rows = []

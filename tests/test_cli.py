@@ -181,6 +181,22 @@ def test_source_type_keys_are_required_at_load(kind, dropped):
     *((lambda c, n=n: c["grid"].update(n=n),
        "config invalid at grid/n: the Laplacian residual reads the cells more than a margin "
        f"of 3 from each face, so N must exceed 6, got {n}") for n in (2, 4)),
+    # a key its source type does not read is refused, not silently ignored
+    (lambda c: c.update(scenario="phase-compare", sources={
+        "a": {"type": "gaussian", "mass": 1.0, "center": [3.0, 4.0, 4.0], "sigma": 0.2,
+              "branches": get_preset("gie-2x2")["sources"]["a"]["branches"]},
+        "b": {"type": "gaussian", "mass": 1.0, "center": [5.0, 4.0, 4.0], "sigma": 0.2}}),
+     "config invalid at sources/a: a 'gaussian' source does not read 'branches'"),
+    (lambda c: c["poisson"].update(profile={
+        "type": "point", "mass": 1.0, "center": [4.0, 4.0, 4.0], "sigma": 0.5,
+        "branches": get_preset("gie-2x2")["sources"]["a"]["branches"]}),
+     "config invalid at poisson/profile: a 'point' source does not read 'branches'"),
+    (lambda c: c["poisson"]["profile"].update(path="rho.f64"),
+     "config invalid at poisson/profile: a 'gaussian' source does not read 'path'"),
+    (lambda c: c["poisson"].update(profile={
+        "type": "localized", "mass": 1.0, "center": [4.0, 4.0, 4.0], "sigma": 0.5,
+        "branches": get_preset("gie-2x2")["sources"]["a"]["branches"][:1]}),
+     "config invalid at poisson/profile: a 'localized' source does not read 'center', 'sigma'"),
 ])
 def test_cross_field_checks_run_at_load(edit, message):
     cfg = _small_poisson()

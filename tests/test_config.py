@@ -364,6 +364,12 @@ def test_the_derived_defaults_follow_the_fields_they_derive_from():
     assert with_defaults(negativity)["negativity"]["dampings"] == [[0.0, 0.0]] * 3
     assert with_defaults(poisson)["poisson"]["stride"] == 4
     assert with_defaults({**poisson, "grid": {"n": 8, "box": 8}})["poisson"]["stride"] == 1
+    # a point profile without a width is a Gaussian POINT_SIGMA_CELLS = 2 cells wide
+    point = copy.deepcopy(poisson)
+    point["poisson"]["profile"] = {"type": "point", "mass": 1.0, "center": [4, 4, 4]}
+    assert with_defaults(point)["poisson"]["profile"]["sigma"] == 2 * 8 / 64
+    point["poisson"]["profile"]["sigma"] = 0.3
+    assert with_defaults(point)["poisson"]["profile"]["sigma"] == 0.3
     assert [overlap, opalg, negativity, poisson] == raw  # the report echoes the config as given
 
 

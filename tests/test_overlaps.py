@@ -21,7 +21,6 @@ from gravphase.sources import (
     QuantumSourceState,
     gaussian_density,
     grid_density,
-    point_density,
     sample_on_grid,
     source_overlap,
 )
@@ -392,7 +391,7 @@ def test_analytic_amplitudes_match_mode_solve():
     # the continuum closed form wherever the profile is resolved
     sigma = 0.4
     grid = GridSpec(32, 8.0)
-    e = point_density(1.0, (4.0, 4.0, 4.0), sigma_reg=sigma)
+    e = gaussian_density(1.0, (4.0, 4.0, 4.0), sigma)
     hk_grid = 2.0 * CONSTS.hbar * np.abs(build_field_state(e, CONSTS, grid))
     hk_exact = analytic_point_amplitudes(1.0, sigma, grid, CONSTS)
     octant = (slice(0, grid.n // 2 + 1),) * 3

@@ -17,7 +17,6 @@ from gravphase.sources import (
     QuantumSourceState,
     gaussian_density,
     grid_density,
-    point_density,
 )
 
 CONSTS = PhysicalConstants.natural()
@@ -60,8 +59,8 @@ def test_theta_trivial_zeroes():
 def test_theta_point_pair_value():
     d, t = 1.0, 0.2
     for sigma in (0.05, 0.02, 0.01):
-        a = point_density(1.0, (0, 0, 0), sigma_reg=sigma)
-        b = point_density(1.0, (d, 0, 0), sigma_reg=sigma)
+        a = gaussian_density(1.0, (0, 0, 0), sigma)
+        b = gaussian_density(1.0, (d, 0, 0), sigma)
         th, _ = theta_AB(a, b, t, CONSTS)
         expected = -CONSTS.kappa * t * CONSTS.c**4 / (4 * np.pi * CONSTS.hbar * d)
         assert abs(th / expected - 1.0) < 0.02
@@ -154,8 +153,8 @@ def test_nonlocal_reduction_and_ratio():
     e = gaussian_density(1.0, (0, 0, 0), 0.1)
     assert models(single(e), single(zero), 1.0)["matrices"]["nonlocal"].phases[0, 0] == 0.0
     t, d = 0.4, 1.5
-    a = point_density(1.0, (0, 0, 0), sigma_reg=0.02)
-    b = point_density(1.0, (d, 0, 0), sigma_reg=0.02)
+    a = gaussian_density(1.0, (0, 0, 0), 0.02)
+    b = gaussian_density(1.0, (d, 0, 0), 0.02)
     nl = models(single(a), single(b), t)["matrices"]["nonlocal"].phases[0, 0]
     assert abs(nl - CONSTS.G * t / (CONSTS.hbar * d)) < 0.02 * nl
     rng = np.random.default_rng(3)
@@ -306,16 +305,16 @@ def test_compare_models_refuses_negative_time():
 
 
 def _generic_state_pair():
-    """Two states of unequal component counts, masses, widths and kinds,
-    with complex amplitudes and no shared center."""
+    """Two states of unequal component counts, masses and widths, with
+    complex amplitudes and no shared center."""
     rng = np.random.default_rng(17)
 
     def state(n, offset):
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
         dens = [gaussian_density(rng.uniform(0.5, 2.0), offset + rng.uniform(-0.5, 0.5, 3),
                                  rng.uniform(0.1, 0.4)) for _ in range(n - 1)]
-        dens.append(point_density(rng.uniform(0.5, 2.0), offset + rng.uniform(-0.5, 0.5, 3),
-                                  sigma_reg=0.05))
+        dens.append(gaussian_density(rng.uniform(0.5, 2.0), offset + rng.uniform(-0.5, 0.5, 3),
+                                     0.05))
         return QuantumSourceState(amplitudes=amps / np.linalg.norm(amps), densities=dens,
                                   indices=range(n))
 
@@ -344,6 +343,17 @@ def test_coincident_state_centers_raise():
     for build in (compare_models, newton_phase):
         with pytest.raises(ValueError, match="coincident density centers"):
             build(psi_a, psi_b, 0.2, CONSTS)
+
+
+def test_coincident_centers_are_refused_before_any_pair_integral(monkeypatch):
+    # Newton is built first, so a run whose centers coincide computes nothing
+    def no_integrals(*args, **kwargs):
+        raise AssertionError("pair integrals computed before the centers were checked")
+
+    monkeypatch.setattr(phases, "pair_integrals", no_integrals)
+    a, _ = pair_states()
+    with pytest.raises(ValueError, match="coincident density centers"):
+        models(a, a, 0.2, backend="mc", mc_samples=2_000_000)
 
 
 def test_functional_form_discrimination():
@@ -429,13 +439,14 @@ def test_convergence_rows_are_theta_ab_of_each_rung_bit_for_bit(backend, t):
     kw = dict(backend=backend, grid=GridSpec(32, 3.0), mc_samples=3000, seed=5)
     rows = models(a, b, t, sigma_ladder=LADDER, **kw)["convergence"]
 
-    def theta(make, width):
-        ea, eb = (make(s.densities[0].mass, s.densities[0].center, width) for s in (a, b))
+    def theta(width):
+        ea, eb = (gaussian_density(s.densities[0].mass, s.densities[0].center, width)
+                  for s in (a, b))
         return theta_AB(ea, eb, t, CONSTS, **kw)
 
-    point, _ = theta(point_density, LADDER[-1] / 4.0)
+    point, _ = theta(LADDER[-1] / 4.0)
     for row, sigma in zip(rows, LADDER, strict=True):
-        phase, err = theta(gaussian_density, sigma)
+        phase, err = theta(sigma)
         deviation = abs(phase - point) / abs(point) if point else float("nan")
         got = (row["phase"], row["point_phase"], row["deviation"], row["stderr"])
         assert [x.hex() for x in got] == [float(x).hex() for x in (phase, point, deviation, err)]

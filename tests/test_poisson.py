@@ -28,11 +28,10 @@ from gravphase.poisson import (
     solve_hT_spectral,
 )
 from gravphase.sources import (
+    POINT_SIGMA_CELLS,
     PhysicalConstants,
-    effective_sigma,
     gaussian_density,
     grid_density,
-    point_density,
     sample_on_grid,
 )
 
@@ -228,7 +227,7 @@ def test_zero_density_zero_field():
 def test_point_far_field():
     grid = GridSpec(32, 8.0)
     m = 1.0
-    e = point_density(m, (4.0, 4.0, 4.0))
+    e = gaussian_density(m, (4.0, 4.0, 4.0), POINT_SIGMA_CELLS * grid.h)
     h = solve_hT_spectral(e, grid, CONSTS)
     r = 2.0  # box / 4
     i = int((4.0 + r) / grid.h)
@@ -398,8 +397,8 @@ def test_linearity_and_positivity():
 
 def test_mutual_coulomb_point_pair():
     d = 2.0
-    a = point_density(1.0, (3.0, 4.0, 4.0), sigma_reg=0.05)
-    b = point_density(1.5, (5.0, 4.0, 4.0), sigma_reg=0.05)
+    a = gaussian_density(1.0, (3.0, 4.0, 4.0), 0.05)
+    b = gaussian_density(1.5, (5.0, 4.0, 4.0), 0.05)
     val, err = mutual_coulomb(a, b, CONSTS)
     assert err == 0.0
     assert abs(val - 1.0 * 1.5 * CONSTS.c**4 / d) < 0.02 * val
@@ -454,7 +453,7 @@ def test_pair_integrals_match_the_single_pair_backends():
     grid = GridSpec(16, 8.0)
     dens, pairs = _cross_and_self(
         [gaussian_density(1.0, (3.0, 4.0, 4.0), 0.6),
-         point_density(0.9, (4.2, 3.6, 4.1), sigma_reg=0.3)],
+         gaussian_density(0.9, (4.2, 3.6, 4.1), 0.3)],
         [gaussian_density(0.5, (5.0, 4.0, 4.0), 0.5)])
     val, err = pair_integrals(dens, pairs, CONSTS, backend="grid", grid=grid)
     for value, (i, j) in zip(val, pairs, strict=True):
@@ -475,7 +474,7 @@ def test_pair_integrals_match_the_single_pair_backends():
         pair_integrals([dens[1]], [], CONSTS, backend="grid")
 
 
-def _mc_reference(e_a, e_b, samples, seed, grid=None):
+def _mc_reference(e_a, e_b, samples, seed):
     """One Monte-Carlo pair integral as a plain loop over the stream: per
     chunk of MC_CHUNK samples, normals drawn as (axis, sample) from the two
     children of SeedSequence([seed, chunk]), scaled and shifted into A's and
@@ -484,8 +483,8 @@ def _mc_reference(e_a, e_b, samples, seed, grid=None):
     for c, start in enumerate(range(0, samples, MC_CHUNK)):
         rows = min(MC_CHUNK, samples - start)
         gen_x, gen_y = (np.random.default_rng(s) for s in np.random.SeedSequence([seed, c]).spawn(2))
-        x = gen_x.standard_normal((3, rows)) * effective_sigma(e_a, grid) + np.reshape(e_a.center, (3, 1))
-        y = gen_y.standard_normal((3, rows)) * effective_sigma(e_b, grid) + np.reshape(e_b.center, (3, 1))
+        x = gen_x.standard_normal((3, rows)) * e_a.sigma + np.reshape(e_a.center, (3, 1))
+        y = gen_y.standard_normal((3, rows)) * e_b.sigma + np.reshape(e_b.center, (3, 1))
         inv = 1.0 / np.linalg.norm(x - y, axis=0)
         total += inv.sum()
         total_sq += (inv**2).sum()
@@ -497,11 +496,9 @@ def _mc_reference(e_a, e_b, samples, seed, grid=None):
 
 _MC_PAIRS = {
     "gaussians": (gaussian_density(1.0, (0.1, 0.2, -0.3), 0.3),
-                  gaussian_density(0.7, (1.1, 0.0, 0.2), 0.5), None),
-    "point-width-from-grid": (point_density(1.3, (2.0, 2.0, 2.0)),
-                              gaussian_density(0.7, (3.0, 2.1, 2.0), 0.4), GridSpec(32, 4.0)),
+                  gaussian_density(0.7, (1.1, 0.0, 0.2), 0.5)),
     "coincident-centres": (gaussian_density(1.0, (1.0, 1.0, 1.0), 0.3),
-                           point_density(2.0, (1.0, 1.0, 1.0), sigma_reg=0.2), None),
+                           gaussian_density(2.0, (1.0, 1.0, 1.0), 0.2)),
 }
 
 
@@ -509,14 +506,14 @@ _MC_PAIRS = {
 def test_mc_kernel_is_bit_identical_to_the_reference(pair):
     # the kernel draws the same numbers and sums them in the same order, so
     # values and stderr are equal, not close; the counts straddle MC_CHUNK
-    e_a, e_b, grid = _MC_PAIRS[pair]
+    e_a, e_b = _MC_PAIRS[pair]
     for samples in (2, 7, MC_CHUNK, MC_CHUNK + 1, 100_001):
         seed = samples % 5
         val, err = coulomb_pair_mc([e_a, e_b], [(0, 1), (0, 0), (1, 1)], CONSTS,
-                                   samples=samples, seed=seed, grid=grid)
-        assert (val[0], err[0]) == _mc_reference(e_a, e_b, samples, seed, grid), samples
-        assert val[1] == _mc_reference(e_a, e_a, samples, seed, grid)[0], samples
-        assert val[2] == _mc_reference(e_b, e_b, samples, seed, grid)[0], samples
+                                   samples=samples, seed=seed)
+        assert (val[0], err[0]) == _mc_reference(e_a, e_b, samples, seed), samples
+        assert val[1] == _mc_reference(e_a, e_a, samples, seed)[0], samples
+        assert val[2] == _mc_reference(e_b, e_b, samples, seed)[0], samples
 
 
 def _ladder_shaped_family():
@@ -529,12 +526,9 @@ def _ladder_shaped_family():
     family = [gaussian_density(1.0, c_a + (0.0, 0.3 * k, 0.0), 0.1) for k in range(2)]
     family += [gaussian_density(0.8, c_b + (0.0, 0.3 * k, 0.0), 0.1) for k in range(2)]
     pairs = [(0, 2), (0, 3), (1, 2), (1, 3)] + [(k, k) for k in range(4)]
-    rungs = [(point_density(1.0, c_a, sigma_reg=min(ladder) / 4),
-              point_density(0.8, c_b, sigma_reg=min(ladder) / 4))]
-    for e_a, e_b in rungs + [(gaussian_density(1.0, c_a, s), gaussian_density(0.8, c_b, s))
-                             for s in ladder]:
+    for s in (min(ladder) / 4, *ladder):
         pairs.append((len(family), len(family) + 1))
-        family += [e_a, e_b]
+        family += [gaussian_density(1.0, c_a, s), gaussian_density(0.8, c_b, s)]
     return family, pairs
 
 
@@ -557,7 +551,7 @@ def test_mc_kernel_is_the_reference_on_any_pair_list_and_thread_count(samples, m
 
 
 def test_mc_kernel_peak_memory_is_bounded_per_worker():
-    e_a, e_b, _ = _MC_PAIRS["gaussians"]
+    e_a, e_b = _MC_PAIRS["gaussians"]
     for family, pairs in (([e_a, e_b], [(0, 1), (0, 0), (1, 1)]), _ladder_shaped_family()):
         coulomb_pair_mc(family, pairs, CONSTS, samples=2)  # imports the pool and the generator
         for samples in (1_000_000, 2_500_000):
@@ -580,7 +574,7 @@ def test_mc_kernel_peak_memory_is_bounded_per_worker():
 @pytest.mark.parametrize("samples", [0, 1])
 def test_mc_kernel_refuses_fewer_than_two_samples(samples):
     # one draw has a variance estimate of 0, which would claim an exact value
-    e_a, e_b, _ = _MC_PAIRS["gaussians"]
+    e_a, e_b = _MC_PAIRS["gaussians"]
     with pytest.raises(ValueError, match="at least 2 samples"):
         coulomb_pair_mc([e_a, e_b], [(0, 1)], CONSTS, samples=samples)
 
@@ -588,7 +582,7 @@ def test_mc_kernel_refuses_fewer_than_two_samples(samples):
 @pytest.mark.parametrize("backend", ["auto", "analytic", "grid", "mc"])
 def test_pair_integrals_refuse_a_grid_density(backend):
     # one rule on every backend, checked before any integral
-    e_a, _, _ = _MC_PAIRS["gaussians"]
+    e_a, _ = _MC_PAIRS["gaussians"]
     lumpy = grid_density(np.ones((4, 4, 4)), 2.0)
     kw = dict(backend=backend, grid=GridSpec(4, 2.0), mc_samples=10)
     with pytest.raises(ValueError, match="^pair integrals need point or gaussian profiles$"):
@@ -623,7 +617,7 @@ def test_mc_pair_integrals_do_not_depend_on_the_thread_count(cpus, monkeypatch):
 
 
 def test_mc_pair_integral_errors_reach_the_caller():
-    e_a, e_b, _ = _MC_PAIRS["gaussians"]
+    e_a, e_b = _MC_PAIRS["gaussians"]
     with pytest.raises(ValueError, match="at least 2 samples"):
         pair_integrals([e_a, e_b], [(0, 1)], CONSTS, backend="mc", mc_samples=1)
 
@@ -731,7 +725,8 @@ _SEPARABLE_FAMILIES = {
                    [gaussian_density(1.0, (3.65 + dx, 3.05, 2.9), 0.3) for dx in (0.0, 0.7)]),
     "mixed-widths": (GridSpec(32, 8.0),
                      [gaussian_density(1.3, (3.1, 4.4, 2.9), 0.6),
-                      point_density(0.4, (5.2, 3.3, 4.1))],
+                      gaussian_density(0.4, (5.2, 3.3, 4.1),
+                                       POINT_SIGMA_CELLS * GridSpec(32, 8.0).h)],
                      [gaussian_density(0.8, (4.0, 4.0, 4.0), 1.1)]),
     "wide-and-narrow": (GridSpec(16, 8.0),
                         [gaussian_density(1.0, (3.6, 4.3, 4.0), 1.2)],

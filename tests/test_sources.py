@@ -4,11 +4,12 @@ import pytest
 from gravphase.grids import GridSpec
 from gravphase.gridio import load_scalar_grid, save_scalar_grid
 from gravphase.sources import (
+    POINT_SIGMA_CELLS,
+    EnergyDensity,
     PhysicalConstants,
     QuantumSourceState,
     axis_profiles,
     gaussian_density,
-    point_density,
     sample_on_grid,
     source_overlap,
 )
@@ -44,7 +45,7 @@ def test_gaussian_sampling_mass_exact():
 
 def test_point_profile_dominant_cell():
     grid = GridSpec(16, 8.0)
-    e = point_density(2.0, (4.0, 4.0, 4.0), sigma_reg=0.15)
+    e = gaussian_density(2.0, (4.0, 4.0, 4.0), 0.15)
     g = sample_on_grid(e, grid, CONSTS)
     assert abs(_mass(g, grid) - 2.0) < 1e-12 * 2.0
     assert g.values.max() * grid.cell_volume > 0.5 * g.values.sum() * grid.cell_volume
@@ -69,7 +70,8 @@ def test_profile_truncation_guard():
 
 
 @pytest.mark.parametrize("e", [gaussian_density(1.3, (3.1, 4.4, 2.2), 0.7),
-                               point_density(0.6, (5.0, 2.5, 4.0))])
+                               gaussian_density(0.6, (5.0, 2.5, 4.0),
+                                                POINT_SIGMA_CELLS * GridSpec(32, 8.0).h)])
 def test_axis_profiles_factor_the_sampled_density(e):
     # sample_on_grid's density is m c^2 / h^3 times the outer product of the
     # unit-sum axis factors; exp of a sum and a product of exps, and a 3-D
@@ -132,13 +134,15 @@ def test_state_validation():
         _state([1 / np.sqrt(2), 1 / np.sqrt(2)], (0, 0))
     with pytest.raises(ValueError, match="non-empty"):
         QuantumSourceState(amplitudes=[], densities=[], indices=())
-    # a component's density: a finite center and, for a Gaussian, a width > 0
+    # a component's density: a Gaussian with a finite center and a width > 0
     for center in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0)):
-        for build in (lambda c: gaussian_density(1.0, c, 0.1), lambda c: point_density(1.0, c)):
-            with pytest.raises(ValueError, match="finite center"):
-                build(center)
+        with pytest.raises(ValueError, match="finite center"):
+            gaussian_density(1.0, center, 0.1)
     with pytest.raises(ValueError, match="sigma > 0"):
         gaussian_density(1.0, (0.0, 0.0, 0.0), 0.0)
+    # or a grid: a point is a Gaussian of its regularisation width, no kind of its own
+    with pytest.raises(ValueError, match="unknown profile kind 'point'"):
+        EnergyDensity(kind="point", mass=1.0, center=(0.0, 0.0, 0.0), sigma=0.1)
 
 
 def test_gridio_roundtrip(tmp_path):
