@@ -21,12 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import gridio
-from .grids import LATTICE_BYTES_LIMIT
-from .opalg import check_sweep_size
-from .poisson import RESIDUAL_MARGIN
+from .poisson import MC_CHUNK, RESIDUAL_MARGIN, _cpu_count
 from .sources import POINT_SIGMA_CELLS, PhysicalConstants
 
 SCENARIOS = ("phase-compare", "poisson", "overlap-sweep", "opalg-verify", "negativity")
+# peak bytes a run may hold in any one `cost` entry, checked at load
+BYTES_LIMIT = 2**27
+# numpy's ufunc and transform line buffers and a run's own bookkeeping, on
+# top of the tables a `poisson` or Monte-Carlo entry counts
+_BUFFER_BYTES = 2**18
 
 _NUM = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -286,30 +289,17 @@ def validate_config(cfg: dict) -> None:
     if scenario == "phase-compare" and any(
             cfg["sources"][k]["type"] not in ("localized", "gaussian") for k in "ab"):
         raise ConfigError("phase-compare sources must be localized or gaussian")
-    # each grid size and the bytes of the largest lattice table the run builds
-    # on it: the (n+1)^3 octant of the grid pair sums, the (n/2+1)^3 weight
-    # octant of the overlap mode sums, or, on the smallest sweep grid when
-    # state pairs are checked, the n^3 |k| table and complex transform of a
-    # field state
-    grid_sizes = {}
-    if "grid" in cfg:
-        n, pair_sums = cfg["grid"]["n"], scenario == "phase-compare" and cfg["backend"] == "grid"
-        grid_sizes["grid/n"] = n, (8 * (n + 1) ** 3 if pair_sums else 0)
+    if scenario == "phase-compare" and cfg["backend"] == "grid" and "grid" not in cfg:
+        raise ConfigError("config invalid at backend: the grid backend needs a 'grid' block")
     overlap = cfg.get("overlap")
+    grid_sizes = {"grid/n": cfg["grid"]["n"]} if "grid" in cfg else {}
     if overlap:
-        sizes = overlap["grid_sizes"]
-        grid_sizes.update((f"overlap/grid_sizes/{i}", (n, 8 * (n // 2 + 1) ** 3))
-                          for i, n in enumerate(sizes))
-        if overlap["state_pairs"]:
-            i = sizes.index(min(sizes))
-            grid_sizes[f"overlap/grid_sizes/{i}"] = sizes[i], 24 * sizes[i] ** 3
-    for path, (n, table) in grid_sizes.items():
+        grid_sizes.update((f"overlap/grid_sizes/{i}", n)
+                          for i, n in enumerate(overlap["grid_sizes"]))
+    for path, n in grid_sizes.items():
         if n < 2 or n & (n - 1):
             raise ConfigError(f"config invalid at {path}: grid size must be a power of two "
                               f">= 2, got {n}")
-        if table > LATTICE_BYTES_LIMIT:
-            raise ConfigError(f"config invalid at {path}: N = {n} needs a lattice table of "
-                              f"{table} bytes, above the limit of {LATTICE_BYTES_LIMIT}")
     if scenario == "poisson" and cfg["grid"]["n"] <= 2 * RESIDUAL_MARGIN:
         raise ConfigError(f"config invalid at grid/n: the Laplacian residual reads the cells "
                           f"more than a margin of {RESIDUAL_MARGIN} from each face, so N must "
@@ -330,14 +320,8 @@ def validate_config(cfg: dict) -> None:
     opalg = cfg.get("opalg", {})
     if "kvec" in opalg and not any(opalg["kvec"]):
         raise ConfigError("config invalid at opalg/kvec: wavevector must be nonzero")
-    if opalg:
-        try:
-            check_sweep_size(opalg["t_points"], len(opalg["tt_branch_amplitudes"]),
-                             opalg["dim"], min(opalg["n_low"], opalg["dim"]))
-        except ValueError as exc:
-            raise ConfigError(f"config invalid at opalg: {exc}") from None
-        if len(opalg["trace_branch_amplitudes"]) != len(opalg["tt_branch_amplitudes"]):
-            raise ConfigError("branch amplitude lists must have matching length")
+    if opalg and len(opalg["trace_branch_amplitudes"]) != len(opalg["tt_branch_amplitudes"]):
+        raise ConfigError("branch amplitude lists must have matching length")
     negativity = cfg.get("negativity", {})
     if negativity:
         shape = (len(negativity["amplitudes_a"]), len(negativity["amplitudes_b"]))
@@ -356,6 +340,53 @@ def validate_config(cfg: dict) -> None:
         if not 0.0 < sum(x * x for x in parts) < math.inf:
             raise ConfigError(f"config invalid at {path}: amplitudes are all zero, "
                               "or too small or too large to normalise")
+    for path, nbytes in cost(cfg).items():
+        if nbytes > BYTES_LIMIT:
+            raise ConfigError(f"config invalid at {path}: the run would hold {nbytes} bytes "
+                              f"here at its peak, above the limit of {BYTES_LIMIT}")
+
+
+def cost(cfg: dict) -> dict:
+    """Peak bytes of each table the run of a default-filled config
+    (`with_defaults`) builds, by the config path that sizes it: the (N+1)^3
+    Coulomb octant of a grid phase-compare; per overlap grid two folded
+    (N/2+1)^3 octants and eight of their planes or, on the smallest while
+    state pairs are checked, the |k| table and transform of a field state;
+    the opalg sweep's 5 column stacks and 12 operators (tracemalloc reads
+    4.1-4.2 and about eleven); the Monte-Carlo partial sums and worker
+    buffers; and the larger of the poisson oracle's table and worker
+    buffers and the spectral solve's product, half product and kernel
+    spectrum.  The last two entries also count the density, the oracle's
+    weights and field, and `_BUFFER_BYTES`."""
+    out = {}
+    scenario, grid = cfg["scenario"], cfg.get("grid")
+    if scenario == "phase-compare" and cfg["backend"] == "grid":
+        out["grid/n"] = 8 * (grid["n"] + 1) ** 3
+    if scenario == "phase-compare" and cfg["backend"] == "mc":
+        n_a, n_b = (len(s["branches"]) if "branches" in s else 1 for s in cfg["sources"].values())
+        ladder = len(cfg.get("sigma_ladder", ()))
+        pairs = n_a * n_b + n_a + n_b + (ladder + 1 if ladder else 0)
+        chunks = -(-cfg["mc_samples"] // MC_CHUNK)
+        workers = min(chunks, _cpu_count())
+        out["mc_samples"] = 16 * chunks * pairs + 104 * MC_CHUNK * workers + _BUFFER_BYTES
+    if scenario == "poisson":
+        n, m = grid["n"], grid["n"] // cfg["poisson"]["stride"]
+        direct = 8 * ((2 * n - 1) ** 2 * n + min(m, _cpu_count()) * (n**3 + n**2))
+        spectral = 32 * (2 * n) ** 2 * (n + 1)
+        out["grid/n"] = max(direct, spectral) + 8 * (2 * n**3 + m**3) + _BUFFER_BYTES
+    if scenario == "overlap-sweep":
+        sizes = cfg["overlap"]["grid_sizes"]
+        out.update((f"overlap/grid_sizes/{i}", 16 * (n // 2 + 1) ** 2 * (n // 2 + 5))
+                   for i, n in enumerate(sizes))
+        if cfg["overlap"]["state_pairs"]:
+            path = f"overlap/grid_sizes/{sizes.index(min(sizes))}"
+            out[path] = max(out[path], 24 * min(sizes) ** 3)
+    if scenario == "opalg-verify":
+        opalg = cfg["opalg"]
+        dim, columns = opalg["dim"], min(opalg["n_low"], opalg["dim"])
+        out["opalg"] = 16 * len(opalg["tt_branch_amplitudes"]) * dim * (
+            5 * opalg["t_points"] * 2 * columns + 12 * dim)
+    return out
 
 
 def _reject_non_finite(token: str):

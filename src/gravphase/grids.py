@@ -22,11 +22,6 @@ import numpy as np
 # Average of 1/|r| over the unit cube centred at the origin, in closed form.
 _UNIT_CUBE_INV_R_AVERAGE = 3.0 * math.log(2.0 + math.sqrt(3.0)) - math.pi / 2.0
 
-# bytes of the largest lattice table a run may build, checked at load: the
-# octant of the grid pair sums, the folded weight octant of the overlap mode
-# sums, or the |k| table and transform of a field state
-LATTICE_BYTES_LIMIT = 2**27
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False

@@ -55,15 +55,7 @@ import numpy as np
 from .sources import PhysicalConstants
 from .tensoralg import transverse_projector
 
-EXACT_DIM_LIMIT = 4096
 BRANCH_AMP_FLOOR = 1e-12
-# bytes a propagator sweep may hold at its peak.  Under tracemalloc,
-# compare_propagators peaks at 4.1-4.2 (times, d_P, D, 2 n_low) complex
-# column stacks over long sweeps (per-time Python objects included) and at
-# about eleven (d_P, D, D) operators over few times
-SWEEP_BYTES_LIMIT = 2**27
-SWEEP_STACKS = 5
-SWEEP_OPERATORS = 12
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -319,8 +311,6 @@ def exact_propagator(h_total: np.ndarray, t, hbar: float, x: np.ndarray | None =
     """exp(-i t H / hbar) applied to the columns x (the identity when None)
     at a time or a 1-D array of times (time axis first), from one
     eigendecomposition of H (or of each block of a stack)."""
-    if h_total.shape[-1] > EXACT_DIM_LIMIT:
-        raise ValueError(f"dense exponential guarded to dimension {EXACT_DIM_LIMIT}")
     x = np.eye(h_total.shape[-1]) if x is None else x
     return _propagators(h_total, _times(t, h_total.ndim - 2)[0] / hbar, x)
 
@@ -429,19 +419,6 @@ class PropagatorComparison:
         return self.prediction.damping0[..., 1] - self.prediction.damping0[..., 0]
 
 
-def check_sweep_size(n_times: int, n_branches: int, field_dim: int, n_columns: int) -> None:
-    """Refuse a propagator sweep of n_columns columns whose peak,
-    SWEEP_STACKS (n_times, d_P, D, 2 n_columns) complex column stacks and
-    SWEEP_OPERATORS (d_P, D, D) operators, exceeds SWEEP_BYTES_LIMIT,
-    before any operator is built."""
-    size = 16 * n_branches * field_dim * (SWEEP_STACKS * n_times * 2 * n_columns
-                                          + SWEEP_OPERATORS * field_dim)
-    if size > SWEEP_BYTES_LIMIT:
-        raise ValueError(f"propagator sweep of {n_times} times x {n_branches} branches x "
-                         f"dimension {field_dim} x {n_columns} columns needs {size} bytes at "
-                         f"its peak, above the limit of {SWEEP_BYTES_LIMIT}")
-
-
 def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
                         hT_shift, times, n_low: int = 8) -> PropagatorComparison:
     """Evolve every branch exactly and through the order-3 and order-2
@@ -456,11 +433,9 @@ def compare_propagators(system: TruncatedModeSystem, probe: ProbeStressTensor,
     ||(U_b - U_Z,b) X||_2, which equals ||(U_b - U_Z,b) P||_2 for the
     projector P = X X^T with X orthonormal, and is the operator norm on the
     block-diagonal field (x) probe space.  The vacuum amplitudes are column
-    0 of U_b X.  A sweep over SWEEP_BYTES_LIMIT is refused first."""
+    0 of U_b X."""
     hbar = system.consts.hbar
     times = np.asarray(times, dtype=float)
-    check_sweep_size(times.size, probe.n_branches, system.field_dim,
-                     math.prod(min(n_low, m.dim) for m in system.modes))
     h_g = build_HG(system)
     h_i = build_HI(system, probe, hT_shift)
     x = np.eye(system.field_dim)[:, low_level_projector(system, n_low)]

@@ -69,7 +69,6 @@ import numpy as np
 from .grids import GridSpec, cell_averaged_inv_r
 from .sources import EnergyDensity, PhysicalConstants, axis_profiles, sample_on_grid
 
-DIRECT_N_LIMIT = 48
 RESIDUAL_MARGIN = 3  # boundary cells the Laplacian residual leaves out on each face
 # Monte-Carlo samples per chunk: sets which seed draws which sample, so it
 # is part of the stream contract, not a tuning knob.
@@ -134,8 +133,6 @@ def solve_hT_direct(
     (every stride-th node per axis); the returned field then lives on
     GridSpec(n // stride, box).
     """
-    if grid.n > DIRECT_N_LIMIT:
-        raise ValueError(f"direct solver guarded to N <= {DIRECT_N_LIMIT}")
     if grid.n % stride:
         raise ValueError("stride must divide N")
     n = grid.n

@@ -155,7 +155,7 @@ def run_poisson(cfg: dict, outdir: Path) -> dict:
     src = sample_on_grid(_build_density(block["profile"]), grid, consts)
 
     stride = block["stride"]
-    direct = solve_hT_direct(src, grid, consts, stride=stride)  # first, to refuse a large N early
+    direct = solve_hT_direct(src, grid, consts, stride=stride)
     spectral = solve_hT_spectral(src, grid, consts)
     sub = spectral.values[::stride, ::stride, ::stride]
     scale = np.abs(direct.values).max()  # zero for a massless profile
@@ -215,8 +215,7 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
 
     # every pair in one call, on the smallest sweep grid, which raises if a
     # shared index carries two densities whose field shifts do not cancel;
-    # the field states are full n^3 tables, which the load-time lattice
-    # bound counts there
+    # the field states are full n^3 tables, which `config.cost` counts there
     rng = random.Random(cfg["seed"])
     pairs = [_random_state_pair(rng) for _ in range(block["state_pairs"])]
     exact_joint_overlap([a for a, _ in pairs], [b for _, b in pairs],

@@ -91,6 +91,15 @@ def _poisson_point() -> dict:
             "poisson": {"profile": {"type": "point", "mass": 1.0, "center": [2.0, 1.9, 2.1]}}}
 
 
+def _poisson_n64() -> dict:
+    """The benchmark's poisson-oracle profile on an N=64 grid at the default
+    stride 4, writing no field file: its report carries the oracle's
+    deviation from the spectral field and the Laplacian residual."""
+    return {"scenario": "poisson", "seed": 0, "grid": {"n": 64, "box": 4.0},
+            "poisson": {"profile": {"type": "gaussian", "mass": 1.0, "sigma": 0.3,
+                                    "center": [2.05, 1.95, 2.0]}, "save_fields": False}}
+
+
 def _overlap_default_reg() -> dict:
     """semiclassical-overlap without sigma_reg, so the source takes the
     default point width of each sweep grid, on N = 8 and 16 with 3 state
@@ -147,9 +156,10 @@ def cases() -> dict[str, dict]:
 
 
 def field_cases() -> dict[str, dict]:
-    """Config of each reference case that writes field files only, by name."""
+    """Config of each reference case that writes field files or its report
+    only, by name."""
     return {**_solver_configs(("poisson-oracle",)), "poisson-si": _si_poisson(),
-            "poisson-point": _poisson_point()}
+            "poisson-point": _poisson_point(), "poisson-n64": _poisson_n64()}
 
 
 def stack() -> dict:

@@ -14,15 +14,17 @@ import pytest
 
 from gravphase.cli import main
 from gravphase.config import (
+    BYTES_LIMIT,
     CONFIG_SCHEMA,
     ConfigError,
     apply_overrides,
+    cost,
     get_preset,
     preset_names,
     validate_config,
+    with_defaults,
 )
 from gravphase.gridio import load_scalar_grid, save_scalar_grid
-from gravphase.grids import LATTICE_BYTES_LIMIT
 from gravphase.sources import PhysicalConstants
 
 
@@ -365,27 +367,72 @@ def test_override_paths():
         apply_overrides(cfg, ["garbage"])
 
 
-def _poisson_at_n64(tmp_path):
+def _poisson_at(n, tmp_path):
     cfg = get_preset("gie-2x2")
     cfg["scenario"] = "poisson"
-    cfg["grid"] = {"n": 64, "box": 8.0}
+    cfg["grid"] = {"n": n, "box": 8.0}
     cfg["poisson"] = {"profile": {"type": "gaussian", "mass": 1.0,
-                                  "center": [4.0, 4.0, 4.0], "sigma": 1.2}}
+                                  "center": [4.0, 4.0, 4.0], "sigma": 1.2}, "save_fields": False}
+    path = tmp_path / f"poisson-{n}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _unnormalisable_negativity(tmp_path):
+    # exp(800) overflows: a guard only the run can find
+    cfg = _small_negativity()
+    cfg["negativity"]["dampings"] = [[800.0, 0.0], [0.0, 0.0]]
     path = tmp_path / "guard.json"
     path.write_text(json.dumps(cfg))
     return path
 
 
-def test_numerical_guard_exit_code(tmp_path, monkeypatch, capsys):
-    # the direct solver is guarded above N=48, and its guard comes first: at
-    # N = 64 the spectral solve would take ~37 MB only to be thrown away
-    from gravphase import scenarios
+def test_numerical_guard_exit_code(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", str(_unnormalisable_negativity(tmp_path)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("numerical guard: state is not normalisable "
+                                       "(coefficients all zero or not finite)\n")
+    assert not out.exists()
 
-    calls = []
-    monkeypatch.setattr(scenarios, "solve_hT_spectral", lambda *args: calls.append(args))
-    assert main(["run", str(_poisson_at_n64(tmp_path)), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "numerical guard: direct solver guarded to N <= 48\n"
-    assert calls == []
+
+def _over_limit(where, nbytes):
+    return (f"config error: config invalid at {where}: the run would hold {nbytes} bytes here "
+            f"at its peak, above the limit of {BYTES_LIMIT}\n")
+
+
+def test_an_n64_poisson_run_exits_0_and_the_oracle_matches_the_spectral_field(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", str(_poisson_at(64, tmp_path)), "--out", str(out)]) == 0
+    result = json.loads((out / "report.json").read_text())["result"]
+    assert result["grid"]["n"] == 64 and result["field_files"] == []
+    assert result["backend_deviation_max_rel"] <= 1e-13
+
+
+def test_an_n128_poisson_run_is_refused_at_load(tmp_path, capsys):
+    # the spectral solve alone would hold 32 (2N)^2 (N+1) = 270.5 MB
+    path, out = _poisson_at(128, tmp_path), tmp_path / "o"
+    nbytes = cost(with_defaults(json.loads(path.read_text())))["grid/n"]
+    assert nbytes > 32 * 256**2 * 129 > BYTES_LIMIT
+    tracemalloc.start()
+    try:
+        code = main(["run", str(path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == _over_limit("grid/n", nbytes)
+    assert peak < 8 * 2**20
+
+
+def test_the_grid_backend_without_a_grid_is_refused_at_load(tmp_path, capsys):
+    cfg = _phase_compare("grid")()
+    del cfg["grid"]
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config invalid at backend: the grid backend needs a 'grid' block\n")
+    assert not out.exists()
 
 
 def _oversized_overlap_sweep():
@@ -397,12 +444,12 @@ def _oversized_overlap_sweep():
 @pytest.mark.parametrize("make_cfg, where, table", [
     (lambda: {**_phase_compare("grid")(), "grid": {"n": 1024, "box": 6.0}}, "grid/n",
      8 * 1025**3),
-    (_oversized_overlap_sweep, "overlap/grid_sizes/1", 8 * 513**3),
+    (_oversized_overlap_sweep, "overlap/grid_sizes/1", 16 * 513**2 * 517),
 ], ids=["phase-compare-grid", "overlap-sweep"])
 def test_an_oversized_lattice_is_refused_at_load(tmp_path, capsys, make_cfg, where, table):
-    # the (N+1)^3 octant of the pair sums (8.02 GiB) or the (N/2+1)^3 octant
-    # of the overlap mode sums (1.01 GiB) at N = 1024 is refused before any
-    # table is built
+    # the (N+1)^3 octant of the pair sums (8.02 GiB) or the two (N/2+1)^3
+    # octants of the overlap mode sums (2.03 GiB) at N = 1024 is refused
+    # before any table is built
     path, out = tmp_path / "cfg.json", tmp_path / "o"
     path.write_text(json.dumps(make_cfg()))
     tracemalloc.start()
@@ -412,29 +459,28 @@ def test_an_oversized_lattice_is_refused_at_load(tmp_path, capsys, make_cfg, whe
     finally:
         tracemalloc.stop()
     assert code == 1 and not out.exists()
-    assert capsys.readouterr().err == (
-        f"config error: config invalid at {where}: N = 1024 needs a lattice table of "
-        f"{table} bytes, above the limit of {LATTICE_BYTES_LIMIT}\n")
+    assert capsys.readouterr().err == _over_limit(where, table)
     assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
 def test_the_lattice_bound_admits_every_shipped_grid(n):
     # the presets' 8/16/32 and the benchmark's 64 are admitted; the bound
-    # falls between 128 and 256 for the pair-sum octant and for a field
-    # state's n^3 tables, and between 256 and 512 for the overlap mode sums'
-    # (n/2+1)^3 octant; an analytic phase-compare, which builds none, takes
-    # any grid
+    # falls between 64 and 128 for a poisson run, between 128 and 256 for
+    # the pair-sum octant and for a field state's n^3 tables, and between
+    # 256 and 512 for the overlap mode sums' (n/2+1)^3 octants; an analytic
+    # phase-compare, which builds none, takes any grid
     sweep, states = _small_overlap_sweep(), _small_overlap_sweep()
     sweep["overlap"].update(grid_sizes=[n], state_pairs=0)
     states["overlap"].update(grid_sizes=[n])
     limits = [("grid/n", {**_phase_compare("grid")(), "grid": {"n": n, "box": 6.0}}, 128),
+              ("grid/n", {**_small_poisson(), "grid": {"n": n, "box": 8.0}}, 64),
               ("overlap/grid_sizes/0", sweep, 256), ("overlap/grid_sizes/0", states, 128)]
     for where, cfg, largest in limits:
         if n <= largest:
             validate_config(cfg)
         else:
-            with pytest.raises(ConfigError, match=f"at {where}: N = {n} needs a lattice table"):
+            with pytest.raises(ConfigError, match=f"at {where}: the run would hold"):
                 validate_config(cfg)
     validate_config({**_phase_compare("analytic")(), "grid": {"n": 2 * n, "box": 6.0}})
 
@@ -443,7 +489,7 @@ def test_the_lattice_bound_admits_every_shipped_grid(n):
     ([256], 0, None),
     ([8, 256], 20, None),
     ([256, 16], 3, None),
-    ([256, 8, 512], 0, (2, 8 * 257**3)),
+    ([256, 8, 512], 0, (2, 16 * 257**2 * 261)),
     ([256], 1, (0, 24 * 256**3)),
 ])
 def test_an_n256_overlap_sweep_runs_and_its_state_pairs_take_the_smallest_grid(
@@ -465,9 +511,7 @@ def test_an_n256_overlap_sweep_runs_and_its_state_pairs_take_the_smallest_grid(
     else:
         i, table = refused
         assert code == 1 and not out.exists()
-        assert err == (f"config error: config invalid at overlap/grid_sizes/{i}: N = {sizes[i]} "
-                       f"needs a lattice table of {table} bytes, above the limit of "
-                       f"{LATTICE_BYTES_LIMIT}\n")
+        assert err == _over_limit(f"overlap/grid_sizes/{i}", table)
 
 
 def test_negativity_scenario_matches_direct_computation(tmp_path):
@@ -579,7 +623,7 @@ def test_oversized_opalg_sweep_exits_1_without_a_traceback(tmp_path):
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.returncode == 1
-    assert "config invalid at opalg: propagator sweep" in proc.stderr
+    assert "config invalid at opalg: the run would hold" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 
@@ -604,7 +648,8 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, collecting):
     a_file.write_text("")
     commands = [(["run", "preset:gie-2x2", "--out", str(tmp_path / "o")], 0),
                 (["run", "preset:gie-2x2", "--set", "nope=1"], 1),
-                (["run", str(_poisson_at_n64(tmp_path)), "--out", str(tmp_path / "g")], 2),
+                (["run", str(_unnormalisable_negativity(tmp_path)), "--out", str(tmp_path / "g")],
+                 2),
                 (["run", "preset:gie-2x2", "--out", str(a_file)], 3),
                 (["schema"], 0), (["presets"], 0)]
     was_collecting = gc.isenabled()
@@ -639,15 +684,16 @@ def test_a_run_freezes_the_import_time_heap(tmp_path):
 
 def test_schema_and_presets_do_not_import_the_scenarios():
     # the freeze covers what a command imports, and only `run` needs the
-    # layers behind gravphase.scenarios
+    # layers behind gravphase.scenarios; the config prices an opalg sweep
+    # without importing the operator algebra
     probe = ("import sys; from gravphase.cli import main; "
              "codes = [main(['schema']), main(['presets']), main(['presets', '--emit', 'gie-2x2'])]; "
-             "print(codes, 'gravphase.scenarios' in sys.modules)")
+             "print(codes, 'gravphase.scenarios' in sys.modules, 'gravphase.opalg' in sys.modules)")
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False False"
 
 
 def test_gie_report_carries_the_static_rows(tmp_path):

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -24,13 +25,17 @@ from gravphase.cli import main
 from gravphase.config import (
     CONFIG_SCHEMA,
     ConfigError,
+    cost,
     get_preset,
     schema_error,
     to_internal_units,
     validate_config,
     with_defaults,
 )
-from gravphase.sources import PhysicalConstants
+from gravphase.grids import GridSpec
+from gravphase.overlaps import build_field_state, semiclassical_overlap
+from gravphase.scenarios import run_scenario
+from gravphase.sources import PhysicalConstants, gaussian_density
 
 # JSON has no integral floats: an integer is an int, as in the walker
 _Draft = jsonschema.validators.validator_for(CONFIG_SCHEMA)
@@ -247,7 +252,7 @@ def test_oversized_opalg_sweep_is_refused_at_load(edit):
     cfg = get_preset("zassenhaus-t3")
     cfg["opalg"].update(edit)
     assert schema_error(cfg, CONFIG_SCHEMA) is None
-    with pytest.raises(ConfigError, match="config invalid at opalg: propagator sweep"):
+    with pytest.raises(ConfigError, match="config invalid at opalg: the run would hold"):
         validate_config(cfg)
 
 
@@ -260,8 +265,88 @@ def test_the_largest_accepted_dim_40_sweep_validates_and_the_next_exits_1(tmp_pa
     out = tmp_path / "o"
     assert main(["run", "preset:zassenhaus-t3", "--set", "opalg.t_points=1305",
                  "--out", str(out)]) == 1
-    assert "config invalid at opalg: propagator sweep" in capsys.readouterr().err
+    assert "config invalid at opalg: the run would hold" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _entries(cfg):
+    validate_config(cfg)
+    return cost(with_defaults(cfg))
+
+
+def test_the_table_entries_count_the_tables_the_run_builds():
+    consts = PhysicalConstants.natural()
+    grid = GridSpec(32, 6.0)
+    cfg = get_preset("gie-2x2")
+    cfg.update(backend="grid", grid={"n": 32, "box": 6.0})
+    assert _entries(cfg) == {"grid/n": grid.coulomb_octant.nbytes}
+    # the state pairs are checked on the smallest sweep grid: its |k| table
+    # and one field state
+    cfg = get_preset("semiclassical-overlap")
+    cfg["overlap"]["grid_sizes"] = [16, 8]
+    grid = GridSpec(8, cfg["overlap"]["box"])
+    state = build_field_state(gaussian_density(1.0, (2.0, 2.0, 2.0), 0.25), consts, grid)
+    assert _entries(cfg)["overlap/grid_sizes/1"] == grid.k_magnitude.nbytes + state.nbytes
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_the_overlap_entry_bounds_the_mode_sum_peak(n):
+    cfg = get_preset("semiclassical-overlap")
+    cfg["overlap"].update(grid_sizes=[n], state_pairs=0)
+    block = with_defaults(cfg)["overlap"]
+    eps = [[s * e for e in block["epsilon"]] for s in block["epsilon_scales"]]
+    ws = [block["w_start"] * 0.5**i for i in range(block["w_halvings"] + 1)]
+    peak = _traced_peak(lambda: semiclassical_overlap(
+        block["position"], eps, ws, GridSpec(n, block["box"]), PhysicalConstants.natural(),
+        sigma_reg=block["sigma_reg"], matter_width=block["matter_width"]))
+    entry = _entries(cfg)["overlap/grid_sizes/0"]
+    assert entry / 2 < peak <= entry, (peak, entry)
+
+
+def _poisson(n, stride=None):
+    block = {"profile": {"type": "gaussian", "mass": 1.0, "center": [4.0, 4.0, 4.0],
+                         "sigma": 1.2}, "save_fields": False}
+    return {"scenario": "poisson", "seed": 0, "grid": {"n": n, "box": 8.0},
+            "poisson": {**block, **({"stride": stride} if stride else {})}}
+
+
+@pytest.mark.parametrize("n, stride", [(16, None), (32, None), (32, 1), (64, None)])
+def test_the_poisson_entry_bounds_the_run_peak(tmp_path, n, stride):
+    # the entry prices the whole run: the oracle's table and worker buffers,
+    # the spectral solve's cold peak, the density and the oracle's field
+    run_scenario(_poisson(8), tmp_path / "warm")  # numpy.fft's first-use state
+    cfg = _poisson(n, stride)
+    peak = _traced_peak(lambda: run_scenario(cfg, tmp_path / "o"))
+    entry = _entries(cfg)["grid/n"]
+    assert entry / 2 < peak <= entry, (peak, entry)
+
+
+@pytest.mark.parametrize("branches", [2, 8])
+def test_the_monte_carlo_entry_bounds_the_run_peak(tmp_path, branches):
+    # 13 and 85 pair integrals, each with its partial sums in 13 chunks
+    def config(samples):
+        cfg = get_preset("gie-2x2")
+        cfg.update(backend="mc", mc_samples=samples)
+        for key, x0 in (("a", 0.0), ("b", 3.0)):
+            cfg["sources"][key]["branches"] = [
+                {"amplitude": 1.0, "center": [x0 + 0.1 * i, 0.0, 0.0], "width": 0.05}
+                for i in range(branches)]
+        return cfg
+
+    run_scenario(config(2), tmp_path / "warm")  # numpy.random's first-use state
+    cfg = config(200_000)
+    peak = _traced_peak(lambda: run_scenario(cfg, tmp_path / "o"))
+    entry = _entries(cfg)["mc_samples"]
+    assert entry / 2 < peak <= entry, (peak, entry)
 
 
 def test_to_internal_units_fills_the_defaults_and_divides_by_the_scales():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gravphase import opalg
+from gravphase.config import cost, get_preset, with_defaults
 from gravphase.opalg import (
     ModeSpec,
     ProbeStressTensor,
@@ -212,8 +212,6 @@ def test_exact_propagator_basics():
     v = rng.normal(size=40) + 1j * rng.normal(size=40)
     v /= np.linalg.norm(v)
     assert abs(np.linalg.norm(u @ v) - 1.0) < 1e-10
-    with pytest.raises(ValueError, match="guard"):
-        exact_propagator(np.zeros((5000, 5000)), 1.0, 1.0)
 
 
 def test_predict_theta_zero_and_term_selection():
@@ -561,18 +559,21 @@ def test_compare_propagators_diagonalises_each_generator_once(monkeypatch, n_tim
     assert sorted(calls) == sorted([(40, 40)] + [(2, 40, 40)] * 4)
 
 
+def _sweep_config(dim, t_points):
+    cfg = get_preset("zassenhaus-t3")
+    cfg["opalg"].update(dim=dim, t_points=t_points, tt_branch_amplitudes=[0.0, 0.1])
+    return with_defaults(cfg)
+
+
 @pytest.mark.parametrize("dim", [4, 12, 40])
-def test_the_largest_accepted_sweep_peaks_under_the_limit(monkeypatch, dim):
+def test_the_largest_accepted_sweep_peaks_under_the_limit(dim):
+    # the config's opalg entry with the limit at 2^22 bytes: the largest
+    # number of times it admits peaks under both the limit and the entry
     limit = 2**22
-    monkeypatch.setattr(opalg, "SWEEP_BYTES_LIMIT", limit)
     n_times = 1
-    while True:
-        try:
-            opalg.check_sweep_size(n_times + 1, 2, dim, min(8, dim))
-        except ValueError:
-            break
+    while cost(_sweep_config(dim, n_times + 1))["opalg"] <= limit:
         n_times += 1
-    opalg.check_sweep_size(n_times, 2, dim, min(8, dim))
+    entry = cost(_sweep_config(dim, n_times))["opalg"]
     system = single_system(dim)
     tracemalloc.start()
     try:
@@ -581,16 +582,4 @@ def test_the_largest_accepted_sweep_peaks_under_the_limit(monkeypatch, dim):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < limit
-
-
-def test_compare_propagators_refuses_an_oversized_sweep_before_building(monkeypatch):
-    def unreachable(system):
-        raise AssertionError("build_HG reached")
-
-    monkeypatch.setattr(opalg, "build_HG", unreachable)
-    system = single_system()
-    # 2 branches x 40 x 16 B x (5 x 3000 times x 2 x 8 columns + 12 x 40) = 308 MB
-    # > SWEEP_BYTES_LIMIT
-    with pytest.raises(ValueError, match="propagator sweep"):
-        compare_propagators(system, tt_probe(system, 0.1), [0.0], np.linspace(0.01, 0.1, 3000))
+    assert peak < entry <= limit

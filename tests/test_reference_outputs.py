@@ -48,7 +48,7 @@ def test_tables_match_the_references_byte_for_byte(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(ref.field_cases()))
 def test_field_files_match_their_recorded_sha256(name, tmp_path):
-    want = ref.manifest()["fields"][name]
+    want = ref.manifest()["fields"].get(name, {})  # a case may write its report only
     assert ref.run_tables(ref.field_cases()[name], tmp_path) == {}
     assert ref.field_hashes(tmp_path) == want, f"{name}: field files moved ({_stacks()})"
     _assert_report_matches(name, tmp_path)
