@@ -268,6 +268,9 @@ def validate_config(cfg: dict) -> None:
     constants = cfg.get("constants", {})
     if constants.get("system") == "si" and not {"length_scale", "mass_scale"} <= constants.keys():
         raise ConfigError("si constants need length_scale and mass_scale")
+    if scenario == "opalg-verify" and constants.get("system") == "si":
+        raise ConfigError("config invalid at constants/system: no opalg entry has a unit, so "
+                          "opalg-verify runs under natural constants only")
     sources = {f"sources/{k}": v for k, v in cfg.get("sources", {}).items()}
     if "poisson" in cfg:
         sources["poisson/profile"] = cfg["poisson"]["profile"]
@@ -351,7 +354,10 @@ def cost(cfg: dict) -> dict:
     (`with_defaults`) builds, by the config path that sizes it: the (N+1)^3
     Coulomb octant of a grid phase-compare; per overlap grid two folded
     (N/2+1)^3 octants and eight of their planes or, on the smallest while
-    state pairs are checked, the |k| table and transform of a field state;
+    state pairs are checked, the four field states the pairs draw on, the
+    |k| table, and the density, three complex transforms and squared |k|
+    of the state being built (16 * 4 + 8 + 8 + 48 + 8 = 136 bytes per
+    cell);
     the opalg sweep's 5 column stacks and 12 operators (tracemalloc reads
     4.1-4.2 and about eleven); the Monte-Carlo partial sums and worker
     buffers; and the larger of the poisson oracle's table and worker
@@ -380,7 +386,7 @@ def cost(cfg: dict) -> dict:
                    for i, n in enumerate(sizes))
         if cfg["overlap"]["state_pairs"]:
             path = f"overlap/grid_sizes/{sizes.index(min(sizes))}"
-            out[path] = max(out[path], 24 * min(sizes) ** 3)
+            out[path] = max(out[path], 136 * min(sizes) ** 3)
     if scenario == "opalg-verify":
         opalg = cfg["opalg"]
         dim, columns = opalg["dim"], min(opalg["n_low"], opalg["dim"])

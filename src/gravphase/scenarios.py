@@ -15,10 +15,10 @@ from . import gridio
 from .config import to_internal_units
 from .grids import GridSpec
 from .opalg import (
+    TruncatedModeSystem,
     c_number_probe_stress,
     closed_form_branch_amplitude,
     compare_propagators,
-    make_single_mode_system,
     polarization_tensors,
 )
 from .overlaps import exact_joint_overlap, overlap_from_log, semiclassical_overlap
@@ -255,14 +255,14 @@ def _fit_slope(ts, values):
 def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     consts, cfg, unit_label = to_internal_units(cfg)
     block = cfg["opalg"]
-    system = make_single_mode_system(block["kvec"], block["dim"], consts, weight=block["weight"])
+    system = TruncatedModeSystem(block["kvec"], block["dim"], consts, weight=block["weight"])
     system.validate()
     e_plus, _ = polarization_tensors(block["kvec"])
     trans = transverse_projector(block["kvec"])  # trace amplitude b gives P:T = b
     branch_tensors = [a * e_plus + 0.5 * b * trans for a, b in
                       zip(block["tt_branch_amplitudes"], block["trace_branch_amplitudes"])]
-    probe = c_number_probe_stress(system, branch_tensors)
-    hT = np.array([block["hT_shift"]])
+    probe = c_number_probe_stress(branch_tensors)
+    hT = block["hT_shift"]
 
     ts = np.geomspace(block["t_start"], block["t_stop"], block["t_points"])
     comp = compare_propagators(system, probe, hT, ts, n_low=block["n_low"])

@@ -120,6 +120,18 @@ def _negativity() -> dict:
         "phases": [[0.0, 0.4], [0.4, 1.1]], "dampings": [[0.0, -0.05], [-0.05, -0.2]]}}
 
 
+def _opalg_oblique() -> dict:
+    """An opalg-verify run off the preset's arena: an oblique wavevector,
+    three branches with a trace drive and a mode weight, and n_low above a
+    dim of 12, so that every column of the truncated ladder is read, at 17
+    times."""
+    return {"scenario": "opalg-verify", "seed": 0, "opalg": {
+        "kvec": [0.3, -1.1, 0.7], "dim": 12, "weight": 0.7,
+        "tt_branch_amplitudes": [0.05, -0.02, 0.03],
+        "trace_branch_amplitudes": [0.1, 0.0, -0.2], "hT_shift": -0.6,
+        "t_start": 0.02, "t_stop": 0.2, "t_points": 17, "n_low": 16}}
+
+
 def _workloads():
     """The benchmark's workload module, loaded read-only from its file."""
     spec = importlib.util.spec_from_file_location("reference_workloads", WORKLOADS)
@@ -151,6 +163,7 @@ def cases() -> dict[str, dict]:
     out["gie-2x2-si"] = _si_gie()
     out["negativity-2x2"] = _negativity()
     out["overlap-default-reg"] = _overlap_default_reg()
+    out["opalg-oblique"] = _opalg_oblique()
     out.update(_solver_configs(("phase-grid", "phase-mc")))
     return out
 

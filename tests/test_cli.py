@@ -302,21 +302,18 @@ def test_si_overlap_mass_defaults_to_one_kilogram(tmp_path):
     assert bodies[0] and bodies[0] == bodies[1]
 
 
-def test_si_opalg_verify_reads_its_times_in_internal_units(tmp_path):
-    # the opalg block is not rescaled under SI constants: the t column is the
-    # geometric ladder of the config's own t_start and t_stop
+def test_si_opalg_verify_is_refused_at_load(tmp_path, capsys):
+    # no opalg entry has a unit: under SI constants its kvec, weight and
+    # times would be read in internal units, so the run is refused
     cfg = get_preset("zassenhaus-t3")
     cfg["constants"] = {"system": "si", "length_scale": 1e-3, "mass_scale": 1e-14}
-    cfg["opalg"].update(dim=12, t_start=0.05, t_stop=0.4, t_points=4)
     path = tmp_path / "si.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    assert main(["run", str(path), "--out", str(out)]) == 0
-    rows = (out / "tables" / "zassenhaus.csv").read_text().splitlines()
-    ts = [float(r.split(",")[rows[0].split(",").index("t")]) for r in rows[1:]]
-    assert ts == np.geomspace(0.05, 0.4, 4).tolist()
-    report = json.loads((out / "report.json").read_text())
-    assert report["result"]["units"]["t"].startswith("time, internal units")
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert ("config invalid at constants/system: no opalg entry has a unit"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_underflowing_wavevector_is_a_numerical_guard(tmp_path, capsys):
@@ -466,16 +463,16 @@ def test_an_oversized_lattice_is_refused_at_load(tmp_path, capsys, make_cfg, whe
 @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
 def test_the_lattice_bound_admits_every_shipped_grid(n):
     # the presets' 8/16/32 and the benchmark's 64 are admitted; the bound
-    # falls between 64 and 128 for a poisson run, between 128 and 256 for
-    # the pair-sum octant and for a field state's n^3 tables, and between
-    # 256 and 512 for the overlap mode sums' (n/2+1)^3 octants; an analytic
-    # phase-compare, which builds none, takes any grid
+    # falls between 64 and 128 for a poisson run and for the state-pair
+    # check's n^3 tables, between 128 and 256 for the pair-sum octant, and
+    # between 256 and 512 for the overlap mode sums' (n/2+1)^3 octants; an
+    # analytic phase-compare, which builds none, takes any grid
     sweep, states = _small_overlap_sweep(), _small_overlap_sweep()
     sweep["overlap"].update(grid_sizes=[n], state_pairs=0)
     states["overlap"].update(grid_sizes=[n])
     limits = [("grid/n", {**_phase_compare("grid")(), "grid": {"n": n, "box": 6.0}}, 128),
               ("grid/n", {**_small_poisson(), "grid": {"n": n, "box": 8.0}}, 64),
-              ("overlap/grid_sizes/0", sweep, 256), ("overlap/grid_sizes/0", states, 128)]
+              ("overlap/grid_sizes/0", sweep, 256), ("overlap/grid_sizes/0", states, 64)]
     for where, cfg, largest in limits:
         if n <= largest:
             validate_config(cfg)
@@ -490,7 +487,7 @@ def test_the_lattice_bound_admits_every_shipped_grid(n):
     ([8, 256], 20, None),
     ([256, 16], 3, None),
     ([256, 8, 512], 0, (2, 16 * 257**2 * 261)),
-    ([256], 1, (0, 24 * 256**3)),
+    ([256], 1, (0, 136 * 256**3)),
 ])
 def test_an_n256_overlap_sweep_runs_and_its_state_pairs_take_the_smallest_grid(
         tmp_path, capsys, sizes, state_pairs, refused):

@@ -289,13 +289,16 @@ def test_the_table_entries_count_the_tables_the_run_builds():
     cfg = get_preset("gie-2x2")
     cfg.update(backend="grid", grid={"n": 32, "box": 6.0})
     assert _entries(cfg) == {"grid/n": grid.coulomb_octant.nbytes}
-    # the state pairs are checked on the smallest sweep grid: its |k| table
-    # and one field state
+    # the state pairs are checked on the smallest sweep grid: the four field
+    # states the pairs draw on and its |k| table, and while a state is
+    # built its density, three complex transforms and the squared |k|
     cfg = get_preset("semiclassical-overlap")
     cfg["overlap"]["grid_sizes"] = [16, 8]
     grid = GridSpec(8, cfg["overlap"]["box"])
     state = build_field_state(gaussian_density(1.0, (2.0, 2.0, 2.0), 0.25), consts, grid)
-    assert _entries(cfg)["overlap/grid_sizes/1"] == grid.k_magnitude.nbytes + state.nbytes
+    real = grid.k_magnitude.nbytes
+    assert _entries(cfg)["overlap/grid_sizes/1"] == 4 * state.nbytes + real + (
+        real + 3 * state.nbytes + real)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -308,6 +311,22 @@ def test_the_overlap_entry_bounds_the_mode_sum_peak(n):
     peak = _traced_peak(lambda: semiclassical_overlap(
         block["position"], eps, ws, GridSpec(n, block["box"]), PhysicalConstants.natural(),
         sigma_reg=block["sigma_reg"], matter_width=block["matter_width"]))
+    entry = _entries(cfg)["overlap/grid_sizes/0"]
+    assert entry / 2 < peak <= entry, (peak, entry)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_the_state_pair_entry_bounds_the_check_peak(tmp_path, n):
+    # the preset's 20 state pairs on one grid, where the check's tables
+    # outweigh the mode sums' octants
+    def config(size):
+        cfg = get_preset("semiclassical-overlap")
+        cfg["overlap"].update(grid_sizes=[size], w_halvings=0)
+        return cfg
+
+    run_scenario(config(8), tmp_path / "warm")  # numpy.fft's first-use state
+    cfg = config(n)
+    peak = _traced_peak(lambda: run_scenario(cfg, tmp_path / "o"))
     entry = _entries(cfg)["overlap/grid_sizes/0"]
     assert entry / 2 < peak <= entry, (peak, entry)
 

@@ -7,7 +7,6 @@ from scipy.linalg import expm
 
 from gravphase.config import cost, get_preset, with_defaults
 from gravphase.opalg import (
-    ModeSpec,
     ProbeStressTensor,
     TruncatedModeSystem,
     build_HG,
@@ -18,8 +17,6 @@ from gravphase.opalg import (
     compare_propagators,
     exact_propagator,
     extract_relative_phase,
-    low_level_projector,
-    make_single_mode_system,
     nested_commutators,
     polarization_tensors,
     predict_theta,
@@ -36,12 +33,12 @@ OMEGA = 1.3
 
 
 def single_system(dim=40, weight=1.0):
-    return make_single_mode_system(KVEC, dim, CONSTS, weight=weight)
+    return TruncatedModeSystem(KVEC, dim, CONSTS, weight=weight)
 
 
 def tt_probe(system, amp_b, amp_a=0.0):
     e_plus, _ = polarization_tensors(KVEC)
-    return c_number_probe_stress(system, [amp_a * e_plus, amp_b * e_plus])
+    return c_number_probe_stress([amp_a * e_plus, amp_b * e_plus])
 
 
 def closed_form_amplitude(coupling, t, omega=OMEGA, kappa=CONSTS.kappa, hbar=1.0):
@@ -55,8 +52,8 @@ def closed_form_amplitude(coupling, t, omega=OMEGA, kappa=CONSTS.kappa, hbar=1.0
 def test_system_validation_and_commutator_defect():
     sys1 = single_system()
     sys1.validate()
-    assert sys1.commutator_defect(0) < 1e-12
-    h, pi = sys1.h_op(0), sys1.pi_op(0)
+    assert sys1.commutator_defect() < 1e-12
+    h, pi = sys1.h_op(), sys1.pi_op()
     low = 38
     c = (h @ pi - pi @ h)[:low, :low]
     np.testing.assert_allclose(c, 1j * np.eye(low), atol=1e-12)
@@ -71,46 +68,20 @@ def test_hg_spectrum_single_mode():
     np.testing.assert_allclose(evals[:20], expected, rtol=1e-8)
 
 
-def test_hg_two_mode_minkowski_sum():
-    system = TruncatedModeSystem(
-        modes=(ModeSpec(kvec=(0, 0, 1.0), polarization=0, dim=12),
-               ModeSpec(kvec=(0, 1.7, 0), polarization=1, dim=12)),
-        consts=CONSTS, weight=1.0)
-    hg = build_HG(system)
-    evals = np.sort(np.linalg.eigvalsh(hg))
-    singles = [np.sort(np.linalg.eigvalsh(build_HG(make_single_mode_system(m.kvec, 12, CONSTS))))
-               for m in system.modes]
-    summed = np.sort(np.add.outer(singles[0][:6], singles[1][:6]).ravel())
-    # compare only the low end, where the 6 x 6 Minkowski subset is complete
-    np.testing.assert_allclose(evals[:8], summed[:8], rtol=1e-8)
-
-
-def test_low_level_mask_is_the_kron_of_per_mode_masks():
-    # a 1-D mask over the kron basis, mode 0 slowest: no D^M x D^M matrix
-    system = TruncatedModeSystem(
-        modes=(ModeSpec(kvec=(0, 0, 1.0), polarization=0, dim=6),
-               ModeSpec(kvec=(0, 1.7, 0), polarization=1, dim=5)),
-        consts=CONSTS, weight=1.0)
-    mask = low_level_projector(system, 3)
-    assert mask.dtype == bool and mask.shape == (30,)
-    kept = [(i, j) for i in range(6) for j in range(5) if mask[5 * i + j]]
-    assert kept == [(i, j) for i in range(3) for j in range(3)]
-
-
 def test_hg_spectrum_kappa_invariant():
     strong = PhysicalConstants(G=270.0 / (16 * np.pi), c=1.0, hbar=1.0)
     e1 = np.sort(np.linalg.eigvalsh(build_HG(single_system())))[:10]
-    e2 = np.sort(np.linalg.eigvalsh(build_HG(make_single_mode_system(KVEC, 40, strong))))[:10]
+    e2 = np.sort(np.linalg.eigvalsh(build_HG(TruncatedModeSystem(KVEC, 40, strong))))[:10]
     np.testing.assert_allclose(e1, e2, rtol=1e-10)
 
 
 def test_hi_zero_probe_and_hermiticity():
     sys1 = single_system()
-    probe = c_number_probe_stress(sys1, [np.zeros((3, 3)), np.zeros((3, 3))])
-    hi = build_HI(sys1, probe, [0.0])
+    probe = c_number_probe_stress([np.zeros((3, 3)), np.zeros((3, 3))])
+    hi = build_HI(sys1, probe, 0.0)
     assert np.abs(hi).max() == 0.0
     probe2 = tt_probe(sys1, 0.3)
-    hi2 = build_HI(sys1, probe2, [0.7])
+    hi2 = build_HI(sys1, probe2, 0.7)
     assert np.abs(hi2 - np.swapaxes(hi2.conj(), 1, 2)).max() < 1e-12
 
 
@@ -118,27 +89,20 @@ def test_hi_linear_drive_matrix_elements():
     sys1 = single_system(weight=2.0)
     amp = 0.25
     probe = tt_probe(sys1, amp)
-    hi = build_HI(sys1, probe, [0.0])
+    hi = build_HI(sys1, probe, 0.0)
     assert hi.shape == (2, 40, 40)
     # branch b block must be -(1/2) * w * amp * h
-    np.testing.assert_allclose(hi[1], -0.5 * 2.0 * amp * sys1.h_op(0), atol=1e-14)
+    np.testing.assert_allclose(hi[1], -0.5 * 2.0 * amp * sys1.h_op(), atol=1e-14)
     assert np.abs(hi[0]).max() == 0.0
 
 
 def test_probe_stress_refuses_asymmetric_tensors():
-    coeffs = np.zeros((1, 2, 3, 3))
-    coeffs[0, 1, 0, 1] = 0.2  # xy set, yx left at zero
+    coeffs = np.zeros((2, 3, 3))
+    coeffs[1, 0, 1] = 0.2  # xy set, yx left at zero
     with pytest.raises(ValueError, match="symmetric"):
         ProbeStressTensor(coeffs=coeffs)
     with pytest.raises(ValueError, match="shape"):
-        ProbeStressTensor(coeffs=np.zeros((1, 2, 6)))
-
-
-def test_hi_mode_mismatch():
-    sys1 = single_system()
-    probe = tt_probe(sys1, 0.1)
-    with pytest.raises(ValueError, match="mode mismatch"):
-        build_HI(sys1, probe, [0.0, 1.0])
+        ProbeStressTensor(coeffs=np.zeros((2, 6)))
 
 
 def test_commutator_basics():
@@ -152,25 +116,25 @@ def test_double_commutator_is_pure_probe():
     amp_a, amp_b = 0.1, 0.3
     probe = tt_probe(sys1, amp_b, amp_a)
     hg = build_HG(sys1)
-    hi = build_HI(sys1, probe, [0.0])
+    hi = build_HI(sys1, probe, 0.0)
     kappa = CONSTS.kappa
-    proj = np.diag(low_level_projector(sys1, 38))
+    low = np.eye(40, 38)  # the number states below the top two
     for hib, amp in zip(hi, (amp_a, amp_b)):
         igi = nested_commutators(hg, hib)["IGI"]
         # predicted c-number per branch: (kappa hbar^2 / 2) (w tau_b)^2
         pred = 0.5 * kappa * (1.5 * amp) ** 2 * np.eye(40)
-        dev = np.abs(proj @ (igi - pred) @ proj).max()
+        dev = np.abs(low.T @ (igi - pred) @ low).max()
         assert dev < 1e-8
         # field dependence is confined to the truncation boundary
-        off_field = proj @ igi @ proj - pred @ proj
+        off_field = low.T @ igi @ low - pred[:38, :38]
         assert np.abs(off_field).max() < 1e-10
 
 
 def test_zassenhaus_identity_at_t0_and_commuting_collapse():
     sys1 = single_system()
-    probe = c_number_probe_stress(sys1, [np.zeros((3, 3)), np.diag([0.2, 0.2, 0.0])])
+    probe = c_number_probe_stress([np.zeros((3, 3)), np.diag([0.2, 0.2, 0.0])])
     hg = build_HG(sys1)
-    hi = build_HI(sys1, probe, [0.9])  # trace-only coupling: a c-number per branch
+    hi = build_HI(sys1, probe, 0.9)  # trace-only coupling: a c-number per branch
     t = 0.3
     for hib in hi:
         _, u0 = zassenhaus_product(hg, hib, 0.0, 1.0)
@@ -184,15 +148,15 @@ def test_zassenhaus_defect_slopes():
     sys1 = single_system()
     probe = tt_probe(sys1, 0.3)
     hg = build_HG(sys1)
-    hi = build_HI(sys1, probe, [0.0])
-    proj = np.diag(low_level_projector(sys1, 8))
+    hi = build_HI(sys1, probe, 0.0)
+    low = np.eye(40, 8)
     ts = np.geomspace(0.03, 0.3, 8)
     d3, d2 = [], []
     for t in ts:
         uex = exact_propagator(hg + hi, t, 1.0)
         z2, z3 = zassenhaus_product(hg, hi, t, 1.0)
-        d3.append(max(np.linalg.norm((ub - zb) @ proj, 2) for ub, zb in zip(uex, z3)))
-        d2.append(max(np.linalg.norm((ub - zb) @ proj, 2) for ub, zb in zip(uex, z2)))
+        d3.append(max(np.linalg.norm((ub - zb) @ low, 2) for ub, zb in zip(uex, z3)))
+        d2.append(max(np.linalg.norm((ub - zb) @ low, 2) for ub, zb in zip(uex, z2)))
     s3 = np.polyfit(np.log(ts), np.log(d3), 1)[0]
     s2 = np.polyfit(np.log(ts), np.log(d2), 1)[0]
     assert 3.9 <= s3 <= 4.3
@@ -216,13 +180,13 @@ def test_exact_propagator_basics():
 
 def test_predict_theta_zero_and_term_selection():
     sys1 = single_system(weight=1.4)
-    zero = c_number_probe_stress(sys1, [np.zeros((3, 3)), np.zeros((3, 3))])
-    pred = predict_theta(sys1, zero, [0.0], 0.5)
+    zero = c_number_probe_stress([np.zeros((3, 3)), np.zeros((3, 3))])
+    pred = predict_theta(sys1, zero, 0.0, 0.5)
     assert np.all(pred.phase0 == 0) and np.all(pred.phase1 == 0)
     amp = 0.2
     probe = tt_probe(sys1, amp)
     t = 0.25
-    pred = predict_theta(sys1, probe, [0.0], t)
+    pred = predict_theta(sys1, probe, 0.0, t)
     c2 = (1.4 * amp) ** 2
     kappa = CONSTS.kappa
     assert pred.phase0[1] == 0.0  # traceless transverse probe: no c-number drive
@@ -259,9 +223,8 @@ def test_full_evolution_matches_closed_form_and_predictions():
     e_plus, _ = polarization_tensors(KVEC)
     khat = np.asarray(KVEC) / OMEGA
     trans = np.eye(3) - np.outer(khat, khat)
-    probe = c_number_probe_stress(
-        sys1, [np.zeros((3, 3)), amp * e_plus + 0.5 * trace_amp * trans])
-    hT = np.array([0.9])
+    probe = c_number_probe_stress([np.zeros((3, 3)), amp * e_plus + 0.5 * trace_amp * trans])
+    hT = 0.9
     hg = build_HG(sys1)
     hi = build_HI(sys1, probe, hT)
     for t in (0.05, 0.1, 0.2):
@@ -282,24 +245,19 @@ def test_full_evolution_matches_closed_form_and_predictions():
 
 
 def test_closed_form_amplitude_matches_the_test_copy():
-    # two modes of different omega and polarisation contraction, and a
-    # c-number trace drive on branch 1: the src form multiplies the modes
-    # and adds phase0
-    system = TruncatedModeSystem(
-        modes=(ModeSpec(kvec=KVEC, polarization=0, dim=12),
-               ModeSpec(kvec=(0.0, 0.9, 0.4), polarization=1, dim=12)),
-        consts=CONSTS, weight=1.4)
+    # an oblique mode, a full stress tensor and a c-number trace drive on
+    # branch 1: the src form adds phase0 to the driven-oscillator phase
+    system = TruncatedModeSystem((0.0, 0.9, 0.4), 12, CONSTS, weight=1.4)
     tensor = np.array([[0.1, 0.05, 0.0], [0.05, -0.2, 0.03], [0.0, 0.03, 0.15]])
-    probe = c_number_probe_stress(system, [np.zeros((3, 3)), tensor])
-    hT = np.array([0.9, -0.4])
+    probe = c_number_probe_stress([np.zeros((3, 3)), tensor])
+    hT = 0.9
     ts = np.array([0.05, 0.2, 1.5])
     got = closed_form_branch_amplitude(system, probe, hT, ts)
     assert got.shape == (3, 2) and np.all(got[:, 0] == 1.0)  # the idle branch
     phase0 = predict_theta(system, probe, hT, ts).phase0[:, 1]
-    want = np.exp(1j * phase0)
-    for m in range(2):
-        lam = 0.5 * 1.4 * probe.tt_contraction(system, m)[1]
-        want = want * closed_form_amplitude(lam, ts, omega=system.omega(m))
+    assert np.all(phase0 != 0.0)
+    lam = 0.5 * 1.4 * probe.tt_contraction(system)[1]
+    want = np.exp(1j * phase0) * closed_form_amplitude(lam, ts, omega=system.omega)
     # the same closed form, its terms formed and multiplied in another order:
     # a few dozen roundings of quantities of order one
     np.testing.assert_allclose(got[:, 1], want, rtol=64 * np.finfo(float).eps, atol=0)
@@ -326,7 +284,7 @@ def test_damping_t2_scaling():
     sys1 = single_system()
     probe = tt_probe(sys1, 0.3)
     hg = build_HG(sys1)
-    hi = build_HI(sys1, probe, [0.0])
+    hi = build_HI(sys1, probe, 0.0)
     ts = np.geomspace(0.05, 0.5, 8)
     mags = []
     for t in ts:
@@ -335,7 +293,7 @@ def test_damping_t2_scaling():
         mags.append(abs(dmag))
     slope = np.polyfit(np.log(ts), np.log(mags), 1)[0]
     assert 1.9 <= slope <= 2.1
-    pred = predict_theta(sys1, probe, [0.0], ts[0])
+    pred = predict_theta(sys1, probe, 0.0, ts[0])
     assert pred.damping0[1] < 0.0  # decaying, matching the sign convention
 
 
@@ -364,12 +322,12 @@ EXACT_MATMULS, ZASSENHAUS_MATMULS = 2, 8
 def test_compare_propagators_record():
     sys1 = single_system()
     probe = tt_probe(sys1, 0.2)
-    comp = compare_propagators(sys1, probe, [0.0], [0.1])
+    comp = compare_propagators(sys1, probe, 0.0, [0.1])
     assert comp.times.tolist() == [0.1]
     assert comp.defect_order3.shape == comp.dphase_predicted.shape == (1,)
     assert comp.defect_order3[0] >= 0.0
     # the record holds no propagator: rebuild the full ones (x = None)
-    hg, hi = build_HG(sys1), build_HI(sys1, probe, [0.0])
+    hg, hi = build_HG(sys1), build_HI(sys1, probe, 0.0)
     u_exact = exact_propagator(hg + hi, 0.1, 1.0)
     for u in (u_exact, zassenhaus_product(hg, hi, 0.1, 1.0)[1]):
         assert u.shape == (2, 40, 40)
@@ -420,7 +378,7 @@ def test_branch_blocks_match_dense_field_probe_space():
     big_i = sum(np.kron(hib, np.outer(ket[b], ket[b])) for b, hib in enumerate(hi))
     gi = big_g @ big_i - big_i @ big_g
     t3_gen = (big_g @ gi - gi @ big_g) + 2.0 * (big_i @ gi - gi @ big_i)
-    big_proj = np.kron(np.diag(low_level_projector(system, 8)), np.eye(n_b))
+    big_low = np.kron(np.eye(40, 8), np.eye(n_b))
     ts = np.geomspace(0.02, 0.2, 4)
     comp = compare_propagators(system, probe, hT, ts, n_low=8)
     for k, t in enumerate(ts):
@@ -433,15 +391,14 @@ def test_branch_blocks_match_dense_field_probe_space():
                    expm((1j * t**3 / (6 * hbar**3)) * t3_gen)]
         for order, defect in ((3, comp.defect_order3[k]), (2, comp.defect_order2[k])):
             u_z = np.linalg.multi_dot(factors[: order + 1])
-            dense = np.linalg.norm((u - u_z) @ big_proj, 2)
+            dense = np.linalg.norm((u - u_z) @ big_low, 2)
             assert abs(dense - defect) <= 1e-12
 
 
 def test_sweep_is_bit_identical_to_single_time_calls():
     system, probe, hT, hg, hi = zassenhaus_t3_arena()
     hbar = system.consts.hbar
-    proj = np.diag(low_level_projector(system, 8))
-    x = proj[:, :8]  # the eight low columns compare_propagators reads, vacuum first
+    x = np.eye(40, 8)  # the eight low columns compare_propagators reads, vacuum first
     # a defect read from the columns against one read from the full
     # matrices: both evaluations round, and a defect is 1-Lipschitz in each
     # of its two propagators
@@ -461,7 +418,7 @@ def test_sweep_is_bit_identical_to_single_time_calls():
         u_exact = exact_propagator(hg + hi, t, hbar)
         full = zassenhaus_product(hg, hi, t, hbar)
         for u_z, defect in ((full[1], comp.defect_order3[k]), (full[0], comp.defect_order2[k])):
-            dense = max(float(np.linalg.norm((ub - zb) @ proj, 2))
+            dense = max(float(np.linalg.norm((ub - zb) @ x, 2))
                         for ub, zb in zip(u_exact, u_z))
             assert abs(defect - dense) <= full_bound
         assert (comp.dphase_exact[k], comp.ddamping_exact[k]) == extract_relative_phase(u_x)
@@ -519,7 +476,7 @@ def test_time_arrays_equal_the_scalar_calls(which):
         z2, z3 = zassenhaus_product(hg, hi, float(t), hbar)
         assert np.array_equal(u_z2[k], z2) and np.array_equal(u_z3[k], z3)
     # so do the low columns
-    x = np.diag(low_level_projector(system, 8))[:, :8]
+    x = np.eye(40, 8)
     u_x = exact_propagator(hg + hi, ts, hbar, x)
     x2, x3 = zassenhaus_product(hg, hi, ts, hbar, x)
     assert u_x.shape == x2.shape == x3.shape == (len(ts),) + hi.shape[:2] + (8,)
@@ -577,7 +534,7 @@ def test_the_largest_accepted_sweep_peaks_under_the_limit(dim):
     system = single_system(dim)
     tracemalloc.start()
     try:
-        compare_propagators(system, tt_probe(system, 0.1), [0.0],
+        compare_propagators(system, tt_probe(system, 0.1), 0.0,
                             np.geomspace(0.02, 0.2, n_times), n_low=min(8, dim))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
