@@ -28,7 +28,7 @@ SCENARIOS = ("phase-compare", "poisson", "overlap-sweep", "opalg-verify", "negat
 # peak bytes a run may hold in any one `cost` entry, checked at load
 BYTES_LIMIT = 2**27
 # numpy's ufunc and transform line buffers and a run's own bookkeeping, on
-# top of the tables a `poisson` or Monte-Carlo entry counts
+# top of the tables a `poisson`, Monte-Carlo or state-pair entry counts
 _BUFFER_BYTES = 2**18
 
 _NUM = {"type": "number"}
@@ -122,7 +122,7 @@ CONFIG_SCHEMA = {
                 "position": _POINT,
                 "epsilon": _POINT,
                 "epsilon_scales": {**_NUMLIST, "default": [1.0]},
-                "w_start": _POSITIVE,
+                "w_start": {**_POSITIVE, "dimension": "volume"},
                 "w_halvings": {"type": "integer", "minimum": 0},
                 "grid_sizes": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
                 "box": _LENGTH,
@@ -357,7 +357,7 @@ def cost(cfg: dict) -> dict:
     state pairs are checked, the four field states the pairs draw on, the
     |k| table, and the density, three complex transforms and squared |k|
     of the state being built (16 * 4 + 8 + 8 + 48 + 8 = 136 bytes per
-    cell);
+    cell) and `_BUFFER_BYTES`;
     the opalg sweep's 5 column stacks and 12 operators (tracemalloc reads
     4.1-4.2 and about eleven); the Monte-Carlo partial sums and worker
     buffers; and the larger of the poisson oracle's table and worker
@@ -386,7 +386,7 @@ def cost(cfg: dict) -> dict:
                    for i, n in enumerate(sizes))
         if cfg["overlap"]["state_pairs"]:
             path = f"overlap/grid_sizes/{sizes.index(min(sizes))}"
-            out[path] = max(out[path], 136 * min(sizes) ** 3)
+            out[path] = max(out[path], 136 * min(sizes) ** 3 + _BUFFER_BYTES)
     if scenario == "opalg-verify":
         opalg = cfg["opalg"]
         dim, columns = opalg["dim"], min(opalg["n_low"], opalg["dim"])
@@ -490,21 +490,21 @@ def to_internal_units(cfg: dict):
 
     natural: constants taken verbatim (default 1), every scale 1.0.  si: SI
     constants (default CODATA) rescaled by the mandatory length and mass
-    scales L0 and M0, with the time scale L0/c.  `internal_cfg` is
-    `with_defaults(cfg)` with each number the schema gives a "dimension"
-    divided by its scale, in natural units too, so an integer entry becomes
-    a float.
+    scales L0 and M0, with the time scale L0/c and the volume scale L0^3.
+    `internal_cfg` is `with_defaults(cfg)` with each number the schema gives
+    a "dimension" divided by its scale, in natural units too, so an integer
+    entry becomes a float.
     """
     block = cfg.get("constants", {})
     natural = block.get("system", "natural") == "natural"
     default = PhysicalConstants.natural() if natural else PhysicalConstants.si()
     consts = PhysicalConstants(**{k: block.get(k, getattr(default, k)) for k in ("G", "c", "hbar")})
     if natural:
-        scales = {"length": 1.0, "mass": 1.0, "time": 1.0}
+        scales = {"length": 1.0, "mass": 1.0, "time": 1.0, "volume": 1.0}
         label = "natural units (dimensional quantities in config units)"
     else:
         l0, m0 = float(block["length_scale"]), float(block["mass_scale"])
-        scales = {"length": l0, "mass": m0, "time": l0 / consts.c}
+        scales = {"length": l0, "mass": m0, "time": l0 / consts.c, "volume": l0**3}
         consts = consts.rescaled(l0, m0)
         label = f"internal units (L0={l0} m, M0={m0} kg, T0=L0/c)"
     return consts, _internal(with_defaults(cfg), CONFIG_SCHEMA, scales), label

@@ -62,8 +62,8 @@ def ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1)
 
 
-def polarization_tensors(kvec) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal TT polarisation tensors for wavevector k (e : e = 1)."""
+def plus_polarization(kvec) -> np.ndarray:
+    """The plus TT polarisation tensor e_+ of wavevector k (e_+ : e_+ = 1)."""
     k = np.asarray(kvec, dtype=float)
     norm = np.linalg.norm(k)
     if norm == 0.0:
@@ -73,9 +73,7 @@ def polarization_tensors(kvec) -> tuple[np.ndarray, np.ndarray]:
     u = np.cross(n, trial)
     u /= np.linalg.norm(u)
     v = np.cross(n, u)
-    e_plus = (np.outer(u, u) - np.outer(v, v)) / math.sqrt(2.0)
-    e_cross = (np.outer(u, v) + np.outer(v, u)) / math.sqrt(2.0)
-    return e_plus, e_cross
+    return (np.outer(u, u) - np.outer(v, v)) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -118,9 +116,8 @@ class TruncatedModeSystem:
         return float(np.abs(c[:low, :low]).max())
 
     def validate(self) -> None:
-        h, pi = self.h_op(), self.pi_op()
-        if np.abs(h - h.conj().T).max() > 1e-12 or np.abs(pi - pi.conj().T).max() > 1e-12:
-            raise ValueError("mode operators must be self-adjoint")
+        """Refuse a truncation whose low levels break [h, pi] = i hbar; h
+        and pi are Hermitian by construction."""
         if self.commutator_defect() > 1e-10 * self.consts.hbar:
             raise ValueError("commutator defect exceeds 1e-10 hbar")
 
@@ -142,7 +139,7 @@ class ProbeStressTensor:
     def tt_contraction(self, system: TruncatedModeSystem) -> np.ndarray:
         """tau(b) = e_+ : T_b(k) per branch, automatically the TT part since
         e_+ is TT."""
-        return np.einsum("bij,ij->b", self.coeffs, polarization_tensors(system.kvec)[0])
+        return np.einsum("bij,ij->b", self.coeffs, plus_polarization(system.kvec))
 
     def trace_contraction(self, system: TruncatedModeSystem) -> np.ndarray:
         """tr(b) = P_ij T_b^ij(k) per branch, the transverse-trace

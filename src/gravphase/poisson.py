@@ -39,8 +39,8 @@ once, in closed form (`coulomb_pair_analytic`), by grid quadrature
 grid quadrature reads a grid.
 `mutual_coulomb` is its one-pair call.  The grid quadrature is the Hockney
 sum h^6 sum_{x,y} rho_i(x) rho_j(y) K(x - y) with the lattice 1/r kernel K
-of the solvers.  A Gaussian profile on the lattice is a product of
-three axis profiles, so the sum factorises into three length-N
+of the solvers.  The solvers' sampled Gaussian is the outer product of
+its three `axis_profiles`, so the sum factorises into three length-N
 cross-correlations contracted with the (N+1)^3 octant of K: no density is
 sampled and no transform taken.  Each backend computes an integral the same
 way whichever others are computed with it.

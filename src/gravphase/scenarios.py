@@ -19,7 +19,7 @@ from .opalg import (
     c_number_probe_stress,
     closed_form_branch_amplitude,
     compare_propagators,
-    polarization_tensors,
+    plus_polarization,
 )
 from .overlaps import exact_joint_overlap, overlap_from_log, semiclassical_overlap
 from .phases import PhaseMatrix, compare_models, negativity, theta_AB
@@ -257,7 +257,7 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     block = cfg["opalg"]
     system = TruncatedModeSystem(block["kvec"], block["dim"], consts, weight=block["weight"])
     system.validate()
-    e_plus, _ = polarization_tensors(block["kvec"])
+    e_plus = plus_polarization(block["kvec"])
     trans = transverse_projector(block["kvec"])  # trace amplitude b gives P:T = b
     branch_tensors = [a * e_plus + 0.5 * b * trans for a, b in
                       zip(block["tt_branch_amplitudes"], block["trace_branch_amplitudes"])]

@@ -106,54 +106,38 @@ def sample_on_grid(
     grid: GridSpec,
     consts: PhysicalConstants,
 ) -> EnergyDensity:
-    """Sample an analytic profile on the lattice, renormalised so that the
-    discrete integral equals mass * c^2 exactly.
-
-    Raises if the box cannot hold the profile (L <= 6 sigma), since the
-    renormalisation would then hide a truncated tail.
-    """
+    """Sample an analytic profile on the lattice: mass c^2 / h^3 times the
+    outer product of its `axis_profiles`, so the discrete integral is
+    mass * c^2 to rounding.  A grid density that matches the grid passes
+    through.  The guards are those of `axis_profiles`."""
     if e.kind == "grid":
         if e.values.shape != (grid.n,) * 3 or not np.isclose(e.box, grid.box):
             raise ValueError("grid density does not match requested grid")
         return e
-    sigma, (dx2, dy2, dz2) = _fitted_offsets(e, grid)
-    r2 = dx2[:, None, None] + dy2[None, :, None] + dz2[None, None, :]
-    vals = np.exp(-r2 / (2.0 * sigma**2))
-    total = vals.sum() * grid.cell_volume
-    _require_support(total)
-    vals *= e.mass * consts.c**2 / total
+    g = axis_profiles(e, grid)
+    vals = g[0][:, None, None] * g[1][:, None] * g[2]
+    vals *= e.mass * consts.c**2 / grid.cell_volume
     return grid_density(vals, grid.box)
 
 
 def axis_profiles(e: EnergyDensity, grid: GridSpec) -> np.ndarray:
-    """The three axis factors of an analytic profile on the lattice, shape
-    (3, N), each normalised to unit sum: `sample_on_grid(e, grid, consts)`
-    is mass c^2 / h^3 times their outer product, up to rounding.  The
-    guards are those of `sample_on_grid`."""
-    sigma, offsets = _fitted_offsets(e, grid)
-    g = np.exp(-np.array(offsets) / (2.0 * sigma**2))
-    sums = g.sum(axis=1)
-    _require_support(float(np.prod(sums)))
-    return g / sums[:, None]
+    """The three axis factors exp(-(x_a - c_a)^2 / 2 sigma^2) of an analytic
+    profile on the lattice, shape (3, N), each normalised to unit sum.
 
-
-def _fitted_offsets(e: EnergyDensity, grid: GridSpec):
-    """Width of an analytic profile and its squared node offsets per axis,
-    (x_a - c_a)^2.  Raises if the box cannot hold the profile (L <= 6
-    sigma), since the renormalisation would then hide a truncated tail."""
+    Raises if the box cannot hold the profile (L <= 6 sigma) or the profile
+    has no support on the grid, since the normalisation would then hide a
+    truncated tail."""
     sigma = float(e.sigma)
     if grid.box <= 6.0 * sigma:
         raise ValueError(
             f"profile truncated: box {grid.box} must exceed 6 sigma = {6 * sigma}"
         )
     ax = grid.axes()
-    return sigma, [(ax - c) ** 2 for c in e.center]
-
-
-def _require_support(total: float) -> None:
-    """Refuse a profile whose discrete integral vanishes on the grid."""
-    if total == 0.0:
+    g = np.exp(-np.array([(ax - c) ** 2 for c in e.center]) / (2.0 * sigma**2))
+    sums = g.sum(axis=1)
+    if float(np.prod(sums)) == 0.0:
         raise ValueError("profile truncated: no support on the grid")
+    return g / sums[:, None]
 
 
 @dataclass(frozen=True)

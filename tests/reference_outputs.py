@@ -15,9 +15,9 @@ and say in CHANGES.md which tables moved and by how much.
 reruns every case without writing anything and prints, for each table that
 moved, the largest relative shift of each column (the number a CHANGES.md
 entry quotes), each field file whose hash moved and the path of each
-report entry that moved; it exits 1 if anything moved.  The manifest
-records the numpy version and BLAS the references were made with: on
-another stack the last bits may differ.
+report entry that moved, with its relative shift where it is a number; it
+exits 1 if anything moved.  The manifest records the numpy version and BLAS
+the references were made with: on another stack the last bits may differ.
 """
 
 from __future__ import annotations
@@ -82,6 +82,16 @@ def _si_poisson() -> dict:
     return {"scenario": "poisson", "seed": 0, "constants": {**_SI}, "grid": {"n": 16, "box": 2e-3},
             "poisson": {"profile": {"type": "gaussian", "mass": 1e-14,
                                     "center": [1e-3, 1e-3, 1e-3], "sigma": 2e-4}}}
+
+
+def _si_overlap() -> dict:
+    """An overlap-sweep in SI: a 1e-14 kg source in a box of 0.8 mm,
+    displaced by 100 and 50 um, on N = 8 and 16, with w_start a volume in
+    m^3."""
+    return {"scenario": "overlap-sweep", "seed": 0, "constants": {**_SI}, "overlap": {
+        "epsilon": [1e-4, 0.0, 0.0], "epsilon_scales": [1.0, 0.5], "w_start": 4e-48,
+        "w_halvings": 2, "grid_sizes": [8, 16], "box": 8e-4, "mass": 1e-14, "sigma_reg": 5e-5,
+        "matter_width": 1e-4}}
 
 
 def _poisson_point() -> dict:
@@ -161,6 +171,7 @@ def cases() -> dict[str, dict]:
     out["gie-2x2-grid"] = _gie_on_grid()
     out["gie-2x2-time-0"] = _gie(time=0.0)
     out["gie-2x2-si"] = _si_gie()
+    out["overlap-si"] = _si_overlap()
     out["negativity-2x2"] = _negativity()
     out["overlap-default-reg"] = _overlap_default_reg()
     out["opalg-oblique"] = _opalg_oblique()
@@ -250,9 +261,9 @@ def regenerate() -> None:
          "fields": {name: got for name, got in fields.items() if got}}, indent=2) + "\n")
 
 
-def _shift(new: str, old: str) -> float:
-    """|new - old| / |old| of two numeric cells, 0 for equal cells, inf for a
-    number that left 0 or a text cell that changed."""
+def _shift(new, old) -> float:
+    """|new - old| / |old| of two numeric cells or numbers, 0 for equal
+    ones, inf for a number that left 0 or a text cell that changed."""
     if new == old:
         return 0.0
     try:
@@ -275,11 +286,17 @@ def column_shifts(new: bytes, old: bytes) -> dict[str, float]:
 
 
 def report_moves(new, old, path: str = "") -> list[str]:
-    """The dotted paths of the entries that differ between two parsed reports."""
+    """The dotted path of each entry that differs between two parsed
+    reports, followed by its relative shift where both sides are numbers."""
     if isinstance(new, dict) and isinstance(old, dict):
         return [move for key in sorted(set(new) | set(old), key=str)
                 for move in report_moves(new.get(key), old.get(key), f"{path}.{key}")]
-    return [] if new == old else [path.lstrip(".") or "<root>"]
+    if new == old:
+        return []
+    where = path.lstrip(".") or "<root>"
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (new, old)):
+        return [f"{where} {_shift(new, old):.3g}"]
+    return [where]
 
 
 def check() -> int:

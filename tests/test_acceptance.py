@@ -32,7 +32,7 @@ from gravphase.opalg import (
     c_number_probe_stress,
     exact_propagator,
     extract_relative_phase,
-    polarization_tensors,
+    plus_polarization,
     predict_theta,
     zassenhaus_product,
 )
@@ -269,7 +269,7 @@ def test_criterion_5_overlap_identities():
 def _verification_arena():
     consts = PhysicalConstants.natural()
     system = TruncatedModeSystem((0.0, 0.0, 1.0), 40, consts, weight=1.0)
-    e_plus, _ = polarization_tensors((0.0, 0.0, 1.0))
+    e_plus = plus_polarization((0.0, 0.0, 1.0))
     trans = np.diag([1.0, 1.0, 0.0])
     probe = c_number_probe_stress([np.zeros((3, 3)), 0.04 * e_plus + 0.5 * 0.05 * trans])
     hT = 0.8

@@ -70,12 +70,13 @@ def test_schema_command(capsys):
 
 def test_the_schema_names_the_unit_of_every_scaled_key():
     # the keys the README lists as read in config units, and no others:
-    # overlap/w_start and the opalg block stay in internal units
+    # the opalg block has no unit
     source = {"mass": "mass", "center/*": "length", "sigma": "length",
               "branches/*/center/*": "length", "branches/*/width": "length"}
     expected = {"grid/box": "length", "time": "time", "sigma_ladder/*": "length",
                 "width_variation/*": "length", "overlap/position/*": "length",
                 "overlap/epsilon/*": "length", "overlap/box": "length",
+                "overlap/w_start": "volume",
                 "overlap/mass": "mass", "overlap/sigma_reg": "length",
                 "overlap/matter_width": "length"}
     for where in ("sources/a", "sources/b", "poisson/profile"):
@@ -487,7 +488,7 @@ def test_the_lattice_bound_admits_every_shipped_grid(n):
     ([8, 256], 20, None),
     ([256, 16], 3, None),
     ([256, 8, 512], 0, (2, 16 * 257**2 * 261)),
-    ([256], 1, (0, 136 * 256**3)),
+    ([256], 1, (0, 136 * 256**3 + 2**18)),
 ])
 def test_an_n256_overlap_sweep_runs_and_its_state_pairs_take_the_smallest_grid(
         tmp_path, capsys, sizes, state_pairs, refused):
@@ -898,6 +899,53 @@ def test_si_poisson_field_does_not_depend_on_the_unit_choice(tmp_path):
     bound = (32 + 6 * math.log2(32)) * np.finfo(float).eps / 2
     for other in fields[1:]:
         assert np.abs(other - fields[0]).max() <= bound * np.abs(fields[0]).max()
+
+
+def _si_overlap_sweep(length_scale, mass_scale):
+    # a 1e-14 kg source in a box of 0.8 mm, displaced by 100 and 50 um;
+    # w_start is a volume, read in m^3 under "si"
+    return {"scenario": "overlap-sweep", "seed": 0,
+            "constants": {"system": "si", "length_scale": length_scale, "mass_scale": mass_scale},
+            "overlap": {"epsilon": [1e-4, 0.0, 0.0], "epsilon_scales": [1.0, 0.5],
+                        "w_start": 4e-48, "w_halvings": 2, "grid_sizes": [8, 16], "box": 8e-4,
+                        "mass": 1e-14, "sigma_reg": 5e-5, "matter_width": 1e-4}}
+
+
+def test_si_overlaps_do_not_depend_on_the_unit_choice(tmp_path):
+    # Roundings by which one log overlap may differ between two unit
+    # choices, in units of eps/2.  Every entry and constant reaches internal
+    # units through a few divisions, and a mode's |dh(k)|^2 / 4 w^2 is a
+    # product of them: 32, as for a phase.  The factor exp(-sigma^2 k^2 / 2)
+    # of h^T(k) turns the 8 roundings of its argument into a relative error
+    # of 8 times the argument, at most 1.5 pi^2 (sigma / h)^2 on the lattice
+    # (|k| <= sqrt(3) pi / h; sigma / h <= 1 here), and h^T enters squared.
+    # The mode sum adds three contractions of N/2 + 1 terms each and the sum
+    # of its six terms.  An overlap exp(log) moves by its log's shift and
+    # the rounding of each exp
+    eps = np.finfo(float).eps
+    n_max = 16
+    bound = (32 + 2 * 8 * 1.5 * math.pi**2 + 3 * (n_max // 2 + 1) + 6) * eps / 2
+    tables = []
+    for length_scale, mass_scale in ((1e-4, 1e-14), (3e-4, 7e-15), (2e-5, 3e-13)):
+        path = tmp_path / f"{length_scale}.json"
+        path.write_text(json.dumps(_si_overlap_sweep(length_scale, mass_scale)))
+        out = tmp_path / f"o{length_scale}"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        body = (out / "tables" / "overlap_sweep.csv").read_text().splitlines()
+        assert body[0] == "epsilon,w,N,overlap,log_overlap"
+        table = np.array([[float(x) for x in row.split(",")] for row in body[1:]])
+        # epsilon and w are in internal units: a length and a volume
+        ws = 4e-48 * 0.5 ** np.arange(3)
+        assert np.all(np.abs(table[:, 1] * length_scale**3 - np.tile(ws, 4))
+                      <= 8 * eps / 2 * np.tile(ws, 4))
+        tables.append(table)
+    overlap, log_overlap = tables[0][:, 3], tables[0][:, 4]
+    assert np.all(overlap > 0.0) and np.all(log_overlap < -0.1)  # no underflow, none near 0
+    for other in tables[1:]:
+        np.testing.assert_array_equal(other[:, 2], tables[0][:, 2])
+        assert np.all(np.abs(other[:, 4] - log_overlap) <= bound * np.abs(log_overlap))
+        assert np.all(np.abs(other[:, 3] - overlap)
+                      <= (bound * np.abs(log_overlap) + 2 * eps) * overlap)
 
 
 def test_presets_import_no_thread_pool_and_no_random_generator(tmp_path):

@@ -18,7 +18,7 @@ from gravphase.opalg import (
     exact_propagator,
     extract_relative_phase,
     nested_commutators,
-    polarization_tensors,
+    plus_polarization,
     predict_theta,
     zassenhaus_product,
 )
@@ -37,7 +37,7 @@ def single_system(dim=40, weight=1.0):
 
 
 def tt_probe(system, amp_b, amp_a=0.0):
-    e_plus, _ = polarization_tensors(KVEC)
+    e_plus = plus_polarization(KVEC)
     return c_number_probe_stress([amp_a * e_plus, amp_b * e_plus])
 
 
@@ -220,7 +220,7 @@ def test_full_evolution_matches_closed_form_and_predictions():
     sys1 = single_system()
     amp = 0.25
     trace_amp = 0.15
-    e_plus, _ = polarization_tensors(KVEC)
+    e_plus = plus_polarization(KVEC)
     khat = np.asarray(KVEC) / OMEGA
     trans = np.eye(3) - np.outer(khat, khat)
     probe = c_number_probe_stress([np.zeros((3, 3)), amp * e_plus + 0.5 * trace_amp * trans])

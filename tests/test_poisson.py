@@ -749,18 +749,21 @@ def _spectral_pair_integrals(dens, pairs, grid):
 def test_separable_sum_equals_the_spectral_solve_route(name):
     # the same quadrature summed two ways: the separable lattice sum, and
     # each density contracted with the other's spectral potential.
-    # Rounding bound, in units of eps/2: on the spectral side the 3-D normalisation sum of the
-    # sampling (pairwise, log2 N^3 + 8), log2(2N) for each of the three
-    # forward and three inverse transforms of length 2N and the three of the
-    # kernel spectrum, the contraction sum (pairwise, log2 N^3 + 8) and the
-    # rescales by kappa h^3 / 4 pi, h^3 4 pi / kappa and the average (8); on
-    # the separable side the correlations (N) and the three contractions
+    # Rounding bound, in units of eps/2.  Both sides read the same unit-sum
+    # axis factors (the sampling is their outer product), so their roundings
+    # cancel.  On the spectral side: the sampling's outer product (2) and its
+    # scale m c^2 / h^3 and that scale's product (4), for each of the two
+    # densities; log2(2N) for each of the three forward and three inverse
+    # transforms of length 2N and the three of the kernel spectrum; the
+    # contraction sum (pairwise, log2 N^3 + 8); and the rescales by
+    # kappa h^3 / 4 pi, h^3 4 pi / kappa and the average (8).  On the
+    # separable side: the correlations (N) and the three contractions
     # (N + 1 each).  A transform's roundings are relative to the potential's
     # largest value, so an entry's scale is m_i max phi_j (and the same with
     # i and j swapped, averaged), which bounds the entry itself
     grid, dens_a, dens_b = _SEPARABLE_FAMILIES[name]
     n = grid.n
-    terms = 2 * (3 * math.log2(n) + 8) + 9 * math.log2(2 * n) + 8 + n + 3 * (n + 1)
+    terms = 2 * 6 + 9 * math.log2(2 * n) + (3 * math.log2(n) + 8) + 8 + n + 3 * (n + 1)
     tol = terms * np.finfo(float).eps / 2
     dens, pairs = _cross_and_self(dens_a, dens_b)
     sep, _ = pair_integrals(dens, pairs, CONSTS, backend="grid", grid=grid)

@@ -70,3 +70,8 @@ def test_report_moves_name_the_entries_that_differ():
            "extra": 1}
     assert ref.report_moves(old, old) == []
     assert ref.report_moves(new, old) == ["extra", "result.flags.b"]
+    # a number that moved carries its relative shift, as a table column does
+    new["result"].update(rows=4, ratio=0.5000000000000001)
+    old["result"]["ratio"] = 0.5
+    assert ref.report_moves(new, old) == ["extra", "result.flags.b",
+                                          "result.ratio 2.22e-16", "result.rows 0.333"]
