@@ -253,6 +253,32 @@ def _check_grid_file(where: str, path: str, cfg: dict) -> None:
         raise ConfigError(f"config invalid at {where}: {exc}") from None
 
 
+def _check_grid_fit(cfg: dict) -> None:
+    """Refuse a Gaussian of a grid-backend `phase-compare` whose +-3 sigma
+    cube leaves the grid cells [-h/2, L - h/2]: `sources.axis_profiles`
+    would put its clipped tail back onto the boundary cells.  Checked are
+    every branch, and each `sigma_ladder` rung and `width_variation` row at
+    the first branch centres."""
+    h = cfg["grid"]["box"] / cfg["grid"]["n"]
+    lo, hi = -h / 2, cfg["grid"]["box"] - h / 2
+    gaussians, firsts = [], []
+    for k in "ab":
+        block = cfg["sources"][k]
+        if "branches" in block:
+            gaussians += [(f"sources/{k}/branches/{i}", b["center"], b["width"])
+                          for i, b in enumerate(block["branches"])]
+        else:
+            gaussians.append((f"sources/{k}", block["center"], block["sigma"]))
+        firsts.append(block.get("branches", [block])[0]["center"])
+    for key in ("sigma_ladder", "width_variation"):
+        gaussians += [(f"{key}/{i}", c, s) for i, s in enumerate(cfg.get(key, ())) for c in firsts]
+    for path, center, sigma in gaussians:
+        if not all(lo <= x - 3 * sigma and x + 3 * sigma <= hi for x in center):
+            raise ConfigError(f"config invalid at {path}: a Gaussian of width {sigma!r} at "
+                              f"{center} reaches past the grid cells [{lo!r}, {hi!r}] within "
+                              "3 sigma, so the grid would clip it")
+
+
 def validate_config(cfg: dict) -> None:
     """Raise ConfigError unless `cfg` is a config every scenario runner can
     read: the schema, then the checks that span fields."""
@@ -294,6 +320,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("phase-compare sources must be localized or gaussian")
     if scenario == "phase-compare" and cfg["backend"] == "grid" and "grid" not in cfg:
         raise ConfigError("config invalid at backend: the grid backend needs a 'grid' block")
+    if scenario == "phase-compare" and cfg["backend"] == "grid":
+        _check_grid_fit(cfg)
     overlap = cfg.get("overlap")
     grid_sizes = {"grid/n": cfg["grid"]["n"]} if "grid" in cfg else {}
     if overlap:

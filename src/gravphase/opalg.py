@@ -185,24 +185,35 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def nested_commutators(h_g: np.ndarray, h_i: np.ndarray) -> dict:
     """{"GI": [H_G,H_I], "GGI": [H_G,[H_G,H_I]], "IGI": [H_I,[H_G,H_I]]} for
-    one branch block (or equal stacks of them), computed once."""
-    gi = commutator(h_g, h_i)
-    return {"GI": gi, "GGI": commutator(h_g, gi), "IGI": commutator(h_i, gi)}
+    one branch block (or equal stacks of them), computed once.  Raises if
+    one overflows, as a large enough coupling makes the nested ones do."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gi = commutator(h_g, h_i)
+        nest = {"GI": gi, "GGI": commutator(h_g, gi), "IGI": commutator(h_i, gi)}
+    if not all(np.isfinite(c).all() for c in nest.values()):
+        raise ValueError("nested commutators of H_G and H_I overflow: the coupling is too large")
+    return nest
 
 
 def _propagators(h: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """exp(-i s H) X = V (e^{-i s lambda} (.) V^dagger X) at every s, applied
     right to left from one eigendecomposition of H (or of a stack of them).
     s holds the time axes and then one unit axis per stack axis of H, and
-    the time axes lead the result.  V is checked unitary to 1e-10 once per
-    generator: the propagators are unitary by construction, so this guards
-    against a corrupted decomposition rather than roundoff."""
+    the time axes lead the result.  H and its spectrum must be finite, and V
+    is checked unitary to 1e-10 once per generator: the propagators are
+    unitary by construction, so this guards against a corrupted
+    decomposition rather than roundoff."""
+    if not np.isfinite(h).all():
+        raise ValueError("propagator generator is not finite")
     # eigh reads one triangle, so a commutator that is Hermitian only up to
     # rounding is exponentiated as its Hermitian part; every generator but
     # i[H_G, H_I] is real symmetric and takes the real eigh
     values, vectors = np.linalg.eigh(h)
+    if not np.isfinite(values).all():
+        raise ValueError("propagator generator has a non-finite spectrum")
     vectors_h = np.swapaxes(vectors.conj(), -1, -2)
-    if np.abs(vectors_h @ vectors - np.eye(h.shape[-1])).max() > 1e-10:
+    defect = np.abs(vectors_h @ vectors - np.eye(h.shape[-1])).max()
+    if not (defect <= 1e-10):  # a NaN defect fails too
         raise ValueError("propagator lost unitarity beyond 1e-10")
     phases = np.exp(-1j * s[..., None] * values)[..., None]
     return vectors @ (phases * (vectors_h @ x))

@@ -44,7 +44,6 @@ class PhaseMatrix:
     """Complex log-amplitude per eigenpair: real part damping (log magnitude),
     imaginary part phase in radians."""
 
-    model: str
     theta: np.ndarray
     stderr: np.ndarray | None = None
 
@@ -110,7 +109,7 @@ def newton_phase(psi_a: QuantumSourceState, psi_b: QuantumSourceState,
     if np.any(d == 0.0):
         raise ValueError("coincident density centers: 1/r potential undefined")
     theta = consts.G * m_a[:, None] * m_b[None, :] * time / (consts.hbar * d)
-    return PhaseMatrix(model="newton", theta=1j * theta)
+    return PhaseMatrix(theta=1j * theta)
 
 
 def negativity(amps_a, amps_b, matrix: PhaseMatrix) -> float:
@@ -220,7 +219,7 @@ def compare_models(
     pref_nonlocal = _nonlocal_coupling(time, consts)
     pref_general = POINT_LIMIT_RATIOS["nonlocal"] * pref_nonlocal
     stderr = abs(pref_general) * cross_err
-    general = PhaseMatrix(model="general", theta=1j * (pref_general * cross),
+    general = PhaseMatrix(theta=1j * (pref_general * cross),
                           stderr=stderr if stderr.any() else None)
     matrices = {"general": general, "newton": newton}
 
@@ -230,12 +229,11 @@ def compare_models(
     # couplings contribute, hence the point-limit ratio -2.
     u = pref_nonlocal * (cross * np.abs(psi_b.amplitudes) ** 2).sum(axis=1)
     v = pref_nonlocal * (np.abs(psi_a.amplitudes[:, None]) ** 2 * cross).sum(axis=0)
-    matrices["schroedinger-newton"] = PhaseMatrix(model="schroedinger-newton",
-                                                  theta=1j * (u[:, None] + v[None, :]))
+    matrices["schroedinger-newton"] = PhaseMatrix(theta=1j * (u[:, None] + v[None, :]))
 
     # ad-hoc nonlocal coupling V = -(G / c^4) int E_A E_B / |x-y|: the trace of
     # the stress tensor is energy-density dominated for static sources
-    matrices["nonlocal"] = PhaseMatrix(model="nonlocal", theta=1j * (pref_nonlocal * cross))
+    matrices["nonlocal"] = PhaseMatrix(theta=1j * (pref_nonlocal * cross))
 
     negativities = {name: negativity(psi_a.amplitudes, psi_b.amplitudes, pm)
                     for name, pm in matrices.items()}

@@ -1,5 +1,9 @@
-"""Scenario runners behind the CLI: execute one validated config, write the
-JSON report plus plot-ready CSV tables, return the report dict."""
+"""Scenario runners behind the CLI.  A runner is a pure compute step: it
+takes a config in internal units, its constants and its unit label, and
+returns (files, result), `files` mapping a path under the output directory
+to a CSV's (header, rows) or a field's (values, box, units).
+`run_scenario` converts the units, runs the runner, and only then writes
+the files and the JSON report."""
 
 from __future__ import annotations
 
@@ -57,7 +61,6 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -94,8 +97,7 @@ def _build_density(block: dict) -> EnergyDensity:
     return _build_state(block).densities[0]
 
 
-def run_phase_compare(cfg: dict, outdir: Path) -> dict:
-    consts, cfg, unit_label = to_internal_units(cfg)
+def run_phase_compare(cfg: dict, consts, unit_label: str):
     psi_a = _build_state(cfg["sources"]["a"])
     psi_b = _build_state(cfg["sources"]["b"])
     grid = GridSpec(**cfg["grid"]) if "grid" in cfg else None
@@ -105,19 +107,18 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
                             sigma_ladder=tuple(cfg.get("sigma_ladder", ())), **kw)
     matrices, convergence = report.pop("matrices"), report.pop("convergence")
 
-    write_csv(outdir / "tables" / "models.csv",
-              ["model", "i", "j", "damping", "phase_rad", "stderr_rad"],
-              [(name, i, j, pm.damping[i, j], pm.phases[i, j],
-                0.0 if pm.stderr is None else pm.stderr[i, j])
-               for name, pm in matrices.items() for i, j in np.ndindex(pm.theta.shape)])
+    files = {"tables/models.csv": (
+        ["model", "i", "j", "damping", "phase_rad", "stderr_rad"],
+        [(name, i, j, pm.damping[i, j], pm.phases[i, j],
+          0.0 if pm.stderr is None else pm.stderr[i, j])
+         for name, pm in matrices.items() for i, j in np.ndindex(pm.theta.shape)])}
     if convergence:
-        write_csv(outdir / "tables" / "convergence.csv",
-                  ["sigma", "sigma_over_d", "phase_rad", "point_phase_rad",
-                   "deviation", "stderr_rad"],
-                  # an undefined deviation (point phase 0) is an empty cell
-                  [(c["sigma"], c["sigma_over_d"], c["phase"], c["point_phase"],
-                    c["deviation"] if math.isfinite(c["deviation"]) else "", c["stderr"])
-                   for c in convergence])
+        files["tables/convergence.csv"] = (
+            ["sigma", "sigma_over_d", "phase_rad", "point_phase_rad", "deviation", "stderr_rad"],
+            # an undefined deviation (point phase 0) is an empty cell
+            [(c["sigma"], c["sigma_over_d"], c["phase"], c["point_phase"],
+              c["deviation"] if math.isfinite(c["deviation"]) else "", c["stderr"])
+             for c in convergence])
 
     nw = matrices["newton"].phases[0, 0]  # of the density centres: width-independent
     a0, b0 = psi_a.densities[0], psi_b.densities[0]
@@ -128,10 +129,10 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
         th, _ = theta_AB(ea, eb, time, consts, **kw)
         width_rows.append((sig, th, nw))
     if width_rows:
-        write_csv(outdir / "tables" / "width_variation.csv",
-                  ["sigma", "theta_ab_rad", "newton_rad"], width_rows)
+        files["tables/width_variation.csv"] = (["sigma", "theta_ab_rad", "newton_rad"],
+                                               width_rows)
 
-    return {
+    return files, {
         "scenario": "phase-compare",
         "units": {"phase": "rad", "damping": "log-magnitude",
                   "self_energy": "energy, " + unit_label,
@@ -147,8 +148,7 @@ def run_phase_compare(cfg: dict, outdir: Path) -> dict:
     }
 
 
-def run_poisson(cfg: dict, outdir: Path) -> dict:
-    consts, cfg, unit_label = to_internal_units(cfg)
+def run_poisson(cfg: dict, consts, unit_label: str):
     block = cfg["poisson"]
     grid = GridSpec(**cfg["grid"])
     # sampled once: both solvers and the residual read it
@@ -162,13 +162,9 @@ def run_poisson(cfg: dict, outdir: Path) -> dict:
     backend_dev = float(np.abs(sub - direct.values).max() / scale) if scale else 0.0
     rms_res, rms_src = laplacian_residual(spectral, src, consts)
 
-    if block["save_fields"]:
-        fields = outdir / "fields"
-        fields.mkdir(parents=True, exist_ok=True)
-        gridio.save_scalar_grid(fields / "hT.f64", spectral.values, grid.box,
-                                units="dimensionless metric perturbation")
-
-    return {
+    files = ({"fields/hT.f64": (spectral.values, grid.box, "dimensionless metric perturbation")}
+             if block["save_fields"] else {})
+    return files, {
         "scenario": "poisson",
         "units": {"hT": "dimensionless", "residual_ratio": "dimensionless",
                   "backend_deviation": "dimensionless",
@@ -191,8 +187,7 @@ def _random_state_pair(rng: random.Random):
     return one(), one()
 
 
-def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
-    consts, cfg, unit_label = to_internal_units(cfg)
+def run_overlap_sweep(cfg: dict, consts, unit_label: str):
     block = cfg["overlap"]
     pos = np.asarray(block["position"], dtype=float)
     eps0 = np.asarray(block["epsilon"], dtype=float)
@@ -210,8 +205,7 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
             eps_norm = float(np.linalg.norm(eps))
             rows.extend((eps_norm, w, grid.n, overlap_from_log(log_ov), log_ov)
                         for w, log_ov in zip(ws, eps_logs))
-    write_csv(outdir / "tables" / "overlap_sweep.csv",
-              ["epsilon", "w", "N", "overlap", "log_overlap"], rows)
+    files = {"tables/overlap_sweep.csv": (["epsilon", "w", "N", "overlap", "log_overlap"], rows)}
 
     # every pair in one call, on the smallest sweep grid, which raises if a
     # shared index carries two densities whose field shifts do not cancel;
@@ -221,7 +215,7 @@ def run_overlap_sweep(cfg: dict, outdir: Path) -> dict:
     exact_joint_overlap([a for a, _ in pairs], [b for _, b in pairs],
                         min(grids, key=lambda g: g.n), consts)
 
-    return {
+    return files, {
         "scenario": "overlap-sweep",
         "units": {"overlap": "dimensionless", "epsilon": unit_label, "w": "field amplitude, " + unit_label},
         "rows": len(rows),
@@ -252,8 +246,7 @@ def _fit_slope(ts, values):
     return float(coef[0]) if rank == 2 else float("nan")
 
 
-def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
-    consts, cfg, unit_label = to_internal_units(cfg)
+def run_opalg_verify(cfg: dict, consts, unit_label: str):
     block = cfg["opalg"]
     system = TruncatedModeSystem(block["kvec"], block["dim"], consts, weight=block["weight"])
     system.validate()
@@ -268,11 +261,11 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     comp = compare_propagators(system, probe, hT, ts, n_low=block["n_low"])
     pred = comp.prediction
     resid = comp.dphase_exact - (pred.phase0[:, 1] - pred.phase0[:, 0])
-    write_csv(outdir / "tables" / "zassenhaus.csv",
-              ["t", "defect_order3", "defect_order2", "dphase_exact",
-               "dphase_predicted", "ddamping_exact", "ddamping_predicted"],
-              zip(ts, comp.defect_order3, comp.defect_order2, comp.dphase_exact,
-                  comp.dphase_predicted, comp.ddamping_exact, comp.ddamping_predicted))
+    files = {"tables/zassenhaus.csv": (
+        ["t", "defect_order3", "defect_order2", "dphase_exact",
+         "dphase_predicted", "ddamping_exact", "ddamping_predicted"],
+        list(zip(ts, comp.defect_order3, comp.defect_order2, comp.dphase_exact,
+                 comp.dphase_predicted, comp.ddamping_exact, comp.ddamping_predicted)))}
 
     slopes = {"defect_order3": _fit_slope(ts, comp.defect_order3),
               "defect_order2": _fit_slope(ts, comp.defect_order2),
@@ -290,10 +283,10 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
             "dphase": float(np.max(np.abs(comp.dphase_exact - phase) / np.abs(phase))),
             "ddamping": float(np.max(np.abs(comp.ddamping_exact - damping) / np.abs(damping)))}
     # an undefined slope is an empty cell, as it is null in the report
-    write_csv(outdir / "tables" / "slopes.csv",
-              ["quantity", "slope", "window_lo", "window_hi", "target_lo", "target_hi"],
-              [(name, slope if math.isfinite(slope) else "", ts[0], ts[-1],
-                *PASS_WINDOWS[name][1:]) for name, slope in slopes.items()])
+    files["tables/slopes.csv"] = (
+        ["quantity", "slope", "window_lo", "window_hi", "target_lo", "target_hi"],
+        [(name, slope if math.isfinite(slope) else "", ts[0], ts[-1],
+          *PASS_WINDOWS[name][1:]) for name, slope in slopes.items()])
 
     # an undefined quantity is reported as null, its reason under
     # "undefined", and fails its pass flag (NaN compares false)
@@ -310,7 +303,7 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     values = {**slopes, "t3_coefficient_rel_err": t3_rel_err}
     flags = {flag.format(lo, hi): bool(lo <= values[name] <= hi)
              for name, (flag, lo, hi) in PASS_WINDOWS.items()}
-    return {
+    return files, {
         "scenario": "opalg-verify",
         "units": {"t": "time, " + unit_label, "defect": "operator 2-norm",
                   "phase": "rad", "damping": "log-magnitude"},
@@ -327,15 +320,14 @@ def run_opalg_verify(cfg: dict, outdir: Path) -> dict:
     }
 
 
-def run_negativity(cfg: dict, outdir: Path) -> dict:
-    block = to_internal_units(cfg)[1]["negativity"]
+def run_negativity(cfg: dict, consts, unit_label: str):
+    block = cfg["negativity"]
     amps_a = np.array([_amplitude(a) for a in block["amplitudes_a"]])
     amps_b = np.array([_amplitude(a) for a in block["amplitudes_b"]])
-    pm = PhaseMatrix(model="explicit", theta=np.asarray(block["dampings"], dtype=float)
+    pm = PhaseMatrix(theta=np.asarray(block["dampings"], dtype=float)
                      + 1j * np.asarray(block["phases"], dtype=float))
     value = negativity(amps_a / np.linalg.norm(amps_a), amps_b / np.linalg.norm(amps_b), pm)
-    write_csv(outdir / "tables" / "negativity.csv", ["negativity"], [(value,)])
-    return {
+    return {"tables/negativity.csv": (["negativity"], [(value,)])}, {
         "scenario": "negativity",
         "units": {"negativity": "dimensionless"},
         "negativity": value,
@@ -352,9 +344,10 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: dict, outdir) -> dict:
-    outdir = Path(outdir)
-    result = _RUNNERS[cfg["scenario"]](cfg, outdir)  # raises before writing anything
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Run one validated config and write its files and report.json under
+    `outdir`; a run that raises, its report's JSON included, writes nothing."""
+    consts, internal, unit_label = to_internal_units(cfg)
+    files, result = _RUNNERS[cfg["scenario"]](internal, consts, unit_label)
     report = {
         "meta": {
             "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -366,5 +359,11 @@ def run_scenario(cfg: dict, outdir) -> dict:
     }
     # strict JSON: a non-finite number is a defect of its runner, not a token
     text = json.dumps(report, indent=2, default=float, allow_nan=False)
+    outdir = Path(outdir)
+    for name, content in files.items():
+        path = outdir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        (gridio.save_scalar_grid if path.suffix == ".f64" else write_csv)(path, *content)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(text + "\n")
     return report

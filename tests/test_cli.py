@@ -433,6 +433,45 @@ def test_the_grid_backend_without_a_grid_is_refused_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+def _localized(source, dx):
+    branch = {"amplitude": 0.7071067811865476, "width": source["sigma"]}
+    return {"type": "localized", "mass": source["mass"], "branches": [
+        {**branch, "center": source["center"]},
+        {**branch, "center": [source["center"][0] + dx, *source["center"][1:]]}]}
+
+
+# the grid of `_phase_compare`: h = 0.375, cells [-0.1875, 5.8125]; sigma 0.5
+@pytest.mark.parametrize("edit, where", [
+    (lambda c: c["sources"]["a"].update(center=[-1.0, 3.0, 3.0]), "sources/a"),
+    (lambda c: c["sources"]["b"].update(center=[3.5, 3.0, 4.4]), "sources/b"),
+    (lambda c: c["sources"].update(b=_localized(c["sources"]["b"], 1.0)), "sources/b/branches/1"),
+    (lambda c: c.update(sigma_ladder=[0.5, 1.0]), "sigma_ladder/1"),
+    (lambda c: c.update(width_variation=[0.5, 0.25, 2.0]), "width_variation/2"),
+])
+def test_a_gaussian_the_grid_cells_cannot_hold_is_refused_at_load(tmp_path, capsys, edit, where):
+    # sampling would put its clipped tail back onto the boundary cells
+    cfg = _phase_compare("grid")()
+    edit(cfg)
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config invalid at {where}: a Gaussian of width ")
+    assert "within 3 sigma" in err
+    assert not out.exists()
+
+
+def test_the_grid_fit_admits_its_boundary_and_binds_the_grid_backend_only():
+    cfg = _phase_compare("grid")()
+    lo, hi = 3 * 0.5 - 0.1875, 5.8125 - 3 * 0.5
+    cfg["sources"]["a"]["center"] = [lo, lo, hi]
+    cfg["sources"]["b"]["center"] = [hi, lo, hi]
+    validate_config(cfg)
+    cfg["sources"]["a"]["center"] = [-1.0, 3.0, 3.0]
+    for backend in ("analytic", "mc"):
+        validate_config({**cfg, "backend": backend})
+
+
 def _oversized_overlap_sweep():
     cfg = _small_overlap_sweep()
     cfg["overlap"]["grid_sizes"] = [8, 1024]
@@ -1066,13 +1105,45 @@ def test_a_grid_ladder_reports_its_narrowest_width_in_cells(tmp_path):
 def test_a_non_finite_result_is_a_numerical_guard_not_a_report(tmp_path, monkeypatch, capsys):
     from gravphase import scenarios
 
-    monkeypatch.setitem(scenarios._RUNNERS, "negativity", lambda cfg, outdir: {"x": float("nan")})
+    table = {"tables/negativity.csv": (["negativity"], [(0.5,)])}
+    monkeypatch.setitem(scenarios._RUNNERS, "negativity",
+                        lambda cfg, consts, unit_label: (table, {"x": float("nan")}))
     out = tmp_path / "o"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_small_negativity()))
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert "not JSON compliant" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
+
+
+def test_a_run_that_fails_after_its_first_table_writes_nothing(tmp_path, capsys):
+    # the sweep's table is built before the state pairs are checked, whose
+    # densities (width 0.4 and up) a box of 2.0 cannot hold
+    out = tmp_path / "o"
+    assert main(["run", "preset:semiclassical-overlap", "--set", "overlap.box=2.0",
+                 "--set", "overlap.position=[1.0,1.0,1.0]", "--out", str(out)]) == 2
+    assert "profile truncated: box 2.0 must exceed 6 sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, layer", [
+    # after models.csv, for width_variation.csv
+    ("preset:wide-gaussian-pair", "theta_AB"),
+    # after zassenhaus.csv, for slopes.csv and the report
+    ("preset:zassenhaus-t3", "closed_form_branch_amplitude"),
+])
+def test_a_runner_that_raises_after_its_first_table_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                                   config, layer):
+    from gravphase import scenarios
+
+    def fail(*args, **kwargs):
+        raise ValueError(f"{layer} failed")
+
+    monkeypatch.setattr(scenarios, layer, fail)
+    out = tmp_path / "o"
+    assert main(["run", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"numerical guard: {layer} failed\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8.00 GiB")])
@@ -1081,7 +1152,7 @@ def test_running_out_of_memory_is_a_numerical_guard(tmp_path, monkeypatch, capsy
     # run exits 2 on one line
     from gravphase import scenarios
 
-    def runner(cfg, outdir):
+    def runner(cfg, consts, unit_label):
         raise error
 
     monkeypatch.setitem(scenarios._RUNNERS, "negativity", runner)
@@ -1210,8 +1281,11 @@ def _edited(make_cfg, edit):
     # the squared norm underflows to zero
     (_edited(_small_negativity, lambda c: c["negativity"].update(
         amplitudes_b=[0.0, 1e-200])), 1),
+    # the nested commutators overflow before any propagator is formed
+    (_edited(lambda: get_preset("zassenhaus-t3"),
+             lambda c: c["opalg"].update(tt_branch_amplitudes=[0.0, 1e200])), 2),
 ], ids=["opalg-one-time", "poisson-n4", "poisson-n8", "poisson-massless", "negativity-overflow",
-        "amplitude-underflow"])
+        "amplitude-underflow", "opalg-overflow"])
 def test_degenerate_configs_end_in_an_exit_code(tmp_path, make_cfg, code):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(make_cfg()))

@@ -289,6 +289,9 @@ def test_the_table_entries_count_the_tables_the_run_builds():
     grid = GridSpec(32, 6.0)
     cfg = get_preset("gie-2x2")
     cfg.update(backend="grid", grid={"n": 32, "box": 6.0})
+    for source in cfg["sources"].values():  # into the box, as the grid backend needs
+        for branch in source["branches"]:
+            branch["center"] = [x + s for x, s in zip(branch["center"], (0.8, 1.5, 1.5))]
     assert _entries(cfg) == {"grid/n": grid.coulomb_octant.nbytes}
     # the state pairs are checked on the smallest sweep grid: the four field
     # states the pairs draw on and its |k| table, while a state is built its

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,21 @@ def test_commutator_basics():
     sys1 = single_system()
     hg = build_HG(sys1)
     assert np.abs(commutator(hg, hg)).max() == 0.0
+
+
+def test_overflowing_commutators_and_non_finite_generators_are_refused_without_a_warning():
+    sys1 = single_system()
+    hg, hi = build_HG(sys1), build_HI(sys1, tt_probe(sys1, 1e200), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="nested commutators of H_G and H_I overflow"):
+            nested_commutators(hg, hi[1])
+        with pytest.raises(ValueError, match="generator is not finite"):
+            exact_propagator(np.full((2, 2), np.nan), 0.1, 1.0)
+        # finite, but its top eigenvalue 3.4e308 is not: eigh returns inf
+        # with unitary eigenvectors, which the unitarity check alone passes
+        with pytest.raises(ValueError, match="generator has a non-finite spectrum"):
+            exact_propagator(np.full((2, 2), 1.7e308), 0.1, 1.0)
 
 
 def test_double_commutator_is_pure_probe():
@@ -266,9 +282,10 @@ def test_closed_form_amplitude_matches_the_test_copy():
 
 def test_opalg_verify_reports_its_deviation_from_the_closed_form(tmp_path):
     from gravphase.config import get_preset
-    from gravphase.scenarios import run_opalg_verify
+    from gravphase.scenarios import run_scenario
 
-    dev = run_opalg_verify(get_preset("zassenhaus-t3"), tmp_path)["closed_form_max_rel_dev"]
+    report = run_scenario(get_preset("zassenhaus-t3"), tmp_path)
+    dev = report["result"]["closed_form_max_rel_dev"]
     # the preset's smallest |dphase| and |ddamping| (t = 0.02) are 2.0e-4 and
     # 4.0e-6, read from the ratio of two unit-modulus amplitudes that each
     # err by at most product_rounding_bound(40, 1, 2) in the column path, so

@@ -133,7 +133,7 @@ def test_exact_joint_overlap_builds_only_shared_indices(monkeypatch):
 def test_overlap_sweep_builds_one_field_state_per_density(tmp_path, monkeypatch):
     calls = _counting(monkeypatch, overlaps, "build_field_state")
     cfg = get_preset("semiclassical-overlap")
-    report = scenarios.run_overlap_sweep(cfg, tmp_path)
+    report = scenarios.run_scenario(cfg, tmp_path)["result"]
     assert report["state_pairs_checked"] == cfg["overlap"]["state_pairs"] == 20
     keys = {(dens, grid) for dens, _, grid in calls}
     assert 0 < len(calls) == len(keys) <= 4
@@ -333,7 +333,7 @@ def test_overlap_sweep_calls_the_overlap_once_per_grid(tmp_path, monkeypatch):
     calls = _counting(monkeypatch, scenarios, "semiclassical_overlap")
     cfg = get_preset("semiclassical-overlap")
     cfg["overlap"]["state_pairs"] = 0
-    scenarios.run_overlap_sweep(cfg, tmp_path)
+    scenarios.run_scenario(cfg, tmp_path)
     block = cfg["overlap"]
     assert len(calls) == len(block["grid_sizes"]) == 3
     with open(tmp_path / "tables" / "overlap_sweep.csv", newline="") as fh:

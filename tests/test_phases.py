@@ -225,11 +225,11 @@ def _negativity_oracle_2x2(coeff):
 
 def test_negativity_separable_and_max():
     amps = np.array([S2, S2])
-    sep = PhaseMatrix(model="x", theta=1j * (np.array([[0.3], [0.7]]) + np.array([[0.2, 0.5]])).reshape(2, 2))
+    sep = PhaseMatrix(theta=1j * (np.array([[0.3], [0.7]]) + np.array([[0.2, 0.5]])).reshape(2, 2))
     assert negativity(amps, amps, sep) == 0.0
     theta = np.zeros((2, 2), dtype=complex)
     theta[0, 0] = 1j * np.pi
-    pm = PhaseMatrix(model="x", theta=theta)
+    pm = PhaseMatrix(theta=theta)
     value = negativity(amps, amps, pm)
     coeff = np.outer(amps, amps) * np.exp(theta)
     assert abs(value - _negativity_oracle_2x2(coeff)) < 1e-12
@@ -241,15 +241,15 @@ def test_negativity_bounds_and_errors():
     amps = np.array([S2, S2])
     for _ in range(25):
         theta = 1j * rng.uniform(-np.pi, np.pi, size=(2, 2))
-        pm = PhaseMatrix(model="x", theta=theta)
+        pm = PhaseMatrix(theta=theta)
         v = negativity(amps, amps, pm)
         oracle = _negativity_oracle_2x2(np.outer(amps, amps) * np.exp(theta))
         assert -1e-15 <= v <= 0.5 + 1e-12
         assert abs(v - oracle) < 1e-12
     with pytest.raises(ValueError, match="normalisable"):
-        negativity([0.0], [0.0], PhaseMatrix(model="x", theta=np.zeros((1, 1), dtype=complex)))
+        negativity([0.0], [0.0], PhaseMatrix(theta=np.zeros((1, 1), dtype=complex)))
     with pytest.raises(ValueError, match="normalisable"):
-        negativity([np.nan], [1.0], PhaseMatrix(model="x", theta=np.zeros((1, 1), dtype=complex)))
+        negativity([np.nan], [1.0], PhaseMatrix(theta=np.zeros((1, 1), dtype=complex)))
 
 
 def _negativity_partial_transpose(coeff):
@@ -270,13 +270,12 @@ def test_negativity_from_schmidt_coefficients():
         amps_b = rng.normal(size=nb) + 1j * rng.normal(size=nb)
         theta = rng.normal(scale=0.3, size=(na, nb)) + 1j * rng.uniform(-np.pi, np.pi, (na, nb))
         coeff = amps_a[:, None] * amps_b[None, :] * np.exp(theta)
-        value = negativity(amps_a, amps_b, PhaseMatrix(model="x", theta=theta))
+        value = negativity(amps_a, amps_b, PhaseMatrix(theta=theta))
         assert abs(value - _negativity_partial_transpose(coeff)) <= 1e-13
     bell = np.array([[0.0, -1000.0], [-1000.0, 0.0]], dtype=complex)  # exp underflows to 0
-    assert negativity([1.0, 1.0], [1.0, 1.0], PhaseMatrix(model="x", theta=bell)) == 0.5
+    assert negativity([1.0, 1.0], [1.0, 1.0], PhaseMatrix(theta=bell)) == 0.5
     product = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(1, 4))
-    value = negativity([1.0, 2.0, 0.5], [1.0, 1j, -1.0, 0.3],
-                       PhaseMatrix(model="x", theta=product))
+    value = negativity([1.0, 2.0, 0.5], [1.0, 1j, -1.0, 0.3], PhaseMatrix(theta=product))
     assert value == 0.0
 
 
