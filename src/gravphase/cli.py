@@ -1,43 +1,69 @@
 """Batch command-line front end.
 
-    gravphase run <config.json | preset:NAME> [--set path=value]... [--out DIR]
-    gravphase presets [--emit NAME]
-    gravphase schema
+usage: gravphase run CONFIG [--set PATH=VALUE]... [--out DIR]
+       gravphase presets [--emit NAME]
+       gravphase schema
+
+CONFIG is a JSON config file or preset:NAME.  --set overrides one scalar
+config field (dotted PATH, JSON-parsed VALUE) and may repeat; --out names
+the output directory (default: the config's output_dir, else out).  --emit
+prints a preset's config as JSON.  An option takes its value as the next
+argument or after "=", before or after CONFIG.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical guard violation,
-3 I/O error."""
+3 I/O error.  A usage error (no or unknown command, no CONFIG, an option
+without its value, an unknown or extra argument) prints the usage and exits
+2 before a config is read or anything is run or written; -h or --help
+prints this text and exits 0."""
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 
+# the options each command takes; --set may repeat
+_OPTIONS = {"run": ("--set", "--out"), "presets": ("--emit",), "schema": ()}
+_USAGE = __doc__.split("\n\n")[1]
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gravphase",
-                                     description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute one scenario config")
-    run.add_argument("config", help="path to a JSON config, or preset:NAME")
-    run.add_argument("--set", dest="sets", action="append", default=[],
-                     metavar="PATH=VALUE", help="override a scalar config field "
-                     "(dotted path, JSON-parsed value)")
-    run.add_argument("--out", default=None, help="output directory "
-                     "(defaults to the config's output_dir, else 'out')")
+def _usage_error(message: str):
+    print(f"{_USAGE}\ngravphase: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    presets = sub.add_parser("presets", help="list shipped presets")
-    presets.add_argument("--emit", default=None, metavar="NAME",
-                         help="print the named preset config as JSON")
 
-    sub.add_parser("schema", help="print the config JSON schema")
-    return parser
+def _parse(argv: list) -> tuple[str, str | None, dict]:
+    """(command, CONFIG, options) of a command line; options maps each
+    option given to its last value, and --set to the list of its values."""
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        raise SystemExit(0)
+    if not argv or argv[0] not in _OPTIONS:
+        _usage_error(f"expected one of the commands {', '.join(_OPTIONS)}")
+    command, args = argv[0], iter(argv[1:])
+    config, options = None, {"--set": []}
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name in _OPTIONS[command]:
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("-"):
+                    _usage_error(f"{name} needs a value")
+            if name == "--set":
+                options["--set"].append(value)
+            else:
+                options[name] = value
+        elif command == "run" and config is None and not arg.startswith("-"):
+            config = arg
+        else:
+            _usage_error(f"unrecognized argument {arg!r}")
+    if command == "run" and config is None:
+        _usage_error("run needs a CONFIG")
+    return command, config, options
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, config, options = _parse(sys.argv[1:] if argv is None else list(argv))
 
     # numpy and the layers live until exit: import them with the cyclic
     # collector paused, then freeze them, so that neither the run's
@@ -47,31 +73,31 @@ def main(argv=None) -> int:
     try:
         from .config import (ConfigError, CONFIG_SCHEMA, apply_overrides,
                              get_preset, load_config, preset_names)
-        if args.command == "run":
+        if command == "run":
             from .scenarios import run_scenario
     finally:
         if collecting:
             gc.enable()
     gc.freeze()
 
-    if args.command == "schema":
+    if command == "schema":
         print(json.dumps(CONFIG_SCHEMA, indent=2))
         return 0
 
     try:
-        if args.command == "presets":
-            if args.emit:
-                print(json.dumps(get_preset(args.emit), indent=2))
+        if command == "presets":
+            if options.get("--emit"):
+                print(json.dumps(get_preset(options["--emit"]), indent=2))
             else:
                 for name in preset_names():
                     print(name)
             return 0
-        if args.config.startswith("preset:"):
-            cfg = get_preset(args.config.split(":", 1)[1])
+        if config.startswith("preset:"):
+            cfg = get_preset(config.split(":", 1)[1])
         else:
-            cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, args.sets)
-        outdir = args.out or cfg.get("output_dir", "out")
+            cfg = load_config(config)
+        cfg = apply_overrides(cfg, options["--set"])
+        outdir = options.get("--out") or cfg.get("output_dir", "out")
         run_scenario(cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

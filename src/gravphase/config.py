@@ -253,14 +253,10 @@ def _check_grid_file(where: str, path: str, cfg: dict) -> None:
         raise ConfigError(f"config invalid at {where}: {exc}") from None
 
 
-def _check_grid_fit(cfg: dict) -> None:
-    """Refuse a Gaussian of a grid-backend `phase-compare` whose +-3 sigma
-    cube leaves the grid cells [-h/2, L - h/2]: `sources.axis_profiles`
-    would put its clipped tail back onto the boundary cells.  Checked are
-    every branch, and each `sigma_ladder` rung and `width_variation` row at
-    the first branch centres."""
-    h = cfg["grid"]["box"] / cfg["grid"]["n"]
-    lo, hi = -h / 2, cfg["grid"]["box"] - h / 2
+def _phase_compare_gaussians(cfg: dict) -> list:
+    """(path, center, sigma) of every Gaussian a grid-backend `phase-compare`
+    samples: every branch, and each `sigma_ladder` rung and
+    `width_variation` row at the first branch centres."""
     gaussians, firsts = [], []
     for k in "ab":
         block = cfg["sources"][k]
@@ -272,6 +268,16 @@ def _check_grid_fit(cfg: dict) -> None:
         firsts.append(block.get("branches", [block])[0]["center"])
     for key in ("sigma_ladder", "width_variation"):
         gaussians += [(f"{key}/{i}", c, s) for i, s in enumerate(cfg.get(key, ())) for c in firsts]
+    return gaussians
+
+
+def _check_grid_fit(grid: dict, gaussians: list) -> None:
+    """Refuse a Gaussian (path, center, sigma) whose +-3 sigma cube leaves
+    the cells [-h/2, L - h/2] of `grid`: `sources.axis_profiles` would put
+    its clipped tail back onto the boundary cells, and the run would sample
+    another density."""
+    h = grid["box"] / grid["n"]
+    lo, hi = -h / 2, grid["box"] - h / 2
     for path, center, sigma in gaussians:
         if not all(lo <= x - 3 * sigma and x + 3 * sigma <= hi for x in center):
             raise ConfigError(f"config invalid at {path}: a Gaussian of width {sigma!r} at "
@@ -320,8 +326,6 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("phase-compare sources must be localized or gaussian")
     if scenario == "phase-compare" and cfg["backend"] == "grid" and "grid" not in cfg:
         raise ConfigError("config invalid at backend: the grid backend needs a 'grid' block")
-    if scenario == "phase-compare" and cfg["backend"] == "grid":
-        _check_grid_fit(cfg)
     overlap = cfg.get("overlap")
     grid_sizes = {"grid/n": cfg["grid"]["n"]} if "grid" in cfg else {}
     if overlap:
@@ -338,6 +342,15 @@ def validate_config(cfg: dict) -> None:
     if "poisson" in cfg and "grid" in cfg and cfg["grid"]["n"] % cfg["poisson"]["stride"]:
         raise ConfigError(f"config invalid at poisson/stride: stride must divide grid/n = "
                           f"{cfg['grid']['n']}, got {cfg['poisson']['stride']}")
+    if scenario == "phase-compare" and cfg["backend"] == "grid":
+        _check_grid_fit(cfg["grid"], _phase_compare_gaussians(cfg))
+    profile = cfg.get("poisson", {}).get("profile", {})
+    if scenario == "poisson" and "branches" in profile:
+        branch = profile["branches"][0]
+        _check_grid_fit(cfg["grid"], [("poisson/profile/branches/0", branch["center"],
+                                       branch["width"])])
+    elif scenario == "poisson" and profile["type"] != "grid-file":
+        _check_grid_fit(cfg["grid"], [("poisson/profile", profile["center"], profile["sigma"])])
     if overlap:
         box, position = overlap["box"], overlap["position"]
         if not all(0.0 <= x <= box for x in position):

@@ -14,10 +14,11 @@ element 0 of every flattened mode table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .records import frozen_record
 
 # Average of 1/|r| over the unit cube centred at the origin, in closed form.
 _UNIT_CUBE_INV_R_AVERAGE = 3.0 * math.log(2.0 + math.sqrt(3.0)) - math.pi / 2.0
@@ -28,7 +29,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GridSpec:
     """N^3 lattice on a cubic box of side `box`; nodes sit at i*h, i = 0..n-1.
 

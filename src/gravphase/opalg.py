@@ -48,10 +48,10 @@ Sci. Comput. 33, 488, 2011).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .records import frozen_record
 from .sources import PhysicalConstants
 from .tensoralg import transverse_projector
 
@@ -76,7 +76,7 @@ def plus_polarization(kvec) -> np.ndarray:
     return (np.outer(u, u) - np.outer(v, v)) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TruncatedModeSystem:
     """One plus-polarised TT mode of wavevector kvec, truncated to dim
     number states."""
@@ -122,7 +122,7 @@ class TruncatedModeSystem:
             raise ValueError("commutator defect exceeds 1e-10 hbar")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ProbeStressTensor:
     """Probe stress per branch: one real symmetric 3x3 tensor per branch,
     shape (d_P, 3, 3).  Being diagonal in the branch basis is what splits
@@ -258,7 +258,7 @@ def exact_propagator(h_total: np.ndarray, t, hbar: float, x: np.ndarray | None =
     return _propagators(h_total, _times(t, h_total.ndim - 2)[0] / hbar, x)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ThetaPrediction:
     """Per-branch phase and damping contributions (see module docstring)."""
 
@@ -316,7 +316,7 @@ def closed_form_branch_amplitude(system: TruncatedModeSystem, probe: ProbeStress
     return np.exp(1j * phase) * np.exp(-(g2 * (1.0 - np.cos(wt))))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PropagatorComparison:
     """The exact-vs-factorised comparison over a sweep, time axis first:
     the per-branch vacuum amplitudes <0|U_b|0> of the exact propagators,

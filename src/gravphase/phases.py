@@ -17,12 +17,12 @@ and the convergence ladder's, in one pair-integral call per source pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GridSpec
 from .poisson import mutual_coulomb, pair_integrals
+from .records import frozen_record
 from .sources import (
     EnergyDensity,
     PhysicalConstants,
@@ -39,7 +39,7 @@ POINT_LIMIT_RATIOS = {"newton": -4.0, "nonlocal": -4.0, "schroedinger-newton": -
 EIGENVALUE_FLOOR = 1e-12  # relative floor below which Schmidt coefficients count as zero
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PhaseMatrix:
     """Complex log-amplitude per eigenpair: real part damping (log magnitude),
     imaginary part phase in radians."""

@@ -61,12 +61,12 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .grids import GridSpec, cell_averaged_inv_r
+from .records import frozen_record
 from .sources import EnergyDensity, PhysicalConstants, axis_profiles, sample_on_grid
 
 RESIDUAL_MARGIN = 3  # boundary cells the Laplacian residual leaves out on each face
@@ -75,7 +75,7 @@ RESIDUAL_MARGIN = 3  # boundary cells the Laplacian residual leaves out on each 
 MC_CHUNK = 16_384
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ScalarFieldX:
     """Real scalar field sampled on the grid nodes."""
 

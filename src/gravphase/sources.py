@@ -13,14 +13,14 @@ index, never by comparing density values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GridSpec
+from .records import frozen_record
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PhysicalConstants:
     """Gravitational constant, speed of light and hbar in one unit system."""
 
@@ -58,7 +58,7 @@ class PhysicalConstants:
         return PhysicalConstants(G=g, c=1.0, hbar=hbar)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class EnergyDensity:
     """Static energy density E(x) with total integral mass * c^2.
 
@@ -140,7 +140,7 @@ def axis_profiles(e: EnergyDensity, grid: GridSpec) -> np.ndarray:
     return g / sums[:, None]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class QuantumSourceState:
     """Finite decomposition sum_i c_i |E_i> over energy-density eigenstates.
 

@@ -472,6 +472,42 @@ def test_the_grid_fit_admits_its_boundary_and_binds_the_grid_backend_only():
         validate_config({**cfg, "backend": backend})
 
 
+# the poisson grid is that of a clipped profile that used to run: N = 32,
+# box 8, h = 0.25, cells [-0.125, 7.875]; a point is 2 cells (0.5) wide
+@pytest.mark.parametrize("profile, where", [
+    ({"type": "gaussian", "mass": 1.0, "center": [0.0, 4.0, 4.0], "sigma": 0.5},
+     "poisson/profile"),
+    ({"type": "point", "mass": 1.0, "center": [4.0, 6.5, 4.0]}, "poisson/profile"),
+    ({"type": "localized", "mass": 1.0, "branches": [
+        {"amplitude": 1.0, "center": [4.0, 4.0, 7.0], "width": 0.5}]},
+     "poisson/profile/branches/0"),
+], ids=["gaussian", "point-default-width", "localized"])
+def test_a_poisson_profile_the_grid_cells_cannot_hold_is_refused_at_load(tmp_path, capsys,
+                                                                         profile, where):
+    # sampling renormalised the clipped Gaussian onto the cells left, so the
+    # run solved the field of another density and exited 0
+    cfg = {"scenario": "poisson", "seed": 0, "constants": {"system": "natural"},
+           "grid": {"n": 32, "box": 8.0}, "poisson": {"profile": profile}}
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config invalid at {where}: a Gaussian of width 0.5 ")
+    assert "within 3 sigma" in err
+    assert not out.exists()
+
+
+def test_the_poisson_grid_fit_admits_its_boundary():
+    lo, hi = 3 * 0.5 - 0.125, 7.875 - 3 * 0.5
+    cfg = {"scenario": "poisson", "seed": 0, "grid": {"n": 32, "box": 8.0},
+           "poisson": {"profile": {"type": "gaussian", "mass": 1.0, "center": [lo, hi, lo],
+                                   "sigma": 0.5}}}
+    validate_config(cfg)
+    cfg["poisson"]["profile"] = {"type": "point", "mass": 1.0, "center": [4.0, 6.5, 4.0],
+                                 "sigma": 0.25}
+    validate_config(cfg)
+
+
 def _oversized_overlap_sweep():
     cfg = _small_overlap_sweep()
     cfg["overlap"]["grid_sizes"] = [8, 1024]
@@ -510,8 +546,10 @@ def test_the_lattice_bound_admits_every_shipped_grid(n):
     sweep, states = _small_overlap_sweep(), _small_overlap_sweep()
     sweep["overlap"].update(grid_sizes=[n], state_pairs=0)
     states["overlap"].update(grid_sizes=[n])
+    poisson = {**_small_poisson(), "grid": {"n": n, "box": 8.0}}
+    poisson["poisson"]["profile"]["sigma"] = 1.0  # inside the grid cells from N = 8 up
     limits = [("grid/n", {**_phase_compare("grid")(), "grid": {"n": n, "box": 6.0}}, 128),
-              ("grid/n", {**_small_poisson(), "grid": {"n": n, "box": 8.0}}, 64),
+              ("grid/n", poisson, 64),
               ("overlap/grid_sizes/0", sweep, 256), ("overlap/grid_sizes/0", states, 64)]
     for where, cfg, largest in limits:
         if n <= largest:
@@ -731,6 +769,88 @@ def test_schema_and_presets_do_not_import_the_scenarios():
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False False"
+
+
+def test_a_run_imports_no_argument_parser_and_no_dataclasses(tmp_path):
+    # argparse, its gettext and dataclasses' code generation cost a cold
+    # process milliseconds before run_scenario and compute nothing
+    probe = ("import sys; from gravphase.cli import main; "
+             f"code = main(['run', 'preset:gie-2x2', '--out', {str(tmp_path / 'o')!r}]); "
+             "print(code, [m for m in ('argparse', 'gettext', 'dataclasses') if m in sys.modules])")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def _gie_overridden(outdir):
+    return ["run", "preset:gie-2x2", "--set", "time=0.5", "--set", "seed=3", "--out", outdir]
+
+
+@pytest.mark.parametrize("argv", [
+    _gie_overridden("{out}"),
+    ["run", "preset:gie-2x2", "--set=time=0.5", "--set=seed=3", "--out={out}"],
+    ["run", "--out", "{out}", "--set", "seed=3", "preset:gie-2x2", "--set=time=0.5"],
+    ["run", "--set=time=0.5", "--out={out}", "--set", "seed=3", "preset:gie-2x2"],
+], ids=["after", "equals", "before-and-after", "before"])
+def test_options_take_either_spelling_before_or_after_the_config(tmp_path, capsys, argv):
+    out, reference = tmp_path / "o", tmp_path / "reference"
+    assert main([arg.format(out=out) for arg in argv]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "scenario": "phase-compare", "seed": 3, "output": str(out)}
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert (config["time"], config["seed"]) == (0.5, 3)
+    assert main(_gie_overridden(str(reference))) == 0
+    for table in ("models.csv", "convergence.csv"):
+        assert (out / "tables" / table).read_bytes() == (
+            reference / "tables" / table).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"], ["presets", "--help"],
+                                  ["run", "preset:gie-2x2", "--out", "{out}", "-h"]])
+def test_help_prints_the_usage_and_exits_0(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(out=out) for arg in argv])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--out", "{out}"],
+    ["bogus", "preset:gie-2x2", "--out", "{out}"],
+    ["run", "--out", "{out}"],
+    ["run", "preset:gie-2x2", "--out"],
+    ["run", "preset:gie-2x2", "--out", "{out}", "--set"],
+    ["run", "preset:gie-2x2", "--set", "--out", "{out}"],
+    ["presets", "--emit"],
+    ["run", "preset:gie-2x2", "--out", "{out}", "--bogus", "1"],
+    ["run", "preset:gie-2x2", "extra", "--out", "{out}"],
+    ["schema", "extra"],
+    ["presets", "--out", "{out}"],
+], ids=["no-command", "option-only", "unknown-command", "no-config", "out-without-value",
+        "set-without-value", "set-before-an-option", "emit-without-value", "unknown-option",
+        "extra-argument", "schema-extra", "option-of-another-command"])
+def test_a_usage_error_exits_2_before_anything_runs(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(out=out) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage:") and captured.out == ""
+    assert not out.exists()
+
+
+def test_an_option_prefix_is_not_the_option(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "preset:gie-2x2", "--ou", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized argument '--ou'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gie_report_carries_the_static_rows(tmp_path):
@@ -1269,10 +1389,10 @@ def _edited(make_cfg, edit):
     (_edited(lambda: get_preset("zassenhaus-t3"),
              lambda c: c["opalg"].update(t_start=0.1, t_stop=0.1, t_points=4)), 0),
     # no interior cells for the Laplacian residual: refused at load; N = 8
-    # is the smallest grid that has them
+    # is the smallest grid that has them (and holds a profile of width 1)
     (_edited(_small_poisson, lambda c: c["grid"].update(n=4, box=8.0)), 1),
     (_edited(_small_poisson, lambda c: c.update(grid={"n": 8, "box": 8.0}, poisson={
-        **c["poisson"], "stride": 1})), 0),
+        **c["poisson"], "stride": 1, "profile": {**c["poisson"]["profile"], "sigma": 1.0}})), 0),
     # a massless profile has a zero field on both backends
     (_edited(_small_poisson, lambda c: c["poisson"]["profile"].update(mass=0.0)), 0),
     # exp(710) overflows before the normalisation guard
