@@ -24,7 +24,10 @@ import sys
 
 # the options each command takes; --set may repeat
 _OPTIONS = {"run": ("--set", "--out"), "presets": ("--emit",), "schema": ()}
-_USAGE = __doc__.split("\n\n")[1]
+# the docstring's usage block, kept apart so that -OO (no docstrings) still has it
+_USAGE = """usage: gravphase run CONFIG [--set PATH=VALUE]... [--out DIR]
+       gravphase presets [--emit NAME]
+       gravphase schema"""
 
 
 def _usage_error(message: str):
@@ -36,7 +39,7 @@ def _parse(argv: list) -> tuple[str, str | None, dict]:
     """(command, CONFIG, options) of a command line; options maps each
     option given to its last value, and --set to the list of its values."""
     if "-h" in argv or "--help" in argv:
-        print(__doc__)
+        print(__doc__ or _USAGE)
         raise SystemExit(0)
     if not argv or argv[0] not in _OPTIONS:
         _usage_error(f"expected one of the commands {', '.join(_OPTIONS)}")

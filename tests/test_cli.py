@@ -844,6 +844,19 @@ def test_a_usage_error_exits_2_before_anything_runs(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_the_cli_runs_without_docstrings(tmp_path):
+    # python -OO strips docstrings, so the usage may not be read from one
+    probe = ("from gravphase.cli import main\n"
+             f"print(main(['run', 'preset:gie-2x2', '--out', {str(tmp_path / 'o')!r}]))\n"
+             "try:\n    main(['run'])\nexcept SystemExit as exc:\n    print(exc.code)")
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["0", "2"]
+    assert proc.stderr.startswith("usage: gravphase run CONFIG")
+
+
 def test_an_option_prefix_is_not_the_option(tmp_path, capsys):
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
